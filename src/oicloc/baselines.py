@@ -10,11 +10,14 @@ from .cas import Cas, VideoRecord
 from .config import RunConfig
 from .errors import InputError
 from .features import cas_to_features
-from .oic import SegmentHypothesis, oic_forward
-from .boundary import inflate
+from .oic import oic_kernel
+from .boundary import inflate, round_boundary
 from .regressor import NetworkB, SgdConfig, SgdState
-from .selection import Prediction, nms, snippet_to_time
+from .selection import Prediction, nms_order, snippet_to_time
 from .train import new_network, predict_video, train_network, train_step
+
+# enumeration scores (x1, x2) pairs in row blocks of about this many pairs
+ENUMERATE_CHUNK_PAIRS = 1 << 18
 
 
 def threshold_localize(cas: Cas, k: int, tau: float, fps: float = 30.0,
@@ -79,29 +82,24 @@ def oic_selection_enumerate(
         max_len = T
     if max_len > T:
         raise InputError("max_len cannot exceed the snippet count")
-    candidates = []
-    for x1 in range(1, T + 1):
-        for x2 in range(x1, min(x1 + max_len - 1, T) + 1):
-            w = float(x2 - x1 + 1)
-            X1, X2 = inflate(float(x1), float(x2), w, alpha, T)
-            h = SegmentHypothesis(float(x1), float(x2), X1, X2, k)
-            loss = oic_forward(cas, h).loss
-            if loss > loss_max:
-                continue
-            candidates.append(
-                Prediction(
-                    class_id=k,
-                    start_s=snippet_to_time(float(x1), fps),
-                    end_s=snippet_to_time(float(x2), fps),
-                    score=1.0 - loss,
-                    x1=float(x1),
-                    x2=float(x2),
-                    X1=X1,
-                    X2=X2,
-                    video_id=video_id,
-                )
-            )
-    return nms(candidates, nms_iou)
+    padded = cas.padded_row(k)[None, :]
+    rows = max(1, ENUMERATE_CHUNK_PAIRS // T)
+    parts = []
+    for r0 in range(0, T, rows):
+        # 1-based pairs x1 <= x2 <= T with x1 in this row block
+        x1, x2 = np.triu_indices(min(rows, T - r0), r0, T)
+        x1, x2 = x1 + (r0 + 1), x2 + 1
+        short = x2 - x1 < max_len
+        x1, x2 = x1[short], x2[short]
+        X1, X2 = inflate(x1, x2, x2 - x1 + 1.0, alpha, T)
+        loss = oic_kernel(padded, 0, x1, x2, round_boundary(X1), round_boundary(X2))[0].loss
+        hit = loss <= loss_max
+        parts.append((x1[hit], x2[hit], X1[hit], X2[hit], 1.0 - loss[hit]))
+    x1, x2, X1, X2, score = (np.concatenate(v) for v in zip(*parts))
+    start_s, end_s = snippet_to_time(x1, fps), snippet_to_time(x2, fps)
+    columns = np.stack([start_s, end_s, score, x1, x2, X1, X2], axis=1)
+    return [Prediction(k, *columns[i].tolist(), video_id)
+            for i in nms_order(score, start_s, end_s, nms_iou)]
 
 
 def _video_seed(video_id: str, seed: int) -> int:

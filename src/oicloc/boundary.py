@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import InputError
 
 if TYPE_CHECKING:
@@ -51,18 +53,14 @@ class RegressionPair:
 
 @dataclass(frozen=True)
 class ClipState:
-    """Which transform regimes were active, for the deterministic backward."""
+    """Whether the outer sides were in the minimum-offset regime (w * alpha < 1)."""
 
-    x1_clipped: bool = False
-    x2_clipped: bool = False
     min_offset: bool = False
-    X1_clipped: bool = False
-    X2_clipped: bool = False
 
 
-def round_boundary(x: float) -> int:
-    """Round half away from zero to the nearest snippet index."""
-    return int(math.copysign(math.floor(abs(x) + 0.5), x))
+def round_boundary(x):
+    """Round half away from zero to the nearest snippet index (scalar or array)."""
+    return np.copysign(np.floor(np.abs(x) + 0.5), x).astype(np.int64)
 
 
 def regress_anchor(s_x: float, w_a: float, r: RegressionPair) -> tuple[float, float]:
@@ -74,22 +72,22 @@ def regress_anchor(s_x: float, w_a: float, r: RegressionPair) -> tuple[float, fl
     return c_x - w / 2.0, c_x + w / 2.0
 
 
-def clip_zero_pad(x1: float, x2: float, T: int) -> tuple[float, float]:
-    """Clip a boundary into the zero-padded grid [0, T+1]."""
-    if x1 > x2:
+def clip_zero_pad(x1, x2, T: int):
+    """Clip boundaries (scalars or arrays) into the zero-padded grid [0, T+1]."""
+    if np.any(np.greater(x1, x2)):
         raise InputError(f"boundary must satisfy x1 <= x2, got ({x1}, {x2})")
-    lo, hi = 0.0, float(T + 1)
-    return min(max(x1, lo), hi), min(max(x2, lo), hi)
+    hi = float(T + 1)
+    return np.minimum(np.maximum(x1, 0.0), hi), np.minimum(np.maximum(x2, 0.0), hi)
 
 
-def inflate(x1: float, x2: float, w: float, alpha: float, T: int) -> tuple[float, float]:
-    """Extend the inner boundary by ratio alpha, at least one snippet per side."""
-    if x1 > x2:
+def inflate(x1, x2, w, alpha: float, T: int):
+    """Extend inner boundaries (scalars or arrays) by ratio alpha, >= 1 snippet per side."""
+    if np.any(np.greater(x1, x2)):
         raise InputError(f"boundary must satisfy x1 <= x2, got ({x1}, {x2})")
-    if w <= 0 or alpha <= 0:
+    if np.any(np.less_equal(w, 0)) or alpha <= 0:
         raise InputError("predicted length and inflation ratio must be positive")
-    X1 = min(x1 - w * alpha, x1 - 1.0)
-    X2 = max(x2 + w * alpha, x2 + 1.0)
+    X1 = np.minimum(x1 - w * alpha, x1 - 1.0)
+    X2 = np.maximum(x2 + w * alpha, x2 + 1.0)
     return clip_zero_pad(X1, X2, T)
 
 

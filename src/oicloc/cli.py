@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import baselines, evaluation, io, synth
+from .cas import SNIPPET_FRAMES
 from .config import PROFILES, RunConfig, load_config
 from .errors import ConfigError
 from .gradcheck import run_all
@@ -184,7 +185,7 @@ def _write_plot_data(dirpath: Path, videos, preds) -> None:
         with open(dirpath / f"{v.video_id}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["kind", "class", "start_s", "end_s", "value"])
-            step = 15.0 / v.fps
+            step = SNIPPET_FRAMES / v.fps
             for k in range(1, v.cas.num_classes + 1):
                 for t in range(1, v.cas.num_snippets + 1):
                     writer.writerow(["cas", k, (t - 1) * step, t * step, v.cas.act[k - 1, t - 1]])

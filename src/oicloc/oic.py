@@ -104,30 +104,54 @@ def oic_backward(cas: Cas, h: SegmentHypothesis) -> BoundaryGradients:
     return BoundaryGradients(d_x1, d_x2, d_X1, d_X2)
 
 
-def _inner_stats(cas: Cas, h: SegmentHypothesis) -> tuple[int, int, int, float]:
-    T = cas.num_snippets
-    rx1, rx2 = round_boundary(h.x1), round_boundary(h.x2)
-    if rx1 < 0 or rx2 > T + 1:
-        raise InputError(f"rounded inner [{rx1}, {rx2}] outside padded grid")
+def oic_kernel(
+    padded, k, rx1, rx2, rX1, rX2, inner_only: bool = False
+) -> tuple[OicBreakdown, BoundaryGradients]:
+    """OIC loss, areas and boundary gradients for arrays of rounded hypotheses.
+
+    ``padded`` holds zero-padded rows (index == snippet on [0, T+1]); ``k``
+    and the rounded boundaries are broadcasting index arrays, and every ring
+    must be non-empty. Box sums are differences of one prefix sum per row
+    (a summed-area table); the rest is the arithmetic of oic_forward and
+    oic_backward, or of the inner-only loss (zero outer area and gradients).
+    Both returned records hold arrays.
+    """
+    csum = np.zeros((padded.shape[0], padded.shape[1] + 1))
+    np.cumsum(padded, axis=1, out=csum[:, 1:])  # box [a, b] = csum[b + 1] - csum[a]
     inner_len = rx2 - rx1 + 1
-    if inner_len < 1:
-        raise InputError(f"rounded inner boundary [{rx1}, {rx2}] is empty")
-    row = cas.padded_row(h.k)
-    return rx1, rx2, inner_len, float(row[rx1 : rx2 + 1].sum()) / inner_len
+    inner_sum = csum[k, rx2 + 1] - csum[k, rx1]
+    a_inner = inner_sum / inner_len
+    f_x1, f_x2 = padded[k, rx1], padded[k, rx2]
+    if inner_only:
+        zero = np.zeros_like(a_inner)
+        d_x1 = -(a_inner - f_x1) / inner_len
+        d_x2 = -(f_x2 - a_inner) / inner_len
+        return OicBreakdown(zero, a_inner, -a_inner), BoundaryGradients(d_x1, d_x2, zero, zero)
+    ring_len = (rX2 - rX1 + 1) - inner_len
+    a_outer = (csum[k, rX2 + 1] - csum[k, rX1] - inner_sum) / ring_len
+    areas = OicBreakdown(a_outer, a_inner, a_outer - a_inner)
+    d_x1 = (f_x1 - a_outer) / ring_len - (a_inner - f_x1) / inner_len
+    d_x2 = (a_outer - f_x2) / ring_len - (f_x2 - a_inner) / inner_len
+    d_X1 = (a_outer - padded[k, rX1]) / ring_len
+    d_X2 = (padded[k, rX2] - a_outer) / ring_len
+    return areas, BoundaryGradients(d_x1, d_x2, d_X1, d_X2)
+
+
+def _inner_only(cas: Cas, h: SegmentHypothesis) -> tuple[OicBreakdown, BoundaryGradients]:
+    rx1, rx2 = round_boundary(h.x1), round_boundary(h.x2)
+    if rx1 < 0 or rx2 > cas.num_snippets + 1:
+        raise InputError(f"rounded inner [{rx1}, {rx2}] outside padded grid")
+    return oic_kernel(cas.padded_row(h.k)[None], 0, rx1, rx2, rx1, rx2, inner_only=True)
 
 
 def inner_only_forward(cas: Cas, h: SegmentHypothesis) -> float:
     """Negated average inner activation; the outer boundary is ignored."""
-    return -_inner_stats(cas, h)[3]
+    return float(_inner_only(cas, h)[0].loss)
 
 
 def inner_only_backward(cas: Cas, h: SegmentHypothesis) -> tuple[float, float]:
-    rx1, rx2, inner_len, a_inner = _inner_stats(cas, h)
-    f_x1 = cas.activation(h.k, rx1)
-    f_x2 = cas.activation(h.k, rx2)
-    d_x1 = -(a_inner - f_x1) / inner_len
-    d_x2 = -(f_x2 - a_inner) / inner_len
-    return d_x1, d_x2
+    g = _inner_only(cas, h)[1]
+    return float(g.d_x1), float(g.d_x2)
 
 
 def step_filter_weights(h: SegmentHypothesis, T: int) -> tuple[int, np.ndarray, float]:

@@ -9,23 +9,16 @@ scores prefer the earlier start.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import oic
-from .boundary import (
-    AnchorConfig,
-    ClipState,
-    RegressionPair,
-    clip_zero_pad,
-    inflate,
-    regress_anchor,
-    round_boundary,
-)
+from .boundary import AnchorConfig, clip_zero_pad, inflate, round_boundary
 from .cas import SNIPPET_FRAMES, Cas
-from .errors import InputError
-from .oic import SegmentHypothesis
+from .errors import DegenerateOuterError, InputError, TrainingError
 
 
 def snippet_to_time(x: float, fps: float) -> float:
@@ -51,59 +44,51 @@ class Prediction:
 
 
 @dataclass(frozen=True)
-class CandidateCell:
-    """One anchor hypothesis at one position, with its transform provenance."""
+class Candidates:
+    """Every (position, anchor) hypothesis of one video as T x M arrays (row t-1
+    is position t). ``w`` is the regressed length w_a * exp(t_w); ``rounded``
+    stacks rx1, rx2, rX1, rX2 on the padded grid; ``valid``: non-empty ring."""
 
-    t: int
-    m: int
-    s_x: float
-    w_a: float
-    r: RegressionPair
-    w: float
-    x1: float
-    x2: float
-    X1: float
-    X2: float
-    clip_state: ClipState
-    valid: bool
-
-    def hypothesis(self, k: int) -> SegmentHypothesis:
-        return SegmentHypothesis(self.x1, self.x2, self.X1, self.X2, k)
+    anchors: np.ndarray  # (M,) anchor lengths
+    w: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    X1: np.ndarray
+    X2: np.ndarray
+    rounded: np.ndarray  # (4, T, M) int
+    min_offset: np.ndarray
+    valid: np.ndarray
 
 
 def build_candidates(
     reg_map: np.ndarray, anchors: AnchorConfig, T: int, alpha: float
-) -> list[list[CandidateCell]]:
+) -> Candidates:
     """Regress, clip and inflate every (position, anchor) pair into a T x M grid."""
     M = anchors.count
     reg_map = np.asarray(reg_map, dtype=np.float64)
     if reg_map.shape != (2 * M, T):
         raise InputError(f"regression map must be {2 * M} x {T}, got {reg_map.shape}")
-    grid: list[list[CandidateCell]] = []
-    for t in range(1, T + 1):
-        row = []
-        for m, w_a in enumerate(anchors.scales):
-            r = RegressionPair(reg_map[2 * m, t - 1], reg_map[2 * m + 1, t - 1])
-            raw_x1, raw_x2 = regress_anchor(float(t), w_a, r)
-            x1, x2 = clip_zero_pad(raw_x1, raw_x2, T)
-            w = raw_x2 - raw_x1
-            X1, X2 = inflate(x1, x2, w, alpha, T)
-            clip_state = ClipState(
-                x1_clipped=x1 != raw_x1,
-                x2_clipped=x2 != raw_x2,
-                min_offset=w * alpha < 1.0,
-                X1_clipped=X1 > min(x1 - w * alpha, x1 - 1.0),
-                X2_clipped=X2 < max(x2 + w * alpha, x2 + 1.0),
-            )
-            rx1, rx2 = round_boundary(x1), round_boundary(x2)
-            rX1, rX2 = round_boundary(X1), round_boundary(X2)
-            ring = (rX2 - rX1) - (rx2 - rx1)
-            valid = ring >= 1 and 0 <= rX1 and rX2 <= T + 1
-            row.append(
-                CandidateCell(t, m, float(t), w_a, r, w, x1, x2, X1, X2, clip_state, valid)
-            )
-        grid.append(row)
-    return grid
+    if not np.isfinite(reg_map).all():
+        raise InputError("regression values must be finite")
+    w_a, t_w = np.asarray(anchors.scales), reg_map[1::2].T
+    try:
+        # math.exp, not np.exp: the two differ in the last ulp on some inputs,
+        # and the scalar spec (regress_anchor, transform_backward) uses math.exp
+        growth = np.fromiter(map(math.exp, t_w.ravel().tolist()), np.float64, t_w.size)
+    except OverflowError:
+        t, m = divmod(int(np.argmax(t_w.ravel() > math.log(sys.float_info.max))), M)
+        raise TrainingError(
+            f"t_w = {t_w[t, m]:.6g} overflows exp at position {t + 1}, anchor {m}"
+        ) from None
+    w = w_a * growth.reshape(t_w.shape)
+    c_x = np.arange(1.0, T + 1.0)[:, None] + w_a * reg_map[0::2].T
+    raw_x1, raw_x2 = c_x - w / 2.0, c_x + w / 2.0
+    x1, x2 = clip_zero_pad(raw_x1, raw_x2, T)
+    width = raw_x2 - raw_x1
+    X1, X2 = inflate(x1, x2, width, alpha, T)
+    rx1, rx2, rX1, rX2 = rounded = round_boundary(np.stack([x1, x2, X1, X2]))
+    valid = ((rX2 - rX1) - (rx2 - rx1) >= 1) & (rX1 >= 0) & (rX2 <= T + 1)
+    return Candidates(w_a, w, x1, x2, X1, X2, rounded, width * alpha < 1.0, valid)
 
 
 def interval_iou(a1: float, a2: float, b1: float, b2: float) -> float:
@@ -115,33 +100,40 @@ def interval_iou(a1: float, a2: float, b1: float, b2: float) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def nms(preds: list[Prediction], iou_thresh: float) -> list[Prediction]:
-    """Greedy same-class suppression: keep the best score, drop IoU > thresh."""
-    remaining = sorted(preds, key=lambda p: (-p.score, p.start_s, p.end_s))
-    kept: list[Prediction] = []
-    while remaining:
-        head = remaining.pop(0)
-        kept.append(head)
-        remaining = [
-            p
-            for p in remaining
-            if interval_iou(head.start_s, head.end_s, p.start_s, p.end_s) <= iou_thresh
-        ]
+def nms_order(score: np.ndarray, lo: np.ndarray, hi: np.ndarray, iou_thresh: float) -> list[int]:
+    """Greedy suppression of scored intervals [lo, hi]; kept indices, best first.
+
+    Ranks by descending score, then lo, then hi; drops every later interval
+    whose :func:`interval_iou` with a kept one exceeds the threshold."""
+    order = np.lexsort((hi, lo, -score))
+    lo, hi = lo[order], hi[order]
+    alive = np.ones(len(order), dtype=bool)
+    kept = []
+    for i in range(len(order)):
+        if not alive[i]:
+            continue
+        kept.append(int(order[i]))
+        inter = np.minimum(hi[i], hi) - np.maximum(lo[i], lo)
+        union = np.maximum(hi[i], hi) - np.minimum(lo[i], lo)
+        iou = np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
+        alive &= iou <= iou_thresh
     return kept
 
 
-def _candidate_loss(cas: Cas, cell: CandidateCell, k: int, loss: str) -> float:
-    h = cell.hypothesis(k)
-    if loss == "oic":
-        return oic.oic_forward(cas, h).loss
-    if loss == "inner":
-        return oic.inner_only_forward(cas, h)
-    raise InputError(f"unknown loss variant {loss!r}")
+def nms(preds: list[Prediction], iou_thresh: float) -> list[Prediction]:
+    """Greedy same-class suppression: keep the best score, drop IoU > thresh."""
+    spans = [(p.score, p.start_s, p.end_s) for p in preds]
+    return [preds[i] for i in nms_order(*np.reshape(spans, (-1, 3)).T, iou_thresh)]
+
+
+def _check_loss(loss: str) -> None:
+    if loss not in ("oic", "inner"):
+        raise InputError(f"unknown loss variant {loss!r}")
 
 
 def select(
     cas: Cas,
-    grid: list[list[CandidateCell]],
+    grid: Candidates,
     classes,
     act_min: float = 0.1,
     loss_max: float = -0.3,
@@ -149,97 +141,80 @@ def select(
     fps: float = 30.0,
     loss: str = "oic",
     video_id: str = "",
-) -> tuple[np.ndarray, list[tuple[Prediction, CandidateCell]]]:
+) -> tuple[np.ndarray, list[tuple[Prediction, tuple[int, int]]]]:
     """Run the selection layer for the given class set.
 
     Training passes the video's label set; testing passes all classes.
-    Returns the K x T x M keep mask and the surviving (prediction, cell)
-    pairs sorted by descending score.
+    Returns the K x T x M keep mask and the surviving (prediction, (t, m))
+    pairs, with 0-based grid indices, sorted by descending score.
     """
+    _check_loss(loss)
     K, T = cas.num_classes, cas.num_snippets
-    if len(grid) != T:
-        raise InputError(f"grid has {len(grid)} positions for a T={T} video")
-    M = len(grid[0]) if grid else 0
+    if grid.x1.shape[0] != T:
+        raise InputError(f"grid has {grid.x1.shape[0]} positions for a T={T} video")
+    M = grid.x1.shape[1]
+    ks = np.array(sorted(set(int(c) for c in classes)), dtype=np.int64)
+    if ks.size and not (1 <= ks[0] and ks[-1] <= K):
+        raise InputError(f"class indices {ks.tolist()} outside 1..{K}")
+    act = cas.act[ks - 1]
+    # gated positions in class-major, position-ascending order
+    g_c, g_t = np.nonzero(act >= act_min)
+    valid = grid.valid[g_t]
+    g, m = np.nonzero(valid)
+    t = g_t[g]
+    losses = np.full((g_t.size, M), np.inf)
+    padded = np.pad(act, ((0, 0), (1, 1)))
+    losses[g, m] = oic.oic_kernel(
+        padded, g_c[g], *grid.rounded[:, t, m], inner_only=loss == "inner"
+    )[0].loss
+    best_m = losses.argmin(axis=1)  # first minimum: equal losses keep the smaller anchor
+    best = losses[np.arange(g_t.size), best_m]
+    keep = valid.any(axis=1) & (best <= loss_max)
+    c, t, m, score = g_c[keep], g_t[keep], best_m[keep], 1.0 - best[keep]
+    x1, x2 = grid.x1[t, m], grid.x2[t, m]
     mask = np.zeros((K, T, M), dtype=bool)
-    survivors: list[tuple[Prediction, CandidateCell]] = []
-    for k in sorted(set(int(c) for c in classes)):
-        per_class: list[tuple[Prediction, CandidateCell, int]] = []
-        for t in range(1, T + 1):
-            if cas.activation(k, t) < act_min:
-                continue
-            best_m, best_loss = None, None
-            for m, cell in enumerate(grid[t - 1]):
-                if not cell.valid:
-                    continue
-                value = _candidate_loss(cas, cell, k, loss)
-                if best_loss is None or value < best_loss:
-                    best_m, best_loss = m, value
-            if best_m is None or best_loss > loss_max:
-                continue
-            cell = grid[t - 1][best_m]
-            pred = Prediction(
-                class_id=k,
-                start_s=snippet_to_time(cell.x1, fps),
-                end_s=snippet_to_time(cell.x2, fps),
-                score=1.0 - best_loss,
-                x1=cell.x1,
-                x2=cell.x2,
-                X1=cell.X1,
-                X2=cell.X2,
-                video_id=video_id,
-            )
-            per_class.append((pred, cell, best_m))
-        kept = _nms_with_cells(per_class, nms_iou)
-        for pred, cell, m in kept:
-            mask[k - 1, cell.t - 1, m] = True
-            survivors.append((pred, cell))
+    survivors: list[tuple[Prediction, tuple[int, int]]] = []
+    for ci, k in enumerate(ks.tolist()):
+        members = np.flatnonzero(c == ci)
+        for i in members[nms_order(score[members], x1[members], x2[members], nms_iou)]:
+            ti, mi = int(t[i]), int(m[i])
+            mask[k - 1, ti, mi] = True
+            lo, hi = float(x1[i]), float(x2[i])
+            pred = Prediction(k, snippet_to_time(lo, fps), snippet_to_time(hi, fps),
+                              float(score[i]), lo, hi, float(grid.X1[ti, mi]),
+                              float(grid.X2[ti, mi]), video_id)
+            survivors.append((pred, (ti, mi)))
     survivors.sort(key=lambda pc: (-pc[0].score, pc[0].start_s, pc[0].class_id))
     return mask, survivors
 
 
-def _nms_with_cells(items, iou_thresh):
-    remaining = sorted(items, key=lambda it: (-it[0].score, it[0].x1, it[0].x2))
-    kept = []
-    while remaining:
-        head = remaining.pop(0)
-        kept.append(head)
-        remaining = [
-            it
-            for it in remaining
-            if interval_iou(head[0].x1, head[0].x2, it[0].x1, it[0].x2) <= iou_thresh
-        ]
-    return kept
-
-
 def training_loss(
     cas: Cas,
-    grid: list[list[CandidateCell]],
+    grid: Candidates,
     mask: np.ndarray,
     alpha: float,
     loss: str = "oic",
 ) -> tuple[float, np.ndarray]:
-    """Sum of kept losses plus the gradients scattered to regression slots."""
-    from .boundary import transform_backward
+    """Sum of kept losses plus the gradients scattered to regression slots.
 
+    The chain rule is :func:`boundary.transform_backward` on arrays.
+    """
+    _check_loss(loss)
     K, T = cas.num_classes, cas.num_snippets
-    M = len(grid[0]) if grid else 0
+    M = grid.x1.shape[1]
     if mask.shape != (K, T, M):
         raise InputError(f"mask shape {mask.shape} does not match (K, T, M)")
-    total = 0.0
+    k, t, m = np.nonzero(mask)
+    if not grid.valid[t, m].all():
+        raise DegenerateOuterError("mask keeps a hypothesis with an empty outer ring")
+    padded = np.pad(cas.act, ((0, 0), (1, 1)))
+    areas, g = oic.oic_kernel(padded, k, *grid.rounded[:, t, m], inner_only=loss == "inner")
+    w, min_offset = grid.w[t, m], grid.min_offset[t, m]
+    d_tx = (g.d_x1 + g.d_x2 + g.d_X1 + g.d_X2) * grid.anchors[m]
+    dX1_dtw = np.where(min_offset, -w / 2.0, -w / 2.0 - alpha * w)
+    dX2_dtw = np.where(min_offset, w / 2.0, w / 2.0 + alpha * w)
+    d_tw = g.d_x1 * (-w / 2.0) + g.d_x2 * (w / 2.0) + g.d_X1 * dX1_dtw + g.d_X2 * dX2_dtw
     grad_out = np.zeros((2 * M, T))
-    for k, t, m in zip(*np.nonzero(mask)):
-        cell = grid[t][m]
-        h = cell.hypothesis(int(k) + 1)
-        if loss == "oic":
-            total += oic.oic_forward(cas, h).loss
-            g = oic.oic_backward(cas, h)
-        elif loss == "inner":
-            total += oic.inner_only_forward(cas, h)
-            d_x1, d_x2 = oic.inner_only_backward(cas, h)
-            g = oic.BoundaryGradients(d_x1, d_x2, 0.0, 0.0)
-        else:
-            raise InputError(f"unknown loss variant {loss!r}")
-        d_tx, d_tw = transform_backward(g, cell.s_x, cell.w_a, cell.r, alpha, cell.clip_state)
-        grad_out[2 * m, t] += d_tx
-        grad_out[2 * m + 1, t] += d_tw
-    return total, grad_out
+    np.add.at(grad_out, (2 * m, t), d_tx)  # k-major accumulation order
+    np.add.at(grad_out, (2 * m + 1, t), d_tw)
+    return float(areas.loss.sum()), grad_out

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from .cas import VideoRecord
 from .config import RunConfig
+from .errors import TrainingError
 from .features import cas_to_features
 from .regressor import NetworkB, SgdConfig, SgdState, sgd_step
 from .selection import Prediction, build_candidates, select, training_loss
@@ -55,7 +56,10 @@ def train_network(
 def train_step(net, video, cfg, anchors, opt, state, iteration, loss="oic") -> float:
     feat = cas_to_features(video.cas, cfg.feature_dim)
     reg_map, cache = net.forward(feat, mode="train")
-    grid = build_candidates(reg_map, anchors, video.cas.num_snippets, cfg.alpha)
+    try:
+        grid = build_candidates(reg_map, anchors, video.cas.num_snippets, cfg.alpha)
+    except TrainingError as err:
+        raise TrainingError(f"iteration {iteration}, video {video.video_id}: {err}") from err
     mask, _ = select(
         video.cas,
         grid,

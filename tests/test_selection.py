@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import selection_oracle
 
-from oicloc.boundary import AnchorConfig
+from oicloc import oic
+from oicloc.boundary import AnchorConfig, ClipState, RegressionPair, transform_backward
 from oicloc.cas import Cas
-from oicloc.errors import InputError
+from oicloc.errors import InputError, TrainingError
 from oicloc.selection import (
     Prediction,
     build_candidates,
@@ -26,6 +29,26 @@ def make_grid(rng, T, reg_scale=0.3, alpha=0.25):
     return reg_map, build_candidates(reg_map, ANCHORS, T, alpha)
 
 
+def kept_triples(mask):
+    """1-based (class, position) and anchor index of every kept hypothesis."""
+    return sorted((int(k) + 1, int(t) + 1, int(m)) for k, t, m in zip(*np.nonzero(mask)))
+
+
+def assert_matches_oracle(rng, anchors, t_max, videos):
+    for _ in range(videos):
+        T = int(rng.integers(5, t_max + 1))
+        K = int(rng.integers(1, 4))
+        cas = Cas(rng.uniform(0, 1, size=(K, T)))
+        reg_map = 0.3 * rng.standard_normal((2 * anchors.count, T))
+        grid = build_candidates(reg_map, anchors, T, 0.25)
+        classes = list(range(1, K + 1))
+        mask, _ = select(cas, grid, classes)
+        expected = selection_oracle(
+            cas.act, reg_map, anchors.scales, classes, 0.25, 0.1, -0.3, 0.4
+        )
+        assert kept_triples(mask) == expected
+
+
 class TestSnippetToTime:
     def test_snippet_one_starts_at_zero(self):
         assert snippet_to_time(1.0, 30.0) == 0.0
@@ -42,28 +65,40 @@ class TestSnippetToTime:
 class TestBuildCandidates:
     def test_grid_shape(self, rng):
         _, grid = make_grid(rng, 12)
-        assert len(grid) == 12
-        assert all(len(row) == ANCHORS.count for row in grid)
+        for field in ("w", "x1", "x2", "X1", "X2", "min_offset", "valid"):
+            assert getattr(grid, field).shape == (12, ANCHORS.count)
+        assert grid.rounded.shape == (4, 12, ANCHORS.count)
+        assert grid.anchors.tolist() == list(ANCHORS.scales)
 
     def test_identity_regression_boundaries(self):
         reg_map = np.zeros((6, 12))
         grid = build_candidates(reg_map, ANCHORS, 12, 0.25)
-        cell = grid[5][1]  # position 6, anchor length 4
-        assert (cell.x1, cell.x2) == (4.0, 8.0)
+        # position 6, anchor length 4
+        assert (grid.x1[5, 1], grid.x2[5, 1]) == (4.0, 8.0)
+        assert (grid.X1[5, 1], grid.X2[5, 1]) == (3.0, 9.0)
+        assert grid.rounded[:, 5, 1].tolist() == [4, 8, 3, 9]
+        assert grid.w[5, 1] == 4.0
 
     def test_min_offset_flag_uses_pre_round_width(self):
         reg_map = np.zeros((6, 12))
         grid = build_candidates(reg_map, ANCHORS, 12, 0.25)
-        assert grid[5][0].clip_state.min_offset  # w=2, 2*0.25 < 1
-        assert not grid[5][1].clip_state.min_offset  # w=4, 4*0.25 == 1
-        assert not grid[5][2].clip_state.min_offset  # w=8
+        assert grid.min_offset[5, 0]  # w=2, 2*0.25 < 1
+        assert not grid.min_offset[5, 1]  # w=4, 4*0.25 == 1
+        assert not grid.min_offset[5, 2]  # w=8
 
     def test_clipping_recorded(self):
         reg_map = np.zeros((6, 8))
         grid = build_candidates(reg_map, ANCHORS, 8, 0.25)
-        cell = grid[0][2]  # anchor 8 at position 1 spills off the left edge
-        assert cell.clip_state.x1_clipped
-        assert cell.x1 == 0.0
+        # anchor 8 at position 1 spills off the left edge: raw x1 = -3
+        assert grid.x1[0, 2] == 0.0
+        assert grid.x2[0, 2] == 5.0
+        assert grid.X1[0, 2] == 0.0
+
+    def test_overflowing_scale_raises_training_error(self):
+        reg_map = np.zeros((6, 8))
+        reg_map[3, 2] = 800.0  # t_w of anchor 1 at position 3
+        with pytest.raises(TrainingError, match="position 3, anchor 1"):
+            build_candidates(reg_map, ANCHORS, 8, 0.25)
 
     def test_rejects_wrong_reg_shape(self):
         with pytest.raises(InputError):
@@ -102,20 +137,32 @@ class TestNms:
 
 class TestSelect:
     def test_matches_oracle_on_random_videos(self, rng):
-        for _ in range(60):
-            T = int(rng.integers(5, 31))
-            K = int(rng.integers(1, 4))
-            cas = Cas(rng.uniform(0, 1, size=(K, T)))
-            reg_map, grid = make_grid(rng, T)
-            classes = list(range(1, K + 1))
-            mask, _ = select(cas, grid, classes)
-            got = sorted(
-                (int(k) + 1, int(t) + 1, int(m)) for k, t, m in zip(*np.nonzero(mask))
-            )
-            expected = selection_oracle(
-                cas.act, reg_map, ANCHORS.scales, classes, 0.25, 0.1, -0.3, 0.4
-            )
-            assert got == expected
+        assert_matches_oracle(rng, ANCHORS, t_max=30, videos=60)
+
+    def test_matches_oracle_at_desk_shapes(self, rng):
+        assert_matches_oracle(rng, AnchorConfig((2, 4, 8, 16, 32)), t_max=120, videos=60)
+
+    def test_equal_losses_prefer_smaller_anchor(self):
+        # At position 10 both anchors cover every snippet and differ only by a
+        # pad zero: inner [0, T] in outer [0, T+1] for m=0, inner [1, T+1] in
+        # outer [0, T+1] for m=1. Their losses are equal, so m=0 must win, and
+        # then position 5 (anchor 32, the same box as m=0) suppresses it: equal
+        # scores and boundaries keep the earlier position.
+        T = 21
+        anchors = AnchorConfig((16, 32))
+        reg_map = np.zeros((4, T))
+        reg_map[0, 9], reg_map[1, 9] = (10.5 - 10) / 16, math.log(21 / 16)
+        reg_map[2, 9], reg_map[3, 9] = (12 - 10) / 32, math.log(22 / 32)
+        grid = build_candidates(reg_map, anchors, T, 0.25)
+        # rows: rx1, rx2, rX1, rX2; columns: anchors 16, 32
+        assert grid.rounded[:, 9].tolist() == [[0, 1], [21, 22], [0, 0], [22, 22]]
+        for seed in range(200):
+            cas = Cas(np.random.default_rng(seed).uniform(0.2, 1, (1, T)))
+            mask, _ = select(cas, grid, [1])
+            got = kept_triples(mask)
+            want = selection_oracle(cas.act, reg_map, anchors.scales, [1], 0.25, 0.1, -0.3, 0.4)
+            assert got == want, f"seed {seed}"
+            assert (1, 5, 1) in got and all(t != 10 for _, t, _ in got), f"seed {seed}"
 
     def test_activation_floor_gates_positions(self):
         act = np.full((1, 10), 0.05)
@@ -146,9 +193,10 @@ class TestSelect:
         grid = build_candidates(np.zeros((6, 20)), ANCHORS, 20, 0.25)
         _, survivors = select(cas, grid, [1])
         assert survivors
-        for pred, cell in survivors:
+        for pred, (t, m) in survivors:
             assert pred.score >= 1.0 + 0.3  # loss <= -0.3
-            assert pred.start_s == snippet_to_time(cell.x1, 30.0)
+            assert pred.start_s == snippet_to_time(grid.x1[t, m], 30.0)
+            assert pred.end_s == snippet_to_time(grid.x2[t, m], 30.0)
 
 
 class TestTrainingLoss:
@@ -181,6 +229,45 @@ class TestTrainingLoss:
         total, grad_out = training_loss(cas, grid, mask, 0.25)
         assert total == 0.0
         assert not grad_out.any()
+
+    @pytest.mark.parametrize("loss", ["oic", "inner"])
+    def test_gradients_match_scalar_chain_rule(self, rng, loss):
+        anchors = AnchorConfig((1, 2, 4, 8, 16))  # w*alpha < 1 for the short ones
+        seen_min_offset = seen_clipped = 0
+        for _ in range(20):
+            T = int(rng.integers(6, 40))
+            K = int(rng.integers(1, 4))
+            cas = Cas(rng.uniform(0, 1, size=(K, T)))
+            reg_map = 0.5 * rng.standard_normal((2 * anchors.count, T))
+            grid = build_candidates(reg_map, anchors, T, 0.25)
+            mask = (rng.uniform(size=(K, T, anchors.count)) < 0.5) & grid.valid
+            total, grad_out = training_loss(cas, grid, mask, 0.25, loss=loss)
+            want_total, want_grad = 0.0, np.zeros_like(grad_out)
+            for k, t, m in zip(*np.nonzero(mask)):
+                h = oic.SegmentHypothesis(
+                    grid.x1[t, m], grid.x2[t, m], grid.X1[t, m], grid.X2[t, m], int(k) + 1
+                )
+                if loss == "oic":
+                    want_total += oic.oic_forward(cas, h).loss
+                    g = oic.oic_backward(cas, h)
+                else:
+                    want_total += oic.inner_only_forward(cas, h)
+                    g = oic.BoundaryGradients(*oic.inner_only_backward(cas, h), 0.0, 0.0)
+                r = RegressionPair(reg_map[2 * m, t], reg_map[2 * m + 1, t])
+                state = ClipState(min_offset=bool(grid.min_offset[t, m]))
+                d_tx, d_tw = transform_backward(
+                    g, float(t + 1), anchors.scales[m], r, 0.25, state
+                )
+                want_grad[2 * m, t] += d_tx
+                want_grad[2 * m + 1, t] += d_tw
+                seen_min_offset += state.min_offset
+                seen_clipped += grid.x1[t, m] == 0.0 or grid.x2[t, m] == T + 1
+            assert total == pytest.approx(want_total, rel=1e-12)
+            # relative to the largest slot: where the spec's partials cancel to
+            # exactly 0 (a one-snippet inner area), prefix sums leave ~1e-17
+            scale = np.abs(want_grad).max()
+            np.testing.assert_allclose(grad_out, want_grad, rtol=1e-12, atol=1e-12 * scale)
+        assert seen_min_offset and seen_clipped
 
     def test_shape_mismatch_rejected(self, rng):
         cas = Cas(np.full((1, 10), 0.5))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oicloc.config import PROFILES, RunConfig
+from oicloc.errors import TrainingError
 from oicloc.features import cas_to_features
 from oicloc.synth import SynthSpec, synth_corpus
 from oicloc.train import new_network, predict_video, train_network
@@ -68,6 +69,12 @@ class TestTrainNetwork:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             train_network([], CFG)
+
+    def test_diverged_scale_names_the_iteration(self, corpus):
+        net = new_network(CFG, 0)
+        net.params["pred.b"][1] = 800.0  # t_w of anchor 0 overflows exp
+        with pytest.raises(TrainingError, match=r"iteration 7, .*anchor 0"):
+            train_network(corpus[:1], CFG, net=net, start_iteration=7)
 
 
 class TestPredictVideo:
