@@ -2,7 +2,7 @@
 sequences, trained with an outer-inner contrastive loss."""
 
 from .boundary import AnchorConfig, ClipState, RegressionPair, round_boundary
-from .cas import AttentionSeq, Cas, ClassScores, GroundTruthSegment, VideoRecord, gate_attention
+from .cas import Cas, GroundTruthSegment, VideoRecord
 from .config import PROFILES, RunConfig, load_config
 from .evaluation import EvalReport, average_precision, iou, map_report
 from .oic import BoundaryGradients, OicBreakdown, SegmentHypothesis
@@ -11,10 +11,9 @@ from .selection import Prediction, build_candidates, nms, select, snippet_to_tim
 from .synth import SynthSpec, synth_corpus
 
 __all__ = [
-    "AnchorConfig", "AttentionSeq", "BoundaryGradients", "Cas", "ClassScores",
-    "ClipState", "EvalReport", "GroundTruthSegment", "NetworkB", "OicBreakdown",
-    "PROFILES", "Prediction", "RegressionPair", "RunConfig", "SegmentHypothesis",
-    "SynthSpec", "VideoRecord", "average_precision", "build_candidates",
-    "gate_attention", "iou", "load_config", "map_report", "nms",
-    "round_boundary", "select", "snippet_to_time", "synth_corpus",
+    "AnchorConfig", "BoundaryGradients", "Cas", "ClipState", "EvalReport",
+    "GroundTruthSegment", "NetworkB", "OicBreakdown", "PROFILES", "Prediction",
+    "RegressionPair", "RunConfig", "SegmentHypothesis", "SynthSpec", "VideoRecord",
+    "average_precision", "build_candidates", "iou", "load_config", "map_report",
+    "nms", "round_boundary", "select", "snippet_to_time", "synth_corpus",
 ]

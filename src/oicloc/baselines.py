@@ -8,8 +8,7 @@ import numpy as np
 
 from .cas import Cas, VideoRecord
 from .config import RunConfig
-from .errors import InputError
-from .features import cas_to_features
+from .errors import ConfigError, InputError
 from .oic import oic_kernel
 from .boundary import inflate, round_boundary
 from .regressor import NetworkB, SgdConfig, SgdState
@@ -26,29 +25,14 @@ def threshold_localize(cas: Cas, k: int, tau: float, fps: float = 30.0,
     if not (0.0 < tau < 1.0):
         raise InputError("tau must lie in (0, 1)")
     row = cas.act[k - 1]
-    above = row >= tau
-    preds = []
-    t = 0
-    T = cas.num_snippets
-    while t < T:
-        if above[t]:
-            start = t
-            while t < T and above[t]:
-                t += 1
-            end = t  # run covers snippets start+1 .. end (1-based)
-            preds.append(
-                Prediction(
-                    class_id=k,
-                    start_s=snippet_to_time(start + 1, fps),
-                    end_s=snippet_to_time(end, fps),
-                    score=float(row[start:end].mean()),
-                    x1=float(start + 1),
-                    x2=float(end),
-                    video_id=video_id,
-                )
-            )
-        else:
-            t += 1
+    # rising and falling edges: each run covers snippets start+1 .. end (1-based)
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], row >= tau, [0]])))
+    starts, ends = edges.reshape(-1, 2).T
+    preds = [
+        Prediction(k, snippet_to_time(start + 1, fps), snippet_to_time(end, fps),
+                   float(row[start:end].mean()), float(start + 1), float(end), video_id)
+        for start, end in zip(starts.tolist(), ends.tolist())
+    ]
     return [p for p in preds if p.end_s > p.start_s]
 
 
@@ -94,10 +78,10 @@ def oic_selection_enumerate(
         X1, X2 = inflate(x1, x2, x2 - x1 + 1.0, alpha, T)
         loss = oic_kernel(padded, 0, x1, x2, round_boundary(X1), round_boundary(X2))[0].loss
         hit = loss <= loss_max
-        parts.append((x1[hit], x2[hit], X1[hit], X2[hit], 1.0 - loss[hit]))
-    x1, x2, X1, X2, score = (np.concatenate(v) for v in zip(*parts))
+        parts.append((x1[hit], x2[hit], 1.0 - loss[hit]))
+    x1, x2, score = (np.concatenate(v) for v in zip(*parts))
     start_s, end_s = snippet_to_time(x1, fps), snippet_to_time(x2, fps)
-    columns = np.stack([start_s, end_s, score, x1, x2, X1, X2], axis=1)
+    columns = np.stack([start_s, end_s, score, x1, x2], axis=1)
     return [Prediction(k, *columns[i].tolist(), video_id)
             for i in nms_order(score, start_s, end_s, nms_iou)]
 
@@ -131,3 +115,60 @@ def direct_optimize(
 def train_inner_only(corpus: list[VideoRecord], cfg: RunConfig, seed: int = 0) -> NetworkB:
     """Same pipeline with the inner-only loss; outer gradients are zero."""
     return train_network(corpus, cfg, seed=seed, loss="inner").net
+
+
+def detect(
+    mode: str,
+    videos: list[VideoRecord],
+    cfg: RunConfig,
+    net: NetworkB | None = None,
+    seed: int = 0,
+) -> list[Prediction]:
+    """One detector's predictions over every class of every video.
+
+    ``full`` and ``inner_only`` run the trained ``net``; ``threshold`` cuts the
+    CAS at ``cfg.act_min``; ``direct_opt`` derives each video's net from ``seed``.
+    """
+    if mode in ("full", "inner_only"):
+        if net is None:
+            raise ConfigError(f"mode {mode} needs a trained network")
+        loss = "oic" if mode == "full" else "inner"
+        per_video = lambda v: predict_video(net, v, cfg, loss=loss)
+    elif mode == "threshold":
+        per_video = lambda v: [
+            p
+            for k in range(1, v.cas.num_classes + 1)
+            for p in threshold_localize(v.cas, k, cfg.act_min, v.fps, v.video_id)
+        ]
+    elif mode == "oic_select":
+        per_video = lambda v: [
+            p
+            for k in range(1, v.cas.num_classes + 1)
+            for p in oic_selection_enumerate(
+                v.cas, k, alpha=cfg.alpha, loss_max=cfg.loss_max,
+                nms_iou=cfg.nms_iou, fps=v.fps, video_id=v.video_id,
+            )
+        ]
+    elif mode == "direct_opt":
+        per_video = lambda v: direct_optimize(v, cfg, seed=seed)
+    else:
+        raise ConfigError(f"unknown prediction mode {mode!r}")
+    return [p for v in videos for p in per_video(v)]
+
+
+def compare(
+    train: list[VideoRecord], test: list[VideoRecord], cfg: RunConfig, seed: int = 0
+) -> dict[str, list[Prediction]]:
+    """Test predictions of the full method and of every comparison detector.
+
+    Trains the full and the inner-only network on ``train``; the threshold
+    baseline gives one ``threshold_{tau}`` entry per tau of the sweep.
+    """
+    table = {
+        "full": detect("full", test, cfg, train_network(train, cfg, seed=seed).net),
+        "direct_opt": detect("direct_opt", test, cfg, seed=seed),
+        "oic_select": detect("oic_select", test, cfg),
+        "inner_only": detect("inner_only", test, cfg, train_inner_only(train, cfg, seed=seed)),
+    }
+    table.update((f"threshold_{tau}", preds) for tau, preds in threshold_sweep(test).items())
+    return table

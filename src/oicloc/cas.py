@@ -6,7 +6,6 @@ zero-padded snippets used by the boundary machinery.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,62 +15,21 @@ from .errors import InputError
 SNIPPET_FRAMES = 15
 
 
-def _as_matrix(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise InputError(f"expected a K x T matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("matrix contains non-finite entries")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class ClassScores:
-    """Raw per-snippet classification scores, K classes by T snippets."""
-
-    scores: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "scores", _as_matrix(self.scores))
-
-    @property
-    def num_classes(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def num_snippets(self) -> int:
-        return self.scores.shape[1]
-
-
-@dataclass(frozen=True)
-class AttentionSeq:
-    """Per-snippet attention scores (scale taken as given)."""
-
-    att: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.att, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise InputError(f"expected a length-T vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("attention contains non-finite entries")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "att", arr)
-
-
 @dataclass(frozen=True)
 class Cas:
-    """Gated activation matrix; every entry lies in [0, 1]."""
+    """Activation matrix; every entry lies in [0, 1]."""
 
     act: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.act)
+        arr = np.array(self.act, dtype=np.float64)  # private copy, frozen below
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise InputError(f"expected a K x T matrix, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise InputError("matrix contains non-finite entries")
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise InputError("activations must lie in [0, 1]")
+        arr.setflags(write=False)
         object.__setattr__(self, "act", arr)
 
     @property
@@ -130,16 +88,3 @@ class VideoRecord:
         object.__setattr__(self, "labels", labels)
         if self.gt is not None:
             object.__setattr__(self, "gt", tuple(self.gt))
-
-
-def gate_attention(scores: ClassScores, att: AttentionSeq, att_threshold: float) -> Cas:
-    """Zero out all class scores of snippets whose attention is below threshold."""
-    if att.att.shape[0] != scores.num_snippets:
-        raise InputError(
-            f"attention length {att.att.shape[0]} != snippet count {scores.num_snippets}"
-        )
-    if math.isnan(att_threshold):
-        raise InputError("att_threshold must not be NaN")
-    gated = np.clip(scores.scores, 0.0, 1.0)
-    gated = np.where(att.att >= att_threshold, gated, 0.0)
-    return Cas(gated)

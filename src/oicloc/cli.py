@@ -7,18 +7,16 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import baselines, evaluation, io, synth
 from .cas import SNIPPET_FRAMES
-from .config import PROFILES, RunConfig, load_config
-from .errors import ConfigError
+from .config import RunConfig, load_config
+from .errors import ConfigError, InputError, TrainingError
 from .gradcheck import run_all
 from .regressor import NetworkB
-from .train import predict_video, train_network
-
-log = logging.getLogger("oicloc")
+from .train import train_network
 
 
 def _setup_logging() -> None:
@@ -63,43 +61,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predict_corpus(mode, videos, cfg, checkpoint, seed, workers):
-    if mode in ("full", "inner_only"):
-        if checkpoint is None:
-            raise ConfigError(f"mode {mode} requires --checkpoint")
-        net = NetworkB.load(checkpoint)
-        loss = "oic" if mode == "full" else "inner"
-        fn = lambda v: predict_video(net, v, cfg, loss=loss)
-    elif mode == "threshold":
-        fn = lambda v: [
-            p
-            for k in range(1, v.cas.num_classes + 1)
-            for p in baselines.threshold_localize(v.cas, k, cfg.act_min, v.fps, v.video_id)
-        ]
-    elif mode == "oic_select":
-        fn = lambda v: [
-            p
-            for k in range(1, v.cas.num_classes + 1)
-            for p in baselines.oic_selection_enumerate(
-                v.cas, k, alpha=cfg.alpha, loss_max=cfg.loss_max,
-                nms_iou=cfg.nms_iou, fps=v.fps, video_id=v.video_id,
-            )
-        ]
-    elif mode == "direct_opt":
-        fn = lambda v: baselines.direct_optimize(v, cfg, seed=seed)
-    else:
-        raise ConfigError(f"unknown prediction mode {mode!r}")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_video = list(pool.map(fn, videos))
-    else:
-        per_video = [fn(v) for v in videos]
-    return [p for preds in per_video for p in preds]
-
-
 def cmd_predict(args) -> int:
     cfg, videos = _load_run(args.config)
-    preds = _predict_corpus(args.mode, videos, cfg, args.checkpoint, args.seed, args.workers)
+    net = NetworkB.load(args.checkpoint) if args.checkpoint else None
+    preds = baselines.detect(args.mode, videos, cfg, net=net, seed=args.seed)
     io.write_predictions_jsonl(args.out, preds)
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
@@ -135,42 +100,27 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    from dataclasses import replace
-
     cfg, videos = _load_run(args.config)
-    if args.test_config:
-        _, test_videos = _load_run(args.test_config)
-    else:
-        test_videos = videos
+    test_videos = _load_run(args.test_config)[1] if args.test_config else videos
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    gts = evaluation.gt_instances(test_videos)
-    rows = []
-
-    def evaluate(name, preds):
-        report = evaluation.map_report(preds, gts, (0.5,))
-        rows.append((name, report.map_at(0.5)))
-        io.write_predictions_jsonl(out / f"preds_{name}.jsonl", preds)
-        print(f"{name}: mAP@0.5 = {report.map_at(0.5):.4f}")
-
-    result = train_network(videos, cfg, seed=args.seed)
-    evaluate("full", [p for v in test_videos for p in predict_video(result.net, v, cfg)])
-    evaluate("direct_opt", _predict_corpus("direct_opt", test_videos, cfg, None, args.seed, args.workers))
-    evaluate("oic_select", _predict_corpus("oic_select", test_videos, cfg, None, args.seed, args.workers))
-    inner_net = baselines.train_inner_only(videos, cfg, seed=args.seed)
-    evaluate("inner_only", [p for v in test_videos for p in predict_video(inner_net, v, cfg, loss="inner")])
+    table = baselines.compare(videos, test_videos, cfg, seed=args.seed)
     for alpha in (0.125, 0.25, 0.5):
         alpha_cfg = replace(cfg, alpha=alpha)
         alpha_net = train_network(videos, alpha_cfg, seed=args.seed).net
-        evaluate(
-            f"full_alpha_{alpha}",
-            [p for v in test_videos for p in predict_video(alpha_net, v, alpha_cfg)],
-        )
+        table[f"full_alpha_{alpha}"] = baselines.detect("full", test_videos, alpha_cfg, alpha_net)
+    gts = evaluation.gt_instances(test_videos)
+    rows = []
+    for name, preds in table.items():
+        score = evaluation.map_report(preds, gts, (0.5,)).map_at(0.5)
+        rows.append((name, score))
+        io.write_predictions_jsonl(out / f"preds_{name}.jsonl", preds)
+        print(f"{name}: mAP@0.5 = {score:.4f}")
     with open(out / "ablation.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "map_at_0.5"])
         writer.writerows(rows)
-    _write_plot_data(out / "plot_data", test_videos, io.read_predictions_jsonl(out / "preds_full.jsonl"))
+    _write_plot_data(out / "plot_data", test_videos, table["full"])
     print(f"ablation table at {out / 'ablation.csv'}")
     return 0
 
@@ -223,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predictions against a manifest")
@@ -242,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-config")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_ablate)
     return parser
 
@@ -252,7 +200,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, InputError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

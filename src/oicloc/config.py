@@ -18,7 +18,6 @@ class RunConfig:
     act_min: float = 0.1
     loss_max: float = -0.3
     nms_iou: float = 0.4
-    att_threshold: float = 7.0
     lr: float = 1e-3
     lr_step: int = 200
     momentum: float = 0.9

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cas import GroundTruthSegment, VideoRecord
+from .cas import VideoRecord
 from .errors import InputError
 from .selection import Prediction
 
@@ -54,9 +54,9 @@ def average_precision(
     gts: list[GtInstance],
     class_id: int,
     iou_thresh: float,
-    interpolation: str = "all_points",
 ) -> float | None:
-    """AP for one class at one IoU threshold; None when the class has no gt."""
+    """All-points interpolated AP for one class at one IoU threshold; None when
+    the class has no gt."""
     gt_by_video: dict[str, list[GtInstance]] = {}
     for g in gts:
         if g.class_id == class_id:
@@ -68,6 +68,8 @@ def average_precision(
         (p for p in preds if p.class_id == class_id),
         key=lambda p: (-p.score, p.start_s, p.video_id),
     )
+    if not cls_preds:
+        return 0.0
     matched: set[int] = set()
     tp = np.zeros(len(cls_preds))
     for i, p in enumerate(cls_preds):
@@ -85,27 +87,11 @@ def average_precision(
     acc_fp = np.cumsum(1.0 - tp)
     recall = acc_tp / n_gt
     precision = acc_tp / np.maximum(acc_tp + acc_fp, 1e-12)
-    return _interpolated_ap(recall, precision, interpolation)
-
-
-def _interpolated_ap(recall: np.ndarray, precision: np.ndarray, interpolation: str) -> float:
-    if len(recall) == 0:
-        return 0.0
-    if interpolation == "all_points":
-        r = np.concatenate([[0.0], recall, [recall[-1]]])
-        p = np.concatenate([[0.0], precision, [0.0]])
-        # monotone precision envelope, then sum over recall steps
-        for i in range(len(p) - 2, -1, -1):
-            p[i] = max(p[i], p[i + 1])
-        steps = np.nonzero(r[1:] != r[:-1])[0] + 1
-        return float(np.sum((r[steps] - r[steps - 1]) * p[steps]))
-    if interpolation == "eleven_point":
-        ap = 0.0
-        for level in np.linspace(0.0, 1.0, 11):
-            mask = recall >= level
-            ap += float(precision[mask].max()) if mask.any() else 0.0
-        return ap / 11.0
-    raise InputError(f"unknown AP interpolation {interpolation!r}")
+    r = np.concatenate([[0.0], recall, [recall[-1]]])
+    # monotone precision envelope, then sum over recall steps
+    env = np.maximum.accumulate(np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
+    steps = np.nonzero(r[1:] != r[:-1])[0] + 1
+    return float(np.sum((r[steps] - r[steps - 1]) * env[steps]))
 
 
 @dataclass(frozen=True)
@@ -148,7 +134,6 @@ def map_report(
     preds: list[Prediction],
     gts: list[GtInstance],
     iou_thresholds=THUMOS_THRESHOLDS,
-    interpolation: str = "all_points",
 ) -> EvalReport:
     """Evaluate mAP over the given IoU threshold grid."""
     if not gts:
@@ -158,7 +143,7 @@ def map_report(
     for thr in iou_thresholds:
         aps = {}
         for k in classes:
-            ap = average_precision(preds, gts, k, thr, interpolation)
+            ap = average_precision(preds, gts, k, thr)
             if ap is not None:
                 aps[k] = ap
         per_threshold[thr] = {"ap": aps, "map": float(np.mean(list(aps.values())))}

@@ -1,4 +1,4 @@
-"""File formats: CAS/score/attention CSV, manifests, predictions, reports."""
+"""File formats: CAS CSV, manifests, predictions."""
 from __future__ import annotations
 
 import csv
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cas import AttentionSeq, Cas, ClassScores, GroundTruthSegment, VideoRecord
+from .cas import Cas, GroundTruthSegment, VideoRecord
 from .errors import InputError
 from .selection import Prediction
 
@@ -21,8 +21,8 @@ def write_cas_csv(path: str | Path, cas: Cas) -> None:
             writer.writerow([t] + [repr(float(v)) for v in cas.act[:, t - 1]])
 
 
-def _read_matrix_csv(path: str | Path) -> np.ndarray:
-    """Read a snippet,class_1..class_K CSV into a K x T matrix."""
+def read_cas_csv(path: str | Path) -> Cas:
+    """Read a snippet,class_1..class_K CSV into a K x T CAS."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -37,26 +37,17 @@ def _read_matrix_csv(path: str | Path) -> np.ndarray:
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != K + 1:
             raise InputError(f"{path}:{lineno}: expected {K + 1} columns")
-        if int(row[0]) != lineno - 1:
+        try:
+            index, cells = int(row[0]), [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        if index != lineno - 1:
             raise InputError(f"{path}:{lineno}: snippet indices must run 1..T")
-        values.append([float(v) for v in row[1:]])
-    return np.array(values).T
-
-
-def read_cas_csv(path: str | Path) -> Cas:
-    return Cas(_read_matrix_csv(path))
-
-
-def read_scores_csv(path: str | Path) -> ClassScores:
-    return ClassScores(_read_matrix_csv(path))
-
-
-def read_attention_csv(path: str | Path) -> AttentionSeq:
-    """Single-column CSV with header snippet,class_1."""
-    mat = _read_matrix_csv(path)
-    if mat.shape[0] != 1:
-        raise InputError(f"{path}: attention CSV must have a single value column")
-    return AttentionSeq(mat[0])
+        values.append(cells)
+    try:
+        return Cas(np.array(values).T)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def write_manifest(path: str | Path, videos: list[VideoRecord], cas_dir: str = ".") -> None:
@@ -91,24 +82,29 @@ def read_manifest(path: str | Path) -> list[VideoRecord]:
     if not isinstance(entries, list):
         raise InputError(f"{path}: manifest must be a JSON array")
     videos = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise InputError(f"{path}: manifest entry {i} must be a JSON object")
         extra = set(entry) - {"video_id", "cas_path", "labels", "fps", "gt"}
         if extra:
             raise InputError(f"{path}: unknown manifest keys {sorted(extra)}")
-        gt = None
-        if "gt" in entry:
-            gt = tuple(
-                GroundTruthSegment(g["class"], g["start_s"], g["end_s"]) for g in entry["gt"]
+        try:
+            gt = None
+            if "gt" in entry:
+                gt = tuple(
+                    GroundTruthSegment(g["class"], g["start_s"], g["end_s"]) for g in entry["gt"]
+                )
+            videos.append(
+                VideoRecord(
+                    video_id=entry["video_id"],
+                    cas=read_cas_csv(path.parent / entry["cas_path"]),
+                    labels=tuple(entry["labels"]),
+                    fps=entry["fps"],
+                    gt=gt,
+                )
             )
-        videos.append(
-            VideoRecord(
-                video_id=entry["video_id"],
-                cas=read_cas_csv(path.parent / entry["cas_path"]),
-                labels=tuple(entry["labels"]),
-                fps=entry["fps"],
-                gt=gt,
-            )
-        )
+        except KeyError as exc:
+            raise InputError(f"{path}: manifest entry {i} lacks key {exc}") from None
     return videos
 
 

@@ -38,8 +38,6 @@ class Prediction:
     score: float
     x1: float = 0.0
     x2: float = 0.0
-    X1: float = 0.0
-    X2: float = 0.0
     video_id: str = ""
 
 
@@ -83,28 +81,24 @@ def build_candidates(
     w = w_a * growth.reshape(t_w.shape)
     c_x = np.arange(1.0, T + 1.0)[:, None] + w_a * reg_map[0::2].T
     raw_x1, raw_x2 = c_x - w / 2.0, c_x + w / 2.0
-    x1, x2 = clip_zero_pad(raw_x1, raw_x2, T)
     width = raw_x2 - raw_x1
+    if not (width > 0).all():
+        t, m = divmod(int(np.argmin(width.ravel() > 0)), M)
+        raise TrainingError(
+            f"t_w = {t_w[t, m]:.6g} collapses the segment at position {t + 1}, anchor {m}"
+        )
+    x1, x2 = clip_zero_pad(raw_x1, raw_x2, T)
     X1, X2 = inflate(x1, x2, width, alpha, T)
     rx1, rx2, rX1, rX2 = rounded = round_boundary(np.stack([x1, x2, X1, X2]))
     valid = ((rX2 - rX1) - (rx2 - rx1) >= 1) & (rX1 >= 0) & (rX2 <= T + 1)
     return Candidates(w_a, w, x1, x2, X1, X2, rounded, width * alpha < 1.0, valid)
 
 
-def interval_iou(a1: float, a2: float, b1: float, b2: float) -> float:
-    """IoU of two real intervals; 0 when disjoint or degenerate."""
-    inter = min(a2, b2) - max(a1, b1)
-    if inter <= 0:
-        return 0.0
-    union = max(a2, b2) - min(a1, b1)
-    return inter / union if union > 0 else 0.0
-
-
 def nms_order(score: np.ndarray, lo: np.ndarray, hi: np.ndarray, iou_thresh: float) -> list[int]:
     """Greedy suppression of scored intervals [lo, hi]; kept indices, best first.
 
     Ranks by descending score, then lo, then hi; drops every later interval
-    whose :func:`interval_iou` with a kept one exceeds the threshold."""
+    whose IoU with a kept one exceeds the threshold (as :func:`evaluation.iou`)."""
     order = np.lexsort((hi, lo, -score))
     lo, hi = lo[order], hi[order]
     alive = np.ones(len(order), dtype=bool)
@@ -181,8 +175,7 @@ def select(
             mask[k - 1, ti, mi] = True
             lo, hi = float(x1[i]), float(x2[i])
             pred = Prediction(k, snippet_to_time(lo, fps), snippet_to_time(hi, fps),
-                              float(score[i]), lo, hi, float(grid.X1[ti, mi]),
-                              float(grid.X2[ti, mi]), video_id)
+                              float(score[i]), lo, hi, video_id)
             survivors.append((pred, (ti, mi)))
     survivors.sort(key=lambda pc: (-pc[0].score, pc[0].start_s, pc[0].class_id))
     return mask, survivors

@@ -163,27 +163,12 @@ def test_criterion_5_clipped_gradient_sign(capsys, rng):
 def test_criterion_6_synthetic_end_to_end(capsys, bench):
     train, test, gts = bench
     start = time.perf_counter()
-    result = train_network(train, CFG, seed=0)
-    full_score = map50([p for v in test for p in predict_video(result.net, v, CFG)], gts)
-    sweep = baselines.threshold_sweep(test)
-    best_thr = max(map50(preds, gts) for preds in sweep.values())
-    direct = map50([p for v in test for p in baselines.direct_optimize(v, CFG, seed=0)], gts)
-    enum = map50(
-        [
-            p
-            for v in test
-            for k in range(1, v.cas.num_classes + 1)
-            for p in baselines.oic_selection_enumerate(
-                v.cas, k, alpha=CFG.alpha, loss_max=CFG.loss_max,
-                nms_iou=CFG.nms_iou, fps=v.fps, video_id=v.video_id,
-            )
-        ],
-        gts,
+    scores = {name: map50(preds, gts)
+              for name, preds in baselines.compare(train, test, CFG, seed=0).items()}
+    full_score, direct, enum, inner = (
+        scores[name] for name in ("full", "direct_opt", "oic_select", "inner_only")
     )
-    inner_net = baselines.train_inner_only(train, CFG, seed=0)
-    inner = map50(
-        [p for v in test for p in predict_video(inner_net, v, CFG, loss="inner")], gts
-    )
+    best_thr = max(score for name, score in scores.items() if name.startswith("threshold_"))
     elapsed = time.perf_counter() - start
     margin_ok = full_score >= best_thr + 0.05
     order_ok = full_score > direct > enum > inner

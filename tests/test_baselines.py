@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import enumeration_oracle
 
 from oicloc import baselines
 from oicloc.cas import Cas
 from oicloc.config import RunConfig
-from oicloc.errors import InputError
+from oicloc.errors import ConfigError, InputError
 from oicloc.synth import SynthSpec, synth_corpus
 
 CFG = RunConfig(anchors=(2, 4, 8), feature_dim=8, hidden=8, lr=3e-6, direct_opt_iters=5)
@@ -31,6 +35,20 @@ class TestThresholdLocalize:
     def test_rejects_degenerate_tau(self):
         with pytest.raises(InputError):
             baselines.threshold_localize(Cas(np.zeros((1, 4))), 1, 0.0)
+
+    @given(st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), min_size=1, max_size=30),
+           st.sampled_from([0.3, 0.5, 0.7]))
+    @settings(max_examples=100, deadline=None)
+    def test_runs_match_a_scan_over_the_row(self, row, tau):
+        preds = baselines.threshold_localize(Cas(np.array([row])), 1, tau, fps=15.0)
+        runs, t = [], 0
+        for above, group in itertools.groupby(row, key=lambda a: a >= tau):
+            n = len(list(group))
+            if above and n > 1:
+                runs.append((t + 1.0, float(t + n), float(np.mean(row[t : t + n]))))
+            t += n
+        assert [(p.x1, p.x2, p.score) for p in preds] == runs
+        assert all(p.start_s == p.x1 - 1.0 and p.end_s == p.x2 - 1.0 for p in preds)
 
     def test_sweep_covers_all_taus(self):
         spec = SynthSpec(num_classes=2, t_range=(30, 40), instances_range=(1, 2))
@@ -83,3 +101,35 @@ class TestInnerOnly:
         corpus = synth_corpus(spec, 2, 5)
         net = baselines.train_inner_only(corpus, CFG, seed=0)
         assert net.num_parameters() > 0
+
+
+class TestCompare:
+    def test_table_matches_direct_detector_calls(self):
+        spec = SynthSpec(num_classes=2, t_range=(30, 40), instances_range=(1, 2),
+                         base_activation=0.95, background=0.03)
+        train = synth_corpus(spec, 1, 4, prefix="train")
+        test = synth_corpus(spec, 2, 3, prefix="test")
+        table = baselines.compare(train, test, CFG, seed=3)
+        taus = [round(0.1 * i, 1) for i in range(1, 10)]
+        assert list(table) == (["full", "direct_opt", "oic_select", "inner_only"]
+                               + [f"threshold_{tau}" for tau in taus])
+        enumerated = [
+            p
+            for v in test
+            for k in range(1, v.cas.num_classes + 1)
+            for p in baselines.oic_selection_enumerate(
+                v.cas, k, alpha=CFG.alpha, loss_max=CFG.loss_max,
+                nms_iou=CFG.nms_iou, fps=v.fps, video_id=v.video_id,
+            )
+        ]
+        assert enumerated and table["oic_select"] == enumerated
+        assert table["direct_opt"] == [
+            p for v in test for p in baselines.direct_optimize(v, CFG, seed=3)
+        ]
+
+    def test_detect_rejects_unknown_mode_and_missing_network(self):
+        videos = synth_corpus(SynthSpec(num_classes=2, t_range=(30, 40), instances_range=(1, 1)), 0, 1)
+        with pytest.raises(ConfigError):
+            baselines.detect("best", videos, CFG)
+        with pytest.raises(ConfigError, match="needs a trained network"):
+            baselines.detect("inner_only", videos, CFG)

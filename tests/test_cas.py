@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from oicloc.cas import AttentionSeq, Cas, ClassScores, GroundTruthSegment, VideoRecord, gate_attention
+from oicloc.cas import Cas, GroundTruthSegment, VideoRecord
 from oicloc.errors import InputError
 
 
@@ -74,33 +71,3 @@ class TestGroundTruth:
             GroundTruthSegment(1, 5.0, 4.0)
         with pytest.raises(InputError):
             GroundTruthSegment(1, -1.0, 4.0)
-
-
-class TestGateAttention:
-    def test_gates_low_attention_snippets(self):
-        scores = ClassScores(np.array([[0.9, 0.8, 0.7], [0.2, 0.3, 0.4]]))
-        att = AttentionSeq(np.array([10.0, 3.0, 8.0]))
-        cas = gate_attention(scores, att, 7.0)
-        assert np.array_equal(cas.act, [[0.9, 0.0, 0.7], [0.2, 0.0, 0.4]])
-
-    def test_clamps_scores_into_unit_interval(self):
-        scores = ClassScores(np.array([[1.5, -0.5]]))
-        att = AttentionSeq(np.array([10.0, 10.0]))
-        cas = gate_attention(scores, att, 0.0)
-        assert np.array_equal(cas.act, [[1.0, 0.0]])
-
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            gate_attention(ClassScores(np.zeros((1, 3))), AttentionSeq(np.zeros(2)), 0.0)
-
-    @given(
-        arrays(np.float64, (2, 9), elements=st.floats(-2, 2)),
-        arrays(np.float64, (9,), elements=st.floats(0, 20)),
-        st.floats(0, 20),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_gating_is_idempotent_and_never_raises_activation(self, scores, att, thr):
-        once = gate_attention(ClassScores(scores), AttentionSeq(att), thr)
-        twice = gate_attention(ClassScores(once.act), AttentionSeq(att), thr)
-        assert np.array_equal(once.act, twice.act)
-        assert np.all(once.act <= np.clip(scores, 0.0, 1.0))

@@ -71,14 +71,6 @@ class TestTrainPredictEval:
                      "--mode", "threshold", "--out", str(out)]) == 0
         assert out.exists()
 
-    def test_workers_flag_gives_same_predictions(self, workspace):
-        run = str(workspace / "run.json")
-        a, b = workspace / "w1.jsonl", workspace / "w4.jsonl"
-        main(["predict", "--config", run, "--mode", "oic_select", "--out", str(a)])
-        main(["predict", "--config", run, "--mode", "oic_select", "--out", str(b),
-              "--workers", "4"])
-        assert a.read_text() == b.read_text()
-
     def test_full_mode_without_checkpoint_fails(self, workspace):
         code = main(["predict", "--config", str(workspace / "run.json"),
                      "--mode", "full", "--out", str(workspace / "x.jsonl")])
@@ -94,6 +86,38 @@ class TestErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "m")]) == 2
+
+
+class TestBadInput:
+    """Malformed corpora end in one ``error:`` line on stderr and exit code 2."""
+
+    ENTRY = {"video_id": "v", "cas_path": "v.csv", "labels": [1], "fps": 30.0}
+
+    def train(self, tmp_path, capsys, cas_text, entry=ENTRY):
+        (tmp_path / "v.csv").write_text(cas_text)
+        (tmp_path / "manifest.json").write_text(json.dumps([entry]))
+        config = {"version": 1, "profile": "synthetic", "manifest": "manifest.json",
+                  "anchors": [2, 4], "feature_dim": 8, "hidden": 8}
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        code = main(["train", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_non_numeric_cas_cell(self, tmp_path, capsys):
+        err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n2,abc\n")
+        assert "v.csv:3:" in err
+
+    def test_cas_cell_outside_unit_interval(self, tmp_path, capsys):
+        err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n2,1.5\n")
+        assert "v.csv" in err and "[0, 1]" in err
+
+    def test_manifest_entry_without_fps(self, tmp_path, capsys):
+        entry = {k: v for k, v in self.ENTRY.items() if k != "fps"}
+        err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n", entry)
+        assert "manifest entry 0 lacks key 'fps'" in err
 
 
 class TestGradcheckCommand:
@@ -112,5 +136,7 @@ class TestAblate:
         variants = {line.split(",")[0] for line in table[1:]}
         assert {"full", "direct_opt", "oic_select", "inner_only"} <= variants
         assert any(v.startswith("full_alpha_") for v in variants)
+        thresholds = {v for v in variants if v.startswith("threshold_")}
+        assert thresholds == {f"threshold_{round(0.1 * i, 1)}" for i in range(1, 10)}
         plot_files = list((out / "plot_data").glob("*.csv"))
         assert len(plot_files) == 6

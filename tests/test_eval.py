@@ -104,17 +104,6 @@ class TestAveragePrecision:
         preds = [P("B", 1, 0.0, 10.0, 0.9)]
         assert average_precision(preds, gts, 1, 0.5) == 0.0
 
-    def test_eleven_point_variant(self):
-        gts = [GtInstance("A", 1, 0.0, 10.0), GtInstance("A", 1, 20.0, 30.0)]
-        preds = [P("A", 1, 0.0, 10.0, 0.9), P("A", 1, 50.0, 60.0, 0.8)]
-        # recall never passes 0.5, max precision 1.0 below it: 6/11
-        ap = average_precision(preds, gts, 1, 0.5, interpolation="eleven_point")
-        assert ap == pytest.approx(6.0 / 11.0)
-
-    def test_unknown_interpolation(self):
-        with pytest.raises(InputError):
-            average_precision(HAND_PREDS, HAND_GTS, 1, 0.5, interpolation="101_point")
-
 
 class TestReport:
     def test_requires_ground_truth(self):

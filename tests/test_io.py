@@ -46,20 +46,6 @@ class TestCasCsv:
             io.read_cas_csv(path)
 
 
-class TestScoresAttention:
-    def test_scores_allow_values_outside_unit_interval(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("snippet,class_1\n1,1.5\n2,-0.25\n")
-        scores = io.read_scores_csv(path)
-        assert np.array_equal(scores.scores, [[1.5, -0.25]])
-
-    def test_attention_must_be_single_column(self, tmp_path):
-        path = tmp_path / "att.csv"
-        path.write_text("snippet,class_1,class_2\n1,0.5,0.5\n")
-        with pytest.raises(InputError):
-            io.read_attention_csv(path)
-
-
 class TestManifest:
     def test_roundtrip(self, tmp_path, video):
         path = tmp_path / "manifest.json"

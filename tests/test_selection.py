@@ -11,10 +11,10 @@ from oicloc import oic
 from oicloc.boundary import AnchorConfig, ClipState, RegressionPair, transform_backward
 from oicloc.cas import Cas
 from oicloc.errors import InputError, TrainingError
+from oicloc.evaluation import iou
 from oicloc.selection import (
     Prediction,
     build_candidates,
-    interval_iou,
     nms,
     select,
     snippet_to_time,
@@ -100,6 +100,12 @@ class TestBuildCandidates:
         with pytest.raises(TrainingError, match="position 3, anchor 1"):
             build_candidates(reg_map, ANCHORS, 8, 0.25)
 
+    def test_collapsing_scale_raises_training_error(self):
+        reg_map = np.zeros((6, 8))
+        reg_map[5, 3] = -40.0  # t_w of anchor 2 at position 4: w_a * exp(t_w) vanishes
+        with pytest.raises(TrainingError, match="position 4, anchor 2"):
+            build_candidates(reg_map, ANCHORS, 8, 0.25)
+
     def test_rejects_wrong_reg_shape(self):
         with pytest.raises(InputError):
             build_candidates(np.zeros((5, 8)), ANCHORS, 8, 0.25)
@@ -132,7 +138,7 @@ class TestNms:
         kept = nms(preds, 0.4)
         for i, a in enumerate(kept):
             for b in kept[i + 1 :]:
-                assert interval_iou(a.start_s, a.end_s, b.start_s, b.end_s) <= 0.4
+                assert iou((a.start_s, a.end_s), (b.start_s, b.end_s)) <= 0.4
 
 
 class TestSelect:

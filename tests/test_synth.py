@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from oicloc.errors import InputError
-from oicloc.selection import snippet_to_time
 from oicloc.synth import SynthSpec, synth_corpus
 
 SPEC = SynthSpec(

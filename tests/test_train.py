@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oicloc.config import PROFILES, RunConfig
+from oicloc.config import RunConfig
 from oicloc.errors import TrainingError
 from oicloc.features import cas_to_features
 from oicloc.synth import SynthSpec, synth_corpus
@@ -74,6 +74,12 @@ class TestTrainNetwork:
         net = new_network(CFG, 0)
         net.params["pred.b"][1] = 800.0  # t_w of anchor 0 overflows exp
         with pytest.raises(TrainingError, match=r"iteration 7, .*anchor 0"):
+            train_network(corpus[:1], CFG, net=net, start_iteration=7)
+
+    def test_collapsed_scale_names_the_iteration(self, corpus):
+        net = new_network(CFG, 0)
+        net.params["pred.b"][1] = -800.0  # t_w of anchor 0 underflows to zero width
+        with pytest.raises(TrainingError, match=r"iteration 7, .*collapses.*anchor 0"):
             train_network(corpus[:1], CFG, net=net, start_iteration=7)
 
 
