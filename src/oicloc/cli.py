@@ -37,7 +37,10 @@ def _load_run(config_path: str) -> tuple[RunConfig, list]:
 
 
 def cmd_synth(args) -> int:
-    spec = synth.SynthSpec.from_dict(json.loads(Path(args.spec).read_text()))
+    try:
+        spec = synth.SynthSpec.from_dict(json.loads(Path(args.spec).read_bytes()))
+    except ValueError as exc:  # JSON, encoding or spec errors
+        raise ConfigError(f"{args.spec}: {exc}") from None
     videos = synth.synth_corpus(spec, args.seed, args.count, prefix=args.prefix)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

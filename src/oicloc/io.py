@@ -23,8 +23,11 @@ def write_cas_csv(path: str | Path, cas: Cas) -> None:
 
 def read_cas_csv(path: str | Path) -> Cas:
     """Read a snippet,class_1..class_K CSV into a K x T CAS."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: empty CSV")
     header = rows[0]
@@ -73,11 +76,35 @@ def write_manifest(path: str | Path, videos: list[VideoRecord], cas_dir: str = "
     path.write_text(json.dumps(entries, indent=1))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_segment(g) -> bool:
+    return (isinstance(g, dict) and _is_int(g.get("class"))
+            and _is_number(g.get("start_s")) and _is_number(g.get("end_s")))
+
+
+# manifest entry key -> (check of its JSON value, what the check asks for)
+_ENTRY_TYPES = {
+    "video_id": (lambda v: isinstance(v, str), "a string"),
+    "cas_path": (lambda v: isinstance(v, str), "a string"),
+    "labels": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "fps": (_is_number, "a number"),
+    "gt": (lambda v: isinstance(v, list) and all(map(_is_segment, v)),
+           "a list of objects with integer class and numeric start_s, end_s"),
+}
+
+
 def read_manifest(path: str | Path) -> list[VideoRecord]:
     path = Path(path)
     try:
-        entries = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        entries = json.loads(path.read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     if not isinstance(entries, list):
         raise InputError(f"{path}: manifest must be a JSON array")
@@ -85,9 +112,12 @@ def read_manifest(path: str | Path) -> list[VideoRecord]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise InputError(f"{path}: manifest entry {i} must be a JSON object")
-        extra = set(entry) - {"video_id", "cas_path", "labels", "fps", "gt"}
+        extra = set(entry) - set(_ENTRY_TYPES)
         if extra:
             raise InputError(f"{path}: unknown manifest keys {sorted(extra)}")
+        for key, (valid, kind) in _ENTRY_TYPES.items():
+            if key in entry and not valid(entry[key]):
+                raise InputError(f"{path}: manifest entry {i}: {key!r} must be {kind}")
         try:
             gt = None
             if "gt" in entry:

@@ -7,6 +7,7 @@ Batch = one video, so normalization statistics are taken over the time axis.
 """
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,33 +20,37 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 KERNEL = 3
 HIDDEN_LAYERS = 3
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padded temporal convolution; returns (output, padded input)."""
+    """Same-padded temporal convolution; returns (output, padded input).
+
+    One BLAS matmul per kernel tap: y = sum_k w[:, :, k] @ xp[:, k:k+T].
+    """
     ksz = w.shape[2]
     pad = (ksz - 1) // 2
     T = x.shape[1]
     xp = np.pad(x, ((0, 0), (pad, pad)))
-    cols = np.stack([xp[:, i : i + T] for i in range(ksz)])  # (ksz, C, T)
-    return np.einsum("ock,kct->ot", w, cols) + b[:, None], xp
+    y = w[:, :, 0] @ xp[:, :T]
+    for i in range(1, ksz):
+        y += w[:, :, i] @ xp[:, i : i + T]
+    y += b[:, None]
+    return y, xp
 
 
 def conv1d_backward(
     xp: np.ndarray, w: np.ndarray, dy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of a same-padded temporal convolution."""
+    """Gradients (dx, dw, db) of a same-padded temporal convolution, per tap."""
     ksz = w.shape[2]
     pad = (ksz - 1) // 2
     T = dy.shape[1]
-    cols = np.stack([xp[:, i : i + T] for i in range(ksz)])
-    dw = np.einsum("ot,kct->ock", dy, cols)
+    dw = np.stack([dy @ xp[:, i : i + T].T for i in range(ksz)], axis=2)
     db = dy.sum(axis=1)
     dxp = np.zeros_like(xp)
-    contrib = np.einsum("ock,ot->kct", w, dy)
     for i in range(ksz):
-        dxp[:, i : i + T] += contrib[i]
+        dxp[:, i : i + T] += w[:, :, i].T @ dy
     dx = dxp[:, pad : xp.shape[1] - pad]
     return dx, dw, db
 
@@ -169,17 +174,10 @@ class NetworkB:
     # -- checkpointing ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        tensors = {
-            name: {"shape": list(p.shape), "values": p.ravel().tolist()}
-            for name, p in self.params.items()
-        }
+        tensors = {name: _encode(p) for name, p in self.params.items()}
         for i in range(HIDDEN_LAYERS):
-            tensors[f"bn{i}.running_mean"] = {
-                "shape": [self.hidden], "values": self.running_mean[i].tolist()
-            }
-            tensors[f"bn{i}.running_var"] = {
-                "shape": [self.hidden], "values": self.running_var[i].tolist()
-            }
+            tensors[f"bn{i}.running_mean"] = _encode(self.running_mean[i])
+            tensors[f"bn{i}.running_var"] = _encode(self.running_var[i])
         return {
             "version": CHECKPOINT_VERSION,
             "feature_dim": self.feature_dim,
@@ -190,16 +188,20 @@ class NetworkB:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkB":
-        if data.get("version") != CHECKPOINT_VERSION:
+        if not isinstance(data, dict):
+            raise ConfigError("checkpoint must be a JSON object")
+        if data.get("version") not in (1, CHECKPOINT_VERSION):
             raise ConfigError(f"unsupported checkpoint version {data.get('version')!r}")
+        missing = {"feature_dim", "anchor_count", "hidden", "tensors"} - set(data)
+        if missing:
+            raise ConfigError(f"checkpoint lacks keys {sorted(missing)}")
         net = cls(data["feature_dim"], data["anchor_count"], hidden=data["hidden"])
         tensors = data["tensors"]
-        for name in net.params:
-            spec = tensors[name]
-            net.params[name] = np.array(spec["values"], dtype=np.float64).reshape(spec["shape"])
+        for name, p in net.params.items():
+            net.params[name] = _decode(tensors, name, p.shape)
         for i in range(HIDDEN_LAYERS):
-            net.running_mean[i] = np.array(tensors[f"bn{i}.running_mean"]["values"])
-            net.running_var[i] = np.array(tensors[f"bn{i}.running_var"]["values"])
+            net.running_mean[i] = _decode(tensors, f"bn{i}.running_mean", (net.hidden,))
+            net.running_var[i] = _decode(tensors, f"bn{i}.running_var", (net.hidden,))
         return net
 
     def save(self, path: str | Path) -> None:
@@ -207,7 +209,31 @@ class NetworkB:
 
     @classmethod
     def load(cls, path: str | Path) -> "NetworkB":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except (ConfigError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+
+
+def _encode(a: np.ndarray) -> dict:
+    """Checkpoint entry of a tensor: its shape and base64 little-endian float64 bytes."""
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.astype("<f8").tobytes()).decode()}
+
+
+def _decode(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Tensor ``name`` of a v2 (``f8`` bytes) or v1 (``values`` float list) checkpoint."""
+    try:
+        spec = tensors[name]
+        if "f8" in spec:
+            flat = np.frombuffer(base64.b64decode(spec["f8"], validate=True), dtype="<f8")
+        else:
+            flat = np.array(spec["values"], dtype=np.float64)
+        a = flat.astype(np.float64).reshape(spec["shape"])
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ConfigError(f"checkpoint tensor {name} is malformed: {exc!r}") from None
+    if a.shape != shape:
+        raise ConfigError(f"checkpoint tensor {name} has shape {a.shape}, expected {shape}")
+    return a
 
 
 @dataclass

@@ -51,16 +51,21 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthSpec":
+        if not isinstance(data, dict):
+            raise InputError("synth spec must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise InputError(f"unknown synth spec keys: {sorted(unknown)}")
         kwargs = dict(data)
-        for name in ("t_range", "instances_range", "instance_len_range",
-                     "gap_range", "dip_width_range"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return cls(**kwargs)
+        try:
+            for name in ("t_range", "instances_range", "instance_len_range",
+                         "gap_range", "dip_width_range"):
+                if name in kwargs:
+                    kwargs[name] = tuple(kwargs[name])
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:  # missing keys, mistyped or invalid values
+            raise InputError(f"bad synth spec: {exc}") from None
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}

@@ -64,6 +64,30 @@ def conv1d_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def conv1d_backward_loops(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
+    """Gradients (dx, dw, db) of the same-padded convolution by explicit loops.
+
+    Each output y[o, t] = b[o] + sum_{c, dk} w[o, c, dk] * x[c, t + dk - pad],
+    so every term hands dy[o, t] to its weight, its input and the bias.
+    """
+    out_ch, in_ch, ksz = w.shape
+    T = x.shape[1]
+    pad = (ksz - 1) // 2
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    db = np.zeros(out_ch)
+    for o in range(out_ch):
+        for t in range(T):
+            db[o] += dy[o, t]
+            for c in range(in_ch):
+                for dk in range(ksz):
+                    src = t + dk - pad
+                    if 0 <= src < T:
+                        dw[o, c, dk] += dy[o, t] * x[c, src]
+                        dx[c, src] += dy[o, t] * w[o, c, dk]
+    return dx, dw, db
+
+
 def selection_oracle(act, reg_map, anchors, classes, alpha, act_min, loss_max, nms_iou):
     """Straight-line re-statement of the candidate selection algorithm.
 

@@ -94,7 +94,8 @@ class TestBadInput:
     ENTRY = {"video_id": "v", "cas_path": "v.csv", "labels": [1], "fps": 30.0}
 
     def train(self, tmp_path, capsys, cas_text, entry=ENTRY):
-        (tmp_path / "v.csv").write_text(cas_text)
+        cas_bytes = cas_text if isinstance(cas_text, bytes) else cas_text.encode()
+        (tmp_path / "v.csv").write_bytes(cas_bytes)
         (tmp_path / "manifest.json").write_text(json.dumps([entry]))
         config = {"version": 1, "profile": "synthetic", "manifest": "manifest.json",
                   "anchors": [2, 4], "feature_dim": 8, "hidden": 8}
@@ -118,6 +119,29 @@ class TestBadInput:
         entry = {k: v for k, v in self.ENTRY.items() if k != "fps"}
         err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n", entry)
         assert "manifest entry 0 lacks key 'fps'" in err
+
+    def test_non_utf8_cas_csv(self, tmp_path, capsys):
+        err = self.train(tmp_path, capsys, b"snippet,class_1\n1,0.5\xff\n")
+        assert "v.csv: " in err and "utf-8" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("fps", "30"), ("fps", True), ("video_id", 7), ("cas_path", ["v.csv"]),
+        ("labels", 1), ("labels", ["1"]), ("gt", {"class": 1}),
+        ("gt", [{"class": 1, "start_s": "0", "end_s": 1.0}]),
+    ])
+    def test_mistyped_manifest_field(self, tmp_path, capsys, key, value):
+        err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n", {**self.ENTRY, key: value})
+        assert f"manifest.json: manifest entry 0: '{key}' must be" in err
+
+    @pytest.mark.parametrize("text", ["{", '{"num_classes": 2}', "[1]",
+                                      '{"num_classes": 2, "t_range": 5, "instances_range": [1, 2]}'])
+    def test_malformed_synth_spec(self, tmp_path, capsys, text):
+        (tmp_path / "bad.json").write_text(text)
+        code = main(["synth", "--spec", str(tmp_path / "bad.json"), "--out", str(tmp_path / "c")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'bad.json'}: ") and err.count("\n") == 1
+        assert not (tmp_path / "c").exists()
 
 
 class TestGradcheckCommand:

@@ -1,15 +1,17 @@
+import base64
 import json
 
 import numpy as np
 import pytest
 
-from oracles import conv1d_loops
+from oracles import conv1d_backward_loops, conv1d_loops
 
 from oicloc.errors import ConfigError, TrainingError, UsageError
 from oicloc.regressor import (
     NetworkB,
     SgdConfig,
     SgdState,
+    conv1d_backward,
     conv1d_forward,
     learning_rate,
     sgd_step,
@@ -26,6 +28,18 @@ class TestConv1d:
             b = rng.standard_normal(c_out)
             out, _ = conv1d_forward(x, w, b)
             assert np.allclose(out, conv1d_loops(x, w, b), atol=1e-12)
+
+    def test_backward_matches_loop_oracle(self, rng):
+        for _ in range(40):
+            c_in, c_out = (int(rng.integers(1, 9)) for _ in range(2))
+            T = int(rng.integers(1, 13))
+            x = rng.standard_normal((c_in, T))
+            w = rng.standard_normal((c_out, c_in, 3))
+            dy = rng.standard_normal((c_out, T))
+            _, xp = conv1d_forward(x, w, np.zeros(c_out))
+            for got, want in zip(conv1d_backward(xp, w, dy), conv1d_backward_loops(x, w, dy)):
+                assert got.shape == want.shape
+                assert np.allclose(got, want, atol=1e-12)
 
     def test_same_padding_preserves_length(self, rng):
         x = rng.standard_normal((2, 9))
@@ -106,6 +120,58 @@ class TestCheckpoint:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError):
             NetworkB.load(path)
+
+    def corrupt(self, tmp_path, payload=None, shape=None):
+        """Save a net with conv0.b's f8 payload or shape replaced, then load it."""
+        data = NetworkB(feature_dim=2, anchor_count=1, hidden=3).to_dict()
+        spec = data["tensors"]["conv0.b"]
+        spec["f8"] = payload if payload is not None else spec["f8"]
+        spec["shape"] = shape if shape is not None else spec["shape"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        return NetworkB.load(path)
+
+    def test_rejects_payload_that_is_not_base64(self, tmp_path):
+        with pytest.raises(ConfigError, match="conv0.b"):
+            self.corrupt(tmp_path, payload="not base64!")
+
+    def test_rejects_payload_length_that_does_not_match_shape(self, tmp_path):
+        with pytest.raises(ConfigError, match="conv0.b"):
+            self.corrupt(tmp_path, payload=base64.b64encode(bytes(16)).decode())
+        with pytest.raises(ConfigError, match="conv0.b"):
+            self.corrupt(tmp_path, payload=base64.b64encode(bytes(20)).decode())
+        with pytest.raises(ConfigError, match="conv0.b"):
+            self.corrupt(tmp_path, shape=[4])
+
+    def test_rejects_truncated_file_non_object_and_missing_keys(self, tmp_path):
+        path = tmp_path / "cut.json"
+        NetworkB(feature_dim=2, anchor_count=1, hidden=3).save(path)
+        path.write_text(path.read_text()[:-10])
+        with pytest.raises(ConfigError, match="cut.json"):
+            NetworkB.load(path)
+        path.write_text("[]")
+        with pytest.raises(ConfigError, match="cut.json: checkpoint must be a JSON object"):
+            NetworkB.load(path)
+        path.write_text('{"version": 2, "hidden": 3}')
+        with pytest.raises(ConfigError, match=r"cut.json: .*\['anchor_count', 'feature_dim'"):
+            NetworkB.load(path)
+
+    def test_reads_v1_float_lists_bit_exactly(self, rng, tmp_path):
+        net = NetworkB(feature_dim=5, anchor_count=3, hidden=6, seed=7)
+        net.forward(rng.standard_normal((5, 17)), mode="train")
+        data = net.to_dict()
+        data["version"] = 1
+        for spec in data["tensors"].values():  # v1 stores each tensor as a float list
+            spec["values"] = np.frombuffer(base64.b64decode(spec.pop("f8")), "<f8").tolist()
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(data))
+        clone = NetworkB.load(path)
+        for name in net.params:
+            assert np.array_equal(net.params[name], clone.params[name])
+        for a, b in zip(net.running_mean + net.running_var, clone.running_mean + clone.running_var):
+            assert np.array_equal(a, b)
+        feat = rng.standard_normal((5, 9))
+        assert np.array_equal(net.forward(feat), clone.forward(feat))
 
 
 class TestSgd:
