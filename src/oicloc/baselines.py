@@ -3,6 +3,7 @@ optimization, and the inner-only training variant."""
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 
@@ -11,9 +12,9 @@ from .config import RunConfig
 from .errors import ConfigError, InputError
 from .oic import oic_kernel
 from .boundary import inflate, round_boundary
-from .regressor import NetworkB, SgdConfig, SgdState
+from .regressor import NetworkB
 from .selection import Prediction, nms_order, snippet_to_time
-from .train import new_network, predict_video, train_network, train_step
+from .train import predict_video, train_network
 
 # enumeration scores (x1, x2) pairs in row blocks of about this many pairs
 ENUMERATE_CHUNK_PAIRS = 1 << 18
@@ -97,18 +98,10 @@ def direct_optimize(
     """Optimize a fresh regressor on one video alone, then predict on it."""
     if n_iters is None:
         n_iters = cfg.direct_opt_iters
-    net = new_network(cfg, _video_seed(video.video_id, seed))
-    anchors = cfg.anchor_config()
-    opt = SgdConfig(cfg.lr, cfg.lr_step, cfg.momentum, cfg.weight_decay)
-    state = SgdState()
-    test_video = VideoRecord(
-        video.video_id,
-        video.cas,
-        tuple(range(1, video.cas.num_classes + 1)),  # test-mode class set
-        video.fps,
-    )
-    for iteration in range(n_iters):
-        train_step(net, test_video, cfg, anchors, opt, state, iteration)
+    all_classes = tuple(range(1, video.cas.num_classes + 1))  # test-mode class set
+    relabelled = VideoRecord(video.video_id, video.cas, all_classes, video.fps)
+    net = train_network([relabelled], replace(cfg, epochs=n_iters),
+                        seed=_video_seed(video.video_id, seed)).net
     return predict_video(net, video, cfg)
 
 

@@ -1,12 +1,11 @@
-"""Anchor regression, clipping, inflation and the backward chain rule.
+"""Anchor scales, clipping, inflation and the backward chain rule.
 
-Pipeline order is fixed: regress -> clip -> inflate -> clip. Coordinates are
-continuous snippet positions; rounding to the padded grid happens only when
-activations are fetched.
+Pipeline order is fixed: regress (:func:`selection.build_candidates`) ->
+clip -> inflate -> clip. Coordinates are continuous snippet positions;
+rounding to the padded grid happens only when activations are fetched.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,37 +38,9 @@ class AnchorConfig:
         return len(self.scales)
 
 
-@dataclass(frozen=True)
-class RegressionPair:
-    """Center shift t_x and log-length scale t_w for one anchor."""
-
-    t_x: float
-    t_w: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t_x) and math.isfinite(self.t_w)):
-            raise InputError("regression values must be finite")
-
-
-@dataclass(frozen=True)
-class ClipState:
-    """Whether the outer sides were in the minimum-offset regime (w * alpha < 1)."""
-
-    min_offset: bool = False
-
-
 def round_boundary(x):
     """Round half away from zero to the nearest snippet index (scalar or array)."""
     return np.copysign(np.floor(np.abs(x) + 0.5), x).astype(np.int64)
-
-
-def regress_anchor(s_x: float, w_a: float, r: RegressionPair) -> tuple[float, float]:
-    """Shift the anchor center by w_a*t_x and rescale its length by exp(t_w)."""
-    if w_a <= 0:
-        raise InputError("anchor length must be positive")
-    c_x = s_x + w_a * r.t_x
-    w = w_a * math.exp(r.t_w)
-    return c_x - w / 2.0, c_x + w / 2.0
 
 
 def clip_zero_pad(x1, x2, T: int):
@@ -91,32 +62,18 @@ def inflate(x1, x2, w, alpha: float, T: int):
     return clip_zero_pad(X1, X2, T)
 
 
-def transform_backward(
-    g: "BoundaryGradients",
-    s_x: float,
-    w_a: float,
-    r: RegressionPair,
-    alpha: float,
-    clip_state: ClipState,
-) -> tuple[float, float]:
-    """Chain boundary-coordinate gradients back into (t_x, t_w).
+def transform_backward(g: "BoundaryGradients", w_a, w, alpha: float, min_offset):
+    """Chain boundary-coordinate gradients back into (t_x, t_w), element-wise.
 
+    ``w_a`` is the anchor length and ``w`` the regressed length w_a * exp(t_w);
+    all arguments but ``alpha`` may be scalars or broadcasting arrays.
     Clipping is straight-through: clipped coordinates pass their partials
-    unchanged. A side in the minimum-offset regime moves rigidly with its
-    inner boundary, so it inherits the inner side's partials.
+    unchanged. A side in the minimum-offset regime (``min_offset``: w * alpha
+    < 1) moves rigidly with its inner boundary, so it inherits the inner
+    side's partials.
     """
-    w = w_a * math.exp(r.t_w)
     d_tx = (g.d_x1 + g.d_x2 + g.d_X1 + g.d_X2) * w_a
-    if clip_state.min_offset:
-        dX1_dtw = -w / 2.0
-        dX2_dtw = w / 2.0
-    else:
-        dX1_dtw = -w / 2.0 - alpha * w
-        dX2_dtw = w / 2.0 + alpha * w
-    d_tw = (
-        g.d_x1 * (-w / 2.0)
-        + g.d_x2 * (w / 2.0)
-        + g.d_X1 * dX1_dtw
-        + g.d_X2 * dX2_dtw
-    )
+    dX1_dtw = np.where(min_offset, -w / 2.0, -w / 2.0 - alpha * w)
+    dX2_dtw = np.where(min_offset, w / 2.0, w / 2.0 + alpha * w)
+    d_tw = g.d_x1 * (-w / 2.0) + g.d_x2 * (w / 2.0) + g.d_X1 * dX1_dtw + g.d_X2 * dX2_dtw
     return d_tx, d_tw

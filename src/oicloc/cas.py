@@ -40,17 +40,6 @@ class Cas:
     def num_snippets(self) -> int:
         return self.act.shape[1]
 
-    def activation(self, k: int, x: int) -> float:
-        """Activation of class k at integer snippet x; 0 on the pad."""
-        T = self.num_snippets
-        if not 1 <= k <= self.num_classes:
-            raise InputError(f"class index {k} outside 1..{self.num_classes}")
-        if x == 0 or x == T + 1:
-            return 0.0
-        if not 1 <= x <= T:
-            raise InputError(f"snippet index {x} outside padded grid [0, {T + 1}]")
-        return float(self.act[k - 1, x - 1])
-
     def padded_row(self, k: int) -> np.ndarray:
         """Length T+2 activation row with the zero pad at both ends."""
         if not 1 <= k <= self.num_classes:

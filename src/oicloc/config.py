@@ -2,13 +2,30 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .boundary import AnchorConfig
 from .errors import ConfigError, InputError
+from .io import _is_int, _is_number
 
 CONFIG_VERSION = 1
+
+
+# (fields, check of each value, what the check asks for)
+_FIELD_RULES = (
+    (("anchors",), lambda v: isinstance(v, (list, tuple))
+     and all(_is_number(s) and math.isfinite(s) for s in v), "a list of finite numbers"),
+    (("alpha", "lr"), lambda v: _is_number(v) and 0 < v < math.inf, "a positive number"),
+    (("act_min", "nms_iou", "momentum"), lambda v: _is_number(v) and 0 <= v <= 1,
+     "a number in [0, 1]"),
+    (("loss_max",), lambda v: _is_number(v) and -1 <= v <= 1, "a number in [-1, 1]"),
+    (("weight_decay",), lambda v: _is_number(v) and 0 <= v < math.inf, "a non-negative number"),
+    (("lr_step", "epochs", "feature_dim", "hidden", "direct_opt_iters"),
+     lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    (("manifest",), lambda v: v is None or isinstance(v, str), "a string"),
+)
 
 
 @dataclass(frozen=True)
@@ -28,8 +45,19 @@ class RunConfig:
     direct_opt_iters: int = 25
     manifest: str | None = None
 
+    def __post_init__(self):
+        for names, valid, kind in _FIELD_RULES:
+            for name in names:
+                if not valid(getattr(self, name)):
+                    raise ConfigError(f"{name!r} must be {kind}, got {getattr(self, name)!r}")
+        object.__setattr__(self, "anchors", tuple(self.anchors))
+        try:
+            self.anchor_config()
+        except InputError as exc:
+            raise ConfigError(f"'anchors': {exc}") from None
+
     def anchor_config(self) -> AnchorConfig:
-        return AnchorConfig(tuple(self.anchors))
+        return AnchorConfig(self.anchors)
 
 
 PROFILES: dict[str, RunConfig] = {
@@ -42,7 +70,7 @@ PROFILES: dict[str, RunConfig] = {
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Load a run config JSON; unknown keys and version mismatches are errors."""
+    """Load a run config JSON; unknown keys, version mismatches and bad values are errors."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -62,15 +90,10 @@ def load_config(path: str | Path) -> RunConfig:
     unknown = set(data) - known - {"version", "profile"}
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    overrides = {k: v for k, v in data.items() if k in known}
-    if "anchors" in overrides:
-        overrides["anchors"] = tuple(overrides["anchors"])
-    cfg = replace(base, **overrides)
     try:
-        cfg.anchor_config()  # validate anchors eagerly
-    except InputError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return cfg
+        return replace(base, **{k: v for k, v in data.items() if k in known})
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def save_config(path: str | Path, cfg: RunConfig, profile: str | None = None) -> None:

@@ -1,9 +1,10 @@
 """Finite-difference verification of every analytic gradient path.
 
 Three suites: (1) boundary-coordinate gradients of the contrastive loss
-against +-1-snippet symmetric differences, (2) the transform chain rule
-against central differences of a smooth surrogate loss, and (3) the network
-backward pass against central differences of a scalar projection loss.
+against +-1-snippet symmetric differences, (2) the regression-slot gradients
+of the training loss (kernel plus anchor chain rule) against central
+differences of a smooth surrogate loss, and (3) the network backward pass
+against central differences of a scalar projection loss.
 
 The surrogate in (2) extends the rounded-coordinate loss linearly inside each
 rounding cell (first-order expansion around the rounded snippet), so its
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oic
-from .boundary import RegressionPair, inflate, regress_anchor, round_boundary, transform_backward, ClipState
+from .boundary import AnchorConfig, round_boundary
 from .cas import Cas
 from .oic import SegmentHypothesis
 from .regressor import NetworkB
+from .selection import build_candidates, training_loss
 
 
 @dataclass(frozen=True)
@@ -111,28 +113,29 @@ _TRANSFORM_SETUPS = [
 
 def check_transform_fd(seed: int = 0, cases: int = 200, T: int = 60,
                        alpha: float = 0.25, step: float = 1e-4) -> CheckResult:
-    """transform_backward vs central differences of the surrogate loss."""
+    """training_loss's (t_x, t_w) gradients for one kept hypothesis vs central
+    differences of the surrogate loss at the boundaries build_candidates gives."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(cases):
         cas = Cas(rng.uniform(0.05, 0.95, size=(1, T)))
         w_a, t_x, w_target = _TRANSFORM_SETUPS[i % len(_TRANSFORM_SETUPS)]
         t_w = math.log(w_target / w_a)
-        s_x = float(rng.integers(22, T - 22))
+        t = int(rng.integers(22, T - 22)) - 1  # grid row of the anchor's position
+        anchors = AnchorConfig((w_a,))
+
+        def grid(tx: float, tw: float):
+            reg_map = np.zeros((2, T))
+            reg_map[:, t] = tx, tw
+            return build_candidates(reg_map, anchors, T, alpha)
 
         def end_to_end(tx: float, tw: float) -> float:
-            x1, x2 = regress_anchor(s_x, w_a, RegressionPair(tx, tw))
-            w = x2 - x1
-            X1, X2 = inflate(x1, x2, w, alpha, T)
-            return smooth_loss(cas, 1, x1, x2, X1, X2)
+            c = grid(tx, tw)
+            return smooth_loss(cas, 1, c.x1[t, 0], c.x2[t, 0], c.X1[t, 0], c.X2[t, 0])
 
-        x1, x2 = regress_anchor(s_x, w_a, RegressionPair(t_x, t_w))
-        g = oic.oic_backward(
-            cas,
-            SegmentHypothesis(x1, x2, *inflate(x1, x2, x2 - x1, alpha, T), 1),
-        )
-        clip_state = ClipState(min_offset=(x2 - x1) * alpha < 1.0)
-        d_tx, d_tw = transform_backward(g, s_x, w_a, RegressionPair(t_x, t_w), alpha, clip_state)
+        mask = np.zeros((1, T, 1), dtype=bool)
+        mask[0, t, 0] = True
+        d_tx, d_tw = training_loss(cas, grid(t_x, t_w), mask, alpha)[1][:, t]
         fd_tx = (end_to_end(t_x + step, t_w) - end_to_end(t_x - step, t_w)) / (2 * step)
         fd_tw = (end_to_end(t_x, t_w + step) - end_to_end(t_x, t_w - step)) / (2 * step)
         for analytic, approx in ((d_tx, fd_tx), (d_tw, fd_tw)):

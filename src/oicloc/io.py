@@ -157,23 +157,31 @@ def write_predictions_jsonl(path: str | Path, preds: list[Prediction]) -> None:
             )
 
 
+# prediction line key -> (check of its JSON value, what the check asks for)
+_PREDICTION_TYPES = {
+    "video_id": (lambda v: isinstance(v, str), "a string"),
+    "class": (_is_int, "an integer"),
+    "start_s": (_is_number, "a number"),
+    "end_s": (_is_number, "a number"),
+    "score": (_is_number, "a number"),
+}
+
+
 def read_predictions_jsonl(path: str | Path) -> list[Prediction]:
     preds = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
             try:
-                obj = json.loads(line)
-                preds.append(
-                    Prediction(
-                        class_id=obj["class"],
-                        start_s=obj["start_s"],
-                        end_s=obj["end_s"],
-                        score=obj["score"],
-                        video_id=obj["video_id"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise InputError(f"{path}:{lineno}: bad prediction line: {exc}") from exc
+                obj = json.loads(raw.decode("utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise InputError(f"{path}:{lineno}: bad prediction line: {exc}") from None
+            if not isinstance(obj, dict):
+                raise InputError(f"{path}:{lineno}: prediction must be a JSON object")
+            for key, (valid, kind) in _PREDICTION_TYPES.items():
+                if not valid(obj.get(key)):
+                    raise InputError(f"{path}:{lineno}: {key!r} must be {kind}")
+            preds.append(Prediction(obj["class"], obj["start_s"], obj["end_s"], obj["score"],
+                                    video_id=obj["video_id"]))
     return preds

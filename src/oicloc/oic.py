@@ -1,4 +1,5 @@
-"""Outer-inner contrastive loss: forward, analytic backward, and variants.
+"""Outer-inner contrastive loss: one array kernel for the loss, its areas and its
+boundary gradients, with one-hypothesis views and the step-filter profile.
 
 All activation lookups happen at rounded (integer) snippet coordinates on the
 zero-padded grid [0, T+1]; "integrals" are inclusive discrete sums with
@@ -47,61 +48,32 @@ class BoundaryGradients:
     d_X2: float
 
 
-@dataclass(frozen=True)
-class _RoundedAreas:
-    rx1: int
-    rx2: int
-    rX1: int
-    rX2: int
-    inner_len: int
-    ring_len: int
-    a_inner: float
-    a_outer: float
-
-
-def _rounded_areas(cas: Cas, h: SegmentHypothesis) -> _RoundedAreas:
-    T = cas.num_snippets
-    rx1, rx2 = round_boundary(h.x1), round_boundary(h.x2)
-    rX1, rX2 = round_boundary(h.X1), round_boundary(h.X2)
+def _rounded(h: SegmentHypothesis, T: int) -> tuple[int, int, int, int]:
+    """Rounded (rx1, rx2, rX1, rX2): the outer on the padded grid, around a non-empty ring."""
+    rx1, rx2, rX1, rX2 = round_boundary(np.array([h.x1, h.x2, h.X1, h.X2])).tolist()
     if rX1 < 0 or rX2 > T + 1:
-        raise InputError(
-            f"rounded outer boundary [{rX1}, {rX2}] outside padded grid [0, {T + 1}]"
-        )
-    inner_len = rx2 - rx1 + 1
-    outer_len = rX2 - rX1 + 1
-    ring_len = outer_len - inner_len
-    if inner_len < 1:
-        raise InputError(f"rounded inner boundary [{rx1}, {rx2}] is empty")
-    if ring_len <= 0:
+        raise InputError(f"rounded outer [{rX1}, {rX2}] outside padded grid [0, {T + 1}]")
+    if (rX2 - rX1) - (rx2 - rx1) < 1:
         raise DegenerateOuterError(
             f"rounded outer [{rX1}, {rX2}] does not strictly contain inner [{rx1}, {rx2}]"
         )
-    row = cas.padded_row(h.k)  # index == snippet position on [0, T+1]
-    inner_sum = float(row[rx1 : rx2 + 1].sum())
-    ring_sum = float(row[rX1 : rX2 + 1].sum()) - inner_sum
-    return _RoundedAreas(
-        rx1, rx2, rX1, rX2, inner_len, ring_len, inner_sum / inner_len, ring_sum / ring_len
-    )
+    return rx1, rx2, rX1, rX2
+
+
+def _oic(cas: Cas, h: SegmentHypothesis) -> tuple[OicBreakdown, BoundaryGradients]:
+    return oic_kernel(cas.padded_row(h.k)[None], 0, *_rounded(h, cas.num_snippets))
 
 
 def oic_forward(cas: Cas, h: SegmentHypothesis) -> OicBreakdown:
     """Average outer-ring activation minus average inner activation."""
-    a = _rounded_areas(cas, h)
-    return OicBreakdown(a.a_outer, a.a_inner, a.a_outer - a.a_inner)
+    a = _oic(cas, h)[0]
+    return OicBreakdown(float(a.a_outer), float(a.a_inner), float(a.loss))
 
 
 def oic_backward(cas: Cas, h: SegmentHypothesis) -> BoundaryGradients:
     """Analytic partials of the loss w.r.t. the four boundary coordinates."""
-    a = _rounded_areas(cas, h)
-    f_x1 = cas.activation(h.k, a.rx1)
-    f_x2 = cas.activation(h.k, a.rx2)
-    f_X1 = cas.activation(h.k, a.rX1)
-    f_X2 = cas.activation(h.k, a.rX2)
-    d_x1 = (f_x1 - a.a_outer) / a.ring_len - (a.a_inner - f_x1) / a.inner_len
-    d_x2 = (a.a_outer - f_x2) / a.ring_len - (f_x2 - a.a_inner) / a.inner_len
-    d_X1 = (a.a_outer - f_X1) / a.ring_len
-    d_X2 = (f_X2 - a.a_outer) / a.ring_len
-    return BoundaryGradients(d_x1, d_x2, d_X1, d_X2)
+    g = _oic(cas, h)[1]
+    return BoundaryGradients(float(g.d_x1), float(g.d_x2), float(g.d_X1), float(g.d_X2))
 
 
 def oic_kernel(
@@ -112,9 +84,9 @@ def oic_kernel(
     ``padded`` holds zero-padded rows (index == snippet on [0, T+1]); ``k``
     and the rounded boundaries are broadcasting index arrays, and every ring
     must be non-empty. Box sums are differences of one prefix sum per row
-    (a summed-area table); the rest is the arithmetic of oic_forward and
-    oic_backward, or of the inner-only loss (zero outer area and gradients).
-    Both returned records hold arrays.
+    (a summed-area table). With ``inner_only`` the loss is the negated inner
+    average and the outer area and gradients are zero. Both returned records
+    hold arrays.
     """
     csum = np.zeros((padded.shape[0], padded.shape[1] + 1))
     np.cumsum(padded, axis=1, out=csum[:, 1:])  # box [a, b] = csum[b + 1] - csum[a]
@@ -163,16 +135,9 @@ def step_filter_weights(h: SegmentHypothesis, T: int) -> tuple[int, np.ndarray, 
     weights with the padded activation row by norm = inner_len * ring_len
     reproduces the loss.
     """
-    rx1, rx2 = round_boundary(h.x1), round_boundary(h.x2)
-    rX1, rX2 = round_boundary(h.X1), round_boundary(h.X2)
-    if rX1 < 0 or rX2 > T + 1:
-        raise InputError(f"rounded outer [{rX1}, {rX2}] outside padded grid [0, {T + 1}]")
+    rx1, rx2, rX1, rX2 = _rounded(h, T)
     inner_len = rx2 - rx1 + 1
     ring_len = (rX2 - rX1 + 1) - inner_len
-    if inner_len < 1:
-        raise InputError("rounded inner boundary is empty")
-    if ring_len <= 0:
-        raise DegenerateOuterError("rounded outer does not strictly contain inner")
     weights = np.full(rX2 - rX1 + 1, float(inner_len))
     weights[rx1 - rX1 : rx2 - rX1 + 1] = -float(ring_len)
     return rX1, weights, float(inner_len * ring_len)

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oic
-from .boundary import AnchorConfig, clip_zero_pad, inflate, round_boundary
+from .boundary import (
+    AnchorConfig, clip_zero_pad, inflate, round_boundary, transform_backward,
+)
 from .cas import SNIPPET_FRAMES, Cas
 from .errors import DegenerateOuterError, InputError, TrainingError
 
@@ -71,7 +73,7 @@ def build_candidates(
     w_a, t_w = np.asarray(anchors.scales), reg_map[1::2].T
     try:
         # math.exp, not np.exp: the two differ in the last ulp on some inputs,
-        # and the scalar spec (regress_anchor, transform_backward) uses math.exp
+        # and the straight-line oracles use math.exp
         growth = np.fromiter(map(math.exp, t_w.ravel().tolist()), np.float64, t_w.size)
     except OverflowError:
         t, m = divmod(int(np.argmax(t_w.ravel() > math.log(sys.float_info.max))), M)
@@ -188,10 +190,7 @@ def training_loss(
     alpha: float,
     loss: str = "oic",
 ) -> tuple[float, np.ndarray]:
-    """Sum of kept losses plus the gradients scattered to regression slots.
-
-    The chain rule is :func:`boundary.transform_backward` on arrays.
-    """
+    """Sum of kept losses plus the gradients scattered to regression slots."""
     _check_loss(loss)
     K, T = cas.num_classes, cas.num_snippets
     M = grid.x1.shape[1]
@@ -202,11 +201,9 @@ def training_loss(
         raise DegenerateOuterError("mask keeps a hypothesis with an empty outer ring")
     padded = np.pad(cas.act, ((0, 0), (1, 1)))
     areas, g = oic.oic_kernel(padded, k, *grid.rounded[:, t, m], inner_only=loss == "inner")
-    w, min_offset = grid.w[t, m], grid.min_offset[t, m]
-    d_tx = (g.d_x1 + g.d_x2 + g.d_X1 + g.d_X2) * grid.anchors[m]
-    dX1_dtw = np.where(min_offset, -w / 2.0, -w / 2.0 - alpha * w)
-    dX2_dtw = np.where(min_offset, w / 2.0, w / 2.0 + alpha * w)
-    d_tw = g.d_x1 * (-w / 2.0) + g.d_x2 * (w / 2.0) + g.d_X1 * dX1_dtw + g.d_X2 * dX2_dtw
+    d_tx, d_tw = transform_backward(
+        g, grid.anchors[m], grid.w[t, m], alpha, grid.min_offset[t, m]
+    )
     grad_out = np.zeros((2 * M, T))
     np.add.at(grad_out, (2 * m, t), d_tx)  # k-major accumulation order
     np.add.at(grad_out, (2 * m + 1, t), d_tw)

@@ -14,7 +14,17 @@ import numpy as np
 
 from .cas import Cas, GroundTruthSegment, VideoRecord
 from .errors import InputError
+from .io import _is_int, _is_number
 from .selection import snippet_to_time
+
+# annotated field type -> (check of its value, what the check asks for)
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "tuple[int, int]": (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v)),
+                        "a pair of integers"),
+}
 
 
 @dataclass(frozen=True)
@@ -37,17 +47,22 @@ class SynthSpec:
     fps: float = 30.0
 
     def __post_init__(self):
-        for name in ("t_range", "instances_range", "instance_len_range",
-                     "gap_range", "dip_width_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi or lo < (0 if name == "instances_range" else 1):
-                raise InputError(f"empty or invalid range {name}={lo, hi}")
+        for f in fields(self):
+            valid, kind = _FIELD_TYPES[f.type]
+            if not valid(getattr(self, f.name)):
+                raise InputError(f"{f.name!r} must be {kind}")
+            if f.type == "tuple[int, int]":
+                lo, hi = getattr(self, f.name)
+                if lo > hi or lo < (0 if f.name == "instances_range" else 1):
+                    raise InputError(f"empty or invalid range {f.name}={lo, hi}")
         if self.num_classes < 1:
             raise InputError("need at least one class")
         if not (0.0 < self.base_activation <= 1.0):
             raise InputError("base_activation must lie in (0, 1]")
         if self.instance_len_range[0] < 3:
             raise InputError("instances must be at least 3 snippets long")
+        if not self.fps > 0:
+            raise InputError("fps must be positive")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthSpec":
@@ -57,13 +72,8 @@ class SynthSpec:
         unknown = set(data) - known
         if unknown:
             raise InputError(f"unknown synth spec keys: {sorted(unknown)}")
-        kwargs = dict(data)
         try:
-            for name in ("t_range", "instances_range", "instance_len_range",
-                         "gap_range", "dip_width_range"):
-                if name in kwargs:
-                    kwargs[name] = tuple(kwargs[name])
-            return cls(**kwargs)
+            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
         except (TypeError, ValueError) as exc:  # missing keys, mistyped or invalid values
             raise InputError(f"bad synth spec: {exc}") from None
 

@@ -46,6 +46,68 @@ def brute_force_inner_loss(act_row: np.ndarray, x1: float, x2: float) -> float:
     return -total / (rx2 - rx1 + 1)
 
 
+def brute_force_gradients(act_row: np.ndarray, x1: float, x2: float, X1: float, X2: float):
+    """Partials (d_x1, d_x2, d_X1, d_X2) of the contrastive loss by explicit sums.
+
+    Moving a boundary by one snippet moves one activation between the inner
+    area and the outer ring (or into or out of the ring), and changes one of
+    the two lengths; these are the first-order effects on both averages.
+    """
+    rx1, rx2 = round_half_away(x1), round_half_away(x2)
+    rX1, rX2 = round_half_away(X1), round_half_away(X2)
+    inner_sum = 0.0
+    for x in range(rx1, rx2 + 1):
+        inner_sum += padded_value(act_row, x)
+    ring_sum = 0.0
+    for x in list(range(rX1, rx1)) + list(range(rx2 + 1, rX2 + 1)):
+        ring_sum += padded_value(act_row, x)
+    inner_len = rx2 - rx1 + 1
+    ring_len = (rX2 - rX1 + 1) - inner_len
+    a_inner = inner_sum / inner_len
+    a_outer = ring_sum / ring_len
+    f_x1, f_x2 = padded_value(act_row, rx1), padded_value(act_row, rx2)
+    f_X1, f_X2 = padded_value(act_row, rX1), padded_value(act_row, rX2)
+    # raising x1 hands f(x1) from the inner area to the ring
+    d_x1 = (f_x1 - a_outer) / ring_len - (a_inner - f_x1) / inner_len
+    # raising x2 takes f(x2) out of the ring into the inner area
+    d_x2 = (a_outer - f_x2) / ring_len - (f_x2 - a_inner) / inner_len
+    # raising X1 drops f(X1) from the ring; raising X2 adds f(X2) to it
+    d_X1 = (a_outer - f_X1) / ring_len
+    d_X2 = (f_X2 - a_outer) / ring_len
+    return d_x1, d_x2, d_X1, d_X2
+
+
+def brute_force_inner_gradients(act_row: np.ndarray, x1: float, x2: float):
+    """Partials (d_x1, d_x2) of the inner-only loss by explicit sums."""
+    rx1, rx2 = round_half_away(x1), round_half_away(x2)
+    total = 0.0
+    for x in range(rx1, rx2 + 1):
+        total += padded_value(act_row, x)
+    inner_len = rx2 - rx1 + 1
+    a_inner = total / inner_len
+    d_x1 = -(a_inner - padded_value(act_row, rx1)) / inner_len
+    d_x2 = -(padded_value(act_row, rx2) - a_inner) / inner_len
+    return d_x1, d_x2
+
+
+def anchor_chain_rule(grads, w_a: float, t_w: float, alpha: float, min_offset: bool):
+    """(d_t_x, d_t_w) from the four boundary partials of one regressed anchor.
+
+    x1, x2 = c_x -+ w/2 with c_x = s + w_a * t_x and w = w_a * exp(t_w); the
+    outer sides sit alpha * w further out, or one snippet out when
+    w * alpha < 1. Clipping passes partials through unchanged.
+    """
+    d_x1, d_x2, d_X1, d_X2 = grads
+    w = w_a * math.exp(t_w)
+    d_tx = (d_x1 + d_x2 + d_X1 + d_X2) * w_a
+    if min_offset:
+        dX1_dtw, dX2_dtw = -w / 2.0, w / 2.0
+    else:
+        dX1_dtw, dX2_dtw = -w / 2.0 - alpha * w, w / 2.0 + alpha * w
+    d_tw = d_x1 * (-w / 2.0) + d_x2 * (w / 2.0) + d_X1 * dX1_dtw + d_X2 * dX2_dtw
+    return d_tx, d_tw
+
+
 def conv1d_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Same-padded temporal convolution by four explicit loops."""
     out_ch, in_ch, ksz = w.shape

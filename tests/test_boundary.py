@@ -1,16 +1,12 @@
-import math
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oicloc.boundary import (
     AnchorConfig,
-    ClipState,
-    RegressionPair,
     clip_zero_pad,
     inflate,
-    regress_anchor,
     round_boundary,
     transform_backward,
 )
@@ -42,30 +38,6 @@ class TestAnchorConfig:
     def test_rejects_bad_scales(self, scales):
         with pytest.raises(InputError):
             AnchorConfig(scales)
-
-
-class TestRegressAnchor:
-    def test_identity_regression_centers_anchor(self):
-        x1, x2 = regress_anchor(10.0, 4.0, RegressionPair(0.0, 0.0))
-        assert (x1, x2) == (8.0, 12.0)
-
-    def test_shift_scales_with_anchor_length(self):
-        x1, x2 = regress_anchor(10.0, 4.0, RegressionPair(0.5, 0.0))
-        assert (x1, x2) == (10.0, 14.0)
-
-    def test_log_length(self):
-        x1, x2 = regress_anchor(10.0, 4.0, RegressionPair(0.0, math.log(2.0)))
-        assert x2 - x1 == pytest.approx(8.0)
-
-    def test_rejects_nonpositive_anchor(self):
-        with pytest.raises(InputError):
-            regress_anchor(10.0, 0.0, RegressionPair(0.0, 0.0))
-
-    def test_regression_pair_must_be_finite(self):
-        with pytest.raises(InputError):
-            RegressionPair(float("nan"), 0.0)
-        with pytest.raises(InputError):
-            RegressionPair(0.0, float("inf"))
 
 
 class TestClipInflate:
@@ -108,30 +80,36 @@ class TestClipInflate:
 class TestTransformBackward:
     def test_tx_chain_is_sum_of_partials_times_anchor(self):
         g = BoundaryGradients(0.1, -0.2, 0.3, -0.4)
-        d_tx, _ = transform_backward(g, 10.0, 4.0, RegressionPair(0.0, 0.0), 0.25, ClipState())
+        d_tx, _ = transform_backward(g, 4.0, 4.0, 0.25, False)
         assert d_tx == pytest.approx((0.1 - 0.2 + 0.3 - 0.4) * 4.0)
 
     def test_tw_ratio_regime(self):
         g = BoundaryGradients(1.0, 0.0, 0.0, 0.0)
-        _, d_tw = transform_backward(g, 10.0, 8.0, RegressionPair(0.0, 0.0), 0.25, ClipState())
+        _, d_tw = transform_backward(g, 8.0, 8.0, 0.25, False)
         # inner start moves by -w/2 per unit t_w
         assert d_tw == pytest.approx(-4.0)
         g = BoundaryGradients(0.0, 0.0, 1.0, 0.0)
-        _, d_tw = transform_backward(g, 10.0, 8.0, RegressionPair(0.0, 0.0), 0.25, ClipState())
+        _, d_tw = transform_backward(g, 8.0, 8.0, 0.25, False)
         # outer start moves by -(w/2 + alpha*w)
         assert d_tw == pytest.approx(-6.0)
 
     def test_tw_min_offset_regime(self):
         g = BoundaryGradients(0.0, 0.0, 1.0, 0.0)
-        state = ClipState(min_offset=True)
-        _, d_tw = transform_backward(g, 10.0, 2.0, RegressionPair(0.0, 0.0), 0.25, state)
+        _, d_tw = transform_backward(g, 2.0, 2.0, 0.25, True)
         # the outer boundary rides rigidly on the inner one
         assert d_tw == pytest.approx(-1.0)
 
     def test_tw_uses_current_width(self):
         g = BoundaryGradients(0.0, 1.0, 0.0, 0.0)
-        _, d_tw = transform_backward(
-            g, 10.0, 4.0, RegressionPair(0.0, math.log(2.0)), 0.25, ClipState()
-        )
-        # w = 4 * exp(log 2) = 8, so dx2/dtw = w/2 = 4
+        _, d_tw = transform_backward(g, 4.0, 8.0, 0.25, False)
+        # the regressed length w = 8, not the anchor length 4, sets dx2/dtw = w/2
         assert d_tw == pytest.approx(4.0)
+
+    def test_arrays_match_scalar_calls(self, rng):
+        g = BoundaryGradients(*rng.standard_normal((4, 6)))
+        w_a, w = rng.uniform(1.0, 16.0, (2, 6))
+        min_offset = np.arange(6) % 2 == 0
+        d_tx, d_tw = transform_backward(g, w_a, w, 0.25, min_offset)
+        for i in range(6):
+            gi = BoundaryGradients(g.d_x1[i], g.d_x2[i], g.d_X1[i], g.d_X2[i])
+            assert (d_tx[i], d_tw[i]) == transform_backward(gi, w_a[i], w[i], 0.25, min_offset[i])

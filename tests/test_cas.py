@@ -31,20 +31,12 @@ class TestCas:
         with pytest.raises(ValueError):
             cas.act[0, 0] = 0.1
 
-    def test_activation_zero_on_pad(self):
-        cas = Cas(np.array([[0.4, 0.6, 0.8]]))
-        assert cas.activation(1, 0) == 0.0
-        assert cas.activation(1, 4) == 0.0
-        assert cas.activation(1, 2) == 0.6
-
-    def test_activation_bounds_checked(self):
+    def test_padded_row_rejects_bad_class(self):
         cas = Cas(np.array([[0.4, 0.6]]))
         with pytest.raises(InputError):
-            cas.activation(1, -1)
+            cas.padded_row(0)
         with pytest.raises(InputError):
-            cas.activation(1, 4)
-        with pytest.raises(InputError):
-            cas.activation(2, 1)
+            cas.padded_row(2)
 
     def test_padded_row(self):
         cas = Cas(np.array([[0.4, 0.6]]))

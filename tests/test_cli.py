@@ -133,8 +133,11 @@ class TestBadInput:
         err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n", {**self.ENTRY, key: value})
         assert f"manifest.json: manifest entry 0: '{key}' must be" in err
 
-    @pytest.mark.parametrize("text", ["{", '{"num_classes": 2}', "[1]",
-                                      '{"num_classes": 2, "t_range": 5, "instances_range": [1, 2]}'])
+    @pytest.mark.parametrize("text", [
+        "{", '{"num_classes": 2}', "[1]",
+        '{"num_classes": 2, "t_range": 5, "instances_range": [1, 2]}',
+        '{"num_classes": 2, "t_range": [30, 40], "instances_range": [1, 2], "noise_amp": "x"}',
+    ])
     def test_malformed_synth_spec(self, tmp_path, capsys, text):
         (tmp_path / "bad.json").write_text(text)
         code = main(["synth", "--spec", str(tmp_path / "bad.json"), "--out", str(tmp_path / "c")])
@@ -142,6 +145,27 @@ class TestBadInput:
         assert code == 2
         assert err.startswith(f"error: {tmp_path / 'bad.json'}: ") and err.count("\n") == 1
         assert not (tmp_path / "c").exists()
+
+
+    @pytest.mark.parametrize("key, value", [("alpha", "0.25"), ("hidden", "8"), ("epochs", -3)])
+    def test_bad_config_value(self, tmp_path, capsys, key, value):
+        (tmp_path / "run.json").write_text(json.dumps({"version": 1, key: value}))
+        code = main(["train", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'run.json'}: '{key}' must be")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '{"video_id": "a", "class": 1, "start_s": 0.0, '
+                                      '"end_s": 1.0, "score": "x"}', b"\xff"])
+    def test_bad_predictions_line(self, workspace, tmp_path, capsys, line):
+        pred = tmp_path / "preds.jsonl"
+        pred.write_bytes(line if isinstance(line, bytes) else line.encode())
+        code = main(["eval", "--pred", str(pred), "--manifest",
+                     str(workspace / "corpus" / "manifest.json"), "--out", str(tmp_path / "e.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {pred}:1: ") and err.count("\n") == 1
 
 
 class TestGradcheckCommand:

@@ -42,6 +42,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, {"version": 1, "anchors": [4, 2]}))
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "0.25"), ("alpha", 0.0), ("hidden", "8"), ("hidden", 8.0), ("hidden", 0),
+        ("epochs", -3), ("epochs", True), ("nms_iou", 7), ("act_min", float("nan")),
+        ("loss_max", -2.0), ("lr", -1e-3), ("lr_step", 0), ("momentum", 1.5),
+        ("weight_decay", -1.0), ("feature_dim", None), ("direct_opt_iters", 0),
+        ("anchors", 8), ("anchors", ["8"]), ("anchors", [2, float("nan")]), ("manifest", 3),
+    ])
+    def test_mistyped_or_out_of_range_value(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"run.json: '{key}' must be"):
+            load_config(write(tmp_path, {"version": 1, key: value}))
+
+    def test_profile_overrides_are_validated(self, tmp_path):
+        with pytest.raises(ConfigError, match="'epochs' must be a positive integer"):
+            load_config(write(tmp_path, {"version": 1, "profile": "thumos", "epochs": 0}))
+
     def test_not_an_object(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("[1, 2]")
@@ -53,6 +68,17 @@ class TestLoadConfig:
         path.write_text("{")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+class TestRunConfig:
+    def test_constructor_validates(self):
+        with pytest.raises(ConfigError, match="'nms_iou'"):
+            RunConfig(nms_iou=7)
+        with pytest.raises(ConfigError, match="'anchors'"):
+            RunConfig(anchors=(4, 2))
+
+    def test_anchor_list_becomes_tuple(self):
+        assert RunConfig(anchors=[2, 4]).anchors == (2, 4)
 
 
 class TestProfiles:

@@ -99,6 +99,33 @@ class TestPredictions:
         with pytest.raises(InputError, match=":2:"):
             io.read_predictions_jsonl(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "prediction must be a JSON object"),
+        ('{"video_id": "a", "class": 1, "start_s": 0.0, "end_s": 1.0, "score": "x"}',
+         "'score' must be a number"),
+        ('{"video_id": "a", "class": "1", "start_s": 0.0, "end_s": 1.0, "score": 1.0}',
+         "'class' must be an integer"),
+        ('{"video_id": "a", "class": true, "start_s": 0.0, "end_s": 1.0, "score": 1.0}',
+         "'class' must be an integer"),
+        ('{"video_id": 3, "class": 1, "start_s": 0.0, "end_s": 1.0, "score": 1.0}',
+         "'video_id' must be a string"),
+        ('{"video_id": "a", "class": 1, "start_s": 0.0, "score": 1.0}',
+         "'end_s' must be a number"),
+    ])
+    def test_malformed_line_names_line_and_key(self, tmp_path, line, message):
+        path = tmp_path / "preds.jsonl"
+        good = '{"video_id": "a", "class": 1, "start_s": 0.0, "end_s": 1.0, "score": 1.0}'
+        path.write_text(f"{good}\n{line}\n")
+        with pytest.raises(InputError) as err:
+            io.read_predictions_jsonl(path)
+        assert str(err.value) == f"{path}:2: {message}"
+
+    def test_non_utf8_line(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes(b'\n{"video_id": "\xff"}\n')
+        with pytest.raises(InputError, match=":2: .*utf-8"):
+            io.read_predictions_jsonl(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text("\n")

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import selection_oracle
+from oracles import (
+    anchor_chain_rule,
+    brute_force_gradients,
+    brute_force_inner_gradients,
+    brute_force_inner_loss,
+    brute_force_loss,
+    selection_oracle,
+)
 
-from oicloc import oic
-from oicloc.boundary import AnchorConfig, ClipState, RegressionPair, transform_backward
+from oicloc.boundary import AnchorConfig
 from oicloc.cas import Cas
 from oicloc.errors import InputError, TrainingError
 from oicloc.evaluation import iou
@@ -78,6 +84,26 @@ class TestBuildCandidates:
         assert (grid.X1[5, 1], grid.X2[5, 1]) == (3.0, 9.0)
         assert grid.rounded[:, 5, 1].tolist() == [4, 8, 3, 9]
         assert grid.w[5, 1] == 4.0
+
+    def test_shift_scales_with_anchor_length(self):
+        reg_map = np.zeros((6, 20))
+        reg_map[2, 9] = 0.5  # t_x of the length-4 anchor at position 10
+        grid = build_candidates(reg_map, ANCHORS, 20, 0.25)
+        assert (grid.x1[9, 1], grid.x2[9, 1]) == (10.0, 14.0)
+
+    def test_log_length(self):
+        reg_map = np.zeros((6, 12))
+        reg_map[3, 5] = math.log(2.0)  # t_w of the length-4 anchor at position 6
+        grid = build_candidates(reg_map, ANCHORS, 12, 0.25)
+        assert grid.w[5, 1] == pytest.approx(8.0)
+        assert grid.x2[5, 1] - grid.x1[5, 1] == pytest.approx(8.0)
+
+    def test_rejects_non_finite_regression(self):
+        for slot, bad in ((0, float("nan")), (1, float("inf"))):  # t_x, t_w of anchor 0
+            reg_map = np.zeros((6, 8))
+            reg_map[slot, 3] = bad
+            with pytest.raises(InputError, match="finite"):
+                build_candidates(reg_map, ANCHORS, 8, 0.25)
 
     def test_min_offset_flag_uses_pre_round_width(self):
         reg_map = np.zeros((6, 12))
@@ -250,26 +276,24 @@ class TestTrainingLoss:
             total, grad_out = training_loss(cas, grid, mask, 0.25, loss=loss)
             want_total, want_grad = 0.0, np.zeros_like(grad_out)
             for k, t, m in zip(*np.nonzero(mask)):
-                h = oic.SegmentHypothesis(
-                    grid.x1[t, m], grid.x2[t, m], grid.X1[t, m], grid.X2[t, m], int(k) + 1
-                )
+                row = cas.act[k]
+                bounds = grid.x1[t, m], grid.x2[t, m], grid.X1[t, m], grid.X2[t, m]
                 if loss == "oic":
-                    want_total += oic.oic_forward(cas, h).loss
-                    g = oic.oic_backward(cas, h)
+                    want_total += brute_force_loss(row, *bounds)
+                    g = brute_force_gradients(row, *bounds)
                 else:
-                    want_total += oic.inner_only_forward(cas, h)
-                    g = oic.BoundaryGradients(*oic.inner_only_backward(cas, h), 0.0, 0.0)
-                r = RegressionPair(reg_map[2 * m, t], reg_map[2 * m + 1, t])
-                state = ClipState(min_offset=bool(grid.min_offset[t, m]))
-                d_tx, d_tw = transform_backward(
-                    g, float(t + 1), anchors.scales[m], r, 0.25, state
+                    want_total += brute_force_inner_loss(row, *bounds[:2])
+                    g = (*brute_force_inner_gradients(row, *bounds[:2]), 0.0, 0.0)
+                min_offset = bool(grid.min_offset[t, m])
+                d_tx, d_tw = anchor_chain_rule(
+                    g, anchors.scales[m], reg_map[2 * m + 1, t], 0.25, min_offset
                 )
                 want_grad[2 * m, t] += d_tx
                 want_grad[2 * m + 1, t] += d_tw
-                seen_min_offset += state.min_offset
+                seen_min_offset += min_offset
                 seen_clipped += grid.x1[t, m] == 0.0 or grid.x2[t, m] == T + 1
             assert total == pytest.approx(want_total, rel=1e-12)
-            # relative to the largest slot: where the spec's partials cancel to
+            # relative to the largest slot: where the oracle's partials cancel to
             # exactly 0 (a one-snippet inner area), prefix sums leave ~1e-17
             scale = np.abs(want_grad).max()
             np.testing.assert_allclose(grad_out, want_grad, rtol=1e-12, atol=1e-12 * scale)

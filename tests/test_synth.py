@@ -25,6 +25,14 @@ class TestSynthSpec:
             SynthSpec(num_classes=1, t_range=(40, 50), instances_range=(1, 1),
                       instance_len_range=(2, 5))
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_amp", "x"), ("fps", True), ("num_classes", 2.0), ("t_range", (1, 2, 3)),
+        ("dip_central", 1), ("fps", 0.0),
+    ])
+    def test_rejects_mistyped_or_bad_field(self, field, value):
+        with pytest.raises(InputError, match=field):
+            SynthSpec.from_dict({**SPEC.to_dict(), field: value})
+
     def test_dict_roundtrip(self):
         assert SynthSpec.from_dict(SPEC.to_dict()) == SPEC
 
