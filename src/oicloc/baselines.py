@@ -128,11 +128,7 @@ def detect(
         loss = "oic" if mode == "full" else "inner"
         per_video = lambda v: predict_video(net, v, cfg, loss=loss)
     elif mode == "threshold":
-        per_video = lambda v: [
-            p
-            for k in range(1, v.cas.num_classes + 1)
-            for p in threshold_localize(v.cas, k, cfg.act_min, v.fps, v.video_id)
-        ]
+        per_video = lambda v: threshold_sweep([v], (cfg.act_min,))[cfg.act_min]
     elif mode == "oic_select":
         per_video = lambda v: [
             p

@@ -67,6 +67,11 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     cfg, videos = _load_run(args.config)
     net = NetworkB.load(args.checkpoint) if args.checkpoint else None
+    M = cfg.anchor_config().count
+    if net is not None and (net.anchor_count, net.feature_dim) != (M, cfg.feature_dim):
+        raise ConfigError(f"{args.checkpoint}: checkpoint has {net.anchor_count} anchors and "
+                          f"feature_dim {net.feature_dim}, but {args.config} has {M} anchors "
+                          f"and feature_dim {cfg.feature_dim}")
     preds = baselines.detect(args.mode, videos, cfg, net=net, seed=args.seed)
     io.write_predictions_jsonl(args.out, preds)
     print(f"wrote {len(preds)} predictions to {args.out}")
@@ -109,6 +114,9 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     table = baselines.compare(videos, test_videos, cfg, seed=args.seed)
     for alpha in (0.125, 0.25, 0.5):
+        if alpha == cfg.alpha:  # same config and seed as the "full" entry
+            table[f"full_alpha_{alpha}"] = table["full"]
+            continue
         alpha_cfg = replace(cfg, alpha=alpha)
         alpha_net = train_network(videos, alpha_cfg, seed=args.seed).net
         table[f"full_alpha_{alpha}"] = baselines.detect("full", test_videos, alpha_cfg, alpha_net)
@@ -204,7 +212,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, InputError, TrainingError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)  # one line
         return 2
 
 

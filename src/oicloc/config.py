@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .boundary import AnchorConfig
 from .errors import ConfigError, InputError
-from .io import _is_int, _is_number
+from .io import _is_finite, _is_int, _is_number
 
 CONFIG_VERSION = 1
 
@@ -16,12 +15,12 @@ CONFIG_VERSION = 1
 # (fields, check of each value, what the check asks for)
 _FIELD_RULES = (
     (("anchors",), lambda v: isinstance(v, (list, tuple))
-     and all(_is_number(s) and math.isfinite(s) for s in v), "a list of finite numbers"),
-    (("alpha", "lr"), lambda v: _is_number(v) and 0 < v < math.inf, "a positive number"),
+     and all(map(_is_finite, v)), "a list of finite numbers"),
+    (("alpha", "lr"), lambda v: _is_finite(v) and v > 0, "a positive finite number"),
     (("act_min", "nms_iou", "momentum"), lambda v: _is_number(v) and 0 <= v <= 1,
      "a number in [0, 1]"),
     (("loss_max",), lambda v: _is_number(v) and -1 <= v <= 1, "a number in [-1, 1]"),
-    (("weight_decay",), lambda v: _is_number(v) and 0 <= v < math.inf, "a non-negative number"),
+    (("weight_decay",), lambda v: _is_finite(v) and v >= 0, "a non-negative finite number"),
     (("lr_step", "epochs", "feature_dim", "hidden", "direct_opt_iters"),
      lambda v: _is_int(v) and v >= 1, "a positive integer"),
     (("manifest",), lambda v: v is None or isinstance(v, str), "a string"),
@@ -73,8 +72,8 @@ def load_config(path: str | Path) -> RunConfig:
     """Load a run config JSON; unknown keys, version mismatches and bad values are errors."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -83,7 +82,7 @@ def load_config(path: str | Path) -> RunConfig:
     profile = data.get("profile")
     base = RunConfig()
     if profile is not None:
-        if profile not in PROFILES:
+        if not isinstance(profile, str) or profile not in PROFILES:
             raise ConfigError(f"{path}: unknown profile {profile!r}")
         base = PROFILES[profile]
     known = {f.name for f in fields(RunConfig)}
@@ -95,12 +94,3 @@ def load_config(path: str | Path) -> RunConfig:
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-
-def save_config(path: str | Path, cfg: RunConfig, profile: str | None = None) -> None:
-    data = {"version": CONFIG_VERSION}
-    if profile:
-        data["profile"] = profile
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        data[f.name] = list(value) if isinstance(value, tuple) else value
-    Path(path).write_text(json.dumps(data, indent=1))

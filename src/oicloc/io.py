@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +27,12 @@ def read_cas_csv(path: str | Path) -> Cas:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
+    except (OSError, ValueError) as exc:  # missing file, bad path, not UTF-8
         raise InputError(f"{path}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: empty CSV")
     header = rows[0]
-    if header[0] != "snippet" or any(
+    if header[:1] != ["snippet"] or any(
         name != f"class_{i + 1}" for i, name in enumerate(header[1:])
     ):
         raise InputError(f"{path}: expected header snippet,class_1,...,class_K")
@@ -84,9 +85,14 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    """A JSON number that converts to a finite float (NaN, inf and huge integers do not)."""
+    return _is_number(v) and abs(v) <= sys.float_info.max
+
+
 def _is_segment(g) -> bool:
     return (isinstance(g, dict) and _is_int(g.get("class"))
-            and _is_number(g.get("start_s")) and _is_number(g.get("end_s")))
+            and _is_finite(g.get("start_s")) and _is_finite(g.get("end_s")))
 
 
 # manifest entry key -> (check of its JSON value, what the check asks for)
@@ -94,9 +100,9 @@ _ENTRY_TYPES = {
     "video_id": (lambda v: isinstance(v, str), "a string"),
     "cas_path": (lambda v: isinstance(v, str), "a string"),
     "labels": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
-    "fps": (_is_number, "a number"),
+    "fps": (lambda v: _is_finite(v) and v > 0, "a positive finite number"),
     "gt": (lambda v: isinstance(v, list) and all(map(_is_segment, v)),
-           "a list of objects with integer class and numeric start_s, end_s"),
+           "a list of objects with integer class and finite start_s, end_s"),
 }
 
 
@@ -118,23 +124,20 @@ def read_manifest(path: str | Path) -> list[VideoRecord]:
         for key, (valid, kind) in _ENTRY_TYPES.items():
             if key in entry and not valid(entry[key]):
                 raise InputError(f"{path}: manifest entry {i}: {key!r} must be {kind}")
+        for key in ("video_id", "cas_path", "labels", "fps"):
+            if key not in entry:
+                raise InputError(f"{path}: manifest entry {i} lacks key {key!r}")
+        cas = read_cas_csv(path.parent / entry["cas_path"])
         try:
             gt = None
             if "gt" in entry:
                 gt = tuple(
                     GroundTruthSegment(g["class"], g["start_s"], g["end_s"]) for g in entry["gt"]
                 )
-            videos.append(
-                VideoRecord(
-                    video_id=entry["video_id"],
-                    cas=read_cas_csv(path.parent / entry["cas_path"]),
-                    labels=tuple(entry["labels"]),
-                    fps=entry["fps"],
-                    gt=gt,
-                )
-            )
-        except KeyError as exc:
-            raise InputError(f"{path}: manifest entry {i} lacks key {exc}") from None
+            videos.append(VideoRecord(entry["video_id"], cas, tuple(entry["labels"]),
+                                      entry["fps"], gt))
+        except InputError as exc:  # labels outside 1..K, ground truth with start >= end
+            raise InputError(f"{path}: manifest entry {i}: {exc}") from None
     return videos
 
 
@@ -182,6 +185,11 @@ def read_predictions_jsonl(path: str | Path) -> list[Prediction]:
             for key, (valid, kind) in _PREDICTION_TYPES.items():
                 if not valid(obj.get(key)):
                     raise InputError(f"{path}:{lineno}: {key!r} must be {kind}")
+            for key in ("start_s", "end_s", "score"):
+                if not _is_finite(obj[key]):
+                    raise InputError(f"{path}:{lineno}: {key!r} must be finite")
+            if obj["start_s"] > obj["end_s"]:
+                raise InputError(f"{path}:{lineno}: 'start_s' must not exceed 'end_s'")
             preds.append(Prediction(obj["class"], obj["start_s"], obj["end_s"], obj["score"],
                                     video_id=obj["video_id"]))
     return preds

@@ -109,23 +109,6 @@ def oic_kernel(
     return areas, BoundaryGradients(d_x1, d_x2, d_X1, d_X2)
 
 
-def _inner_only(cas: Cas, h: SegmentHypothesis) -> tuple[OicBreakdown, BoundaryGradients]:
-    rx1, rx2 = round_boundary(h.x1), round_boundary(h.x2)
-    if rx1 < 0 or rx2 > cas.num_snippets + 1:
-        raise InputError(f"rounded inner [{rx1}, {rx2}] outside padded grid")
-    return oic_kernel(cas.padded_row(h.k)[None], 0, rx1, rx2, rx1, rx2, inner_only=True)
-
-
-def inner_only_forward(cas: Cas, h: SegmentHypothesis) -> float:
-    """Negated average inner activation; the outer boundary is ignored."""
-    return float(_inner_only(cas, h)[0].loss)
-
-
-def inner_only_backward(cas: Cas, h: SegmentHypothesis) -> tuple[float, float]:
-    g = _inner_only(cas, h)[1]
-    return float(g.d_x1), float(g.d_x2)
-
-
 def step_filter_weights(h: SegmentHypothesis, T: int) -> tuple[int, np.ndarray, float]:
     """Signed step-filter profile over [round(X1), round(X2)].
 

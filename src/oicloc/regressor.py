@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError, TrainingError, UsageError
+from .io import _is_int
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -65,8 +66,10 @@ class NetworkB:
         hidden: int = 128,
         seed: int = 0,
     ):
-        if feature_dim < 1 or anchor_count < 1 or hidden < 1:
-            raise ConfigError("feature_dim, anchor_count and hidden must be >= 1")
+        dims = {"feature_dim": feature_dim, "anchor_count": anchor_count, "hidden": hidden}
+        for name, value in dims.items():
+            if not (_is_int(value) and value >= 1):
+                raise ConfigError(f"{name!r} must be a positive integer, got {value!r}")
         self.feature_dim = feature_dim
         self.anchor_count = anchor_count
         self.hidden = hidden
@@ -190,7 +193,7 @@ class NetworkB:
     def from_dict(cls, data: dict) -> "NetworkB":
         if not isinstance(data, dict):
             raise ConfigError("checkpoint must be a JSON object")
-        if data.get("version") not in (1, CHECKPOINT_VERSION):
+        if data.get("version") != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {data.get('version')!r}")
         missing = {"feature_dim", "anchor_count", "hidden", "tensors"} - set(data)
         if missing:
@@ -210,8 +213,8 @@ class NetworkB:
     @classmethod
     def load(cls, path: str | Path) -> "NetworkB":
         try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except (ConfigError, json.JSONDecodeError) as exc:
+            return cls.from_dict(json.loads(Path(path).read_bytes()))
+        except (ConfigError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -221,13 +224,10 @@ def _encode(a: np.ndarray) -> dict:
 
 
 def _decode(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Tensor ``name`` of a v2 (``f8`` bytes) or v1 (``values`` float list) checkpoint."""
+    """Tensor ``name`` of a checkpoint, stored as ``f8`` bytes (see :func:`_encode`)."""
     try:
         spec = tensors[name]
-        if "f8" in spec:
-            flat = np.frombuffer(base64.b64decode(spec["f8"], validate=True), dtype="<f8")
-        else:
-            flat = np.array(spec["values"], dtype=np.float64)
+        flat = np.frombuffer(base64.b64decode(spec["f8"], validate=True), dtype="<f8")
         a = flat.astype(np.float64).reshape(spec["shape"])
     except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise ConfigError(f"checkpoint tensor {name} is malformed: {exc!r}") from None
@@ -236,20 +236,7 @@ def _decode(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return a
 
 
-@dataclass
-class SgdConfig:
-    lr: float = 1e-3
-    lr_step: int = 200
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-
-
-@dataclass
-class SgdState:
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def learning_rate(cfg: SgdConfig, iteration: int) -> float:
+def learning_rate(cfg: RunConfig, iteration: int) -> float:
     """Base lr divided by 10 every lr_step iterations (one iteration = one video)."""
     return cfg.lr * 0.1 ** (iteration // cfg.lr_step)
 
@@ -257,11 +244,12 @@ def learning_rate(cfg: SgdConfig, iteration: int) -> float:
 def sgd_step(
     net: NetworkB,
     grads: dict[str, np.ndarray],
-    cfg: SgdConfig,
-    state: SgdState,
+    cfg: RunConfig,
+    velocity: dict[str, np.ndarray],
     iteration: int,
 ) -> None:
-    """In-place momentum SGD with weight decay and the step lr schedule."""
+    """In-place momentum SGD with weight decay and the step lr schedule;
+    ``velocity`` holds the momentum buffers by parameter name."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in {name} at iteration {iteration}")
@@ -271,7 +259,7 @@ def sgd_step(
         if g is None:
             continue
         update = g + cfg.weight_decay * p
-        v = state.velocity.get(name)
+        v = velocity.get(name)
         v = update if v is None else cfg.momentum * v + update
-        state.velocity[name] = v
+        velocity[name] = v
         net.params[name] = p - lr * v

@@ -116,12 +116,6 @@ def nms_order(score: np.ndarray, lo: np.ndarray, hi: np.ndarray, iou_thresh: flo
     return kept
 
 
-def nms(preds: list[Prediction], iou_thresh: float) -> list[Prediction]:
-    """Greedy same-class suppression: keep the best score, drop IoU > thresh."""
-    spans = [(p.score, p.start_s, p.end_s) for p in preds]
-    return [preds[i] for i in nms_order(*np.reshape(spans, (-1, 3)).T, iou_thresh)]
-
-
 def _check_loss(loss: str) -> None:
     if loss not in ("oic", "inner"):
         raise InputError(f"unknown loss variant {loss!r}")

@@ -8,7 +8,7 @@ from .cas import VideoRecord
 from .config import RunConfig
 from .errors import TrainingError
 from .features import cas_to_features
-from .regressor import NetworkB, SgdConfig, SgdState, sgd_step
+from .regressor import NetworkB, sgd_step
 from .selection import Prediction, build_candidates, select, training_loss
 
 log = logging.getLogger("oicloc")
@@ -27,37 +27,27 @@ def new_network(cfg: RunConfig, seed: int) -> NetworkB:
 
 
 def train_network(
-    corpus: list[VideoRecord],
-    cfg: RunConfig,
-    seed: int = 0,
-    loss: str = "oic",
-    net: NetworkB | None = None,
-    start_iteration: int = 0,
+    corpus: list[VideoRecord], cfg: RunConfig, seed: int = 0, loss: str = "oic"
 ) -> TrainResult:
     """Train the boundary regressor on a corpus with the selection-layer loss."""
     if not corpus:
         raise ValueError("training requires at least one video")
-    if net is None:
-        net = new_network(cfg, seed)
-    anchors = cfg.anchor_config()
-    opt = SgdConfig(cfg.lr, cfg.lr_step, cfg.momentum, cfg.weight_decay)
-    state = SgdState()
-    result = TrainResult(net)
-    iteration = start_iteration
+    result = TrainResult(new_network(cfg, seed))
+    velocity: dict = {}
     for epoch in range(cfg.epochs):
-        for video in corpus:
-            step_loss = train_step(net, video, cfg, anchors, opt, state, iteration, loss)
-            result.losses.append(step_loss)
-            iteration += 1
+        for i, video in enumerate(corpus):
+            iteration = epoch * len(corpus) + i
+            result.losses.append(train_step(result.net, video, cfg, velocity, iteration, loss))
         log.info("epoch %d done, last loss %.4f", epoch, result.losses[-1])
     return result
 
 
-def train_step(net, video, cfg, anchors, opt, state, iteration, loss="oic") -> float:
+def train_step(net, video, cfg, velocity, iteration, loss="oic") -> float:
+    """One optimizer step on one video; returns the summed selection loss."""
     feat = cas_to_features(video.cas, cfg.feature_dim)
     reg_map, cache = net.forward(feat, mode="train")
     try:
-        grid = build_candidates(reg_map, anchors, video.cas.num_snippets, cfg.alpha)
+        grid = build_candidates(reg_map, cfg.anchor_config(), video.cas.num_snippets, cfg.alpha)
     except TrainingError as err:
         raise TrainingError(f"iteration {iteration}, video {video.video_id}: {err}") from err
     mask, _ = select(
@@ -72,7 +62,7 @@ def train_step(net, video, cfg, anchors, opt, state, iteration, loss="oic") -> f
     )
     total, grad_out = training_loss(video.cas, grid, mask, cfg.alpha, loss=loss)
     grads = net.backward(cache, grad_out)
-    sgd_step(net, grads, opt, state, iteration)
+    sgd_step(net, grads, cfg, velocity, iteration)
     return total
 
 

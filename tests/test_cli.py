@@ -4,6 +4,7 @@ import pytest
 
 from oicloc import io
 from oicloc.cli import main
+from oicloc.regressor import NetworkB
 
 SPEC = {
     "num_classes": 2,
@@ -120,6 +121,20 @@ class TestBadInput:
         err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n", entry)
         assert "manifest entry 0 lacks key 'fps'" in err
 
+    def test_cas_csv_with_blank_header_line(self, tmp_path, capsys):
+        err = self.train(tmp_path, capsys, "\nsnippet,class_1\n1,0.5\n")
+        assert "v.csv: expected header" in err
+
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
+    def test_non_finite_fps(self, tmp_path, capsys, fps):
+        err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n", {**self.ENTRY, "fps": fps})
+        assert "manifest.json: manifest entry 0: 'fps' must be a positive finite number" in err
+
+    def test_newline_in_cas_path_stays_on_one_line(self, tmp_path, capsys):
+        err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n",
+                         {**self.ENTRY, "cas_path": "a\nb.csv"})
+        assert "a\\nb.csv" in err
+
     def test_non_utf8_cas_csv(self, tmp_path, capsys):
         err = self.train(tmp_path, capsys, b"snippet,class_1\n1,0.5\xff\n")
         assert "v.csv: " in err and "utf-8" in err
@@ -147,6 +162,46 @@ class TestBadInput:
         assert not (tmp_path / "c").exists()
 
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"version": 1, "profile": []}', "unknown profile []"),
+        (b'{"version": 1, "profile": "\xff"}', "utf-8"),
+    ])
+    def test_bad_config_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert message in err
+
+    def predict(self, workspace, tmp_path, capsys, checkpoint):
+        code = main(["predict", "--config", str(workspace / "run.json"), "--checkpoint",
+                     str(checkpoint), "--out", str(tmp_path / "p.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {checkpoint}: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("key", ["feature_dim", "anchor_count", "hidden"])
+    @pytest.mark.parametrize("value", ["8", None, 1.5])
+    def test_mistyped_checkpoint_dimension(self, workspace, tmp_path, capsys, key, value):
+        data = NetworkB(feature_dim=8, anchor_count=3, hidden=8).to_dict()
+        data[key] = value
+        (tmp_path / "ckpt.json").write_text(json.dumps(data))
+        err = self.predict(workspace, tmp_path, capsys, tmp_path / "ckpt.json")
+        assert f"'{key}' must be a positive integer" in err
+
+    def test_non_utf8_checkpoint(self, workspace, tmp_path, capsys):
+        (tmp_path / "ckpt.json").write_bytes(b'{"version": 2, "hidden": "\xff"}')
+        assert "utf-8" in self.predict(workspace, tmp_path, capsys, tmp_path / "ckpt.json")
+
+    def test_checkpoint_config_mismatch(self, workspace, tmp_path, capsys):
+        NetworkB(feature_dim=8, anchor_count=2, hidden=8).save(tmp_path / "ckpt.json")
+        err = self.predict(workspace, tmp_path, capsys, tmp_path / "ckpt.json")
+        assert "checkpoint has 2 anchors and feature_dim 8" in err
+        assert "run.json has 3 anchors and feature_dim 8" in err
+
     @pytest.mark.parametrize("key, value", [("alpha", "0.25"), ("hidden", "8"), ("epochs", -3)])
     def test_bad_config_value(self, tmp_path, capsys, key, value):
         (tmp_path / "run.json").write_text(json.dumps({"version": 1, key: value}))
@@ -156,8 +211,11 @@ class TestBadInput:
         assert err.startswith(f"error: {tmp_path / 'run.json'}: '{key}' must be")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("line", ["[1, 2]", '{"video_id": "a", "class": 1, "start_s": 0.0, '
-                                      '"end_s": 1.0, "score": "x"}', b"\xff"])
+    @pytest.mark.parametrize("line", [
+        "[1, 2]", '{"video_id": "a", "class": 1, "start_s": 0.0, "end_s": 1.0, "score": "x"}',
+        b"\xff", '{"video_id": "a", "class": 1, "start_s": 2.0, "end_s": 1.0, "score": 1.0}',
+        '{"video_id": "a", "class": 1, "start_s": 0.0, "end_s": 1.0, "score": NaN}',
+    ])
     def test_bad_predictions_line(self, workspace, tmp_path, capsys, line):
         pred = tmp_path / "preds.jsonl"
         pred.write_bytes(line if isinstance(line, bytes) else line.encode())
@@ -188,3 +246,6 @@ class TestAblate:
         assert thresholds == {f"threshold_{round(0.1 * i, 1)}" for i in range(1, 10)}
         plot_files = list((out / "plot_data").glob("*.csv"))
         assert len(plot_files) == 6
+        # the run config's own alpha reuses the "full" entry instead of retraining
+        full = (out / "preds_full.jsonl").read_bytes()
+        assert (out / "preds_full_alpha_0.25.jsonl").read_bytes() == full

@@ -1,0 +1,151 @@
+"""Fuzz tests for the readers: any input gives a valid object or a ConfigError /
+InputError (which ``oicloc`` reports on one line before exiting 2)."""
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oicloc import io
+from oicloc.cas import Cas, VideoRecord
+from oicloc.config import RunConfig, load_config
+from oicloc.errors import ConfigError, InputError
+from oicloc.regressor import NetworkB
+from oicloc.selection import Prediction
+from oicloc.synth import SynthSpec
+
+FUZZ = settings(max_examples=80, deadline=None)
+
+
+def json_values(ints=st.integers()):
+    """Arbitrary JSON documents, NaN and infinities included."""
+    scalars = st.none() | st.booleans() | ints | st.floats() | st.text(max_size=6)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+def mutations(base: dict, values):
+    """``base`` with one key replaced by an arbitrary value, or dropped."""
+    keys = st.sampled_from(sorted(base))
+    replaced = st.builds(lambda k, v: {**base, k: v}, keys, values)
+    dropped = keys.map(lambda k: {kk: v for kk, v in base.items() if kk != k})
+    return replaced | dropped
+
+
+def documents(base: dict, values=json_values()):
+    """JSON text of a mutated ``base``, of any JSON value, or raw bytes."""
+    as_text = st.one_of(mutations(base, values), values).map(lambda d: json.dumps(d).encode())
+    return as_text | st.binary(max_size=60)
+
+
+def read(reader, path, data: bytes, errors):
+    """Write ``data`` to ``path`` and read it; None if it raised one of ``errors``."""
+    path.write_bytes(data)
+    try:
+        return reader(path)
+    except errors:
+        return None
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "v.csv").write_text("snippet,class_1,class_2\n1,0.5,0.1\n2,0.9,0.0\n")
+    return root
+
+
+ENTRY = {"video_id": "v", "cas_path": "v.csv", "labels": [1], "fps": 30.0,
+         "gt": [{"class": 1, "start_s": 0.0, "end_s": 0.5}]}
+CAS_PATHS = st.sampled_from(["v.csv", "missing.csv", "", ".", "v\x00.csv"])
+
+
+@FUZZ
+@given(entry=st.one_of(mutations(ENTRY, json_values()),
+                       st.builds(lambda p: {**ENTRY, "cas_path": p}, CAS_PATHS)))
+def test_read_manifest(workdir, entry):
+    videos = read(io.read_manifest, workdir / "manifest.json", json.dumps([entry]).encode(),
+                  InputError)
+    if videos is not None:
+        assert len(videos) == 1 and isinstance(videos[0], VideoRecord)
+        assert math.isfinite(videos[0].fps) and videos[0].fps > 0
+
+
+@FUZZ
+@given(data=st.binary(max_size=60) | json_values().map(lambda d: json.dumps(d).encode()))
+def test_read_manifest_any_document(workdir, data):
+    read(io.read_manifest, workdir / "manifest.json", data, InputError)
+
+
+CELLS = st.sampled_from(["0.5", "1", "0", "-0", "nan", "inf", "1e400", "2", "", "x", "1\n"])
+
+
+@FUZZ
+@given(data=st.binary(max_size=60) | st.lists(
+    st.lists(CELLS, min_size=1, max_size=3), max_size=4
+).map(lambda rows: "\n".join(",".join(r) for r in [["snippet", "class_1"], *rows]).encode()))
+def test_read_cas_csv(workdir, data):
+    cas = read(io.read_cas_csv, workdir / "cas.csv", data, InputError)
+    if cas is not None:
+        assert isinstance(cas, Cas)
+
+
+CONFIG = {"version": 1, "profile": "synthetic", "manifest": "m.json", "anchors": [2, 4],
+          "alpha": 0.25, "lr": 1e-3, "epochs": 2, "feature_dim": 8}
+
+
+@FUZZ
+@given(data=documents(CONFIG))
+def test_load_config(workdir, data):
+    cfg = read(load_config, workdir / "run.json", data, ConfigError)
+    if cfg is not None:
+        assert isinstance(cfg, RunConfig)
+
+
+PREDICTION = {"video_id": "a", "class": 1, "start_s": 0.0, "end_s": 1.0, "score": 1.5}
+
+
+@FUZZ
+@given(lines=st.lists(
+    mutations(PREDICTION, st.floats()).map(lambda d: json.dumps(d).encode())
+    | documents(PREDICTION), max_size=3))
+def test_read_predictions_jsonl(workdir, lines):
+    preds = read(io.read_predictions_jsonl, workdir / "p.jsonl", b"\n".join(lines), InputError)
+    for p in preds or ():
+        assert isinstance(p, Prediction)
+        assert all(map(math.isfinite, (p.start_s, p.end_s, p.score)))
+        assert p.start_s <= p.end_s
+
+
+SPEC = {"num_classes": 2, "t_range": [30, 45], "instances_range": [1, 2], "noise_amp": 0.02}
+
+
+@FUZZ
+@given(value=st.one_of(mutations(SPEC, json_values()), json_values()))
+def test_synth_spec_from_dict(value):
+    try:
+        assert isinstance(SynthSpec.from_dict(value), SynthSpec)
+    except InputError:
+        pass
+
+
+# small integers only: the network allocates its parameters from the header
+CHECKPOINT = NetworkB(feature_dim=2, anchor_count=1, hidden=3).to_dict()
+SMALL = json_values(st.integers(-2, 8))
+
+
+@FUZZ
+@given(data=documents(CHECKPOINT, SMALL) | st.builds(
+    lambda name, spec: json.dumps(
+        {**CHECKPOINT, "tensors": {**CHECKPOINT["tensors"], name: spec}}).encode(),
+    st.sampled_from(sorted(CHECKPOINT["tensors"])),
+    mutations(CHECKPOINT["tensors"]["conv0.b"], SMALL),
+))
+def test_checkpoint_load(workdir, data):
+    net = read(NetworkB.load, workdir / "ckpt.json", data, ConfigError)
+    if net is not None:
+        assert isinstance(net, NetworkB)

@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_inner_loss, brute_force_loss
 
+from oicloc.boundary import round_boundary
 from oicloc.cas import Cas
 from oicloc.errors import DegenerateOuterError, InputError
 from oicloc.oic import (
     SegmentHypothesis,
-    inner_only_backward,
-    inner_only_forward,
     oic_backward,
     oic_forward,
+    oic_kernel,
     step_filter_weights,
 )
 
@@ -85,6 +85,13 @@ class TestBackward:
         assert g.d_x2 == pytest.approx(0.0, abs=1e-12)
 
 
+def inner_only(cas, h):
+    """Inner-only (loss, d_x1, d_x2) of one hypothesis; its outer boundary is ignored."""
+    rx1, rx2 = round_boundary(h.x1), round_boundary(h.x2)
+    areas, g = oic_kernel(cas.padded_row(h.k)[None], 0, rx1, rx2, rx1, rx2, inner_only=True)
+    return float(areas.loss), float(g.d_x1), float(g.d_x2)
+
+
 class TestInnerOnly:
     def test_forward_matches_brute_force(self, rng):
         for _ in range(200):
@@ -92,12 +99,12 @@ class TestInnerOnly:
             cas = Cas(rng.uniform(0, 1, size=(1, T)))
             h = random_hypothesis(rng, T)
             expected = brute_force_inner_loss(cas.act[0], h.x1, h.x2)
-            assert inner_only_forward(cas, h) == pytest.approx(expected, abs=1e-12)
+            assert inner_only(cas, h)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_ignores_outer_boundary(self):
         cas = Cas(np.array([[0.2, 0.9, 0.8, 0.1, 0.3, 0.7]]))
-        a = inner_only_forward(cas, SegmentHypothesis(2.0, 3.0, 1.0, 4.0, 1))
-        b = inner_only_forward(cas, SegmentHypothesis(2.0, 3.0, 0.0, 6.0, 1))
+        a = inner_only(cas, SegmentHypothesis(2.0, 3.0, 1.0, 4.0, 1))
+        b = inner_only(cas, SegmentHypothesis(2.0, 3.0, 0.0, 6.0, 1))
         assert a == b
 
     def test_backward_matches_discrete_difference(self, rng):
@@ -107,10 +114,10 @@ class TestInnerOnly:
             x1 = float(rng.integers(3, T - 14))
             x2 = x1 + 10.0
             h = SegmentHypothesis(x1, x2, x1 - 1.0, x2 + 1.0, 1)
-            d_x1, d_x2 = inner_only_backward(cas, h)
+            _, d_x1, d_x2 = inner_only(cas, h)
 
             def loss(a, b):
-                return inner_only_forward(cas, SegmentHypothesis(a, b, a - 1, b + 1, 1))
+                return inner_only(cas, SegmentHypothesis(a, b, a - 1, b + 1, 1))[0]
 
             fd_x1 = (loss(x1 + 1, x2) - loss(x1 - 1, x2)) / 2.0
             fd_x2 = (loss(x1, x2 + 1) - loss(x1, x2 - 1)) / 2.0

@@ -21,7 +21,7 @@ from oicloc.evaluation import iou
 from oicloc.selection import (
     Prediction,
     build_candidates,
-    nms,
+    nms_order,
     select,
     snippet_to_time,
     training_loss,
@@ -135,6 +135,12 @@ class TestBuildCandidates:
     def test_rejects_wrong_reg_shape(self):
         with pytest.raises(InputError):
             build_candidates(np.zeros((5, 8)), ANCHORS, 8, 0.25)
+
+
+def nms(preds, iou_thresh):
+    """Greedy same-class suppression of predictions through ``nms_order``."""
+    spans = np.reshape([(p.score, p.start_s, p.end_s) for p in preds], (-1, 3))
+    return [preds[i] for i in nms_order(*spans.T, iou_thresh)]
 
 
 class TestNms:

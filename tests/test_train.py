@@ -5,7 +5,7 @@ from oicloc.config import RunConfig
 from oicloc.errors import TrainingError
 from oicloc.features import cas_to_features
 from oicloc.synth import SynthSpec, synth_corpus
-from oicloc.train import new_network, predict_video, train_network
+from oicloc.train import new_network, predict_video, train_network, train_step
 
 SPEC = SynthSpec(
     num_classes=2,
@@ -74,13 +74,13 @@ class TestTrainNetwork:
         net = new_network(CFG, 0)
         net.params["pred.b"][1] = 800.0  # t_w of anchor 0 overflows exp
         with pytest.raises(TrainingError, match=r"iteration 7, .*anchor 0"):
-            train_network(corpus[:1], CFG, net=net, start_iteration=7)
+            train_step(net, corpus[0], CFG, {}, 7)
 
     def test_collapsed_scale_names_the_iteration(self, corpus):
         net = new_network(CFG, 0)
         net.params["pred.b"][1] = -800.0  # t_w of anchor 0 underflows to zero width
         with pytest.raises(TrainingError, match=r"iteration 7, .*collapses.*anchor 0"):
-            train_network(corpus[:1], CFG, net=net, start_iteration=7)
+            train_step(net, corpus[0], CFG, {}, 7)
 
 
 class TestPredictVideo:
