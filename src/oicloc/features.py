@@ -7,6 +7,8 @@ is a package constant so that training and inference always agree.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .cas import Cas
@@ -17,6 +19,13 @@ _EMBED_SEED = 180907
 def cas_to_features(cas: Cas, feature_dim: int) -> np.ndarray:
     """Lift a K x T CAS to a feature_dim x T feature map, deterministically."""
     aug = np.vstack([cas.act, cas.act.max(axis=0, keepdims=True)])
-    rng = np.random.default_rng(_EMBED_SEED + cas.num_classes)
-    proj = rng.standard_normal((feature_dim, aug.shape[0])) / np.sqrt(aug.shape[0])
-    return np.tanh(proj @ aug)
+    return np.tanh(_projection(cas.num_classes, feature_dim) @ aug)
+
+
+@functools.lru_cache(maxsize=16)
+def _projection(num_classes: int, feature_dim: int) -> np.ndarray:
+    """The fixed feature_dim x (K+1) random lift, drawn once per shape, read-only."""
+    rng = np.random.default_rng(_EMBED_SEED + num_classes)
+    proj = rng.standard_normal((feature_dim, num_classes + 1)) / np.sqrt(num_classes + 1)
+    proj.setflags(write=False)
+    return proj

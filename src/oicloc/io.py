@@ -14,12 +14,13 @@ from .selection import Prediction
 
 
 def write_cas_csv(path: str | Path, cas: Cas) -> None:
-    K, T = cas.num_classes, cas.num_snippets
+    """One ``snippet,class_1..class_K`` row per snippet, each value as its repr,
+    with the CSV dialect's ``\\r\\n`` line ends (no value needs quoting)."""
+    lines = ["snippet," + ",".join(f"class_{k}" for k in range(1, cas.num_classes + 1))]
+    lines += [f"{t}," + ",".join(map(repr, row))
+              for t, row in enumerate(cas.act.T.tolist(), start=1)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snippet"] + [f"class_{k}" for k in range(1, K + 1)])
-        for t in range(1, T + 1):
-            writer.writerow([t] + [repr(float(v)) for v in cas.act[:, t - 1]])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def read_cas_csv(path: str | Path) -> Cas:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,8 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndar
     ksz = w.shape[2]
     pad = (ksz - 1) // 2
     T = x.shape[1]
-    xp = np.pad(x, ((0, 0), (pad, pad)))
+    xp = np.zeros((x.shape[0], T + 2 * pad))
+    xp[:, pad : pad + T] = x
     y = w[:, :, 0] @ xp[:, :T]
     for i in range(1, ksz):
         y += w[:, :, i] @ xp[:, i : i + T]
@@ -41,23 +43,73 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndar
 
 
 def conv1d_backward(
-    xp: np.ndarray, w: np.ndarray, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of a same-padded temporal convolution, per tap."""
+    xp: np.ndarray, w: np.ndarray, dy: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients (dx, dw, db) of a same-padded temporal convolution, per tap;
+    ``dx`` is None without ``input_grad``."""
     ksz = w.shape[2]
     pad = (ksz - 1) // 2
     T = dy.shape[1]
     dw = np.stack([dy @ xp[:, i : i + T].T for i in range(ksz)], axis=2)
     db = dy.sum(axis=1)
+    if not input_grad:
+        return None, dw, db
     dxp = np.zeros_like(xp)
     for i in range(ksz):
         dxp[:, i : i + T] += w[:, :, i].T @ dy
-    dx = dxp[:, pad : xp.shape[1] - pad]
-    return dx, dw, db
+    return dxp[:, pad : xp.shape[1] - pad], dw, db
+
+
+def _parameter_shapes(feature_dim: int, anchor_count: int, hidden: int) -> dict[str, tuple]:
+    """Every parameter's shape by name, in initialization and checkpoint order."""
+    dims = {"feature_dim": feature_dim, "anchor_count": anchor_count, "hidden": hidden}
+    for name, value in dims.items():
+        if not (_is_int(value) and value >= 1):
+            raise ConfigError(f"{name!r} must be a positive integer, got {value!r}")
+    widths = [feature_dim] + [hidden] * HIDDEN_LAYERS
+    shapes = {}
+    for i in range(HIDDEN_LAYERS):
+        shapes[f"conv{i}.w"] = (widths[i + 1], widths[i], KERNEL)
+        for part in (f"conv{i}.b", f"bn{i}.gamma", f"bn{i}.beta"):
+            shapes[part] = (widths[i + 1],)
+    shapes["pred.w"] = (2 * anchor_count, hidden, KERNEL)
+    shapes["pred.b"] = (2 * anchor_count,)
+    return shapes
+
+
+# the order backward produces gradients: a blow-up is named where it starts
+_BACKWARD_ORDER = ("pred.w", "pred.b") + tuple(
+    f"{part}{i}.{kind}" for i in reversed(range(HIDDEN_LAYERS))
+    for part, kind in (("bn", "gamma"), ("bn", "beta"), ("conv", "w"), ("conv", "b"))
+)
+
+
+class FlatTensors(dict):
+    """Tensors by name, each a view into the one float64 vector ``flat``.
+
+    ``layout`` maps each name to its (offset, shape) in ``flat``; ``names``
+    orders the views (default: layout order). Assigning a name copies the
+    value into its view, so ``flat`` stays the only storage.
+    """
+
+    def __init__(self, flat: np.ndarray, layout: dict, names=None):
+        views = {}
+        for name in layout if names is None else names:
+            offset, shape = layout[name]
+            views[name] = flat[offset : offset + math.prod(shape)].reshape(shape)
+        super().__init__(views)
+        self.flat = flat
+
+    def __setitem__(self, name, value) -> None:
+        self[name][...] = value
 
 
 class NetworkB:
-    """Parameters and manual forward/backward of the localization network."""
+    """Parameters and manual forward/backward of the localization network.
+
+    Every parameter lives in one flat float64 vector, ``params.flat``;
+    ``params[name]`` is a view into it.
+    """
 
     def __init__(
         self,
@@ -66,33 +118,30 @@ class NetworkB:
         hidden: int = 128,
         seed: int = 0,
     ):
-        dims = {"feature_dim": feature_dim, "anchor_count": anchor_count, "hidden": hidden}
-        for name, value in dims.items():
-            if not (_is_int(value) and value >= 1):
-                raise ConfigError(f"{name!r} must be a positive integer, got {value!r}")
+        self._allocate(feature_dim, anchor_count, hidden)
+        rng = np.random.default_rng(seed)
+        for i in range(HIDDEN_LAYERS):
+            w = self.params[f"conv{i}.w"]
+            limit = 1.0 / np.sqrt(w.shape[1] * KERNEL)
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+            self.params[f"bn{i}.gamma"] = 1.0
+        # biases, betas and pred stay zero: training starts from identity anchors
+
+    def _allocate(self, feature_dim: int, anchor_count: int, hidden: int) -> None:
+        """Zeroed parameters and default running statistics."""
         self.feature_dim = feature_dim
         self.anchor_count = anchor_count
         self.hidden = hidden
-        self.params: dict[str, np.ndarray] = {}
-        rng = np.random.default_rng(seed)
-        widths = [feature_dim] + [hidden] * HIDDEN_LAYERS
-        for i in range(HIDDEN_LAYERS):
-            fan_in = widths[i] * KERNEL
-            limit = 1.0 / np.sqrt(fan_in)
-            self.params[f"conv{i}.w"] = rng.uniform(
-                -limit, limit, size=(widths[i + 1], widths[i], KERNEL)
-            )
-            self.params[f"conv{i}.b"] = np.zeros(widths[i + 1])
-            self.params[f"bn{i}.gamma"] = np.ones(widths[i + 1])
-            self.params[f"bn{i}.beta"] = np.zeros(widths[i + 1])
-        # zero-init pred so training starts from identity anchors
-        self.params["pred.w"] = np.zeros((2 * anchor_count, hidden, KERNEL))
-        self.params["pred.b"] = np.zeros(2 * anchor_count)
+        self._layout, offset = {}, 0
+        for name, shape in _parameter_shapes(feature_dim, anchor_count, hidden).items():
+            self._layout[name] = (offset, shape)
+            offset += math.prod(shape)
+        self.params = FlatTensors(np.zeros(offset), self._layout)
         self.running_mean = [np.zeros(hidden) for _ in range(HIDDEN_LAYERS)]
         self.running_var = [np.ones(hidden) for _ in range(HIDDEN_LAYERS)]
 
     def num_parameters(self) -> int:
-        return sum(int(p.size) for p in self.params.values())
+        return self.params.flat.size
 
     def forward(self, feat: np.ndarray, mode: str = "infer"):
         """Run the net over a D x T feature map.
@@ -114,7 +163,8 @@ class NetworkB:
             z, xp = conv1d_forward(x, self.params[f"conv{i}.w"], self.params[f"conv{i}.b"])
             if train:
                 mu = z.mean(axis=1)
-                var = z.var(axis=1)
+                zc = z - mu[:, None]
+                var = (zc * zc).sum(axis=1) / z.shape[1]  # bit-equal to z.var(axis=1)
                 self.running_mean[i] = (
                     BN_MOMENTUM * self.running_mean[i] + (1 - BN_MOMENTUM) * mu
                 )
@@ -122,16 +172,16 @@ class NetworkB:
                     BN_MOMENTUM * self.running_var[i] + (1 - BN_MOMENTUM) * var
                 )
             else:
-                mu = self.running_mean[i]
+                zc = z - self.running_mean[i][:, None]
                 var = self.running_var[i]
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (z - mu[:, None]) * inv_std[:, None]
+            xhat = zc * inv_std[:, None]
             y = self.params[f"bn{i}.gamma"][:, None] * xhat + self.params[f"bn{i}.beta"][:, None]
             relu_mask = y > 0
             out = y * relu_mask
             if train:
                 cache["layers"].append(
-                    {"xp": xp, "z": z, "mu": mu, "inv_std": inv_std, "xhat": xhat,
+                    {"xp": xp, "zc": zc, "inv_std": inv_std, "xhat": xhat,
                      "relu_mask": relu_mask}
                 )
             x = out
@@ -141,8 +191,11 @@ class NetworkB:
             return reg, cache
         return reg
 
-    def backward(self, cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact parameter gradients for a train-mode forward."""
+    def backward(self, cache, grad_out: np.ndarray) -> FlatTensors:
+        """Exact parameter gradients for a train-mode forward, as views of one
+        flat vector laid out like ``params.flat`` (assigning copies into them).
+        The feature map's gradient is not computed: nothing upstream of the
+        net is trained."""
         if cache is None or "pred_xp" not in cache:
             raise UsageError("backward needs the cache from a train-mode forward")
         grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -150,7 +203,7 @@ class NetworkB:
             raise UsageError(
                 f"grad_out shape {grad_out.shape} does not match cached forward"
             )
-        grads: dict[str, np.ndarray] = {}
+        grads = FlatTensors(np.empty(self.params.flat.size), self._layout, _BACKWARD_ORDER)
         dx, grads["pred.w"], grads["pred.b"] = conv1d_backward(
             cache["pred_xp"], self.params["pred.w"], grad_out
         )
@@ -160,9 +213,9 @@ class NetworkB:
             grads[f"bn{i}.gamma"] = (dy * lay["xhat"]).sum(axis=1)
             grads[f"bn{i}.beta"] = dy.sum(axis=1)
             # batch-norm backward with batch statistics over the time axis
-            n = lay["z"].shape[1]
+            zc = lay["zc"]
+            n = zc.shape[1]
             dxhat = dy * self.params[f"bn{i}.gamma"][:, None]
-            zc = lay["z"] - lay["mu"][:, None]
             inv_std = lay["inv_std"][:, None]
             dvar = (dxhat * zc * -0.5 * inv_std**3).sum(axis=1, keepdims=True)
             dmu = (-dxhat * inv_std).sum(axis=1, keepdims=True) + dvar * (-2.0 / n) * zc.sum(
@@ -170,7 +223,7 @@ class NetworkB:
             )
             dz = dxhat * inv_std + dvar * 2.0 * zc / n + dmu / n
             dx, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = conv1d_backward(
-                lay["xp"], self.params[f"conv{i}.w"], dz
+                lay["xp"], self.params[f"conv{i}.w"], dz, input_grad=i > 0
             )
         return grads
 
@@ -191,6 +244,9 @@ class NetworkB:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkB":
+        """The network a checkpoint describes. Every tensor entry is checked
+        against the shape the header implies before anything is allocated, so
+        the memory a checkpoint asks for is bounded by its own size."""
         if not isinstance(data, dict):
             raise ConfigError("checkpoint must be a JSON object")
         if data.get("version") != CHECKPOINT_VERSION:
@@ -198,13 +254,23 @@ class NetworkB:
         missing = {"feature_dim", "anchor_count", "hidden", "tensors"} - set(data)
         if missing:
             raise ConfigError(f"checkpoint lacks keys {sorted(missing)}")
-        net = cls(data["feature_dim"], data["anchor_count"], hidden=data["hidden"])
-        tensors = data["tensors"]
-        for name, p in net.params.items():
-            net.params[name] = _decode(tensors, name, p.shape)
+        dims = data["feature_dim"], data["anchor_count"], data["hidden"]
+        shapes = _parameter_shapes(*dims)
         for i in range(HIDDEN_LAYERS):
-            net.running_mean[i] = _decode(tensors, f"bn{i}.running_mean", (net.hidden,))
-            net.running_var[i] = _decode(tensors, f"bn{i}.running_var", (net.hidden,))
+            for stat in ("running_mean", "running_var"):
+                shapes[f"bn{i}.{stat}"] = (data["hidden"],)
+        tensors = data["tensors"]
+        if not isinstance(tensors, dict):
+            raise ConfigError("checkpoint 'tensors' must be a JSON object")
+        texts = {name: _payload(tensors, name, shape) for name, shape in shapes.items()}
+        net = cls.__new__(cls)
+        net._allocate(*dims)
+        for name in net.params:
+            net.params[name] = _decode(texts[name], name, shapes[name])
+        for i in range(HIDDEN_LAYERS):
+            for stats, name in ((net.running_mean, f"bn{i}.running_mean"),
+                                (net.running_var, f"bn{i}.running_var")):
+                stats[i] = _decode(texts[name], name, shapes[name]).copy()
         return net
 
     def save(self, path: str | Path) -> None:
@@ -223,17 +289,32 @@ def _encode(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "f8": base64.b64encode(a.astype("<f8").tobytes()).decode()}
 
 
-def _decode(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Tensor ``name`` of a checkpoint, stored as ``f8`` bytes (see :func:`_encode`)."""
+def _payload(tensors: dict, name: str, shape: tuple[int, ...]) -> str:
+    """Tensor ``name``'s base64 text, once its entry (see :func:`_encode`) has
+    the given shape and a text of the length that shape implies."""
+    spec = tensors.get(name)
+    if not (isinstance(spec, dict) and isinstance(spec.get("f8"), str)):
+        raise ConfigError(f"checkpoint tensor {name} is missing or has no f8 payload")
+    got = spec.get("shape")
+    if not (isinstance(got, list) and all(map(_is_int, got)) and tuple(got) == shape):
+        raise ConfigError(f"checkpoint tensor {name} has shape {got!r}, expected {list(shape)}")
+    length = 4 * -(-8 * math.prod(shape) // 3)  # base64 of 8 bytes per float64
+    if len(spec["f8"]) != length:
+        raise ConfigError(f"checkpoint tensor {name} has a {len(spec['f8'])}-character "
+                          f"payload, expected {length} for shape {list(shape)}")
+    return spec["f8"]
+
+
+def _decode(text: str, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The read-only float64 tensor of a checked :func:`_payload` text."""
     try:
-        spec = tensors[name]
-        flat = np.frombuffer(base64.b64decode(spec["f8"], validate=True), dtype="<f8")
-        a = flat.astype(np.float64).reshape(spec["shape"])
-    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error is a ValueError
         raise ConfigError(f"checkpoint tensor {name} is malformed: {exc!r}") from None
-    if a.shape != shape:
-        raise ConfigError(f"checkpoint tensor {name} has shape {a.shape}, expected {shape}")
-    return a
+    if len(raw) != 8 * math.prod(shape):
+        raise ConfigError(f"checkpoint tensor {name} decodes to {len(raw)} bytes, "
+                          f"expected {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def learning_rate(cfg: RunConfig, iteration: int) -> float:
@@ -245,21 +326,37 @@ def sgd_step(
     net: NetworkB,
     grads: dict[str, np.ndarray],
     cfg: RunConfig,
-    velocity: dict[str, np.ndarray],
+    velocity: dict,
     iteration: int,
 ) -> None:
-    """In-place momentum SGD with weight decay and the step lr schedule;
-    ``velocity`` holds the momentum buffers by parameter name."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in {name} at iteration {iteration}")
+    """In-place momentum SGD with weight decay and the step lr schedule on the
+    flat parameter vector. ``grads`` holds every parameter's gradient (as
+    :meth:`NetworkB.backward` returns them); ``velocity`` keeps the flat
+    momentum buffer between steps."""
+    g = _flat_gradient(net, grads)
+    if not np.isfinite(g).all():
+        name = next(name for name, t in grads.items() if not np.isfinite(t).all())
+        raise TrainingError(f"non-finite gradient in {name} at iteration {iteration}")
     lr = learning_rate(cfg, iteration)
-    for name, p in net.params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        update = g + cfg.weight_decay * p
-        v = velocity.get(name)
-        v = update if v is None else cfg.momentum * v + update
-        velocity[name] = v
-        net.params[name] = p - lr * v
+    p = net.params.flat
+    update = cfg.weight_decay * p
+    update += g
+    v = velocity.get("flat")
+    if v is None:
+        v = velocity["flat"] = update
+    else:
+        v *= cfg.momentum
+        v += update
+    p -= lr * v
+
+
+def _flat_gradient(net: NetworkB, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """``grads`` as one vector laid out like ``net.params.flat``."""
+    if isinstance(grads, FlatTensors) and grads.flat.shape == net.params.flat.shape:
+        return grads.flat
+    flat = np.empty(net.params.flat.size)
+    for name, (offset, shape) in net._layout.items():
+        if np.shape(grads.get(name)) != shape:
+            raise UsageError(f"sgd_step needs a gradient of shape {shape} for {name}")
+        flat[offset : offset + math.prod(shape)] = np.ravel(grads[name])
+    return flat

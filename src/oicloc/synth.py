@@ -14,7 +14,7 @@ import numpy as np
 
 from .cas import Cas, GroundTruthSegment, VideoRecord
 from .errors import InputError
-from .io import _is_int, _is_number
+from .io import _is_finite, _is_int, _is_number
 from .selection import snippet_to_time
 
 # annotated field type -> (check of its value, what the check asks for)
@@ -25,6 +25,9 @@ _FIELD_TYPES = {
     "tuple[int, int]": (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v)),
                         "a pair of integers"),
 }
+# activation levels and probabilities
+_UNIT_FIELDS = ("background", "noise_amp", "dip_prob", "bridge_prob", "level_jitter",
+                "dip_level", "bridge_level")
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,17 @@ class SynthSpec:
                 lo, hi = getattr(self, f.name)
                 if lo > hi or lo < (0 if f.name == "instances_range" else 1):
                     raise InputError(f"empty or invalid range {f.name}={lo, hi}")
+        for name in _UNIT_FIELDS:
+            if not 0.0 <= getattr(self, name) <= 1.0:  # False for NaN
+                raise InputError(f"{name!r} must be a finite number in [0, 1]")
         if self.num_classes < 1:
             raise InputError("need at least one class")
         if not (0.0 < self.base_activation <= 1.0):
             raise InputError("base_activation must lie in (0, 1]")
         if self.instance_len_range[0] < 3:
             raise InputError("instances must be at least 3 snippets long")
-        if not self.fps > 0:
-            raise InputError("fps must be positive")
+        if not (_is_finite(self.fps) and self.fps > 0):
+            raise InputError("'fps' must be a positive finite number")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthSpec":

@@ -242,3 +242,97 @@ def enumeration_oracle(act_row, k, T, alpha, loss_max, nms_iou):
                 survivors.append(it)
         stage = survivors
     return sorted(kept)
+
+
+# -- the regressor's training step as first written, pinned bit for bit ------
+# These keep the straightforward NumPy form of the step (np.pad per conv,
+# batch norm through z.var with the centring recomputed, one momentum update
+# per tensor), so that a faster network must reproduce its every bit.
+
+
+def lift_reference(act: np.ndarray, feature_dim: int, seed: int) -> np.ndarray:
+    """The random CAS lift, drawn afresh: tanh(proj @ [act; max over classes])."""
+    aug = np.vstack([act, act.max(axis=0, keepdims=True)])
+    proj = np.random.default_rng(seed).standard_normal((feature_dim, aug.shape[0]))
+    return np.tanh(proj / np.sqrt(aug.shape[0]) @ aug)
+
+
+def conv1d_pad_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """(output, padded input) of the same-padded conv: np.pad, one matmul per tap."""
+    pad = (w.shape[2] - 1) // 2
+    T = x.shape[1]
+    xp = np.pad(x, ((0, 0), (pad, pad)))
+    y = w[:, :, 0] @ xp[:, :T]
+    for i in range(1, w.shape[2]):
+        y += w[:, :, i] @ xp[:, i : i + T]
+    y += b[:, None]
+    return y, xp
+
+
+def conv1d_backward_reference(xp: np.ndarray, w: np.ndarray, dy: np.ndarray):
+    """(dx, dw, db) of the same-padded conv, per tap, the input gradient included."""
+    ksz = w.shape[2]
+    pad = (ksz - 1) // 2
+    T = dy.shape[1]
+    dw = np.stack([dy @ xp[:, i : i + T].T for i in range(ksz)], axis=2)
+    db = dy.sum(axis=1)
+    dxp = np.zeros_like(xp)
+    for i in range(ksz):
+        dxp[:, i : i + T] += w[:, :, i].T @ dy
+    return dxp[:, pad : xp.shape[1] - pad], dw, db
+
+
+def network_forward_reference(params, running_mean, running_var, feat, layers=3,
+                              eps=1e-5, momentum=0.9):
+    """Train-mode forward of the regressor; updates the running-stat lists in
+    place and returns (regression map, cache for the backward)."""
+    cache = []
+    x = feat
+    for i in range(layers):
+        z, xp = conv1d_pad_reference(x, params[f"conv{i}.w"], params[f"conv{i}.b"])
+        mu = z.mean(axis=1)
+        var = z.var(axis=1)
+        running_mean[i] = momentum * running_mean[i] + (1 - momentum) * mu
+        running_var[i] = momentum * running_var[i] + (1 - momentum) * var
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (z - mu[:, None]) * inv_std[:, None]
+        y = params[f"bn{i}.gamma"][:, None] * xhat + params[f"bn{i}.beta"][:, None]
+        relu_mask = y > 0
+        cache.append((xp, z, mu, inv_std, xhat, relu_mask))
+        x = y * relu_mask
+    reg, xp = conv1d_pad_reference(x, params["pred.w"], params["pred.b"])
+    return reg, (cache, xp)
+
+
+def network_backward_reference(params, cache, grad_out) -> dict:
+    """Every parameter's gradient for a :func:`network_forward_reference` cache."""
+    layers, pred_xp = cache
+    grads = {}
+    dx, grads["pred.w"], grads["pred.b"] = conv1d_backward_reference(
+        pred_xp, params["pred.w"], grad_out)
+    for i in reversed(range(len(layers))):
+        xp, z, mu, inv_std, xhat, relu_mask = layers[i]
+        dy = dx * relu_mask
+        grads[f"bn{i}.gamma"] = (dy * xhat).sum(axis=1)
+        grads[f"bn{i}.beta"] = dy.sum(axis=1)
+        n = z.shape[1]
+        dxhat = dy * params[f"bn{i}.gamma"][:, None]
+        zc = z - mu[:, None]
+        inv_std = inv_std[:, None]
+        dvar = (dxhat * zc * -0.5 * inv_std**3).sum(axis=1, keepdims=True)
+        dmu = (-dxhat * inv_std).sum(axis=1, keepdims=True) + dvar * (-2.0 / n) * zc.sum(
+            axis=1, keepdims=True)
+        dz = dxhat * inv_std + dvar * 2.0 * zc / n + dmu / n
+        dx, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = conv1d_backward_reference(
+            xp, params[f"conv{i}.w"], dz)
+    return grads
+
+
+def sgd_per_tensor(params, grads, lr, momentum, weight_decay, velocity) -> None:
+    """Momentum SGD with weight decay, one tensor at a time; rebinds ``params``."""
+    for name, p in params.items():
+        update = grads[name] + weight_decay * p
+        v = velocity.get(name)
+        v = update if v is None else momentum * v + update
+        velocity[name] = v
+        params[name] = p - lr * v

@@ -161,6 +161,22 @@ class TestBadInput:
         assert err.startswith(f"error: {tmp_path / 'bad.json'}: ") and err.count("\n") == 1
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("background", "5.0"), ("noise_amp", "NaN"), ("dip_prob", "-0.5"),
+        ("bridge_prob", "Infinity"), ("level_jitter", "2"), ("dip_level", "1.01"),
+        ("bridge_level", "-Infinity"), ("fps", "Infinity"), ("fps", "NaN"),
+    ])
+    def test_synth_spec_value_out_of_range(self, tmp_path, capsys, key, value):
+        text = ('{"num_classes": 2, "t_range": [30, 40], "instances_range": [1, 2], '
+                f'"{key}": {value}}}')
+        (tmp_path / "bad.json").write_text(text)
+        code = main(["synth", "--spec", str(tmp_path / "bad.json"), "--out", str(tmp_path / "c")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'bad.json'}: ") and err.count("\n") == 1
+        assert f"'{key}' must be a" in err and "finite" in err
+        assert not (tmp_path / "c").exists()
+
 
     @pytest.mark.parametrize("text, message", [
         ('{"version": 1, "profile": []}', "unknown profile []"),

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,18 @@ class TestCasCsv:
         io.write_cas_csv(path, video.cas)
         back = io.read_cas_csv(path)
         assert np.array_equal(back.act, video.cas.act)
+
+    def test_bytes_match_the_csv_writer_form(self, tmp_path):
+        act = np.array([[5e-324, 0.1, 1.0, 1 / 3, -0.0], [0.0, 1 - 2**-53, 0.7, 2**-1074, 0.5]])
+        path = tmp_path / "cas.csv"
+        io.write_cas_csv(path, Cas(act))
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["snippet", "class_1", "class_2"])
+            for t in range(1, act.shape[1] + 1):
+                writer.writerow([t] + [repr(float(v)) for v in act[:, t - 1]])
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert b"5e-324,0.0\r\n" in path.read_bytes()
 
     def test_header_layout(self, tmp_path, video):
         path = tmp_path / "cas.csv"

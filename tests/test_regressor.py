@@ -1,10 +1,11 @@
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import conv1d_backward_loops, conv1d_loops
+from oracles import conv1d_backward_loops, conv1d_loops, conv1d_pad_reference, sgd_per_tensor
 
 from oicloc.config import RunConfig
 from oicloc.errors import ConfigError, TrainingError, UsageError
@@ -33,6 +34,25 @@ class TestConv1d:
             for got, want in zip(conv1d_backward(xp, w, dy), conv1d_backward_loops(x, w, dy)):
                 assert got.shape == want.shape
                 assert np.allclose(got, want, atol=1e-12)
+
+    def test_backward_without_input_gradient(self, rng):
+        x = rng.standard_normal((4, 11))
+        w = rng.standard_normal((5, 4, 3))
+        dy = rng.standard_normal((5, 11))
+        _, xp = conv1d_forward(x, w, np.zeros(5))
+        _, dw, db = conv1d_backward(xp, w, dy)
+        dx, dw_only, db_only = conv1d_backward(xp, w, dy, input_grad=False)
+        assert dx is None
+        assert np.array_equal(dw, dw_only) and np.array_equal(db, db_only)
+
+    def test_forward_matches_np_pad_reference(self, rng):
+        for T in (1, 2, 9, 40):
+            x = rng.standard_normal((6, T))
+            w = rng.standard_normal((4, 6, 3))
+            b = rng.standard_normal(4)
+            out, xp = conv1d_forward(x, w, b)
+            want, want_xp = conv1d_pad_reference(x, w, b)
+            assert np.array_equal(xp, want_xp) and np.array_equal(out, want)
 
     def test_same_padding_preserves_length(self, rng):
         x = rng.standard_normal((2, 9))
@@ -149,6 +169,28 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=r"cut.json: .*\['anchor_count', 'feature_dim'"):
             NetworkB.load(path)
 
+    def test_header_alone_allocates_nothing(self, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text('{"version": 2, "feature_dim": 500, "anchor_count": 1, "hidden": 500, '
+                        '"tensors": {}}')
+        assert path.stat().st_size == 83
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="conv0.w"):
+                NetworkB.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_rejects_tensor_shapes_the_header_does_not_imply(self, tmp_path):
+        data = NetworkB(feature_dim=2, anchor_count=1, hidden=3).to_dict()
+        data["feature_dim"] = 10**12  # conv0.w would be 24 TB
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=r"conv0.w has shape \[3, 2, 3\], expected"):
+            NetworkB.load(path)
+
     def test_rejects_v1_float_lists(self, tmp_path):
         data = NetworkB(feature_dim=2, anchor_count=1, hidden=3).to_dict()
         data["version"] = 1
@@ -182,7 +224,7 @@ class TestSgd:
         net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
         cfg = RunConfig(lr=1.0, momentum=0.5, weight_decay=0.0)
         velocity = {}
-        g = {"pred.b": np.ones_like(net.params["pred.b"])}
+        g = gradients(net, **{"pred.b": 1.0})
         sgd_step(net, g, cfg, velocity, 0)
         first = net.params["pred.b"].copy()
         sgd_step(net, g, cfg, velocity, 0)
@@ -191,12 +233,63 @@ class TestSgd:
 
     def test_weight_decay_shrinks_parameters(self):
         net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
-        net.params["pred.b"] = np.full(2, 10.0)
+        net.params["pred.b"][...] = 10.0
         cfg = RunConfig(lr=0.1, momentum=0.0, weight_decay=0.1)
-        sgd_step(net, {"pred.b": np.zeros(2)}, cfg, {}, 0)
+        sgd_step(net, gradients(net), cfg, {}, 0)
         assert np.allclose(net.params["pred.b"], 10.0 - 0.1 * (0.1 * 10.0))
 
     def test_non_finite_gradient_raises(self):
         net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
-        with pytest.raises(TrainingError):
-            sgd_step(net, {"pred.b": np.array([np.nan, 0.0])}, RunConfig(), {}, 3)
+        g = gradients(net)
+        g["pred.b"][0] = np.nan
+        with pytest.raises(TrainingError, match="non-finite gradient in pred.b at iteration 3"):
+            sgd_step(net, g, RunConfig(), {}, 3)
+
+    def test_names_the_first_non_finite_tensor_in_backward_order(self, rng):
+        net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
+        _, cache = net.forward(rng.standard_normal((2, 6)), mode="train")
+        grads = net.backward(cache, rng.standard_normal((2, 6)))
+        assert list(grads)[:3] == ["pred.w", "pred.b", "bn2.gamma"]
+        for name in ("conv0.w", "bn1.beta"):
+            grads[name][...] = np.inf
+        with pytest.raises(TrainingError, match="in bn1.beta at"):
+            sgd_step(net, grads, RunConfig(), {}, 0)
+
+    def test_rejects_missing_or_misshapen_gradient(self):
+        net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
+        with pytest.raises(UsageError, match="pred.b"):
+            partial = {n: g for n, g in gradients(net).items() if n != "pred.b"}
+            sgd_step(net, partial, RunConfig(), {}, 0)
+        with pytest.raises(UsageError, match="pred.b"):
+            sgd_step(net, {**gradients(net), "pred.b": np.zeros(3)}, RunConfig(), {}, 0)
+
+    def test_flat_step_matches_per_tensor_reference(self, rng):
+        net = NetworkB(feature_dim=3, anchor_count=2, hidden=4, seed=2)
+        cfg = RunConfig(lr=0.05, lr_step=2, momentum=0.9, weight_decay=5e-4)
+        params = {name: p.copy() for name, p in net.params.items()}
+        velocity, ref_velocity = {}, {}
+        for iteration in range(4):
+            g = {name: rng.standard_normal(p.shape) for name, p in params.items()}
+            sgd_step(net, g, cfg, velocity, iteration)
+            sgd_per_tensor(params, g, learning_rate(cfg, iteration), cfg.momentum,
+                           cfg.weight_decay, ref_velocity)
+            for name, p in params.items():
+                assert np.array_equal(net.params[name], p)
+
+    def test_step_after_load_changes_the_checkpoint(self, rng, tmp_path):
+        net = NetworkB(feature_dim=3, anchor_count=1, hidden=4, seed=5)
+        net.save(tmp_path / "ckpt.json")
+        loaded = NetworkB.load(tmp_path / "ckpt.json")
+        before = loaded.to_dict()
+        cfg = RunConfig(lr=0.5, momentum=0.0, weight_decay=0.0)
+        sgd_step(loaded, gradients(loaded, **{"pred.b": 1.0}), cfg, {}, 0)
+        after = loaded.to_dict()
+        changed = [n for n in before["tensors"] if before["tensors"][n] != after["tensors"][n]]
+        assert changed == ["pred.b"]
+        decoded = np.frombuffer(base64.b64decode(after["tensors"]["pred.b"]["f8"]), "<f8")
+        assert np.array_equal(decoded, np.full(2, -0.5))
+
+
+def gradients(net, **values):
+    """A full gradient dict for ``net``: zeros, or the given value per name."""
+    return {name: np.full(p.shape, values.get(name, 0.0)) for name, p in net.params.items()}

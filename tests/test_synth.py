@@ -33,6 +33,24 @@ class TestSynthSpec:
         with pytest.raises(InputError, match=field):
             SynthSpec.from_dict({**SPEC.to_dict(), field: value})
 
+    @pytest.mark.parametrize("field", [
+        "background", "noise_amp", "dip_prob", "bridge_prob", "level_jitter", "dip_level",
+        "bridge_level",
+    ])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_rejects_level_or_probability_outside_unit_interval(self, field, value):
+        with pytest.raises(InputError, match=f"'{field}' must be a finite number in \\[0, 1\\]"):
+            SynthSpec.from_dict({**SPEC.to_dict(), field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_fps(self, value):
+        with pytest.raises(InputError, match="'fps' must be a positive finite number"):
+            SynthSpec.from_dict({**SPEC.to_dict(), "fps": value})
+
+    def test_accepts_unit_interval_ends(self):
+        ends = {"background": 0.0, "noise_amp": 1.0, "dip_prob": 1.0, "bridge_level": 0.0}
+        assert SynthSpec.from_dict({**SPEC.to_dict(), **ends}).noise_amp == 1.0
+
     def test_dict_roundtrip(self):
         assert SynthSpec.from_dict(SPEC.to_dict()) == SPEC
 

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from oicloc.config import RunConfig
+from oracles import (
+    lift_reference, network_backward_reference, network_forward_reference, sgd_per_tensor,
+)
+
+from oicloc import features
+from oicloc.config import PROFILES, RunConfig
 from oicloc.errors import TrainingError
 from oicloc.features import cas_to_features
+from oicloc.regressor import learning_rate
+from oicloc.selection import build_candidates, select, training_loss
 from oicloc.synth import SynthSpec, synth_corpus
 from oicloc.train import new_network, predict_video, train_network, train_step
 
@@ -35,6 +42,11 @@ class TestFeatures:
     def test_bounded_by_tanh(self, corpus):
         f = cas_to_features(corpus[0].cas, 12)
         assert np.all(np.abs(f) <= 1.0)
+
+    def test_matches_a_fresh_projection_bitwise(self, corpus):
+        for cas in (corpus[0].cas, corpus[1].cas):
+            seed = features._EMBED_SEED + cas.num_classes
+            assert np.array_equal(cas_to_features(cas, 12), lift_reference(cas.act, 12, seed))
 
     def test_distinct_videos_get_distinct_features(self, corpus):
         f1 = cas_to_features(corpus[0].cas, 12)
@@ -81,6 +93,39 @@ class TestTrainNetwork:
         net.params["pred.b"][1] = -800.0  # t_w of anchor 0 underflows to zero width
         with pytest.raises(TrainingError, match=r"iteration 7, .*collapses.*anchor 0"):
             train_step(net, corpus[0], CFG, {}, 7)
+
+
+class TestStepIsBitwise:
+    """train_step leaves exactly the parameters of the step as first written."""
+
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(anchors=(2, 4, 8, 16), feature_dim=12, hidden=16, lr=1e-3, lr_step=3),
+        PROFILES["synthetic"],
+    ])
+    def test_parameters_and_running_stats_match_reference(self, corpus, cfg):
+        net = new_network(cfg, 4)
+        params = {name: p.copy() for name, p in net.params.items()}
+        means, variances = list(net.running_mean), list(net.running_var)
+        velocity, ref_velocity = {}, {}
+        for iteration, video in enumerate(corpus[:6]):
+            loss = train_step(net, video, cfg, velocity, iteration)
+            seed = features._EMBED_SEED + video.cas.num_classes
+            feat = lift_reference(video.cas.act, cfg.feature_dim, seed)
+            reg_map, cache = network_forward_reference(params, means, variances, feat)
+            grid = build_candidates(reg_map, cfg.anchor_config(), video.cas.num_snippets,
+                                    cfg.alpha)
+            mask, _ = select(video.cas, grid, video.labels, cfg.act_min, cfg.loss_max,
+                             cfg.nms_iou, video.fps)
+            ref_loss, grad_out = training_loss(video.cas, grid, mask, cfg.alpha)
+            grads = network_backward_reference(params, cache, grad_out)
+            sgd_per_tensor(params, grads, learning_rate(cfg, iteration), cfg.momentum,
+                           cfg.weight_decay, ref_velocity)
+            assert loss == ref_loss
+            for name, p in params.items():
+                assert np.array_equal(net.params[name], p), (iteration, name)
+            for got, want in zip(net.running_mean + net.running_var, means + variances):
+                assert np.array_equal(got, want)
+        assert any(np.any(p != 0) for p in grads.values())
 
 
 class TestPredictVideo:
