@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.metadata
 import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import baselines, evaluation, io, synth
 from .cas import SNIPPET_FRAMES
@@ -17,6 +20,8 @@ from .errors import ConfigError, InputError, TrainingError
 from .gradcheck import run_all
 from .regressor import NetworkB
 from .train import train_network
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _setup_logging() -> None:
@@ -49,18 +54,36 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _run_meta(cfg: RunConfig, seed: int) -> dict:
+    """What a trained checkpoint's bits depend on besides its inputs: the run
+    config and seed, the oicloc and NumPy versions, and the BLAS build and
+    thread settings (at paper shapes the sums' order follows the thread
+    count). Holds no timings, so same-seed checkpoints stay bitwise equal."""
+    try:
+        version = importlib.metadata.version("oicloc")
+    except importlib.metadata.PackageNotFoundError:  # imported from a source tree
+        version = None
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # NumPy before 1.26 reports no build dict
+        blas = None
+    return {"config": asdict(cfg), "seed": seed, "oicloc": version, "numpy": np.__version__,
+            "blas": blas, "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+
+
 def cmd_train(args) -> int:
     cfg, videos = _load_run(args.config)
     result = train_network(videos, cfg, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result.net.save(out / "checkpoint.json")
+    result.net.save(out / "checkpoint.ckpt", meta=_run_meta(cfg, args.seed))
     with open(out / "loss.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "loss"])
         for i, value in enumerate(result.losses):
             writer.writerow([i, repr(value)])
-    print(f"trained {len(result.losses)} iterations; checkpoint at {out / 'checkpoint.json'}")
+    print(f"trained {len(result.losses)} iterations; checkpoint at {out / 'checkpoint.ckpt'}")
     return 0
 
 

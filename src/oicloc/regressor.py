@@ -22,7 +22,7 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 KERNEL = 3
 HIDDEN_LAYERS = 3
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,6 +137,7 @@ class NetworkB:
             self._layout[name] = (offset, shape)
             offset += math.prod(shape)
         self.params = FlatTensors(np.zeros(offset), self._layout)
+        self.meta = {}  # the run metadata a version-3 checkpoint was saved with
         self.running_mean = [np.zeros(hidden) for _ in range(HIDDEN_LAYERS)]
         self.running_var = [np.ones(hidden) for _ in range(HIDDEN_LAYERS)]
 
@@ -229,36 +230,21 @@ class NetworkB:
 
     # -- checkpointing ----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        tensors = {name: _encode(p) for name, p in self.params.items()}
-        for i in range(HIDDEN_LAYERS):
-            tensors[f"bn{i}.running_mean"] = _encode(self.running_mean[i])
-            tensors[f"bn{i}.running_var"] = _encode(self.running_var[i])
-        return {
-            "version": CHECKPOINT_VERSION,
-            "feature_dim": self.feature_dim,
-            "anchor_count": self.anchor_count,
-            "hidden": self.hidden,
-            "tensors": tensors,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkB":
-        """The network a checkpoint describes. Every tensor entry is checked
-        against the shape the header implies before anything is allocated, so
-        the memory a checkpoint asks for is bounded by its own size."""
+        """The network a version-2 checkpoint document describes. Every tensor
+        entry is checked against the shape the header implies before anything
+        is allocated, so the memory a checkpoint asks for is bounded by its own
+        size."""
         if not isinstance(data, dict):
             raise ConfigError("checkpoint must be a JSON object")
-        if data.get("version") != CHECKPOINT_VERSION:
+        if data.get("version") != 2:
             raise ConfigError(f"unsupported checkpoint version {data.get('version')!r}")
         missing = {"feature_dim", "anchor_count", "hidden", "tensors"} - set(data)
         if missing:
             raise ConfigError(f"checkpoint lacks keys {sorted(missing)}")
         dims = data["feature_dim"], data["anchor_count"], data["hidden"]
-        shapes = _parameter_shapes(*dims)
-        for i in range(HIDDEN_LAYERS):
-            for stat in ("running_mean", "running_var"):
-                shapes[f"bn{i}.{stat}"] = (data["hidden"],)
+        shapes = _checkpoint_shapes(*dims)
         tensors = data["tensors"]
         if not isinstance(tensors, dict):
             raise ConfigError("checkpoint 'tensors' must be a JSON object")
@@ -273,25 +259,99 @@ class NetworkB:
                 stats[i] = _decode(texts[name], name, shapes[name]).copy()
         return net
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()))
+    @classmethod
+    def _from_v3(cls, header: dict, payload: memoryview) -> "NetworkB":
+        """The network of a version-3 header and its raw float64 payload. The
+        header's tensor list and the payload's length are checked against the
+        layout its dims imply before anything is allocated."""
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported checkpoint version {header.get('version')!r}")
+        missing = {"feature_dim", "anchor_count", "hidden", "tensors", "meta"} - set(header)
+        if missing:
+            raise ConfigError(f"checkpoint lacks keys {sorted(missing)}")
+        dims = header["feature_dim"], header["anchor_count"], header["hidden"]
+        shapes = _checkpoint_shapes(*dims)
+        # compared as JSON text, so that 3.0 or true cannot stand for an integer
+        if json.dumps(header["tensors"]) != json.dumps(_tensor_list(shapes)):
+            raise ConfigError("checkpoint 'tensors' does not list the tensors of feature_dim "
+                              "{}, anchor_count {}, hidden {}".format(*dims))
+        if not isinstance(header["meta"], dict):
+            raise ConfigError("checkpoint 'meta' must be a JSON object")
+        size = 8 * sum(math.prod(shape) for shape in shapes.values())
+        if len(payload) != size:
+            raise ConfigError(f"checkpoint payload is {len(payload)} bytes, expected {size}")
+        values = np.frombuffer(payload, dtype="<f8")
+        net = cls.__new__(cls)
+        net._allocate(*dims)
+        n = net.params.flat.size
+        net.params.flat[...] = values[:n]
+        stats = values[n:].reshape(HIDDEN_LAYERS, 2, net.hidden)
+        for i in range(HIDDEN_LAYERS):
+            net.running_mean[i][...] = stats[i, 0]
+            net.running_var[i][...] = stats[i, 1]
+        net.meta = header["meta"]
+        return net
+
+    def save(self, path: str | Path, meta: dict | None = None) -> None:
+        """Write a version-3 checkpoint: one JSON header line (``version``,
+        the three dims, the ordered ``tensors`` list of ``[name, shape]`` and
+        the ``meta`` object), then each listed tensor's little-endian float64
+        bytes in that order."""
+        shapes = _checkpoint_shapes(self.feature_dim, self.anchor_count, self.hidden)
+        header = {"version": CHECKPOINT_VERSION, "feature_dim": self.feature_dim,
+                  "anchor_count": self.anchor_count, "hidden": self.hidden,
+                  "tensors": _tensor_list(shapes), "meta": {} if meta is None else meta}
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n")
+            fh.write(np.ascontiguousarray(self.params.flat, dtype="<f8"))
+            for pair in zip(self.running_mean, self.running_var):
+                for stats in pair:
+                    fh.write(np.ascontiguousarray(stats, dtype="<f8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "NetworkB":
+        """The network a checkpoint file holds. A file whose first line is a
+        JSON object with version 3, or one that more bytes follow, is read as
+        a version-3 header and payload; any other file as a version-2 JSON
+        document."""
         try:
-            return cls.from_dict(json.loads(Path(path).read_bytes()))
-        except (ConfigError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            data = Path(path).read_bytes()
+            end = data.find(b"\n")
+            end = len(data) if end < 0 else end
+            try:
+                header = json.loads(data[:end])
+            except (ValueError, RecursionError):  # not JSON (or nested too deep), not UTF-8
+                header = None
+            payload = memoryview(data)[end + 1 :]
+            if isinstance(header, dict) and (
+                header.get("version") == CHECKPOINT_VERSION or len(payload)
+            ):
+                return cls._from_v3(header, payload)
+            # version 2: one JSON document, already parsed unless it spans lines
+            return cls.from_dict(json.loads(data) if header is None or len(payload) else header)
+        except (ConfigError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
 
 
-def _encode(a: np.ndarray) -> dict:
-    """Checkpoint entry of a tensor: its shape and base64 little-endian float64 bytes."""
-    return {"shape": list(a.shape), "f8": base64.b64encode(a.astype("<f8").tobytes()).decode()}
+def _checkpoint_shapes(feature_dim: int, anchor_count: int, hidden: int) -> dict[str, tuple]:
+    """Every tensor a checkpoint stores, in payload order: the parameters,
+    then each hidden layer's batch-norm running mean and variance."""
+    shapes = _parameter_shapes(feature_dim, anchor_count, hidden)
+    for i in range(HIDDEN_LAYERS):
+        for stat in ("running_mean", "running_var"):
+            shapes[f"bn{i}.{stat}"] = (hidden,)
+    return shapes
+
+
+def _tensor_list(shapes: dict[str, tuple]) -> list:
+    """A version-3 header's ``tensors``: ``[name, shape]`` in payload order."""
+    return [[name, list(shape)] for name, shape in shapes.items()]
 
 
 def _payload(tensors: dict, name: str, shape: tuple[int, ...]) -> str:
-    """Tensor ``name``'s base64 text, once its entry (see :func:`_encode`) has
-    the given shape and a text of the length that shape implies."""
+    """Tensor ``name``'s base64 text, once its version-2 entry (``{"shape":
+    [...], "f8": <base64 of little-endian float64 bytes>}``) has the given
+    shape and a text of the length that shape implies."""
     spec = tensors.get(name)
     if not (isinstance(spec, dict) and isinstance(spec.get("f8"), str)):
         raise ConfigError(f"checkpoint tensor {name} is missing or has no f8 payload")

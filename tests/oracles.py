@@ -6,6 +6,7 @@ access -- so that agreement with the package is meaningful.
 """
 from __future__ import annotations
 
+import base64
 import math
 
 import numpy as np
@@ -336,3 +337,56 @@ def sgd_per_tensor(params, grads, lr, momentum, weight_decay, velocity) -> None:
         v = update if v is None else momentum * v + update
         velocity[name] = v
         params[name] = p - lr * v
+
+
+# -- checkpoint documents, written out by hand -----------------------------
+# Version 2 is no longer written by the package but must stay readable; these
+# build both versions from a network's tensors without the package's writer.
+
+
+def checkpoint_tensors(net) -> list:
+    """(name, tensor) of everything a checkpoint stores, in file order."""
+    tensors = list(net.params.items())
+    for i in range(3):
+        tensors.append((f"bn{i}.running_mean", net.running_mean[i]))
+        tensors.append((f"bn{i}.running_var", net.running_var[i]))
+    return tensors
+
+
+def checkpoint_layout(feature_dim: int, anchor_count: int, hidden: int) -> list:
+    """A version-3 header's ``tensors`` list for the given dims."""
+    widths = [feature_dim, hidden, hidden, hidden]
+    layout = []
+    for i in range(3):
+        layout.append([f"conv{i}.w", [widths[i + 1], widths[i], 3]])
+        layout.append([f"conv{i}.b", [hidden]])
+        layout.append([f"bn{i}.gamma", [hidden]])
+        layout.append([f"bn{i}.beta", [hidden]])
+    layout.append(["pred.w", [2 * anchor_count, hidden, 3]])
+    layout.append(["pred.b", [2 * anchor_count]])
+    for i in range(3):
+        layout.append([f"bn{i}.running_mean", [hidden]])
+        layout.append([f"bn{i}.running_var", [hidden]])
+    return layout
+
+
+def checkpoint_v2(net) -> dict:
+    """The version-2 checkpoint document of ``net``: each tensor's shape and the
+    base64 text of its little-endian float64 bytes."""
+    tensors = {}
+    for name, t in checkpoint_tensors(net):
+        raw = np.asarray(t, dtype="<f8").tobytes()
+        tensors[name] = {"shape": list(t.shape), "f8": base64.b64encode(raw).decode()}
+    return {"version": 2, "feature_dim": net.feature_dim, "anchor_count": net.anchor_count,
+            "hidden": net.hidden, "tensors": tensors}
+
+
+def checkpoint_v3(net, meta=None) -> tuple[dict, bytes]:
+    """The version-3 header and payload of ``net``: the header is written as one
+    JSON line, followed by every tensor's little-endian float64 bytes."""
+    tensors = checkpoint_tensors(net)
+    header = {"version": 3, "feature_dim": net.feature_dim, "anchor_count": net.anchor_count,
+              "hidden": net.hidden, "tensors": [[name, list(t.shape)] for name, t in tensors],
+              "meta": {} if meta is None else meta}
+    payload = b"".join(np.asarray(t, dtype="<f8").tobytes() for _, t in tensors)
+    return header, payload

@@ -2,6 +2,13 @@
 
 Heavier end-to-end criteria share module-scoped corpora; every assertion is
 also reported on the terminal so a full run reads as a checklist.
+
+Criterion 9's bitwise equality and the reference mAPs hold for a fixed BLAS
+configuration (vendor and thread count): at paper shapes the conv's sums run
+in an order set by the BLAS thread count, so a checkpoint trained with one
+thread differs in its last bits from one trained with two. The tests and the
+benchmark pin one thread (``OPENBLAS_NUM_THREADS=1``); ``oicloc train``
+records the BLAS build and the thread variables in the checkpoint's ``meta``.
 """
 import filecmp
 import json
@@ -232,10 +239,10 @@ def test_criterion_9_training_determinism(capsys, tmp_path):
         assert cli_main(["train", "--config", str(run), "--seed", "11",
                          "--out", str(tmp_path / tag)]) == 0
         assert cli_main(["predict", "--config", str(run), "--mode", "full",
-                         "--checkpoint", str(tmp_path / tag / "checkpoint.json"),
+                         "--checkpoint", str(tmp_path / tag / "checkpoint.ckpt"),
                          "--out", str(tmp_path / tag / "preds.jsonl")]) == 0
-    ckpt_same = filecmp.cmp(tmp_path / "a" / "checkpoint.json",
-                            tmp_path / "b" / "checkpoint.json", shallow=False)
+    ckpt_same = filecmp.cmp(tmp_path / "a" / "checkpoint.ckpt",
+                            tmp_path / "b" / "checkpoint.ckpt", shallow=False)
     preds_same = filecmp.cmp(tmp_path / "a" / "preds.jsonl",
                              tmp_path / "b" / "preds.jsonl", shallow=False)
     ok = ckpt_same and preds_same

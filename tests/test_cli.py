@@ -1,9 +1,14 @@
 import json
+from dataclasses import asdict
 
+import numpy as np
 import pytest
+
+from oracles import checkpoint_v2
 
 from oicloc import io
 from oicloc.cli import main
+from oicloc.config import load_config
 from oicloc.regressor import NetworkB
 
 SPEC = {
@@ -49,7 +54,7 @@ class TestTrainPredictEval:
         run = workspace / "run.json"
         assert main(["train", "--config", str(run), "--out", str(workspace / "model"),
                      "--seed", "0"]) == 0
-        ckpt = workspace / "model" / "checkpoint.json"
+        ckpt = workspace / "model" / "checkpoint.ckpt"
         assert ckpt.exists()
         assert (workspace / "model" / "loss.csv").exists()
 
@@ -65,6 +70,20 @@ class TestTrainPredictEval:
         payload = json.loads(report.read_text())
         assert "avg_mAP" in payload
         assert report.with_suffix(".csv").exists()
+
+    def test_checkpoint_records_the_run(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run = workspace / "run.json"
+        assert main(["train", "--config", str(run), "--out", str(tmp_path), "--seed", "4"]) == 0
+        meta = NetworkB.load(tmp_path / "checkpoint.ckpt").meta
+        assert meta["config"] == json.loads(json.dumps(asdict(load_config(run))))
+        assert meta["seed"] == 4
+        assert meta["numpy"] == np.__version__
+        assert meta["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3",
+                                   "MKL_NUM_THREADS": None}
+        assert {"oicloc", "blas"} <= set(meta)
 
     def test_threshold_mode_needs_no_checkpoint(self, workspace):
         out = workspace / "thr.jsonl"
@@ -202,7 +221,7 @@ class TestBadInput:
     @pytest.mark.parametrize("key", ["feature_dim", "anchor_count", "hidden"])
     @pytest.mark.parametrize("value", ["8", None, 1.5])
     def test_mistyped_checkpoint_dimension(self, workspace, tmp_path, capsys, key, value):
-        data = NetworkB(feature_dim=8, anchor_count=3, hidden=8).to_dict()
+        data = checkpoint_v2(NetworkB(feature_dim=8, anchor_count=3, hidden=8))
         data[key] = value
         (tmp_path / "ckpt.json").write_text(json.dumps(data))
         err = self.predict(workspace, tmp_path, capsys, tmp_path / "ckpt.json")

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import checkpoint_v2, checkpoint_v3
+
 from oicloc import io
 from oicloc.cas import Cas, VideoRecord
 from oicloc.config import RunConfig, load_config
@@ -135,7 +137,7 @@ def test_synth_spec_from_dict(value):
 
 # integers of any size: tensor entries are checked against the header before
 # anything is allocated, so a header asking for a huge network costs nothing
-CHECKPOINT = NetworkB(feature_dim=2, anchor_count=1, hidden=3).to_dict()
+CHECKPOINT = checkpoint_v2(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
 
 
 @FUZZ
@@ -149,3 +151,21 @@ def test_checkpoint_load(workdir, data):
     net = read(NetworkB.load, workdir / "ckpt.json", data, ConfigError)
     if net is not None:
         assert isinstance(net, NetworkB)
+
+
+HEADER, PAYLOAD = checkpoint_v3(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
+V3_FILE = json.dumps(HEADER).encode() + b"\n" + PAYLOAD
+
+
+@FUZZ
+@given(data=st.binary(max_size=60)
+       | st.integers(0, len(V3_FILE)).map(lambda n: V3_FILE[:n])
+       | st.builds(lambda at, raw: V3_FILE[:at] + raw + V3_FILE[at + len(raw):],
+                   st.integers(0, len(V3_FILE)), st.binary(min_size=1, max_size=8))
+       | st.builds(lambda header, payload: json.dumps(header).encode() + b"\n" + payload,
+                   mutations(HEADER, json_values()),
+                   st.sampled_from([PAYLOAD, PAYLOAD[:-8], PAYLOAD + bytes(8), b""])))
+def test_checkpoint_v3_load(workdir, data):
+    net = read(NetworkB.load, workdir / "ckpt.ckpt", data, ConfigError)
+    if net is not None:
+        assert isinstance(net, NetworkB) and isinstance(net.meta, dict)

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import conv1d_backward_loops, conv1d_loops, conv1d_pad_reference, sgd_per_tensor
+from oracles import (checkpoint_layout, checkpoint_v2, checkpoint_v3, conv1d_backward_loops,
+                     conv1d_loops, conv1d_pad_reference, sgd_per_tensor)
 
 from oicloc.config import RunConfig
 from oicloc.errors import ConfigError, TrainingError, UsageError
@@ -109,34 +110,99 @@ class TestNetworkB:
             net.backward(cache, np.zeros((2, 6)))
 
 
+def write_v2(net, path) -> None:
+    path.write_text(json.dumps(checkpoint_v2(net)))
+
+
+def write_v3(header: dict, payload: bytes, path) -> None:
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+def load_fails(path, match: str) -> str:
+    """The message of the ConfigError loading ``path`` raises; it names the path."""
+    with pytest.raises(ConfigError, match=match) as info:
+        NetworkB.load(path)
+    assert str(info.value).startswith(f"{path}: ")
+    return str(info.value)
+
+
+def assert_fails_small(path, match: str) -> None:
+    """Loading ``path`` raises ConfigError having allocated under 1 MB."""
+    tracemalloc.start()
+    try:
+        load_fails(path, match)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def trained_net(rng, feature_dim=5, anchor_count=3, hidden=6):
+    net = NetworkB(feature_dim=feature_dim, anchor_count=anchor_count, hidden=hidden, seed=7)
+    net.forward(rng.standard_normal((feature_dim, 17)), mode="train")  # move BN stats
+    return net
+
+
+def assert_same_net(a: NetworkB, b: NetworkB, rng) -> None:
+    assert list(a.params) == list(b.params)
+    for name in a.params:
+        assert np.array_equal(a.params[name], b.params[name])
+    for x, y in zip(a.running_mean + a.running_var, b.running_mean + b.running_var):
+        assert np.array_equal(x, y)
+    feat = rng.standard_normal((a.feature_dim, 9))
+    assert np.array_equal(a.forward(feat), b.forward(feat))
+
+
 class TestCheckpoint:
     def test_roundtrip_is_bit_exact(self, rng, tmp_path):
-        net = NetworkB(feature_dim=5, anchor_count=3, hidden=6, seed=7)
-        net.forward(rng.standard_normal((5, 17)), mode="train")  # move BN stats
-        path = tmp_path / "ckpt.json"
+        net = trained_net(rng)
+        path = tmp_path / "ckpt.ckpt"
         net.save(path)
-        clone = NetworkB.load(path)
-        for name in net.params:
-            assert np.array_equal(net.params[name], clone.params[name])
-        for a, b in zip(net.running_mean, clone.running_mean):
-            assert np.array_equal(a, b)
-        for a, b in zip(net.running_var, clone.running_var):
-            assert np.array_equal(a, b)
-        feat = rng.standard_normal((5, 9))
-        assert np.array_equal(net.forward(feat), clone.forward(feat))
+        assert_same_net(net, NetworkB.load(path), rng)
+
+    def test_file_is_a_header_line_then_raw_float64(self, rng, tmp_path):
+        net = trained_net(rng)
+        meta = {"seed": 3, "config": {"anchors": [2, 4]}}
+        net.save(tmp_path / "ckpt.ckpt", meta=meta)
+        header, payload = checkpoint_v3(net, meta)
+        assert header["tensors"] == checkpoint_layout(5, 3, 6)
+        assert (tmp_path / "ckpt.ckpt").read_bytes() == json.dumps(header).encode() + b"\n" + payload
+
+    def test_meta_round_trips(self, rng, tmp_path):
+        meta = {"config": {"anchors": [1, 2], "lr": 1e-3, "manifest": None}, "seed": 11,
+                "numpy": np.__version__, "blas": "openblas 0.3",
+                "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                            "MKL_NUM_THREADS": "4"}}
+        net = trained_net(rng)
+        assert net.meta == {}
+        net.save(tmp_path / "ckpt.ckpt", meta=meta)
+        assert NetworkB.load(tmp_path / "ckpt.ckpt").meta == meta
+        net.save(tmp_path / "bare.ckpt")
+        assert NetworkB.load(tmp_path / "bare.ckpt").meta == {}
+
+    def test_v2_and_v3_of_one_net_load_bit_identical(self, rng, tmp_path):
+        net = trained_net(rng)
+        write_v2(net, tmp_path / "v2.json")
+        net.save(tmp_path / "v3.ckpt")
+        v2, v3 = NetworkB.load(tmp_path / "v2.json"), NetworkB.load(tmp_path / "v3.ckpt")
+        assert v2.meta == {}
+        assert_same_net(v2, v3, rng)
+        assert_same_net(net, v2, rng)
 
     def test_rejects_unknown_version(self, tmp_path):
         net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
-        data = net.to_dict()
+        data = checkpoint_v2(net)
         data["version"] = 99
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ConfigError):
-            NetworkB.load(path)
+        load_fails(path, "unsupported checkpoint version 99")
+        header, payload = checkpoint_v3(net)
+        write_v3({**header, "version": 99}, payload, path)
+        load_fails(path, "unsupported checkpoint version 99")
 
     def corrupt(self, tmp_path, payload=None, shape=None):
-        """Save a net with conv0.b's f8 payload or shape replaced, then load it."""
-        data = NetworkB(feature_dim=2, anchor_count=1, hidden=3).to_dict()
+        """Write a v2 checkpoint with conv0.b's f8 payload or shape replaced, then load it."""
+        data = checkpoint_v2(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
         spec = data["tensors"]["conv0.b"]
         spec["f8"] = payload if payload is not None else spec["f8"]
         spec["shape"] = shape if shape is not None else spec["shape"]
@@ -158,41 +224,96 @@ class TestCheckpoint:
 
     def test_rejects_truncated_file_non_object_and_missing_keys(self, tmp_path):
         path = tmp_path / "cut.json"
-        NetworkB(feature_dim=2, anchor_count=1, hidden=3).save(path)
+        write_v2(NetworkB(feature_dim=2, anchor_count=1, hidden=3), path)
         path.write_text(path.read_text()[:-10])
-        with pytest.raises(ConfigError, match="cut.json"):
-            NetworkB.load(path)
+        load_fails(path, "cut.json")
         path.write_text("[]")
-        with pytest.raises(ConfigError, match="cut.json: checkpoint must be a JSON object"):
-            NetworkB.load(path)
+        load_fails(path, "cut.json: checkpoint must be a JSON object")
         path.write_text('{"version": 2, "hidden": 3}')
-        with pytest.raises(ConfigError, match=r"cut.json: .*\['anchor_count', 'feature_dim'"):
-            NetworkB.load(path)
+        load_fails(path, r"cut.json: .*\['anchor_count', 'feature_dim'")
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "\npayload"],
+                             ids=["one-line", "header-line"])
+    def test_rejects_json_nested_too_deep(self, tmp_path, text):
+        (tmp_path / "deep.ckpt").write_text(text)
+        load_fails(tmp_path / "deep.ckpt", "recursion")
+
+    @pytest.mark.parametrize("keep, message", [
+        (lambda data, line: len(data) - 1, "payload is 1095 bytes, expected 1096"),
+        (lambda data, line: len(data) - 8, "payload is 1088 bytes, expected 1096"),
+        (lambda data, line: line + 1, "payload is 0 bytes, expected 1096"),
+        (lambda data, line: line, "payload is 0 bytes, expected 1096"),
+        (lambda data, line: line - 10, "cut.ckpt: "),  # no longer a JSON line
+    ], ids=["byte", "float", "payload", "newline", "header"])
+    def test_v3_rejects_a_truncated_file(self, tmp_path, keep, message):
+        path = tmp_path / "cut.ckpt"
+        NetworkB(feature_dim=2, anchor_count=1, hidden=3).save(path)
+        data = path.read_bytes()
+        path.write_bytes(data[: keep(data, data.index(b"\n"))])
+        load_fails(path, message)
+
+    @pytest.mark.parametrize("change", [
+        lambda p: p[:-1], lambda p: p[:-8], lambda p: b"", lambda p: p + bytes(8),
+        lambda p: p + b"\n",
+    ], ids=["byte", "float", "all", "extra-float", "extra-newline"])
+    def test_v3_rejects_a_short_or_long_payload(self, tmp_path, change):
+        header, payload = checkpoint_v3(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
+        write_v3(header, change(payload), tmp_path / "bad.ckpt")
+        load_fails(tmp_path / "bad.ckpt",
+                   rf"checkpoint payload is {len(change(payload))} bytes, expected {len(payload)}$")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("version", "3", "unsupported checkpoint version '3'"),
+        ("version", 3.5, "unsupported checkpoint version 3.5"),
+        ("feature_dim", "2", "'feature_dim' must be a positive integer"),
+        ("feature_dim", 2.0, "'feature_dim' must be a positive integer"),
+        ("anchor_count", None, "'anchor_count' must be a positive integer"),
+        ("hidden", True, "'hidden' must be a positive integer"),
+        ("hidden", 0, "'hidden' must be a positive integer"),
+        ("feature_dim", 3, "'tensors' does not list the tensors of feature_dim 3"),
+        ("tensors", {}, "'tensors' does not list"),
+        ("tensors", checkpoint_layout(2, 1, 3)[:-1], "'tensors' does not list"),
+        ("tensors", [[n, [float(d) for d in s]] for n, s in checkpoint_layout(2, 1, 3)],
+         "'tensors' does not list"),
+        ("meta", [], "'meta' must be a JSON object"),
+        ("meta", None, "'meta' must be a JSON object"),
+    ])
+    def test_v3_rejects_a_mistyped_header_key(self, tmp_path, key, value, message):
+        header, payload = checkpoint_v3(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
+        write_v3({**header, key: value}, payload, tmp_path / "bad.ckpt")
+        load_fails(tmp_path / "bad.ckpt", message)
+
+    @pytest.mark.parametrize("key", ["version", "feature_dim", "anchor_count", "hidden",
+                                     "tensors", "meta"])
+    def test_v3_rejects_a_dropped_header_key(self, tmp_path, key):
+        header, payload = checkpoint_v3(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
+        del header[key]
+        write_v3(header, payload, tmp_path / "bad.ckpt")
+        message = "version None" if key == "version" else rf"lacks keys \['{key}'\]"
+        load_fails(tmp_path / "bad.ckpt", message)
 
     def test_header_alone_allocates_nothing(self, tmp_path):
         path = tmp_path / "tiny.json"
         path.write_text('{"version": 2, "feature_dim": 500, "anchor_count": 1, "hidden": 500, '
                         '"tensors": {}}')
         assert path.stat().st_size == 83
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigError, match="conv0.w"):
-                NetworkB.load(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert_fails_small(path, "conv0.w")
+
+    def test_v3_header_alone_allocates_nothing(self, tmp_path):
+        header = {"version": 3, "feature_dim": 500, "anchor_count": 1, "hidden": 500,
+                  "tensors": checkpoint_layout(500, 1, 500), "meta": {}}
+        write_v3(header, b"", tmp_path / "tiny.ckpt")
+        assert_fails_small(tmp_path / "tiny.ckpt", "payload is 0 bytes")
 
     def test_rejects_tensor_shapes_the_header_does_not_imply(self, tmp_path):
-        data = NetworkB(feature_dim=2, anchor_count=1, hidden=3).to_dict()
+        data = checkpoint_v2(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
         data["feature_dim"] = 10**12  # conv0.w would be 24 TB
         path = tmp_path / "big.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match=r"conv0.w has shape \[3, 2, 3\], expected"):
-            NetworkB.load(path)
+        load_fails(path, r"conv0.w has shape \[3, 2, 3\], expected")
 
     def test_rejects_v1_float_lists(self, tmp_path):
-        data = NetworkB(feature_dim=2, anchor_count=1, hidden=3).to_dict()
+        data = checkpoint_v2(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
         data["version"] = 1
         for spec in data["tensors"].values():  # v1 stored each tensor as a float list
             spec["values"] = np.frombuffer(base64.b64decode(spec.pop("f8")), "<f8").tolist()
@@ -278,16 +399,15 @@ class TestSgd:
 
     def test_step_after_load_changes_the_checkpoint(self, rng, tmp_path):
         net = NetworkB(feature_dim=3, anchor_count=1, hidden=4, seed=5)
-        net.save(tmp_path / "ckpt.json")
-        loaded = NetworkB.load(tmp_path / "ckpt.json")
-        before = loaded.to_dict()
+        net.save(tmp_path / "ckpt.ckpt")
+        loaded = NetworkB.load(tmp_path / "ckpt.ckpt")
         cfg = RunConfig(lr=0.5, momentum=0.0, weight_decay=0.0)
         sgd_step(loaded, gradients(loaded, **{"pred.b": 1.0}), cfg, {}, 0)
-        after = loaded.to_dict()
-        changed = [n for n in before["tensors"] if before["tensors"][n] != after["tensors"][n]]
+        loaded.save(tmp_path / "after.ckpt")
+        after = NetworkB.load(tmp_path / "after.ckpt")
+        changed = [n for n in net.params if not np.array_equal(net.params[n], after.params[n])]
         assert changed == ["pred.b"]
-        decoded = np.frombuffer(base64.b64decode(after["tensors"]["pred.b"]["f8"]), "<f8")
-        assert np.array_equal(decoded, np.full(2, -0.5))
+        assert np.array_equal(after.params["pred.b"], np.full(2, -0.5))
 
 
 def gradients(net, **values):
