@@ -311,9 +311,9 @@ class NetworkB:
     @classmethod
     def load(cls, path: str | Path) -> "NetworkB":
         """The network a checkpoint file holds. A file whose first line is a
-        JSON object with version 3, or one that more bytes follow, is read as
-        a version-3 header and payload; any other file as a version-2 JSON
-        document."""
+        JSON object with version 3, or one that more than JSON whitespace
+        follows, is read as a version-3 header and payload; any other file as
+        a version-2 JSON document."""
         try:
             data = Path(path).read_bytes()
             end = data.find(b"\n")
@@ -323,12 +323,13 @@ class NetworkB:
             except (ValueError, RecursionError):  # not JSON (or nested too deep), not UTF-8
                 header = None
             payload = memoryview(data)[end + 1 :]
-            if isinstance(header, dict) and (
-                header.get("version") == CHECKPOINT_VERSION or len(payload)
-            ):
+            v3 = isinstance(header, dict) and header.get("version") == CHECKPOINT_VERSION
+            # JSON whitespace after a one-line version-2 document is not a payload
+            more = not v3 and bool(data[end + 1 :].strip(b" \t\n\r"))
+            if v3 or (isinstance(header, dict) and more):
                 return cls._from_v3(header, payload)
             # version 2: one JSON document, already parsed unless it spans lines
-            return cls.from_dict(json.loads(data) if header is None or len(payload) else header)
+            return cls.from_dict(json.loads(data) if header is None or more else header)
         except (ConfigError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
 

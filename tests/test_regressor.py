@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (checkpoint_layout, checkpoint_v2, checkpoint_v3, conv1d_backward_loops,
-                     conv1d_loops, conv1d_pad_reference, sgd_per_tensor)
+from oracles import (checkpoint_layout, checkpoint_tensors, checkpoint_v2, checkpoint_v3,
+                     conv1d_backward_loops, conv1d_loops, conv1d_pad_reference, sgd_per_tensor)
 
 from oicloc.config import RunConfig
 from oicloc.errors import ConfigError, TrainingError, UsageError
@@ -188,6 +188,9 @@ class TestCheckpoint:
         assert v2.meta == {}
         assert_same_net(v2, v3, rng)
         assert_same_net(net, v2, rng)
+        for tail in ("\n\n", "\n ", "\r\n\t"):  # JSON whitespace after one v2 line
+            (tmp_path / "v2ws.json").write_text(json.dumps(checkpoint_v2(net)) + tail)
+            assert_same_net(v2, NetworkB.load(tmp_path / "v2ws.json"), rng)
 
     def test_rejects_unknown_version(self, tmp_path):
         net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
@@ -405,7 +408,8 @@ class TestSgd:
         sgd_step(loaded, gradients(loaded, **{"pred.b": 1.0}), cfg, {}, 0)
         loaded.save(tmp_path / "after.ckpt")
         after = NetworkB.load(tmp_path / "after.ckpt")
-        changed = [n for n in net.params if not np.array_equal(net.params[n], after.params[n])]
+        changed = [n for (n, a), (_, b) in zip(checkpoint_tensors(net), checkpoint_tensors(after))
+                   if not np.array_equal(a, b)]
         assert changed == ["pred.b"]
         assert np.array_equal(after.params["pred.b"], np.full(2, -0.5))
 
