@@ -44,7 +44,7 @@ def _load_run(config_path: str) -> tuple[RunConfig, list]:
 def cmd_synth(args) -> int:
     try:
         spec = synth.SynthSpec.from_dict(json.loads(Path(args.spec).read_bytes()))
-    except ValueError as exc:  # JSON, encoding or spec errors
+    except (ValueError, RecursionError) as exc:  # JSON (or nested too deep), encoding, spec
         raise ConfigError(f"{args.spec}: {exc}") from None
     videos = synth.synth_corpus(spec, args.seed, args.count, prefix=args.prefix)
     out = Path(args.out)

@@ -73,7 +73,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

@@ -12,14 +12,22 @@ import functools
 import numpy as np
 
 from .cas import Cas
+from .regressor import zero_bordered
 
 _EMBED_SEED = 180907
 
 
 def cas_to_features(cas: Cas, feature_dim: int) -> np.ndarray:
-    """Lift a K x T CAS to a feature_dim x T feature map, deterministically."""
+    """Lift a K x T CAS to a feature_dim x T feature map, deterministically.
+
+    The map is the interior of a zeroed buffer one column wider on each side
+    (``regressor.zero_bordered``), which the net's first conv reads in place
+    as its padded input, so the map is held once.
+    """
     aug = np.vstack([cas.act, cas.act.max(axis=0, keepdims=True)])
-    return np.tanh(_projection(cas.num_classes, feature_dim) @ aug)
+    feat = zero_bordered(feature_dim, cas.num_snippets)
+    np.matmul(_projection(cas.num_classes, feature_dim), aug, out=feat)
+    return np.tanh(feat, out=feat)
 
 
 @functools.lru_cache(maxsize=16)

@@ -165,16 +165,16 @@ def check_network_fd(seed: int = 0, T: int = 7, step: float = 1e-4) -> CheckResu
     worst = 0.0
     for name, p in net.params.items():
         g = grads[name]
-        flat = p.ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
+        # indexed, not raveled: a tap-major conv weight's ravel is a copy
+        for idx in np.ndindex(p.shape):
+            orig = p[idx]
+            p[idx] = orig + step
             up = scalar_loss()
-            flat[idx] = orig - step
+            p[idx] = orig - step
             down = scalar_loss()
-            flat[idx] = orig
+            p[idx] = orig
             approx = (up - down) / (2 * step)
-            analytic = g.ravel()[idx]
+            analytic = g[idx]
             err = abs(analytic - approx) / max(abs(analytic), abs(approx), 1e-4)
             worst = max(worst, err)
     return CheckResult("network-finite-differences", worst, 1e-4)

@@ -111,7 +111,7 @@ def read_manifest(path: str | Path) -> list[VideoRecord]:
     path = Path(path)
     try:
         entries = json.loads(path.read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     if not isinstance(entries, list):
         raise InputError(f"{path}: manifest must be a JSON array")
@@ -179,7 +179,7 @@ def read_predictions_jsonl(path: str | Path) -> list[Prediction]:
                 continue
             try:
                 obj = json.loads(raw.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise InputError(f"{path}:{lineno}: bad prediction line: {exc}") from None
             if not isinstance(obj, dict):
                 raise InputError(f"{path}:{lineno}: prediction must be a JSON object")

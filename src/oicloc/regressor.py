@@ -4,6 +4,14 @@ Three hidden conv layers (kernel 3, stride 1, pad 1), each followed by batch
 normalization and ReLU, then a prediction conv layer emitting 2M regression
 values per snippet (rows 2m / 2m+1 hold t_x / t_w for anchor m, 0-based).
 Batch = one video, so normalization statistics are taken over the time axis.
+
+Each layer's input is held once, as the interior of a zeroed buffer with one
+border column per side (:func:`zero_bordered`): the feature lift and every
+hidden layer write their output there, and the next conv reads that buffer
+in place. Conv weights are stored tap-major in ``params.flat``: the (out, in,
+k) view has each tap ``w[:, :, i]`` as one C-contiguous block, so the per-tap
+matmuls read the weights without a gather and the backward writes each tap's
+weight gradient straight into its block of the gradient vector.
 """
 from __future__ import annotations
 
@@ -23,34 +31,76 @@ BN_MOMENTUM = 0.9
 KERNEL = 3
 HIDDEN_LAYERS = 3
 CHECKPOINT_VERSION = 3
+PAD = (KERNEL - 1) // 2
+
+
+def zero_bordered(rows: int, T: int) -> np.ndarray:
+    """The (rows, T) interior of a new zeroed (rows, T + 2*PAD) buffer. A conv
+    given such a view reads its buffer in place instead of padding a copy."""
+    return np.zeros((rows, T + 2 * PAD))[:, PAD : PAD + T]
+
+
+def _padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """The zero-bordered buffer ``x`` is the interior of (see
+    :func:`zero_bordered`), or else a new one holding a copy of ``x``."""
+    buf = x.base
+    rows, T = x.shape
+    if (isinstance(buf, np.ndarray) and buf.shape == (rows, T + 2 * pad)
+            and buf.dtype == x.dtype and buf.flags.c_contiguous and x.strides == buf.strides
+            and x.ctypes.data == buf.ctypes.data + pad * buf.itemsize
+            and not buf[:, :pad].any() and not buf[:, pad + T :].any()):
+        return buf
+    xp = np.zeros((rows, T + 2 * pad))
+    xp[:, pad : pad + T] = x
+    return xp
+
+
+def _tensor_view(storage: np.ndarray, shape: tuple) -> np.ndarray:
+    """``storage`` viewed as a tensor of ``shape``; a 3-D conv weight (out, in,
+    k) is laid out as k C-contiguous (out, in) blocks, one per tap."""
+    if len(shape) != 3:
+        return storage.reshape(shape)
+    c_out, c_in, ksz = shape
+    return storage.reshape(ksz, c_out, c_in).transpose(1, 2, 0)
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Same-padded temporal convolution; returns (output, padded input).
 
-    One BLAS matmul per kernel tap: y = sum_k w[:, :, k] @ xp[:, k:k+T].
+    The padded input is ``x``'s own buffer when ``x`` is a
+    :func:`zero_bordered` interior.
     """
+    xp = _padded(x, (w.shape[2] - 1) // 2)
+    return _conv1d(xp, w, b), xp
+
+
+def _conv1d(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The convolution of the padded input ``xp``, one BLAS matmul per kernel
+    tap: y = sum_k w[:, :, k] @ xp[:, k:k+T]."""
     ksz = w.shape[2]
-    pad = (ksz - 1) // 2
-    T = x.shape[1]
-    xp = np.zeros((x.shape[0], T + 2 * pad))
-    xp[:, pad : pad + T] = x
+    T = xp.shape[1] - (ksz - 1)
     y = w[:, :, 0] @ xp[:, :T]
     for i in range(1, ksz):
         y += w[:, :, i] @ xp[:, i : i + T]
     y += b[:, None]
-    return y, xp
+    return y
 
 
 def conv1d_backward(
-    xp: np.ndarray, w: np.ndarray, dy: np.ndarray, input_grad: bool = True
+    xp: np.ndarray, w: np.ndarray, dy: np.ndarray, input_grad: bool = True,
+    dw: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients (dx, dw, db) of a same-padded temporal convolution, per tap;
-    ``dx`` is None without ``input_grad``."""
+    ``dx`` is None without ``input_grad``. Each tap's weight gradient is
+    written into ``dw[:, :, i]`` (default: a new tap-major array), which
+    must be C-contiguous per tap."""
     ksz = w.shape[2]
     pad = (ksz - 1) // 2
     T = dy.shape[1]
-    dw = np.stack([dy @ xp[:, i : i + T].T for i in range(ksz)], axis=2)
+    if dw is None:
+        dw = _tensor_view(np.empty(w.size), w.shape)
+    for i in range(ksz):
+        np.matmul(dy, xp[:, i : i + T].T, out=dw[:, :, i])
     db = dy.sum(axis=1)
     if not input_grad:
         return None, dw, db
@@ -87,16 +137,18 @@ _BACKWARD_ORDER = ("pred.w", "pred.b") + tuple(
 class FlatTensors(dict):
     """Tensors by name, each a view into the one float64 vector ``flat``.
 
-    ``layout`` maps each name to its (offset, shape) in ``flat``; ``names``
-    orders the views (default: layout order). Assigning a name copies the
-    value into its view, so ``flat`` stays the only storage.
+    ``layout`` maps each name to its (offset, shape) in ``flat``; conv
+    weights are stored tap-major (:func:`_tensor_view`), so a view is not
+    always C-contiguous and ``ravel`` of it is a copy. ``names`` orders the
+    views (default: layout order). Assigning a name copies the value into its
+    view, so ``flat`` stays the only storage.
     """
 
     def __init__(self, flat: np.ndarray, layout: dict, names=None):
         views = {}
         for name in layout if names is None else names:
             offset, shape = layout[name]
-            views[name] = flat[offset : offset + math.prod(shape)].reshape(shape)
+            views[name] = _tensor_view(flat[offset : offset + math.prod(shape)], shape)
         super().__init__(views)
         self.flat = flat
 
@@ -108,7 +160,7 @@ class NetworkB:
     """Parameters and manual forward/backward of the localization network.
 
     Every parameter lives in one flat float64 vector, ``params.flat``;
-    ``params[name]`` is a view into it.
+    ``params[name]`` is a view into it (conv weights tap-major).
     """
 
     def __init__(
@@ -148,7 +200,9 @@ class NetworkB:
         """Run the net over a D x T feature map.
 
         Returns the 2M x T regression map, plus cached intermediates when
-        mode == "train".
+        mode == "train". A :func:`zero_bordered` map (as
+        ``features.cas_to_features`` returns) is read in place, and the
+        train cache then holds its buffer; any other map is copied once.
         """
         feat = np.asarray(feat, dtype=np.float64)
         if feat.ndim != 2 or feat.shape[0] != self.feature_dim:
@@ -158,10 +212,11 @@ class NetworkB:
         if mode not in ("train", "infer"):
             raise UsageError(f"unknown forward mode {mode!r}")
         train = mode == "train"
-        cache = {"layers": [], "T": feat.shape[1]} if train else None
-        x = feat
+        T = feat.shape[1]
+        cache = {"layers": [], "T": T} if train else None
+        xp = _padded(feat, PAD)
         for i in range(HIDDEN_LAYERS):
-            z, xp = conv1d_forward(x, self.params[f"conv{i}.w"], self.params[f"conv{i}.b"])
+            z = _conv1d(xp, self.params[f"conv{i}.w"], self.params[f"conv{i}.b"])
             if train:
                 mu = z.mean(axis=1)
                 zc = z - mu[:, None]
@@ -179,14 +234,14 @@ class NetworkB:
             xhat = zc * inv_std[:, None]
             y = self.params[f"bn{i}.gamma"][:, None] * xhat + self.params[f"bn{i}.beta"][:, None]
             relu_mask = y > 0
-            out = y * relu_mask
             if train:
                 cache["layers"].append(
                     {"xp": xp, "zc": zc, "inv_std": inv_std, "xhat": xhat,
                      "relu_mask": relu_mask}
                 )
-            x = out
-        reg, xp = conv1d_forward(x, self.params["pred.w"], self.params["pred.b"])
+            xp = np.zeros((y.shape[0], T + 2 * PAD))  # the next conv's padded input
+            np.multiply(y, relu_mask, out=xp[:, PAD : PAD + T])
+        reg = _conv1d(xp, self.params["pred.w"], self.params["pred.b"])
         if train:
             cache["pred_xp"] = xp
             return reg, cache
@@ -205,8 +260,8 @@ class NetworkB:
                 f"grad_out shape {grad_out.shape} does not match cached forward"
             )
         grads = FlatTensors(np.empty(self.params.flat.size), self._layout, _BACKWARD_ORDER)
-        dx, grads["pred.w"], grads["pred.b"] = conv1d_backward(
-            cache["pred_xp"], self.params["pred.w"], grad_out
+        dx, _, grads["pred.b"] = conv1d_backward(
+            cache["pred_xp"], self.params["pred.w"], grad_out, dw=grads["pred.w"]
         )
         for i in reversed(range(HIDDEN_LAYERS)):
             lay = cache["layers"][i]
@@ -223,8 +278,9 @@ class NetworkB:
                 axis=1, keepdims=True
             )
             dz = dxhat * inv_std + dvar * 2.0 * zc / n + dmu / n
-            dx, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = conv1d_backward(
-                lay["xp"], self.params[f"conv{i}.w"], dz, input_grad=i > 0
+            dx, _, grads[f"conv{i}.b"] = conv1d_backward(
+                lay["xp"], self.params[f"conv{i}.w"], dz, input_grad=i > 0,
+                dw=grads[f"conv{i}.w"],
             )
         return grads
 
@@ -249,15 +305,9 @@ class NetworkB:
         if not isinstance(tensors, dict):
             raise ConfigError("checkpoint 'tensors' must be a JSON object")
         texts = {name: _payload(tensors, name, shape) for name, shape in shapes.items()}
-        net = cls.__new__(cls)
-        net._allocate(*dims)
-        for name in net.params:
-            net.params[name] = _decode(texts[name], name, shapes[name])
-        for i in range(HIDDEN_LAYERS):
-            for stats, name in ((net.running_mean, f"bn{i}.running_mean"),
-                                (net.running_var, f"bn{i}.running_var")):
-                stats[i] = _decode(texts[name], name, shapes[name]).copy()
-        return net
+        return cls._from_tensors(
+            dims, {name: _decode(texts[name], name, shape) for name, shape in shapes.items()}
+        )
 
     @classmethod
     def _from_v3(cls, header: dict, payload: memoryview) -> "NetworkB":
@@ -281,32 +331,41 @@ class NetworkB:
         if len(payload) != size:
             raise ConfigError(f"checkpoint payload is {len(payload)} bytes, expected {size}")
         values = np.frombuffer(payload, dtype="<f8")
+        tensors, offset = {}, 0
+        for name, shape in shapes.items():  # each tensor in C order of its shape
+            tensors[name] = values[offset : offset + math.prod(shape)].reshape(shape)
+            offset += math.prod(shape)
+        net = cls._from_tensors(dims, tensors)
+        net.meta = header["meta"]
+        return net
+
+    @classmethod
+    def _from_tensors(cls, dims: tuple, tensors: dict) -> "NetworkB":
+        """The network of the given dims holding every checked checkpoint
+        tensor (by name, each of its listed shape)."""
         net = cls.__new__(cls)
         net._allocate(*dims)
-        n = net.params.flat.size
-        net.params.flat[...] = values[:n]
-        stats = values[n:].reshape(HIDDEN_LAYERS, 2, net.hidden)
+        for name in net.params:
+            net.params[name] = tensors[name]
         for i in range(HIDDEN_LAYERS):
-            net.running_mean[i][...] = stats[i, 0]
-            net.running_var[i][...] = stats[i, 1]
-        net.meta = header["meta"]
+            net.running_mean[i][...] = tensors[f"bn{i}.running_mean"]
+            net.running_var[i][...] = tensors[f"bn{i}.running_var"]
         return net
 
     def save(self, path: str | Path, meta: dict | None = None) -> None:
         """Write a version-3 checkpoint: one JSON header line (``version``,
         the three dims, the ordered ``tensors`` list of ``[name, shape]`` and
         the ``meta`` object), then each listed tensor's little-endian float64
-        bytes in that order."""
+        bytes in C order of its shape, in list order."""
         shapes = _checkpoint_shapes(self.feature_dim, self.anchor_count, self.hidden)
         header = {"version": CHECKPOINT_VERSION, "feature_dim": self.feature_dim,
                   "anchor_count": self.anchor_count, "hidden": self.hidden,
                   "tensors": _tensor_list(shapes), "meta": {} if meta is None else meta}
+        stats = [t for pair in zip(self.running_mean, self.running_var) for t in pair]
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode() + b"\n")
-            fh.write(np.ascontiguousarray(self.params.flat, dtype="<f8"))
-            for pair in zip(self.running_mean, self.running_var):
-                for stats in pair:
-                    fh.write(np.ascontiguousarray(stats, dtype="<f8"))
+            for tensor in [*self.params.values(), *stats]:  # C order, though stored tap-major
+                fh.write(np.ascontiguousarray(tensor, dtype="<f8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "NetworkB":
@@ -415,9 +474,9 @@ def _flat_gradient(net: NetworkB, grads: dict[str, np.ndarray]) -> np.ndarray:
     """``grads`` as one vector laid out like ``net.params.flat``."""
     if isinstance(grads, FlatTensors) and grads.flat.shape == net.params.flat.shape:
         return grads.flat
-    flat = np.empty(net.params.flat.size)
-    for name, (offset, shape) in net._layout.items():
+    flat = FlatTensors(np.empty(net.params.flat.size), net._layout)
+    for name, (_, shape) in net._layout.items():
         if np.shape(grads.get(name)) != shape:
             raise UsageError(f"sgd_step needs a gradient of shape {shape} for {name}")
-        flat[offset : offset + math.prod(shape)] = np.ravel(grads[name])
-    return flat
+        flat[name] = grads[name]  # through the view: conv weights are tap-major
+    return flat.flat

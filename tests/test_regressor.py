@@ -8,9 +8,11 @@ import pytest
 from oracles import (checkpoint_layout, checkpoint_tensors, checkpoint_v2, checkpoint_v3,
                      conv1d_backward_loops, conv1d_loops, conv1d_pad_reference, sgd_per_tensor)
 
+from oicloc.cli import main
 from oicloc.config import RunConfig
 from oicloc.errors import ConfigError, TrainingError, UsageError
-from oicloc.regressor import NetworkB, conv1d_backward, conv1d_forward, learning_rate, sgd_step
+from oicloc.regressor import (NetworkB, conv1d_backward, conv1d_forward, learning_rate, sgd_step,
+                              zero_bordered)
 
 
 class TestConv1d:
@@ -97,6 +99,48 @@ class TestNetworkB:
         out2 = net.forward(feat)
         assert np.array_equal(out1, out2)
         assert all(np.array_equal(a, b) for a, b in zip(snapshot, net.running_mean))
+
+    def test_conv_weight_taps_are_c_contiguous(self, rng):
+        net = NetworkB(feature_dim=5, anchor_count=2, hidden=6)
+        _, cache = net.forward(rng.standard_normal((5, 9)), mode="train")
+        grads = net.backward(cache, rng.standard_normal((4, 9)))
+        for tensors in (net.params, grads):
+            weights = [t for name, t in tensors.items() if name.endswith(".w")]
+            assert len(weights) == 4
+            for w in weights:
+                assert all(w[:, :, k].flags.c_contiguous for k in range(w.shape[2]))
+
+    def test_zero_bordered_map_is_read_in_place(self, rng):
+        net = NetworkB(feature_dim=5, anchor_count=2, hidden=6, seed=3)
+        feat = zero_bordered(5, 11)
+        feat[...] = rng.standard_normal(feat.shape)
+        _, cache = net.forward(feat, mode="train")
+        assert cache["layers"][0]["xp"] is feat.base
+        for i in range(1, 3):  # each hidden layer wrote into the next conv's buffer
+            assert not cache["layers"][i]["xp"][:, [0, -1]].any()
+
+    def test_any_other_map_is_copied_bit_identically(self, rng):
+        """A plain, a strided or a dirty-bordered map gives the bits of the
+        same values read in place from a zero-bordered buffer."""
+        pred_w = rng.standard_normal((4, 6, 3))
+        grad_out = rng.standard_normal((4, 11))
+
+        def run(feat):
+            net = NetworkB(feature_dim=5, anchor_count=2, hidden=6, seed=3)
+            net.params["pred.w"] = pred_w
+            infer = net.forward(feat)
+            out, cache = net.forward(feat, mode="train")
+            return [infer, out, *net.backward(cache, grad_out).values()], cache
+
+        feat = zero_bordered(5, 11)
+        feat[...] = rng.standard_normal(feat.shape)
+        dirty = np.ones((5, 13))
+        dirty[:, 1:-1] = feat
+        want, _ = run(feat)
+        for other in (np.array(feat), np.asfortranarray(feat), dirty[:, 1:-1]):
+            got, cache = run(other)
+            assert not np.shares_memory(cache["layers"][0]["xp"], other)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
     def test_backward_requires_train_cache(self):
         net = NetworkB(feature_dim=3, anchor_count=1, hidden=4)
@@ -235,11 +279,29 @@ class TestCheckpoint:
         path.write_text('{"version": 2, "hidden": 3}')
         load_fails(path, r"cut.json: .*\['anchor_count', 'feature_dim'")
 
-    @pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "\npayload"],
-                             ids=["one-line", "header-line"])
-    def test_rejects_json_nested_too_deep(self, tmp_path, text):
-        (tmp_path / "deep.ckpt").write_text(text)
-        load_fails(tmp_path / "deep.ckpt", "recursion")
+    @pytest.mark.parametrize("text, command", [
+        ("[" * 100_000, "predict --config run.json --checkpoint deep --out p.jsonl"),
+        ("[" * 100_000 + "\npayload", "predict --config run.json --checkpoint deep --out p.jsonl"),
+        ("[" * 100_000, "predict --config deep --out p.jsonl"),
+        ("[" * 100_000, "synth --spec deep --out corpus"),
+        ("[" * 100_000, "eval --pred none.jsonl --manifest deep --out e.json"),
+        ("[" * 100_000, "eval --pred deep --manifest manifest.json --out e.json"),
+    ], ids=["one-line", "header-line", "config", "synth-spec", "manifest", "predictions"])
+    def test_rejects_json_nested_too_deep(self, tmp_path, monkeypatch, capsys, text, command):
+        """Every JSON reader turns a document nested too deep for the parser
+        into one error line naming the file, and exit code 2."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "v.csv").write_text("snippet,class_1\n1,0.5\n")
+        entry = {"video_id": "v", "cas_path": "v.csv", "labels": [1], "fps": 30.0}
+        (tmp_path / "manifest.json").write_text(json.dumps([entry]))
+        (tmp_path / "run.json").write_text(
+            json.dumps({"version": 1, "profile": "synthetic", "manifest": "manifest.json"}))
+        (tmp_path / "none.jsonl").write_text("")
+        (tmp_path / "deep").write_text(text)
+        assert main(command.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: deep:") and err.count("\n") == 1
+        assert "recursion" in err
 
     @pytest.mark.parametrize("keep, message", [
         (lambda data, line: len(data) - 1, "payload is 1095 bytes, expected 1096"),

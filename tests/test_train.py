@@ -48,6 +48,16 @@ class TestFeatures:
             seed = features._EMBED_SEED + cas.num_classes
             assert np.array_equal(cas_to_features(cas, 12), lift_reference(cas.act, 12, seed))
 
+    def test_lifts_into_a_zero_bordered_buffer_the_net_reads_in_place(self, corpus):
+        cas = corpus[0].cas
+        feat = cas_to_features(cas, 12)
+        buf = feat.base
+        assert buf.shape == (12, cas.num_snippets + 2)
+        assert feat.__array_interface__ == buf[:, 1:-1].__array_interface__
+        assert not buf[:, 0].any() and not buf[:, -1].any()
+        _, cache = new_network(CFG, 0).forward(feat, mode="train")
+        assert np.shares_memory(cache["layers"][0]["xp"], feat)
+
     def test_distinct_videos_get_distinct_features(self, corpus):
         f1 = cas_to_features(corpus[0].cas, 12)
         f2 = cas_to_features(corpus[1].cas, 12)
@@ -101,6 +111,7 @@ class TestStepIsBitwise:
     @pytest.mark.parametrize("cfg", [
         RunConfig(anchors=(2, 4, 8, 16), feature_dim=12, hidden=16, lr=1e-3, lr_step=3),
         PROFILES["synthetic"],
+        PROFILES["thumos"],
     ])
     def test_parameters_and_running_stats_match_reference(self, corpus, cfg):
         net = new_network(cfg, 4)
