@@ -92,8 +92,8 @@ def conv1d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients (dx, dw, db) of a same-padded temporal convolution, per tap;
     ``dx`` is None without ``input_grad``. Each tap's weight gradient is
-    written into ``dw[:, :, i]`` (default: a new tap-major array), which
-    must be C-contiguous per tap."""
+    written in place into ``dw[:, :, i]`` (default: a new tap-major array,
+    so that each tap is one C-contiguous block)."""
     ksz = w.shape[2]
     pad = (ksz - 1) // 2
     T = dy.shape[1]
