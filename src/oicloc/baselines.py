@@ -10,7 +10,7 @@ import numpy as np
 from .cas import Cas, VideoRecord
 from .config import RunConfig
 from .errors import ConfigError, InputError
-from .oic import oic_kernel
+from .oic import oic_areas
 from .boundary import inflate, round_boundary
 from .regressor import NetworkB
 from .selection import Prediction, nms_order, snippet_to_time
@@ -77,7 +77,7 @@ def oic_selection_enumerate(
         short = x2 - x1 < max_len
         x1, x2 = x1[short], x2[short]
         X1, X2 = inflate(x1, x2, x2 - x1 + 1.0, alpha, T)
-        loss = oic_kernel(padded, 0, x1, x2, round_boundary(X1), round_boundary(X2))[0].loss
+        loss = oic_areas(padded, 0, x1, x2, round_boundary(X1), round_boundary(X2))[0].loss
         hit = loss <= loss_max
         parts.append((x1[hit], x2[hit], 1.0 - loss[hit]))
     x1, x2, score = (np.concatenate(v) for v in zip(*parts))

@@ -24,11 +24,65 @@ def write_cas_csv(path: str | Path, cas: Cas) -> None:
 
 
 def read_cas_csv(path: str | Path) -> Cas:
-    """Read a snippet,class_1..class_K CSV into a K x T CAS."""
+    """Read a snippet,class_1..class_K CSV into a K x T CAS.
+
+    A file of canonical unquoted rows is parsed in bulk; any other input
+    (quotes, a bare ``\r``, mixed line ends, a blank line, a wrong index, a
+    bad cell or value, no data rows, a line the csv module could refuse) goes
+    to the line-by-line reader, which accepts or rejects it and words every
+    error. Both convert cells with ``float``, so the two give the same bits.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError):
+        return _read_cas_lines(path)
+    act = _parse_cas_bulk(text)
+    if act is not None:
+        try:
+            return Cas(act)
+        except InputError:
+            pass
+    return _read_cas_lines(path)
+
+
+def _parse_cas_bulk(text: str) -> np.ndarray | None:
+    """The K x T matrix of a canonical unquoted CAS CSV, or None for any other
+    text (a quote fails the header check or ``int``/``float``)."""
+    crs = text.count("\r")
+    lines = text.split("\r\n" if crs else "\n")
+    if crs and not crs == text.count("\n") == len(lines) - 1:
+        return None  # a bare \r or \n
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or max(map(len, lines)) >= csv.field_size_limit():
+        return None
+    K = lines[0].count(",")
+    if lines[0] != ",".join(["snippet", *(f"class_{k}" for k in range(1, K + 1))]):
+        return None
+    rows = lines[1:]
+    if [row.count(",") for row in rows] != [K] * len(rows):
+        return None
+    cells = ",".join(rows).split(",")
+    index = cells[:: K + 1]
+    del cells[:: K + 1]
+    try:
+        if list(map(int, index)) != list(range(1, len(rows) + 1)):
+            return None
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        return None
+    return values.reshape(len(rows), K).T  # the layout np.array(rows).T gives
+
+
+def _read_cas_lines(path: str | Path) -> Cas:
+    """Line-by-line reader: the one that words every CAS CSV error."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except (OSError, ValueError) as exc:  # missing file, bad path, not UTF-8
+        raise InputError(f"{path}: {exc}") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise InputError(f"{path}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: empty CSV")

@@ -464,10 +464,11 @@ def sgd_step(
     v = velocity.get("flat")
     if v is None:
         v = velocity["flat"] = update
+        p -= lr * v
     else:
         v *= cfg.momentum
         v += update
-    p -= lr * v
+        p -= np.multiply(v, lr, out=update)  # update is dead once folded into v
 
 
 def _flat_gradient(net: NetworkB, grads: dict[str, np.ndarray]) -> np.ndarray:

@@ -96,24 +96,44 @@ def build_candidates(
     return Candidates(w_a, w, x1, x2, X1, X2, rounded, width * alpha < 1.0, valid)
 
 
+# Largest interval count that nms_order decides with one pairwise-IoU matrix.
+# Timed in process on the sets the benchmark workloads pass (2-vCPU Xeon):
+# select's per-class sets at desk and baselines shapes (n up to 79, many kept)
+# run 1.5-4x faster as a matrix; enumerate's dense sets (n 150-1,022, few kept)
+# run 2-27x slower, as the matrix grows with n^2 and the sweep with n times
+# the kept count. Thumos-shaped select sets (n 146-250) stay on the sweep.
+NMS_MATRIX_MAX = 128
+
+
+def _iou_at_most(lo_a, hi_a, lo, hi, iou_thresh: float) -> np.ndarray:
+    """Whether the IoU of [lo_a, hi_a] with [lo, hi] is at most the threshold
+    (broadcasting; disjoint or touching intervals have IoU 0)."""
+    inter = np.minimum(hi_a, hi) - np.maximum(lo_a, lo)
+    union = np.maximum(hi_a, hi) - np.minimum(lo_a, lo)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0) <= iou_thresh
+
+
 def nms_order(score: np.ndarray, lo: np.ndarray, hi: np.ndarray, iou_thresh: float) -> list[int]:
     """Greedy suppression of scored intervals [lo, hi]; kept indices, best first.
 
     Ranks by descending score, then lo, then hi; drops every later interval
-    whose IoU with a kept one exceeds the threshold (as :func:`evaluation.iou`)."""
+    whose IoU with a kept one exceeds the threshold (as :func:`evaluation.iou`).
+    Up to ``NMS_MATRIX_MAX`` intervals, every pairwise IoU is computed at once;
+    above it, each kept interval's IoUs are computed as it is kept.
+    """
     order = np.lexsort((hi, lo, -score))
     lo, hi = lo[order], hi[order]
-    alive = np.ones(len(order), dtype=bool)
+    n = len(order)
+    pairwise = (_iou_at_most(lo[:, None], hi[:, None], lo, hi, iou_thresh)
+                if n <= NMS_MATRIX_MAX else None)
+    alive = np.ones(n, dtype=bool)
     kept = []
-    for i in range(len(order)):
-        if not alive[i]:
-            continue
-        kept.append(int(order[i]))
-        inter = np.minimum(hi[i], hi) - np.maximum(lo[i], lo)
-        union = np.maximum(hi[i], hi) - np.minimum(lo[i], lo)
-        iou = np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
-        alive &= iou <= iou_thresh
-    return kept
+    for i in range(n):
+        if alive[i]:
+            kept.append(i)
+            alive &= (pairwise[i] if pairwise is not None
+                      else _iou_at_most(lo[i], hi[i], lo, hi, iou_thresh))
+    return order[kept].tolist()
 
 
 def _padded(act: np.ndarray) -> np.ndarray:
@@ -160,7 +180,7 @@ def select(
     g, m = np.nonzero(valid)
     t = g_t[g]
     losses = np.full((g_t.size, M), np.inf)
-    losses[g, m] = oic.oic_kernel(
+    losses[g, m] = oic.oic_areas(
         padded, g_c[g], *grid.rounded[:, t, m], inner_only=loss == "inner"
     )[0].loss
     best_m = losses.argmin(axis=1)  # first minimum: equal losses keep the smaller anchor
@@ -168,17 +188,20 @@ def select(
     keep = valid.any(axis=1) & (best <= loss_max)
     c, t, m, score = g_c[keep], g_t[keep], best_m[keep], 1.0 - best[keep]
     x1, x2 = grid.x1[t, m], grid.x2[t, m]
+    # c ascends, so class ks[i]'s candidates are the slice [bounds[i], bounds[i + 1])
+    bounds = c.searchsorted(np.arange(ks.size + 1)).tolist()
+    kept = np.array([a + i for a, b in zip(bounds, bounds[1:]) if b > a
+                     for i in nms_order(score[a:b], x1[a:b], x2[a:b], nms_iou)], dtype=np.intp)
+    k, t, m, score, x1, x2 = ks[c[kept]], t[kept], m[kept], score[kept], x1[kept], x2[kept]
     mask = np.zeros((K, T, M), dtype=bool)
-    survivors: list[tuple[Prediction, tuple[int, int]]] = []
-    for ci, k in enumerate(ks.tolist()):
-        members = np.flatnonzero(c == ci)
-        for i in members[nms_order(score[members], x1[members], x2[members], nms_iou)]:
-            ti, mi = int(t[i]), int(m[i])
-            mask[k - 1, ti, mi] = True
-            lo, hi = float(x1[i]), float(x2[i])
-            pred = Prediction(k, snippet_to_time(lo, fps), snippet_to_time(hi, fps),
-                              float(score[i]), lo, hi, video_id)
-            survivors.append((pred, (ti, mi)))
+    mask[k - 1, t, m] = True
+    survivors = [
+        (Prediction(ki, snippet_to_time(lo, fps), snippet_to_time(hi, fps), s, lo, hi, video_id),
+         (ti, mi))
+        for ki, ti, mi, s, lo, hi in zip(
+            k.tolist(), t.tolist(), m.tolist(), score.tolist(), x1.tolist(), x2.tolist()
+        )
+    ]
     survivors.sort(key=lambda pc: (-pc[0].score, pc[0].start_s, pc[0].class_id))
     return mask, survivors
 

@@ -245,6 +245,27 @@ def enumeration_oracle(act_row, k, T, alpha, loss_max, nms_iou):
     return sorted(kept)
 
 
+def greedy_nms(score, lo, hi, iou_thresh) -> list[int]:
+    """Kept indices of greedy interval suppression, best first.
+
+    Ranks by descending score, then lo, then hi (input order on full ties),
+    and keeps an interval unless its IoU with an already kept one exceeds
+    the threshold; disjoint or touching intervals have IoU 0.
+    """
+    score, lo, hi = (list(map(float, v)) for v in (score, lo, hi))
+    ranked = sorted(range(len(score)), key=lambda i: (-score[i], lo[i], hi[i]))
+    kept = []
+    for i in ranked:
+        suppressed = False
+        for j in kept:
+            inter = min(hi[i], hi[j]) - max(lo[i], lo[j])
+            if inter > 0 and inter / (max(hi[i], hi[j]) - min(lo[i], lo[j])) > iou_thresh:
+                suppressed = True
+        if not suppressed:
+            kept.append(i)
+    return kept
+
+
 # -- the regressor's training step as first written, pinned bit for bit ------
 # These keep the straightforward NumPy form of the step (np.pad per conv,
 # batch norm through z.var with the centring recomputed, one momentum update

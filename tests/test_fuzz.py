@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import checkpoint_v2, checkpoint_v3
@@ -83,17 +83,66 @@ def test_read_manifest_any_document(workdir, data):
     read(io.read_manifest, workdir / "manifest.json", data, InputError)
 
 
-CELLS = st.sampled_from(["0.5", "1", "0", "-0", "nan", "inf", "1e400", "2", "", "x", "1\n"])
+# spellings that replace one cell or one snippet index of a well-formed file:
+# some parse to the same value, some are out of range, some send the file to
+# the line reader
+CELLS = ["1", "-0", "1e-3", " 0.5", "0.5 ", "1_0", "0_5", "+0.5", "nan", "inf", "1e400", "2",
+         "", "x", '"0.5"', '"', "\r", "0.5\r", "0.5\n", "0.5,0.5"]
+INDICES = ["+{}", "0{}", "{}.0", " {}", "{}_0", "{}0", "x", '"{}"', ""]
+
+
+@st.composite
+def cas_csv_texts(draw):
+    """A well-formed CAS CSV, or one with a few faults the two readers must agree on."""
+    K, T = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    grid = [["snippet", *(f"class_{k}" for k in range(1, K + 1))]] + [
+        [str(t), *draw(st.lists(st.sampled_from(["0.5", "0", "1", "0.25", "0.1"]),
+                                min_size=K, max_size=K))]
+        for t in range(1, T + 1)
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        r = draw(st.integers(0, T))
+        c = draw(st.integers(0, K))
+        if c == 0 and r > 0:
+            grid[r][0] = draw(st.sampled_from(INDICES)).format(r)
+        else:
+            grid[r][c] = draw(st.sampled_from(CELLS + (["class_9", '"class_1"'] if r == 0 else [])))
+    lines = [",".join(row) for row in grid]
+    if draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), "")  # a blank line
+    end = draw(st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"]))
+    return (end.join(lines) + draw(st.sampled_from(["", end, end + end]))).encode()
+
+
+def cas_outcome(reader, path):
+    """The CAS matrix (bytes, shape and layout) a reader gives, or its error text."""
+    try:
+        cas = reader(path)
+    except InputError as exc:
+        return str(exc)
+    assert isinstance(cas, Cas)
+    return cas.act.tobytes(), cas.act.shape, cas.act.strides
 
 
 @FUZZ
-@given(data=st.binary(max_size=60) | st.lists(
-    st.lists(CELLS, min_size=1, max_size=3), max_size=4
-).map(lambda rows: "\n".join(",".join(r) for r in [["snippet", "class_1"], *rows]).encode()))
+@given(data=st.binary(max_size=60) | cas_csv_texts())
+@example(data=b"snippet,class_1,class_2\n1,0.5\r,0.5\n")  # a bare \r inside a row
+@example(data=b"snippet,class_1\r\n1,0.5\r\r\n")  # a bare \r before the line end
+@example(data=b"snippet,class_1\r\n1,0.5\n\r\n")  # a bare \n in a \r\n file
+@example(data=b'snippet,class_1\n1,"0.5"\n')  # quoted cells the csv module reads
+@example(data=b'snippet,class_1,class_2\n1,"0.5,0.5"\n')
+@example(data=b"snippet,class_1\n1,0.5\n\n")  # trailing and leading blank lines
+@example(data=b"snippet,class_1\n\n1,0.5\n")
+@example(data=b"snippet,class_1\n+1, 0.5\n02,0.5 \n3_0,0.5\n")  # int and float spellings
+@example(data=b"snippet,class_1\n1.0,0.5\n")
+@example(data=b"snippet,class_1\n1,0.5,2\n0.5\n")  # rows of wrong widths, right total
+@example(data=b"snippet,class_1\n")  # header only
+@example(data=b"snippet\n1\n")  # no class column
+@example(data=b"snippet,class_1\n1,1_0\n")  # parses, but out of [0, 1]
 def test_read_cas_csv(workdir, data):
-    cas = read(io.read_cas_csv, workdir / "cas.csv", data, InputError)
-    if cas is not None:
-        assert isinstance(cas, Cas)
+    path = workdir / "cas.csv"
+    path.write_bytes(data)
+    assert cas_outcome(io.read_cas_csv, path) == cas_outcome(io._read_cas_lines, path)
 
 
 CONFIG = {"version": 1, "profile": "synthetic", "manifest": "m.json", "anchors": [2, 4],

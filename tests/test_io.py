@@ -23,6 +23,18 @@ class TestCasCsv:
         back = io.read_cas_csv(path)
         assert np.array_equal(back.act, video.cas.act)
 
+    @pytest.mark.parametrize("line_end", ["\r\n", "\n"])
+    def test_written_files_parse_in_bulk_to_the_line_readers_bits(self, tmp_path, line_end):
+        act = np.random.default_rng(4).uniform(0, 1, (3, 40))
+        path = tmp_path / "cas.csv"
+        io.write_cas_csv(path, Cas(act))
+        text = path.read_bytes().decode().replace("\r\n", line_end)
+        path.write_text(text, newline="")
+        bulk = io._parse_cas_bulk(text)
+        assert bulk is not None
+        lines = io._read_cas_lines(path).act
+        assert bulk.tobytes() == lines.tobytes() and bulk.strides == lines.strides
+
     def test_bytes_match_the_csv_writer_form(self, tmp_path):
         act = np.array([[5e-324, 0.1, 1.0, 1 / 3, -0.0], [0.0, 1 - 2**-53, 0.7, 2**-1074, 0.5]])
         path = tmp_path / "cas.csv"

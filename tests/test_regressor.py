@@ -462,6 +462,21 @@ class TestSgd:
             for name, p in params.items():
                 assert np.array_equal(net.params[name], p)
 
+    def test_later_steps_hold_one_parameter_sized_temporary(self, rng):
+        net = NetworkB(feature_dim=64, anchor_count=2, hidden=64, seed=3)
+        _, cache = net.forward(rng.standard_normal((64, 8)), mode="train")
+        grads = net.backward(cache, rng.standard_normal((4, 8)))
+        cfg, velocity = RunConfig(), {}
+        sgd_step(net, grads, cfg, velocity, 0)
+        tracemalloc.start()
+        try:
+            sgd_step(net, grads, cfg, velocity, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the weight-decay term, reused for lr * velocity once folded into it
+        assert peak < 1.5 * net.params.flat.nbytes
+
     def test_step_after_load_changes_the_checkpoint(self, rng, tmp_path):
         net = NetworkB(feature_dim=3, anchor_count=1, hidden=4, seed=5)
         net.save(tmp_path / "ckpt.ckpt")

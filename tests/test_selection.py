@@ -11,6 +11,7 @@ from oracles import (
     brute_force_inner_gradients,
     brute_force_inner_loss,
     brute_force_loss,
+    greedy_nms,
     selection_oracle,
 )
 
@@ -19,6 +20,7 @@ from oicloc.cas import Cas
 from oicloc.errors import InputError, TrainingError
 from oicloc.evaluation import iou
 from oicloc.selection import (
+    NMS_MATRIX_MAX,
     Prediction,
     build_candidates,
     nms_order,
@@ -171,6 +173,31 @@ class TestNms:
         for i, a in enumerate(kept):
             for b in kept[i + 1 :]:
                 assert iou((a.start_s, a.end_s), (b.start_s, b.end_s)) <= 0.4
+
+
+class TestNmsOracle:
+    @given(n=st.sampled_from([0, 1, 2, NMS_MATRIX_MAX, NMS_MATRIX_MAX + 1])
+           | st.integers(0, 2 * NMS_MATRIX_MAX),
+           seed=st.integers(0, 2**32 - 1),
+           iou_thresh=st.sampled_from([0.0, 1 / 3, 0.4, 0.5, 1.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_greedy_oracle(self, n, seed, iou_thresh):
+        # half-snippet endpoints and three scores, so that score, lo and hi tie
+        # and IoUs land exactly on the thresholds (1/3 and 0.5 are reachable)
+        rng = np.random.default_rng(seed)
+        score = rng.choice([0.2, 0.5, 0.9], n)
+        lo = rng.integers(0, 60, n) / 2
+        hi = lo + rng.integers(0, 12, n) / 2
+        assert nms_order(score, lo, hi, iou_thresh) == greedy_nms(score, lo, hi, iou_thresh)
+
+    @pytest.mark.parametrize("pairs", [NMS_MATRIX_MAX // 2, NMS_MATRIX_MAX // 2 + 1])
+    @pytest.mark.parametrize("iou_thresh, kept_per_pair", [(0.5, 2), (0.4, 1)])
+    def test_iou_exactly_at_the_threshold_is_kept(self, pairs, iou_thresh, kept_per_pair):
+        # [0, 4] and [0, 2] overlap with IoU exactly 0.5; the pairs lie apart
+        lo = np.repeat(10.0 * np.arange(pairs), 2)
+        hi = lo + np.tile([4.0, 2.0], pairs)
+        kept = nms_order(np.full(2 * pairs, 0.5), lo, hi, iou_thresh)
+        assert len(kept) == kept_per_pair * pairs
 
 
 class TestSelect:
