@@ -27,7 +27,9 @@ def cas_to_features(cas: Cas, feature_dim: int) -> np.ndarray:
     aug = np.vstack([cas.act, cas.act.max(axis=0, keepdims=True)])
     feat = zero_bordered(feature_dim, cas.num_snippets)
     np.matmul(_projection(cas.num_classes, feature_dim), aug, out=feat)
-    return np.tanh(feat, out=feat)
+    # squash the whole contiguous buffer: tanh(+0.0) is +0.0, so the border stays zero
+    np.tanh(feat.base, out=feat.base)
+    return feat
 
 
 @functools.lru_cache(maxsize=16)

@@ -64,16 +64,6 @@ def _tensor_view(storage: np.ndarray, shape: tuple) -> np.ndarray:
     return storage.reshape(ksz, c_out, c_in).transpose(1, 2, 0)
 
 
-def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padded temporal convolution; returns (output, padded input).
-
-    The padded input is ``x``'s own buffer when ``x`` is a
-    :func:`zero_bordered` interior.
-    """
-    xp = _padded(x, (w.shape[2] - 1) // 2)
-    return _conv1d(xp, w, b), xp
-
-
 def _conv1d(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The convolution of the padded input ``xp``, one BLAS matmul per kernel
     tap: y = sum_k w[:, :, k] @ xp[:, k:k+T]."""
@@ -236,8 +226,7 @@ class NetworkB:
             relu_mask = y > 0
             if train:
                 cache["layers"].append(
-                    {"xp": xp, "zc": zc, "inv_std": inv_std, "xhat": xhat,
-                     "relu_mask": relu_mask}
+                    {"xp": xp, "inv_std": inv_std, "xhat": xhat, "relu_mask": relu_mask}
                 )
             xp = np.zeros((y.shape[0], T + 2 * PAD))  # the next conv's padded input
             np.multiply(y, relu_mask, out=xp[:, PAD : PAD + T])
@@ -266,18 +255,17 @@ class NetworkB:
         for i in reversed(range(HIDDEN_LAYERS)):
             lay = cache["layers"][i]
             dy = dx * lay["relu_mask"]
-            grads[f"bn{i}.gamma"] = (dy * lay["xhat"]).sum(axis=1)
-            grads[f"bn{i}.beta"] = dy.sum(axis=1)
-            # batch-norm backward with batch statistics over the time axis
-            zc = lay["zc"]
-            n = zc.shape[1]
-            dxhat = dy * self.params[f"bn{i}.gamma"][:, None]
-            inv_std = lay["inv_std"][:, None]
-            dvar = (dxhat * zc * -0.5 * inv_std**3).sum(axis=1, keepdims=True)
-            dmu = (-dxhat * inv_std).sum(axis=1, keepdims=True) + dvar * (-2.0 / n) * zc.sum(
-                axis=1, keepdims=True
-            )
-            dz = dxhat * inv_std + dvar * 2.0 * zc / n + dmu / n
+            xhat = lay["xhat"]
+            dgamma, dbeta = grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"]
+            np.sum(dy * xhat, axis=1, out=dgamma)
+            np.sum(dy, axis=1, out=dbeta)
+            # batch-norm backward with batch statistics over the time axis, in
+            # the compact form: dz = γ/σ · (dy − (dβ + x̂·dγ) / n)
+            dz = xhat * dgamma[:, None]
+            dz += dbeta[:, None]
+            dz /= xhat.shape[1]
+            np.subtract(dy, dz, out=dz)
+            dz *= (self.params[f"bn{i}.gamma"] * lay["inv_std"])[:, None]
             dx, _, grads[f"conv{i}.b"] = conv1d_backward(
                 lay["xp"], self.params[f"conv{i}.w"], dz, input_grad=i > 0,
                 dw=grads[f"conv{i}.w"],

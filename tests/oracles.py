@@ -269,7 +269,9 @@ def greedy_nms(score, lo, hi, iou_thresh) -> list[int]:
 # -- the regressor's training step as first written, pinned bit for bit ------
 # These keep the straightforward NumPy form of the step (np.pad per conv,
 # batch norm through z.var with the centring recomputed, one momentum update
-# per tensor), so that a faster network must reproduce its every bit.
+# per tensor), so that a faster network must reproduce its every bit. The
+# batch-norm backward exists twice: as first written (through dvar and dmu)
+# and in the compact form the package computes, which the step is pinned to.
 
 
 def lift_reference(act: np.ndarray, feature_dim: int, seed: int) -> np.ndarray:
@@ -345,6 +347,28 @@ def network_backward_reference(params, cache, grad_out) -> dict:
         dmu = (-dxhat * inv_std).sum(axis=1, keepdims=True) + dvar * (-2.0 / n) * zc.sum(
             axis=1, keepdims=True)
         dz = dxhat * inv_std + dvar * 2.0 * zc / n + dmu / n
+        dx, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = conv1d_backward_reference(
+            xp, params[f"conv{i}.w"], dz)
+    return grads
+
+
+def network_backward_lean_reference(params, cache, grad_out) -> dict:
+    """Every parameter's gradient for a :func:`network_forward_reference` cache,
+    batch norm in the compact form dz = γ/σ · (dy − (dβ + x̂·dγ) / n), the
+    association the package's backward computes."""
+    layers, pred_xp = cache
+    grads = {}
+    dx, grads["pred.w"], grads["pred.b"] = conv1d_backward_reference(
+        pred_xp, params["pred.w"], grad_out)
+    for i in reversed(range(len(layers))):
+        xp, z, mu, inv_std, xhat, relu_mask = layers[i]
+        dy = dx * relu_mask
+        dgamma = (dy * xhat).sum(axis=1)
+        dbeta = dy.sum(axis=1)
+        grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = dgamma, dbeta
+        n = z.shape[1]
+        dz = (params[f"bn{i}.gamma"] * inv_std)[:, None] * (
+            dy - (dbeta[:, None] + xhat * dgamma[:, None]) / n)
         dx, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = conv1d_backward_reference(
             xp, params[f"conv{i}.w"], dz)
     return grads

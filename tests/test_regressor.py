@@ -11,8 +11,15 @@ from oracles import (checkpoint_layout, checkpoint_tensors, checkpoint_v2, check
 from oicloc.cli import main
 from oicloc.config import RunConfig
 from oicloc.errors import ConfigError, TrainingError, UsageError
-from oicloc.regressor import (NetworkB, conv1d_backward, conv1d_forward, learning_rate, sgd_step,
-                              zero_bordered)
+from oicloc.regressor import (NetworkB, _conv1d, _padded, conv1d_backward, learning_rate,
+                              sgd_step, zero_bordered)
+
+
+def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """(output, padded input) of the package's same-padded conv; the padded
+    input is ``x``'s own buffer when ``x`` is a ``zero_bordered`` interior."""
+    xp = _padded(x, (w.shape[2] - 1) // 2)
+    return _conv1d(xp, w, b), xp
 
 
 class TestConv1d:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    lift_reference, network_backward_reference, network_forward_reference, sgd_per_tensor,
+    lift_reference, network_backward_lean_reference, network_backward_reference,
+    network_forward_reference, sgd_per_tensor,
 )
 
 from oicloc import features
@@ -105,14 +106,18 @@ class TestTrainNetwork:
             train_step(net, corpus[0], CFG, {}, 7)
 
 
-class TestStepIsBitwise:
-    """train_step leaves exactly the parameters of the step as first written."""
+STEP_CONFIGS = [
+    RunConfig(anchors=(2, 4, 8, 16), feature_dim=12, hidden=16, lr=1e-3, lr_step=3),
+    PROFILES["synthetic"],
+    PROFILES["thumos"],
+]
 
-    @pytest.mark.parametrize("cfg", [
-        RunConfig(anchors=(2, 4, 8, 16), feature_dim=12, hidden=16, lr=1e-3, lr_step=3),
-        PROFILES["synthetic"],
-        PROFILES["thumos"],
-    ])
+
+class TestStepIsBitwise:
+    """train_step leaves exactly the parameters of the reference step, whose
+    batch-norm backward is the compact form."""
+
+    @pytest.mark.parametrize("cfg", STEP_CONFIGS)
     def test_parameters_and_running_stats_match_reference(self, corpus, cfg):
         net = new_network(cfg, 4)
         params = {name: p.copy() for name, p in net.params.items()}
@@ -128,7 +133,7 @@ class TestStepIsBitwise:
             mask, _ = select(video.cas, grid, video.labels, cfg.act_min, cfg.loss_max,
                              cfg.nms_iou, video.fps)
             ref_loss, grad_out = training_loss(video.cas, grid, mask, cfg.alpha)
-            grads = network_backward_reference(params, cache, grad_out)
+            grads = network_backward_lean_reference(params, cache, grad_out)
             sgd_per_tensor(params, grads, learning_rate(cfg, iteration), cfg.momentum,
                            cfg.weight_decay, ref_velocity)
             assert loss == ref_loss
@@ -137,6 +142,34 @@ class TestStepIsBitwise:
             for got, want in zip(net.running_mean + net.running_var, means + variances):
                 assert np.array_equal(got, want)
         assert any(np.any(p != 0) for p in grads.values())
+
+
+class TestBackwardMatchesFirstWritten:
+    """The compact batch-norm backward is the same gradient as the one first
+    written through dvar and dmu, to gradcheck's relative tolerance."""
+
+    @pytest.mark.parametrize("cfg", STEP_CONFIGS)
+    def test_gradients_agree_to_gradcheck_tolerance(self, corpus, cfg, rng):
+        net = new_network(cfg, 4)
+        # a non-zero pred layer (it starts at zero, which would hand the hidden
+        # layers no gradient) and non-trivial γ and β
+        net.params["pred.w"] = rng.uniform(-0.1, 0.1, net.params["pred.w"].shape)
+        for i in range(3):
+            net.params[f"bn{i}.gamma"] = rng.uniform(0.5, 1.5, cfg.hidden)
+            net.params[f"bn{i}.beta"] = rng.uniform(-0.2, 0.2, cfg.hidden)
+        params = {name: p.copy() for name, p in net.params.items()}
+        for video in corpus[:2]:
+            feat = cas_to_features(video.cas, cfg.feature_dim)
+            reg_map, cache = net.forward(feat, mode="train")
+            grad_out = rng.standard_normal(reg_map.shape)
+            grads = net.backward(cache, grad_out)
+            _, ref_cache = network_forward_reference(params, [0.0] * 3, [1.0] * 3, feat)
+            want = network_backward_reference(params, ref_cache, grad_out)
+            for name, got in grads.items():
+                assert np.any(got != 0), name
+                err = np.abs(got - want[name]) / np.maximum(
+                    np.maximum(np.abs(got), np.abs(want[name])), 1e-4)
+                assert err.max() <= 1e-4, (name, err.max())
 
 
 class TestPredictVideo:
