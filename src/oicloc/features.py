@@ -11,8 +11,8 @@ import functools
 
 import numpy as np
 
+from . import regressor
 from .cas import Cas
-from .regressor import zero_bordered
 
 _EMBED_SEED = 180907
 
@@ -25,10 +25,17 @@ def cas_to_features(cas: Cas, feature_dim: int) -> np.ndarray:
     as its padded input, so the map is held once.
     """
     aug = np.vstack([cas.act, cas.act.max(axis=0, keepdims=True)])
-    feat = zero_bordered(feature_dim, cas.num_snippets)
-    np.matmul(_projection(cas.num_classes, feature_dim), aug, out=feat)
+    feat = regressor.zero_bordered(feature_dim, cas.num_snippets)
+    proj = _projection(cas.num_classes, feature_dim)
+    np.matmul(proj, aug, out=feat)
     # squash the whole contiguous buffer: tanh(+0.0) is +0.0, so the border stays zero
-    np.tanh(feat.base, out=feat.base)
+    buf, pool = feat.base, regressor._worker(proj.size * cas.num_snippets)
+    if pool is None:
+        np.tanh(buf, out=buf)
+    else:  # its two row halves at once: elementwise, so bit-equal
+        half = feature_dim // 2
+        regressor._concurrently(pool, lambda: np.tanh(buf[:half], out=buf[:half]),
+                                lambda: np.tanh(buf[half:], out=buf[half:]))
     return feat
 
 

@@ -12,12 +12,20 @@ in place. Conv weights are stored tap-major in ``params.flat``: the (out, in,
 k) view has each tap ``w[:, :, i]`` as one C-contiguous block, so the per-tap
 matmuls read the weights without a gather and the backward writes each tap's
 weight gradient straight into its block of the gradient vector.
+
+At paper width a second core joins in: a conv hands its last tap (forward:
+``w[:, :, 2] @ xp[:, 2:2+T]``; backward: that tap's weight gradient and input
+gradient product) to one worker thread, and the feature lift squashes its two
+row halves at once. Each moved job is a whole, unchanged BLAS or ufunc call
+and the products are summed in tap order, ``(W0 x0 + W1 x1) + W2 x2``, so
+every output bit is the same with or without the worker. It engages only at
+POOL_MIN_MADDS and with a second usable CPU, on top of any BLAS threads.
 """
 from __future__ import annotations
 
-import base64
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +40,44 @@ KERNEL = 3
 HIDDEN_LAYERS = 3
 CHECKPOINT_VERSION = 3
 PAD = (KERNEL - 1) // 2
+# Multiply-adds per tap (c_out * c_in * T) from which a call hands work to the
+# worker thread. A hand-off and join costs ~50 us; with one BLAS thread on two
+# cores, moving a forward conv's last tap broke even at ~1M (64 x 64 x 256,
+# 128 x 128 x 64) and took 0.89x the time at 12 x 128 x 800, 0.76x at
+# 128 x 128 x 128 and 0.70x at 128 x 2048 x 1540. Desk shapes (at most
+# 32 x 32 x 120) stay sequential.
+POOL_MIN_MADDS = 1 << 21
+
+_pool = None  # (owning process id, single-worker ThreadPoolExecutor)
+
+
+def _worker(madds: int):
+    """The single worker thread's executor, created on first use, for a call
+    of ``madds`` multiply-adds per tap; None below POOL_MIN_MADDS or when
+    only one CPU is usable."""
+    global _pool
+    if madds < POOL_MIN_MADDS or len(os.sched_getaffinity(0)) < 2:
+        return None
+    if _pool is None or _pool[0] != os.getpid():  # a forked child has no worker thread
+        # imported here: importing it with this module slowed the baselines
+        # workload, which never uses the worker, by 3.5-3.8% (10 benchmark pairs)
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="oicloc-worker")
+    return _pool[1]
+
+
+def _concurrently(pool, here, there) -> tuple:
+    """``(here(), there())``, with ``there`` on the worker thread ``pool``
+    unless it is None. The worker is joined before this returns or raises,
+    so it never writes into a buffer after the call is over."""
+    if pool is None:
+        return here(), there()
+    job = pool.submit(there)
+    try:
+        mine = here()
+    finally:
+        theirs = job.result()
+    return mine, theirs
 
 
 def zero_bordered(rows: int, T: int) -> np.ndarray:
@@ -66,12 +112,20 @@ def _tensor_view(storage: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _conv1d(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The convolution of the padded input ``xp``, one BLAS matmul per kernel
-    tap: y = sum_k w[:, :, k] @ xp[:, k:k+T]."""
+    tap (at least two): y = sum_k w[:, :, k] @ xp[:, k:k+T], summed in tap
+    order; the last tap's product may run on the worker thread."""
     ksz = w.shape[2]
     T = xp.shape[1] - (ksz - 1)
-    y = w[:, :, 0] @ xp[:, :T]
-    for i in range(1, ksz):
-        y += w[:, :, i] @ xp[:, i : i + T]
+
+    def first_taps():
+        y = w[:, :, 0] @ xp[:, :T]
+        for i in range(1, ksz - 1):
+            y += w[:, :, i] @ xp[:, i : i + T]
+        return y
+
+    y, last = _concurrently(_worker(w.shape[0] * w.shape[1] * T), first_taps,
+                            lambda: w[:, :, -1] @ xp[:, ksz - 1 :])
+    y += last
     y += b[:, None]
     return y
 
@@ -83,20 +137,34 @@ def conv1d_backward(
     """Gradients (dx, dw, db) of a same-padded temporal convolution, per tap;
     ``dx`` is None without ``input_grad``. Each tap's weight gradient is
     written in place into ``dw[:, :, i]`` (default: a new tap-major array,
-    so that each tap is one C-contiguous block)."""
+    so that each tap is one C-contiguous block). The last tap's weight
+    gradient and input-gradient product may run on the worker thread; the
+    products are added into ``dx`` in tap order."""
     ksz = w.shape[2]
     pad = (ksz - 1) // 2
     T = dy.shape[1]
     if dw is None:
         dw = _tensor_view(np.empty(w.size), w.shape)
-    for i in range(ksz):
-        np.matmul(dy, xp[:, i : i + T].T, out=dw[:, :, i])
+
+    def first_taps():
+        for i in range(ksz - 1):
+            np.matmul(dy, xp[:, i : i + T].T, out=dw[:, :, i])
+        if not input_grad:
+            return None
+        dxp = np.zeros_like(xp)
+        for i in range(ksz - 1):
+            dxp[:, i : i + T] += w[:, :, i].T @ dy
+        return dxp
+
+    def last_tap():
+        np.matmul(dy, xp[:, ksz - 1 :].T, out=dw[:, :, -1])
+        return w[:, :, -1].T @ dy if input_grad else None
+
+    dxp, last = _concurrently(_worker(w.shape[0] * w.shape[1] * T), first_taps, last_tap)
     db = dy.sum(axis=1)
     if not input_grad:
         return None, dw, db
-    dxp = np.zeros_like(xp)
-    for i in range(ksz):
-        dxp[:, i : i + T] += w[:, :, i].T @ dy
+    dxp[:, ksz - 1 :] += last
     return dxp[:, pad : xp.shape[1] - pad], dw, db
 
 
@@ -275,29 +343,6 @@ class NetworkB:
     # -- checkpointing ----------------------------------------------------
 
     @classmethod
-    def from_dict(cls, data: dict) -> "NetworkB":
-        """The network a version-2 checkpoint document describes. Every tensor
-        entry is checked against the shape the header implies before anything
-        is allocated, so the memory a checkpoint asks for is bounded by its own
-        size."""
-        if not isinstance(data, dict):
-            raise ConfigError("checkpoint must be a JSON object")
-        if data.get("version") != 2:
-            raise ConfigError(f"unsupported checkpoint version {data.get('version')!r}")
-        missing = {"feature_dim", "anchor_count", "hidden", "tensors"} - set(data)
-        if missing:
-            raise ConfigError(f"checkpoint lacks keys {sorted(missing)}")
-        dims = data["feature_dim"], data["anchor_count"], data["hidden"]
-        shapes = _checkpoint_shapes(*dims)
-        tensors = data["tensors"]
-        if not isinstance(tensors, dict):
-            raise ConfigError("checkpoint 'tensors' must be a JSON object")
-        texts = {name: _payload(tensors, name, shape) for name, shape in shapes.items()}
-        return cls._from_tensors(
-            dims, {name: _decode(texts[name], name, shape) for name, shape in shapes.items()}
-        )
-
-    @classmethod
     def _from_v3(cls, header: dict, payload: memoryview) -> "NetworkB":
         """The network of a version-3 header and its raw float64 payload. The
         header's tensor list and the payload's length are checked against the
@@ -319,26 +364,20 @@ class NetworkB:
         if len(payload) != size:
             raise ConfigError(f"checkpoint payload is {len(payload)} bytes, expected {size}")
         values = np.frombuffer(payload, dtype="<f8")
-        tensors, offset = {}, 0
-        for name, shape in shapes.items():  # each tensor in C order of its shape
-            tensors[name] = values[offset : offset + math.prod(shape)].reshape(shape)
-            offset += math.prod(shape)
-        net = cls._from_tensors(dims, tensors)
-        net.meta = header["meta"]
-        return net
-
-    @classmethod
-    def _from_tensors(cls, dims: tuple, tensors: dict) -> "NetworkB":
-        """The network of the given dims holding every checked checkpoint
-        tensor (by name, each of its listed shape)."""
         net = cls.__new__(cls)
         net._allocate(*dims)
-        for name in net.params:
-            net.params[name] = tensors[name]
-        for i in range(HIDDEN_LAYERS):
-            net.running_mean[i][...] = tensors[f"bn{i}.running_mean"]
-            net.running_var[i][...] = tensors[f"bn{i}.running_var"]
+        net.meta = header["meta"]
+        offset = 0
+        for (name, shape), tensor in zip(shapes.items(), net._checkpoint_tensors()):
+            # each tensor in C order of its shape, assigned through its (tap-major) view
+            tensor[...] = values[offset : offset + math.prod(shape)].reshape(shape)
+            offset += math.prod(shape)
         return net
+
+    def _checkpoint_tensors(self) -> list[np.ndarray]:
+        """Every tensor a checkpoint stores, as views, in payload order."""
+        stats = [t for pair in zip(self.running_mean, self.running_var) for t in pair]
+        return [*self.params.values(), *stats]
 
     def save(self, path: str | Path, meta: dict | None = None) -> None:
         """Write a version-3 checkpoint: one JSON header line (``version``,
@@ -349,34 +388,24 @@ class NetworkB:
         header = {"version": CHECKPOINT_VERSION, "feature_dim": self.feature_dim,
                   "anchor_count": self.anchor_count, "hidden": self.hidden,
                   "tensors": _tensor_list(shapes), "meta": {} if meta is None else meta}
-        stats = [t for pair in zip(self.running_mean, self.running_var) for t in pair]
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode() + b"\n")
-            for tensor in [*self.params.values(), *stats]:  # C order, though stored tap-major
+            for tensor in self._checkpoint_tensors():  # C order, though stored tap-major
                 fh.write(np.ascontiguousarray(tensor, dtype="<f8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "NetworkB":
-        """The network a checkpoint file holds. A file whose first line is a
-        JSON object with version 3, or one that more than JSON whitespace
-        follows, is read as a version-3 header and payload; any other file as
-        a version-2 JSON document."""
+        """The network a version-3 checkpoint file holds. Any other file, a
+        version-2 JSON document included, fails with one ConfigError naming
+        the path."""
         try:
             data = Path(path).read_bytes()
             end = data.find(b"\n")
             end = len(data) if end < 0 else end
-            try:
-                header = json.loads(data[:end])
-            except (ValueError, RecursionError):  # not JSON (or nested too deep), not UTF-8
-                header = None
-            payload = memoryview(data)[end + 1 :]
-            v3 = isinstance(header, dict) and header.get("version") == CHECKPOINT_VERSION
-            # JSON whitespace after a one-line version-2 document is not a payload
-            more = not v3 and bool(data[end + 1 :].strip(b" \t\n\r"))
-            if v3 or (isinstance(header, dict) and more):
-                return cls._from_v3(header, payload)
-            # version 2: one JSON document, already parsed unless it spans lines
-            return cls.from_dict(json.loads(data) if header is None or more else header)
+            header = json.loads(data[:end])
+            if not isinstance(header, dict):
+                raise ConfigError("checkpoint header must be a JSON object")
+            return cls._from_v3(header, memoryview(data)[end + 1 :])
         except (ConfigError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
 
@@ -396,35 +425,6 @@ def _tensor_list(shapes: dict[str, tuple]) -> list:
     return [[name, list(shape)] for name, shape in shapes.items()]
 
 
-def _payload(tensors: dict, name: str, shape: tuple[int, ...]) -> str:
-    """Tensor ``name``'s base64 text, once its version-2 entry (``{"shape":
-    [...], "f8": <base64 of little-endian float64 bytes>}``) has the given
-    shape and a text of the length that shape implies."""
-    spec = tensors.get(name)
-    if not (isinstance(spec, dict) and isinstance(spec.get("f8"), str)):
-        raise ConfigError(f"checkpoint tensor {name} is missing or has no f8 payload")
-    got = spec.get("shape")
-    if not (isinstance(got, list) and all(map(_is_int, got)) and tuple(got) == shape):
-        raise ConfigError(f"checkpoint tensor {name} has shape {got!r}, expected {list(shape)}")
-    length = 4 * -(-8 * math.prod(shape) // 3)  # base64 of 8 bytes per float64
-    if len(spec["f8"]) != length:
-        raise ConfigError(f"checkpoint tensor {name} has a {len(spec['f8'])}-character "
-                          f"payload, expected {length} for shape {list(shape)}")
-    return spec["f8"]
-
-
-def _decode(text: str, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The read-only float64 tensor of a checked :func:`_payload` text."""
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error is a ValueError
-        raise ConfigError(f"checkpoint tensor {name} is malformed: {exc!r}") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise ConfigError(f"checkpoint tensor {name} decodes to {len(raw)} bytes, "
-                          f"expected {8 * math.prod(shape)}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
-
-
 def learning_rate(cfg: RunConfig, iteration: int) -> float:
     """Base lr divided by 10 every lr_step iterations (one iteration = one video)."""
     return cfg.lr * 0.1 ** (iteration // cfg.lr_step)
@@ -432,16 +432,18 @@ def learning_rate(cfg: RunConfig, iteration: int) -> float:
 
 def sgd_step(
     net: NetworkB,
-    grads: dict[str, np.ndarray],
+    grads: FlatTensors,
     cfg: RunConfig,
     velocity: dict,
     iteration: int,
 ) -> None:
     """In-place momentum SGD with weight decay and the step lr schedule on the
-    flat parameter vector. ``grads`` holds every parameter's gradient (as
-    :meth:`NetworkB.backward` returns them); ``velocity`` keeps the flat
-    momentum buffer between steps."""
-    g = _flat_gradient(net, grads)
+    flat parameter vector. ``grads`` is what :meth:`NetworkB.backward`
+    returned for ``net``; ``velocity`` keeps the flat momentum buffer between
+    steps."""
+    if not (isinstance(grads, FlatTensors) and grads.flat.shape == net.params.flat.shape):
+        raise UsageError("sgd_step needs the gradients NetworkB.backward returns for this net")
+    g = grads.flat
     if not np.isfinite(g).all():
         name = next(name for name, t in grads.items() if not np.isfinite(t).all())
         raise TrainingError(f"non-finite gradient in {name} at iteration {iteration}")
@@ -457,15 +459,3 @@ def sgd_step(
         v *= cfg.momentum
         v += update
         p -= np.multiply(v, lr, out=update)  # update is dead once folded into v
-
-
-def _flat_gradient(net: NetworkB, grads: dict[str, np.ndarray]) -> np.ndarray:
-    """``grads`` as one vector laid out like ``net.params.flat``."""
-    if isinstance(grads, FlatTensors) and grads.flat.shape == net.params.flat.shape:
-        return grads.flat
-    flat = FlatTensors(np.empty(net.params.flat.size), net._layout)
-    for name, (_, shape) in net._layout.items():
-        if np.shape(grads.get(name)) != shape:
-            raise UsageError(f"sgd_step needs a gradient of shape {shape} for {name}")
-        flat[name] = grads[name]  # through the view: conv weights are tap-major
-    return flat.flat

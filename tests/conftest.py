@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oicloc import regressor
 from oicloc.cas import Cas
 from oicloc.oic import SegmentHypothesis
 
@@ -8,6 +9,25 @@ from oicloc.oic import SegmentHypothesis
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture(params=["pool", "no-pool"])
+def pool(request, monkeypatch):
+    """Runs a test as if two CPUs ("pool": the conv worker thread engages at
+    every call from ``POOL_MIN_MADDS`` up) or one ("no-pool": it never does)
+    were usable. Yields the list of what ``_worker`` handed out, one entry
+    (the pool or None) per call."""
+    cpus = {0, 1} if request.param == "pool" else {0}
+    monkeypatch.setattr(regressor.os, "sched_getaffinity", lambda pid: cpus)
+    handed, worker = [], regressor._worker
+
+    def spy(madds):
+        handed.append(worker(madds))
+        return handed[-1]
+
+    monkeypatch.setattr(regressor, "_worker", spy)
+    yield handed
+    assert any(handed) == (request.param == "pool")  # the mode was in force
 
 
 @pytest.fixture

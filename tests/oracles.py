@@ -385,8 +385,8 @@ def sgd_per_tensor(params, grads, lr, momentum, weight_decay, velocity) -> None:
 
 
 # -- checkpoint documents, written out by hand -----------------------------
-# Version 2 is no longer written by the package but must stay readable; these
-# build both versions from a network's tensors without the package's writer.
+# These build checkpoint files from a network's tensors without the package's
+# writer: version 3, and version 2, which the package no longer reads.
 
 
 def checkpoint_tensors(net) -> list:

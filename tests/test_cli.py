@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from oracles import checkpoint_v2
+from oracles import checkpoint_v3
 
 from oicloc import io
 from oicloc.cli import main
@@ -226,14 +226,14 @@ class TestBadInput:
     @pytest.mark.parametrize("key", ["feature_dim", "anchor_count", "hidden"])
     @pytest.mark.parametrize("value", ["8", None, 1.5])
     def test_mistyped_checkpoint_dimension(self, workspace, tmp_path, capsys, key, value):
-        data = checkpoint_v2(NetworkB(feature_dim=8, anchor_count=3, hidden=8))
-        data[key] = value
-        (tmp_path / "ckpt.json").write_text(json.dumps(data))
-        err = self.predict(workspace, tmp_path, capsys, tmp_path / "ckpt.json")
+        header, payload = checkpoint_v3(NetworkB(feature_dim=8, anchor_count=3, hidden=8))
+        header[key] = value
+        (tmp_path / "ckpt.ckpt").write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        err = self.predict(workspace, tmp_path, capsys, tmp_path / "ckpt.ckpt")
         assert f"'{key}' must be a positive integer" in err
 
     def test_non_utf8_checkpoint(self, workspace, tmp_path, capsys):
-        (tmp_path / "ckpt.json").write_bytes(b'{"version": 2, "hidden": "\xff"}')
+        (tmp_path / "ckpt.json").write_bytes(b'{"version": 3, "hidden": "\xff"}')
         assert "utf-8" in self.predict(workspace, tmp_path, capsys, tmp_path / "ckpt.json")
 
     def test_checkpoint_config_mismatch(self, workspace, tmp_path, capsys):

@@ -184,22 +184,15 @@ def test_synth_spec_from_dict(value):
         pass
 
 
-# integers of any size: tensor entries are checked against the header before
-# anything is allocated, so a header asking for a huge network costs nothing
 CHECKPOINT = checkpoint_v2(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
 
 
 @FUZZ
-@given(data=documents(CHECKPOINT) | st.builds(
-    lambda name, spec: json.dumps(
-        {**CHECKPOINT, "tensors": {**CHECKPOINT["tensors"], name: spec}}).encode(),
-    st.sampled_from(sorted(CHECKPOINT["tensors"])),
-    mutations(CHECKPOINT["tensors"]["conv0.b"], json_values()),
-))
+@given(data=documents(CHECKPOINT))
 def test_checkpoint_load(workdir, data):
-    net = read(NetworkB.load, workdir / "ckpt.json", data, ConfigError)
-    if net is not None:
-        assert isinstance(net, NetworkB)
+    """A version-2 document, mutated or not, any other JSON value and short
+    raw bytes all end in one ConfigError: only version 3 is read."""
+    assert read(NetworkB.load, workdir / "ckpt.json", data, ConfigError) is None
 
 
 HEADER, PAYLOAD = checkpoint_v3(NetworkB(feature_dim=2, anchor_count=1, hidden=3))

@@ -1,13 +1,16 @@
-import base64
 import json
+import multiprocessing
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import (checkpoint_layout, checkpoint_tensors, checkpoint_v2, checkpoint_v3,
-                     conv1d_backward_loops, conv1d_loops, conv1d_pad_reference, sgd_per_tensor)
+                     conv1d_backward_loops, conv1d_backward_reference, conv1d_loops,
+                     conv1d_pad_reference, sgd_per_tensor)
 
+from oicloc import regressor
 from oicloc.cli import main
 from oicloc.config import RunConfig
 from oicloc.errors import ConfigError, TrainingError, UsageError
@@ -68,6 +71,68 @@ class TestConv1d:
         x = rng.standard_normal((2, 9))
         out, _ = conv1d_forward(x, rng.standard_normal((4, 2, 3)), np.zeros(4))
         assert out.shape == (4, 9)
+
+
+class TestWorkerPool:
+    """Above POOL_MIN_MADDS the last tap runs on the worker thread; every
+    output keeps the bits of the straight per-tap sum."""
+
+    C_OUT, C_IN, T = 64, 256, 256  # 4.2M multiply-adds per tap
+
+    def test_conv_matches_the_per_tap_oracle_bitwise(self, rng, pool):
+        x = rng.standard_normal((self.C_IN, self.T))
+        w = rng.standard_normal((self.C_OUT, self.C_IN, 3))
+        b = rng.standard_normal(self.C_OUT)
+        dy = rng.standard_normal((self.C_OUT, self.T))
+        y, xp = conv1d_forward(x, w, b)
+        want_y, want_xp = conv1d_pad_reference(x, w, b)
+        assert np.array_equal(xp, want_xp) and np.array_equal(y, want_y)
+        want = conv1d_backward_reference(xp, w, dy)
+        for got, ref in zip(conv1d_backward(xp, w, dy), want, strict=True):
+            assert np.array_equal(got, ref)
+        dx, dw, db = conv1d_backward(xp, w, dy, input_grad=False)
+        assert dx is None and np.array_equal(dw, want[1]) and np.array_equal(db, want[2])
+        assert len(pool) == 3
+
+    def test_a_forked_child_starts_its_own_worker(self, rng, pool):
+        """A child forked after the parent's worker started has no worker
+        thread; its pooled convs must not wait on the parent's."""
+        x = rng.standard_normal((self.C_IN, self.T))
+        w = rng.standard_normal((self.C_OUT, self.C_IN, 3))
+        want, _ = conv1d_pad_reference(x, w, np.zeros(self.C_OUT))
+        assert np.array_equal(conv1d_forward(x, w, np.zeros(self.C_OUT))[0], want)
+
+        def in_child():
+            y, _ = conv1d_forward(x, w, np.zeros(self.C_OUT))
+            assert np.array_equal(y, want)
+
+        child = multiprocessing.get_context("fork").Process(target=in_child)
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+    def test_the_worker_is_joined_before_an_error_surfaces(self, pool):
+        """No job outlives the call: an error on the caller's side surfaces
+        once the worker's job has finished, and the worker's own error
+        reaches the caller."""
+        done = []
+
+        def slow_job():
+            time.sleep(0.05)
+            done.append(True)
+
+        def fail(message):
+            raise ValueError(message)
+
+        worker = regressor._worker(regressor.POOL_MIN_MADDS)
+        with pytest.raises(ValueError, match="caller"):
+            regressor._concurrently(worker, lambda: fail("caller"), slow_job)
+        assert done == ([True] if worker else [])  # without the worker, it never started
+        with pytest.raises(ValueError, match="worker"):
+            regressor._concurrently(worker, list, lambda: fail("worker"))
 
 
 class TestNetworkB:
@@ -161,10 +226,6 @@ class TestNetworkB:
             net.backward(cache, np.zeros((2, 6)))
 
 
-def write_v2(net, path) -> None:
-    path.write_text(json.dumps(checkpoint_v2(net)))
-
-
 def write_v3(header: dict, payload: bytes, path) -> None:
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
 
@@ -231,60 +292,29 @@ class TestCheckpoint:
         net.save(tmp_path / "bare.ckpt")
         assert NetworkB.load(tmp_path / "bare.ckpt").meta == {}
 
-    def test_v2_and_v3_of_one_net_load_bit_identical(self, rng, tmp_path):
-        net = trained_net(rng)
-        write_v2(net, tmp_path / "v2.json")
-        net.save(tmp_path / "v3.ckpt")
-        v2, v3 = NetworkB.load(tmp_path / "v2.json"), NetworkB.load(tmp_path / "v3.ckpt")
-        assert v2.meta == {}
-        assert_same_net(v2, v3, rng)
-        assert_same_net(net, v2, rng)
-        for tail in ("\n\n", "\n ", "\r\n\t"):  # JSON whitespace after one v2 line
-            (tmp_path / "v2ws.json").write_text(json.dumps(checkpoint_v2(net)) + tail)
-            assert_same_net(v2, NetworkB.load(tmp_path / "v2ws.json"), rng)
+    def test_rejects_a_version_2_checkpoint(self, rng, tmp_path):
+        """Version 2 (one JSON line of base64 tensors) is no longer read."""
+        path = tmp_path / "v2.json"
+        for tail in ("", "\n", "\n\n", "\r\n\t"):
+            path.write_text(json.dumps(checkpoint_v2(trained_net(rng))) + tail)
+            with pytest.raises(ConfigError) as info:
+                NetworkB.load(path)
+            assert str(info.value) == f"{path}: unsupported checkpoint version 2"
 
     def test_rejects_unknown_version(self, tmp_path):
-        net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
-        data = checkpoint_v2(net)
-        data["version"] = 99
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
-        load_fails(path, "unsupported checkpoint version 99")
-        header, payload = checkpoint_v3(net)
-        write_v3({**header, "version": 99}, payload, path)
-        load_fails(path, "unsupported checkpoint version 99")
-
-    def corrupt(self, tmp_path, payload=None, shape=None):
-        """Write a v2 checkpoint with conv0.b's f8 payload or shape replaced, then load it."""
-        data = checkpoint_v2(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
-        spec = data["tensors"]["conv0.b"]
-        spec["f8"] = payload if payload is not None else spec["f8"]
-        spec["shape"] = shape if shape is not None else spec["shape"]
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
-        return NetworkB.load(path)
-
-    def test_rejects_payload_that_is_not_base64(self, tmp_path):
-        with pytest.raises(ConfigError, match="conv0.b"):
-            self.corrupt(tmp_path, payload="not base64!")
-
-    def test_rejects_payload_length_that_does_not_match_shape(self, tmp_path):
-        with pytest.raises(ConfigError, match="conv0.b"):
-            self.corrupt(tmp_path, payload=base64.b64encode(bytes(16)).decode())
-        with pytest.raises(ConfigError, match="conv0.b"):
-            self.corrupt(tmp_path, payload=base64.b64encode(bytes(20)).decode())
-        with pytest.raises(ConfigError, match="conv0.b"):
-            self.corrupt(tmp_path, shape=[4])
+        header, payload = checkpoint_v3(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
+        write_v3({**header, "version": 99}, payload, tmp_path / "bad.ckpt")
+        load_fails(tmp_path / "bad.ckpt", "unsupported checkpoint version 99")
 
     def test_rejects_truncated_file_non_object_and_missing_keys(self, tmp_path):
-        path = tmp_path / "cut.json"
-        write_v2(NetworkB(feature_dim=2, anchor_count=1, hidden=3), path)
-        path.write_text(path.read_text()[:-10])
-        load_fails(path, "cut.json")
-        path.write_text("[]")
-        load_fails(path, "cut.json: checkpoint must be a JSON object")
-        path.write_text('{"version": 2, "hidden": 3}')
-        load_fails(path, r"cut.json: .*\['anchor_count', 'feature_dim'")
+        path = tmp_path / "cut.ckpt"
+        header, _ = checkpoint_v3(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
+        path.write_text(json.dumps(header)[:-10])
+        load_fails(path, "cut.ckpt: ")
+        path.write_text("[]\n")
+        load_fails(path, "cut.ckpt: checkpoint header must be a JSON object")
+        path.write_text('{"version": 3, "hidden": 3}')
+        load_fails(path, r"cut.ckpt: .*\['anchor_count', 'feature_dim', 'meta', 'tensors'\]")
 
     @pytest.mark.parametrize("text, command", [
         ("[" * 100_000, "predict --config run.json --checkpoint deep --out p.jsonl"),
@@ -368,8 +398,7 @@ class TestCheckpoint:
         path = tmp_path / "tiny.json"
         path.write_text('{"version": 2, "feature_dim": 500, "anchor_count": 1, "hidden": 500, '
                         '"tensors": {}}')
-        assert path.stat().st_size == 83
-        assert_fails_small(path, "conv0.w")
+        assert_fails_small(path, "unsupported checkpoint version 2")
 
     def test_v3_header_alone_allocates_nothing(self, tmp_path):
         header = {"version": 3, "feature_dim": 500, "anchor_count": 1, "hidden": 500,
@@ -378,17 +407,16 @@ class TestCheckpoint:
         assert_fails_small(tmp_path / "tiny.ckpt", "payload is 0 bytes")
 
     def test_rejects_tensor_shapes_the_header_does_not_imply(self, tmp_path):
-        data = checkpoint_v2(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
-        data["feature_dim"] = 10**12  # conv0.w would be 24 TB
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps(data))
-        load_fails(path, r"conv0.w has shape \[3, 2, 3\], expected")
+        header, payload = checkpoint_v3(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
+        path = tmp_path / "big.ckpt"
+        write_v3({**header, "feature_dim": 10**12}, payload, path)  # conv0.w would be 24 TB
+        assert_fails_small(path, "'tensors' does not list the tensors of feature_dim 1000000000000")
 
     def test_rejects_v1_float_lists(self, tmp_path):
-        data = checkpoint_v2(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
-        data["version"] = 1
-        for spec in data["tensors"].values():  # v1 stored each tensor as a float list
-            spec["values"] = np.frombuffer(base64.b64decode(spec.pop("f8")), "<f8").tolist()
+        net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
+        data = {"version": 1, "feature_dim": 2, "anchor_count": 1, "hidden": 3,
+                "tensors": {name: {"shape": list(t.shape), "values": t.ravel().tolist()}
+                            for name, t in checkpoint_tensors(net)}}
         path = tmp_path / "v1.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError) as info:
@@ -407,7 +435,8 @@ class TestSgd:
     def test_plain_step_without_momentum(self):
         net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
         cfg = RunConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
-        g = {name: np.ones_like(p) for name, p in net.params.items()}
+        g = gradients(net)
+        g.flat[...] = 1.0
         before = {name: p.copy() for name, p in net.params.items()}
         sgd_step(net, g, cfg, {}, 0)
         for name in net.params:
@@ -449,12 +478,13 @@ class TestSgd:
             sgd_step(net, grads, RunConfig(), {}, 0)
 
     def test_rejects_missing_or_misshapen_gradient(self):
+        """Only backward's output for a net of the same shape is a gradient."""
         net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
-        with pytest.raises(UsageError, match="pred.b"):
-            partial = {n: g for n, g in gradients(net).items() if n != "pred.b"}
-            sgd_step(net, partial, RunConfig(), {}, 0)
-        with pytest.raises(UsageError, match="pred.b"):
-            sgd_step(net, {**gradients(net), "pred.b": np.zeros(3)}, RunConfig(), {}, 0)
+        plain = {name: np.zeros(p.shape) for name, p in net.params.items()}
+        other = gradients(NetworkB(feature_dim=2, anchor_count=2, hidden=3))
+        for grads in (plain, other):
+            with pytest.raises(UsageError, match="gradients NetworkB.backward returns"):
+                sgd_step(net, grads, RunConfig(), {}, 0)
 
     def test_flat_step_matches_per_tensor_reference(self, rng):
         net = NetworkB(feature_dim=3, anchor_count=2, hidden=4, seed=2)
@@ -462,7 +492,8 @@ class TestSgd:
         params = {name: p.copy() for name, p in net.params.items()}
         velocity, ref_velocity = {}, {}
         for iteration in range(4):
-            g = {name: rng.standard_normal(p.shape) for name, p in params.items()}
+            g = gradients(net)
+            g.flat[...] = rng.standard_normal(g.flat.size)
             sgd_step(net, g, cfg, velocity, iteration)
             sgd_per_tensor(params, g, learning_rate(cfg, iteration), cfg.momentum,
                            cfg.weight_decay, ref_velocity)
@@ -499,5 +530,12 @@ class TestSgd:
 
 
 def gradients(net, **values):
-    """A full gradient dict for ``net``: zeros, or the given value per name."""
-    return {name: np.full(p.shape, values.get(name, 0.0)) for name, p in net.params.items()}
+    """``backward``'s output for a net shaped like ``net`` (whose running
+    statistics stay as they are), each tensor then set to zero or to the
+    given value per name."""
+    twin = NetworkB(net.feature_dim, net.anchor_count, net.hidden)
+    _, cache = twin.forward(np.ones((net.feature_dim, 4)), mode="train")
+    grads = twin.backward(cache, np.zeros((2 * net.anchor_count, 4)))
+    for name in grads:
+        grads[name] = values.get(name, 0.0)
+    return grads

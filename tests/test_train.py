@@ -6,7 +6,7 @@ from oracles import (
     network_forward_reference, sgd_per_tensor,
 )
 
-from oicloc import features
+from oicloc import features, regressor
 from oicloc.config import PROFILES, RunConfig
 from oicloc.errors import TrainingError
 from oicloc.features import cas_to_features
@@ -170,6 +170,35 @@ class TestBackwardMatchesFirstWritten:
                 err = np.abs(got - want[name]) / np.maximum(
                     np.maximum(np.abs(got), np.abs(want[name])), 1e-4)
                 assert err.max() <= 1e-4, (name, err.max())
+
+
+class TestWorkerPoolKeepsBits:
+    @pytest.mark.parametrize("pool", ["pool"], indirect=True)
+    def test_train_and_predict_give_the_same_bits_on_one_cpu(self, pool, monkeypatch):
+        """At thumos width and K 20, T 130-160, the lift, conv0 and the hidden
+        convs all reach POOL_MIN_MADDS; a run with the worker thread and one
+        without it (one usable CPU) give the same parameters, running
+        statistics, losses and predictions."""
+        videos = synth_corpus(SynthSpec(num_classes=20, t_range=(130, 160),
+                                        instances_range=(1, 3)), 7, 3)
+        cfg = PROFILES["thumos"]
+
+        def run():
+            net, velocity = new_network(cfg, 0), {}
+            losses = [train_step(net, v, cfg, velocity, i) for i, v in enumerate(videos)]
+            stats = np.concatenate(net.running_mean + net.running_var)
+            return net.params.flat, stats, losses, [predict_video(net, v, cfg) for v in videos]
+
+        with_pool = run()
+        calls = len(pool)
+        monkeypatch.setattr(regressor.os, "sched_getaffinity", lambda pid: {0})
+        alone = run()
+        # per video, training pools the lift and 3 + 3 convs, prediction the lift and 3 convs
+        assert sum(map(bool, pool[:calls])) == 11 * len(videos) and not any(pool[calls:])
+        assert not np.array_equal(with_pool[0], new_network(cfg, 0).params.flat)
+        assert any(with_pool[3]) and with_pool[2] == alone[2] and with_pool[3] == alone[3]
+        for got, want in zip(with_pool[:2], alone[:2]):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPredictVideo:
