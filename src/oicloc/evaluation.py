@@ -1,13 +1,15 @@
 """Temporal IoU, per-class average precision, and mAP reports.
 
 Matching is greedy in score order within (video, class): a prediction is a
-true positive iff its IoU with some still-unmatched ground truth segment of
-the same class exceeds the threshold; duplicates against an already-matched
-segment count as false positives.
+true positive iff its IoU (``selection.iou``) with some still-unmatched
+ground truth segment of the same class exceeds the threshold, and then
+matches the first such segment of highest IoU; duplicates against an
+already-matched segment count as false positives.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,21 +18,10 @@ import numpy as np
 
 from .cas import VideoRecord
 from .errors import InputError
-from .selection import Prediction
+from .selection import Prediction, iou
 
 THUMOS_THRESHOLDS = (0.3, 0.4, 0.5, 0.6, 0.7)
 ACTIVITYNET_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
-
-
-def iou(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Temporal IoU of two [start, end] intervals in seconds."""
-    if a[0] > a[1] or b[0] > b[1]:
-        raise InputError("intervals must satisfy start <= end")
-    inter = min(a[1], b[1]) - max(a[0], b[0])
-    if inter <= 0:
-        return 0.0
-    union = max(a[1], b[1]) - min(a[0], b[0])
-    return inter / union if union > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -49,6 +40,11 @@ def gt_instances(videos: list[VideoRecord]) -> list[GtInstance]:
     return out
 
 
+def _bounds(segments) -> tuple[np.ndarray, np.ndarray]:
+    """The start_s and end_s arrays of predictions or ground truth segments."""
+    return np.array([s.start_s for s in segments]), np.array([s.end_s for s in segments])
+
+
 def average_precision(
     preds: list[Prediction],
     gts: list[GtInstance],
@@ -57,12 +53,8 @@ def average_precision(
 ) -> float | None:
     """All-points interpolated AP for one class at one IoU threshold; None when
     the class has no gt."""
-    gt_by_video: dict[str, list[GtInstance]] = {}
-    for g in gts:
-        if g.class_id == class_id:
-            gt_by_video.setdefault(g.video_id, []).append(g)
-    n_gt = sum(len(v) for v in gt_by_video.values())
-    if n_gt == 0:
+    class_gts = [g for g in gts if g.class_id == class_id]
+    if not class_gts:
         return None
     cls_preds = sorted(
         (p for p in preds if p.class_id == class_id),
@@ -70,22 +62,33 @@ def average_precision(
     )
     if not cls_preds:
         return 0.0
+    by_video: dict[str, list[int]] = {}
+    for j, g in enumerate(class_gts):
+        by_video.setdefault(g.video_id, []).append(j)
+    # every (prediction, ground truth of its video) pair, in score then list order
+    own = [by_video.get(p.video_id, ()) for p in cls_preds]
+    pred_idx = np.repeat(np.arange(len(own)), list(map(len, own)))
+    gt_idx = np.fromiter(itertools.chain.from_iterable(own), np.intp, pred_idx.size)
+    lo, hi = _bounds(cls_preds)
+    if (lo > hi).any():
+        raise InputError("intervals must satisfy start <= end")
+    g_lo, g_hi = _bounds(class_gts)
+    ov = iou(lo[pred_idx], hi[pred_idx], g_lo[gt_idx], g_hi[gt_idx])
+    hit = ov > iou_thresh
     matched: set[int] = set()
     tp = np.zeros(len(cls_preds))
-    for i, p in enumerate(cls_preds):
-        best_iou, best_gt = 0.0, None
-        for g in gt_by_video.get(p.video_id, ()):
-            if id(g) in matched:
-                continue
-            ov = iou((p.start_s, p.end_s), (g.start_s, g.end_s))
-            if ov > best_iou:
-                best_iou, best_gt = ov, g
-        if best_gt is not None and best_iou > iou_thresh:
-            matched.add(id(best_gt))
+    candidates = zip(pred_idx[hit].tolist(), gt_idx[hit].tolist(), ov[hit].tolist())
+    for i, group in itertools.groupby(candidates, key=lambda c: c[0]):
+        best_iou, best_gt = 0.0, None  # the first unmatched ground truth of highest IoU
+        for _, j, v in group:
+            if v > best_iou and j not in matched:
+                best_iou, best_gt = v, j
+        if best_gt is not None:
+            matched.add(best_gt)
             tp[i] = 1.0
     acc_tp = np.cumsum(tp)
     acc_fp = np.cumsum(1.0 - tp)
-    recall = acc_tp / n_gt
+    recall = acc_tp / len(class_gts)
     precision = acc_tp / np.maximum(acc_tp + acc_fp, 1e-12)
     r = np.concatenate([[0.0], recall, [recall[-1]]])
     # monotone precision envelope, then sum over recall steps

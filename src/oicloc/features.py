@@ -34,8 +34,11 @@ def cas_to_features(cas: Cas, feature_dim: int) -> np.ndarray:
         np.tanh(buf, out=buf)
     else:  # its two row halves at once: elementwise, so bit-equal
         half = feature_dim // 2
-        regressor._concurrently(pool, lambda: np.tanh(buf[:half], out=buf[:half]),
-                                lambda: np.tanh(buf[half:], out=buf[half:]))
+        job = pool.submit(np.tanh, buf[half:], out=buf[half:])
+        try:
+            np.tanh(buf[:half], out=buf[:half])
+        finally:  # joined before this returns or raises
+            job.result()
     return feat
 
 

@@ -20,6 +20,12 @@ row halves at once. Each moved job is a whole, unchanged BLAS or ufunc call
 and the products are summed in tap order, ``(W0 x0 + W1 x1) + W2 x2``, so
 every output bit is the same with or without the worker. It engages only at
 POOL_MIN_MADDS and with a second usable CPU, on top of any BLAS threads.
+Below that (every desk-width conv) no job is submitted and the same code
+runs straight through on this thread, every tap in the same order, with no
+closures or hand-off bookkeeping around ~4 us taps. Batch norm works in
+place on the conv output (centre, then scale, into ``x̂``); each step is the
+same ufunc on the same values as the plain form, so the bits are those of
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -66,20 +72,6 @@ def _worker(madds: int):
     return _pool[1]
 
 
-def _concurrently(pool, here, there) -> tuple:
-    """``(here(), there())``, with ``there`` on the worker thread ``pool``
-    unless it is None. The worker is joined before this returns or raises,
-    so it never writes into a buffer after the call is over."""
-    if pool is None:
-        return here(), there()
-    job = pool.submit(there)
-    try:
-        mine = here()
-    finally:
-        theirs = job.result()
-    return mine, theirs
-
-
 def zero_bordered(rows: int, T: int) -> np.ndarray:
     """The (rows, T) interior of a new zeroed (rows, T + 2*PAD) buffer. A conv
     given such a view reads its buffer in place instead of padding a copy."""
@@ -101,70 +93,66 @@ def _padded(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
-def _tensor_view(storage: np.ndarray, shape: tuple) -> np.ndarray:
-    """``storage`` viewed as a tensor of ``shape``; a 3-D conv weight (out, in,
-    k) is laid out as k C-contiguous (out, in) blocks, one per tap."""
-    if len(shape) != 3:
-        return storage.reshape(shape)
-    c_out, c_in, ksz = shape
-    return storage.reshape(ksz, c_out, c_in).transpose(1, 2, 0)
-
-
 def _conv1d(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The convolution of the padded input ``xp``, one BLAS matmul per kernel
     tap (at least two): y = sum_k w[:, :, k] @ xp[:, k:k+T], summed in tap
-    order; the last tap's product may run on the worker thread."""
+    order. With the worker thread, it computes the last tap's product while
+    this thread does the others, and that product is still added last."""
     ksz = w.shape[2]
     T = xp.shape[1] - (ksz - 1)
-
-    def first_taps():
+    pool = _worker(w.shape[0] * w.shape[1] * T)
+    job = None if pool is None else pool.submit(np.matmul, w[:, :, -1], xp[:, ksz - 1 :])
+    try:
         y = w[:, :, 0] @ xp[:, :T]
-        for i in range(1, ksz - 1):
+        for i in range(1, ksz if job is None else ksz - 1):
             y += w[:, :, i] @ xp[:, i : i + T]
-        return y
-
-    y, last = _concurrently(_worker(w.shape[0] * w.shape[1] * T), first_taps,
-                            lambda: w[:, :, -1] @ xp[:, ksz - 1 :])
-    y += last
+    finally:  # the worker is joined before this returns or raises
+        last = None if job is None else job.result()
+    if last is not None:
+        y += last
     y += b[:, None]
     return y
 
 
+def _tap_backward(dy, x_tap, w_tap, dw_tap, input_grad: bool):
+    """One tap's weight gradient, written into ``dw_tap``, and its product
+    for the input gradient (None without ``input_grad``)."""
+    np.matmul(dy, x_tap.T, out=dw_tap)
+    return w_tap.T @ dy if input_grad else None
+
+
 def conv1d_backward(
     xp: np.ndarray, w: np.ndarray, dy: np.ndarray, input_grad: bool = True,
-    dw: np.ndarray | None = None,
+    dw: np.ndarray | None = None, db: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients (dx, dw, db) of a same-padded temporal convolution, per tap;
     ``dx`` is None without ``input_grad``. Each tap's weight gradient is
     written in place into ``dw[:, :, i]`` (default: a new tap-major array,
-    so that each tap is one C-contiguous block). The last tap's weight
-    gradient and input-gradient product may run on the worker thread; the
-    products are added into ``dx`` in tap order."""
+    so that each tap is one C-contiguous block) and the bias gradient into
+    ``db`` (default: a new array). With the worker thread, it computes the
+    last tap's weight gradient and input-gradient product while this thread
+    does the others; the products are added into ``dx`` in tap order."""
     ksz = w.shape[2]
     pad = (ksz - 1) // 2
     T = dy.shape[1]
     if dw is None:
-        dw = _tensor_view(np.empty(w.size), w.shape)
-
-    def first_taps():
-        for i in range(ksz - 1):
-            np.matmul(dy, xp[:, i : i + T].T, out=dw[:, :, i])
-        if not input_grad:
-            return None
-        dxp = np.zeros_like(xp)
-        for i in range(ksz - 1):
-            dxp[:, i : i + T] += w[:, :, i].T @ dy
-        return dxp
-
-    def last_tap():
-        np.matmul(dy, xp[:, ksz - 1 :].T, out=dw[:, :, -1])
-        return w[:, :, -1].T @ dy if input_grad else None
-
-    dxp, last = _concurrently(_worker(w.shape[0] * w.shape[1] * T), first_taps, last_tap)
-    db = dy.sum(axis=1)
+        dw = np.empty((ksz,) + w.shape[:2]).transpose(1, 2, 0)
+    pool = _worker(w.shape[0] * w.shape[1] * T)
+    job = None if pool is None else pool.submit(
+        _tap_backward, dy, xp[:, ksz - 1 :], w[:, :, -1], dw[:, :, -1], input_grad)
+    try:
+        dxp = np.zeros(xp.shape) if input_grad else None
+        for i in range(ksz if job is None else ksz - 1):
+            dx_tap = _tap_backward(dy, xp[:, i : i + T], w[:, :, i], dw[:, :, i], input_grad)
+            if input_grad:
+                dxp[:, i : i + T] += dx_tap
+    finally:  # the worker is joined before this returns or raises
+        last = None if job is None else job.result()
+    db = np.add.reduce(dy, 1, out=db)
     if not input_grad:
         return None, dw, db
-    dxp[:, ksz - 1 :] += last
+    if last is not None:
+        dxp[:, ksz - 1 :] += last
     return dxp[:, pad : xp.shape[1] - pad], dw, db
 
 
@@ -195,9 +183,10 @@ _BACKWARD_ORDER = ("pred.w", "pred.b") + tuple(
 class FlatTensors(dict):
     """Tensors by name, each a view into the one float64 vector ``flat``.
 
-    ``layout`` maps each name to its (offset, shape) in ``flat``; conv
-    weights are stored tap-major (:func:`_tensor_view`), so a view is not
-    always C-contiguous and ``ravel`` of it is a copy. ``names`` orders the
+    ``layout`` maps each name to its slice of ``flat`` and, for a conv weight
+    (out, in, k), to its tap-major storage shape (k, out, in), else None:
+    each tap ``w[:, :, i]`` is one C-contiguous block, so a weight view is
+    not C-contiguous and ``ravel`` of it is a copy. ``names`` orders the
     views (default: layout order). Assigning a name copies the value into its
     view, so ``flat`` stays the only storage.
     """
@@ -205,8 +194,8 @@ class FlatTensors(dict):
     def __init__(self, flat: np.ndarray, layout: dict, names=None):
         views = {}
         for name in layout if names is None else names:
-            offset, shape = layout[name]
-            views[name] = _tensor_view(flat[offset : offset + math.prod(shape)], shape)
+            span, taps = layout[name]
+            views[name] = flat[span] if taps is None else flat[span].reshape(taps).transpose(1, 2, 0)
         super().__init__(views)
         self.flat = flat
 
@@ -244,8 +233,10 @@ class NetworkB:
         self.hidden = hidden
         self._layout, offset = {}, 0
         for name, shape in _parameter_shapes(feature_dim, anchor_count, hidden).items():
-            self._layout[name] = (offset, shape)
-            offset += math.prod(shape)
+            size = math.prod(shape)
+            taps = (shape[2], shape[0], shape[1]) if len(shape) == 3 else None
+            self._layout[name] = (slice(offset, offset + size), taps)
+            offset += size
         self.params = FlatTensors(np.zeros(offset), self._layout)
         self.meta = {}  # the run metadata a version-3 checkpoint was saved with
         self.running_mean = [np.zeros(hidden) for _ in range(HIDDEN_LAYERS)]
@@ -276,9 +267,11 @@ class NetworkB:
         for i in range(HIDDEN_LAYERS):
             z = _conv1d(xp, self.params[f"conv{i}.w"], self.params[f"conv{i}.b"])
             if train:
-                mu = z.mean(axis=1)
-                zc = z - mu[:, None]
-                var = (zc * zc).sum(axis=1) / z.shape[1]  # bit-equal to z.var(axis=1)
+                mu = np.add.reduce(z, 1)
+                mu /= T  # bit-equal to z.mean(axis=1)
+                z -= mu[:, None]
+                var = np.add.reduce(z * z, 1)
+                var /= T  # bit-equal to z.var(axis=1)
                 self.running_mean[i] = (
                     BN_MOMENTUM * self.running_mean[i] + (1 - BN_MOMENTUM) * mu
                 )
@@ -286,18 +279,21 @@ class NetworkB:
                     BN_MOMENTUM * self.running_var[i] + (1 - BN_MOMENTUM) * var
                 )
             else:
-                zc = z - self.running_mean[i][:, None]
+                z -= self.running_mean[i][:, None]
                 var = self.running_var[i]
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = zc * inv_std[:, None]
-            y = self.params[f"bn{i}.gamma"][:, None] * xhat + self.params[f"bn{i}.beta"][:, None]
+            xhat = z  # centred, then scaled, in place
+            xhat *= inv_std[:, None]
+            out = np.zeros((z.shape[0], T + 2 * PAD))  # the next conv's padded input
+            y = np.multiply(self.params[f"bn{i}.gamma"][:, None], xhat, out=out[:, PAD : PAD + T])
+            y += self.params[f"bn{i}.beta"][:, None]
             relu_mask = y > 0
+            y *= relu_mask
             if train:
                 cache["layers"].append(
                     {"xp": xp, "inv_std": inv_std, "xhat": xhat, "relu_mask": relu_mask}
                 )
-            xp = np.zeros((y.shape[0], T + 2 * PAD))  # the next conv's padded input
-            np.multiply(y, relu_mask, out=xp[:, PAD : PAD + T])
+            xp = out
         reg = _conv1d(xp, self.params["pred.w"], self.params["pred.b"])
         if train:
             cache["pred_xp"] = xp
@@ -317,27 +313,25 @@ class NetworkB:
                 f"grad_out shape {grad_out.shape} does not match cached forward"
             )
         grads = FlatTensors(np.empty(self.params.flat.size), self._layout, _BACKWARD_ORDER)
-        dx, _, grads["pred.b"] = conv1d_backward(
-            cache["pred_xp"], self.params["pred.w"], grad_out, dw=grads["pred.w"]
-        )
+        dx = conv1d_backward(cache["pred_xp"], self.params["pred.w"], grad_out,
+                             dw=grads["pred.w"], db=grads["pred.b"])[0]
         for i in reversed(range(HIDDEN_LAYERS)):
             lay = cache["layers"][i]
-            dy = dx * lay["relu_mask"]
             xhat = lay["xhat"]
+            dy = np.multiply(dx, lay["relu_mask"], out=dx)
             dgamma, dbeta = grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"]
-            np.sum(dy * xhat, axis=1, out=dgamma)
-            np.sum(dy, axis=1, out=dbeta)
+            dz = dy * xhat
+            np.add.reduce(dz, 1, out=dgamma)
+            np.add.reduce(dy, 1, out=dbeta)
             # batch-norm backward with batch statistics over the time axis, in
             # the compact form: dz = γ/σ · (dy − (dβ + x̂·dγ) / n)
-            dz = xhat * dgamma[:, None]
+            np.multiply(xhat, dgamma[:, None], out=dz)
             dz += dbeta[:, None]
             dz /= xhat.shape[1]
             np.subtract(dy, dz, out=dz)
             dz *= (self.params[f"bn{i}.gamma"] * lay["inv_std"])[:, None]
-            dx, _, grads[f"conv{i}.b"] = conv1d_backward(
-                lay["xp"], self.params[f"conv{i}.w"], dz, input_grad=i > 0,
-                dw=grads[f"conv{i}.w"],
-            )
+            dx = conv1d_backward(lay["xp"], self.params[f"conv{i}.w"], dz, input_grad=i > 0,
+                                 dw=grads[f"conv{i}.w"], db=grads[f"conv{i}.b"])[0]
         return grads
 
     # -- checkpointing ----------------------------------------------------

@@ -105,34 +105,32 @@ def build_candidates(
 NMS_MATRIX_MAX = 128
 
 
-def _iou_at_most(lo_a, hi_a, lo, hi, iou_thresh: float) -> np.ndarray:
-    """Whether the IoU of [lo_a, hi_a] with [lo, hi] is at most the threshold
-    (broadcasting; disjoint or touching intervals have IoU 0)."""
+def iou(lo_a, hi_a, lo, hi) -> np.ndarray:
+    """Temporal IoU of [lo_a, hi_a] with [lo, hi], broadcasting; disjoint or
+    touching intervals have IoU 0. NMS and evaluation both use it."""
     inter = np.minimum(hi_a, hi) - np.maximum(lo_a, lo)
     union = np.maximum(hi_a, hi) - np.minimum(lo_a, lo)
-    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0) <= iou_thresh
+    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
 
 
 def nms_order(score: np.ndarray, lo: np.ndarray, hi: np.ndarray, iou_thresh: float) -> list[int]:
     """Greedy suppression of scored intervals [lo, hi]; kept indices, best first.
 
     Ranks by descending score, then lo, then hi; drops every later interval
-    whose IoU with a kept one exceeds the threshold (as :func:`evaluation.iou`).
+    whose IoU with a kept one exceeds the threshold.
     Up to ``NMS_MATRIX_MAX`` intervals, every pairwise IoU is computed at once;
     above it, each kept interval's IoUs are computed as it is kept.
     """
     order = np.lexsort((hi, lo, -score))
     lo, hi = lo[order], hi[order]
     n = len(order)
-    pairwise = (_iou_at_most(lo[:, None], hi[:, None], lo, hi, iou_thresh)
-                if n <= NMS_MATRIX_MAX else None)
+    pairwise = iou(lo[:, None], hi[:, None], lo, hi) <= iou_thresh if n <= NMS_MATRIX_MAX else None
     alive = np.ones(n, dtype=bool)
     kept = []
     for i in range(n):
         if alive[i]:
             kept.append(i)
-            alive &= (pairwise[i] if pairwise is not None
-                      else _iou_at_most(lo[i], hi[i], lo, hi, iou_thresh))
+            alive &= pairwise[i] if pairwise is not None else iou(lo[i], hi[i], lo, hi) <= iou_thresh
     return order[kept].tolist()
 
 
@@ -155,15 +153,16 @@ def select(
     act_min: float = 0.1,
     loss_max: float = -0.3,
     nms_iou: float = 0.4,
-    fps: float = 30.0,
     loss: str = "oic",
-    video_id: str = "",
-) -> tuple[np.ndarray, list[tuple[Prediction, tuple[int, int]]]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Run the selection layer for the given class set.
 
     Training passes the video's label set; testing passes all classes.
-    Returns the K x T x M keep mask and the surviving (prediction, (t, m))
-    pairs, with 0-based grid indices, sorted by descending score.
+    Returns the K x T x M keep mask and the survivors as arrays ``(k, t, m,
+    score, x1, x2)``: 1-based class, 0-based grid position and anchor,
+    score = 1 - loss and the clipped boundaries in snippets, by ascending
+    class and, within a class, in NMS order. :func:`to_predictions` turns
+    them into predictions; training reads the mask alone.
     """
     _check_loss(loss)
     K, T = cas.num_classes, cas.num_snippets
@@ -192,18 +191,21 @@ def select(
     bounds = c.searchsorted(np.arange(ks.size + 1)).tolist()
     kept = np.array([a + i for a, b in zip(bounds, bounds[1:]) if b > a
                      for i in nms_order(score[a:b], x1[a:b], x2[a:b], nms_iou)], dtype=np.intp)
-    k, t, m, score, x1, x2 = ks[c[kept]], t[kept], m[kept], score[kept], x1[kept], x2[kept]
+    survivors = ks[c[kept]], t[kept], m[kept], score[kept], x1[kept], x2[kept]
     mask = np.zeros((K, T, M), dtype=bool)
-    mask[k - 1, t, m] = True
-    survivors = [
-        (Prediction(ki, snippet_to_time(lo, fps), snippet_to_time(hi, fps), s, lo, hi, video_id),
-         (ti, mi))
-        for ki, ti, mi, s, lo, hi in zip(
-            k.tolist(), t.tolist(), m.tolist(), score.tolist(), x1.tolist(), x2.tolist()
-        )
-    ]
-    survivors.sort(key=lambda pc: (-pc[0].score, pc[0].start_s, pc[0].class_id))
+    mask[survivors[0] - 1, survivors[1], survivors[2]] = True
     return mask, survivors
+
+
+def to_predictions(survivors, fps: float = 30.0, video_id: str = "") -> list[Prediction]:
+    """The ``(k, t, m, score, x1, x2)`` survivors of :func:`select` as
+    predictions, sorted by descending score, then start, then class (a stable
+    sort, so full ties keep select's order)."""
+    k, _, _, score, x1, x2 = survivors
+    start_s, end_s = snippet_to_time(x1, fps), snippet_to_time(x2, fps)
+    order = np.lexsort((k, start_s, -score))
+    columns = np.array([start_s, end_s, score, x1, x2])[:, order].tolist()
+    return [Prediction(*row, video_id) for row in zip(k[order].tolist(), *columns)]
 
 
 def training_loss(
@@ -228,7 +230,8 @@ def training_loss(
     d_tx, d_tw = transform_backward(
         g, grid.anchors[m], grid.w[t, m], alpha, grid.min_offset[t, m]
     )
-    grad_out = np.zeros((2 * M, T))
-    np.add.at(grad_out, (2 * m, t), d_tx)  # k-major accumulation order
-    np.add.at(grad_out, (2 * m + 1, t), d_tw)
-    return float(areas.loss.sum()), grad_out
+    # rows 2m and 2m+1 of the 2M x T map, each slot summed in k-major order
+    # (bincount gives integer zeros when nothing is kept)
+    slots = np.concatenate([2 * m * T + t, (2 * m + 1) * T + t])
+    grad_out = np.bincount(slots, np.concatenate([d_tx, d_tw]), 2 * M * T)
+    return float(areas.loss.sum()), grad_out.astype(np.float64, copy=False).reshape(2 * M, T)

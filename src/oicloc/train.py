@@ -9,7 +9,7 @@ from .config import RunConfig
 from .errors import TrainingError
 from .features import cas_to_features
 from .regressor import NetworkB, sgd_step
-from .selection import Prediction, build_candidates, select, training_loss
+from .selection import Prediction, build_candidates, select, to_predictions, training_loss
 
 log = logging.getLogger("oicloc")
 
@@ -50,16 +50,8 @@ def train_step(net, video, cfg, velocity, iteration, loss="oic") -> float:
         grid = build_candidates(reg_map, cfg.anchor_config(), video.cas.num_snippets, cfg.alpha)
     except TrainingError as err:
         raise TrainingError(f"iteration {iteration}, video {video.video_id}: {err}") from err
-    mask, _ = select(
-        video.cas,
-        grid,
-        classes=video.labels,
-        act_min=cfg.act_min,
-        loss_max=cfg.loss_max,
-        nms_iou=cfg.nms_iou,
-        fps=video.fps,
-        loss=loss,
-    )
+    mask, _ = select(video.cas, grid, video.labels, cfg.act_min, cfg.loss_max, cfg.nms_iou,
+                     loss=loss)
     total, grad_out = training_loss(video.cas, grid, mask, cfg.alpha, loss=loss)
     grads = net.backward(cache, grad_out)
     sgd_step(net, grads, cfg, velocity, iteration)
@@ -69,19 +61,12 @@ def train_step(net, video, cfg, velocity, iteration, loss="oic") -> float:
 def predict_video(
     net: NetworkB, video: VideoRecord, cfg: RunConfig, loss: str = "oic"
 ) -> list[Prediction]:
-    """Frozen-network inference over all classes."""
+    """Frozen-network inference over all classes: the survivors of
+    :func:`select` as predictions, best first (training reads select's mask
+    alone and builds none)."""
     feat = cas_to_features(video.cas, cfg.feature_dim)
     reg_map = net.forward(feat, mode="infer")
     grid = build_candidates(reg_map, cfg.anchor_config(), video.cas.num_snippets, cfg.alpha)
-    _, survivors = select(
-        video.cas,
-        grid,
-        classes=range(1, video.cas.num_classes + 1),
-        act_min=cfg.act_min,
-        loss_max=cfg.loss_max,
-        nms_iou=cfg.nms_iou,
-        fps=video.fps,
-        loss=loss,
-        video_id=video.video_id,
-    )
-    return [pred for pred, _ in survivors]
+    _, survivors = select(video.cas, grid, range(1, video.cas.num_classes + 1), cfg.act_min,
+                          cfg.loss_max, cfg.nms_iou, loss=loss)
+    return to_predictions(survivors, video.fps, video.video_id)

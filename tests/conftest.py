@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from oicloc import regressor
 from oicloc.cas import Cas
 from oicloc.oic import SegmentHypothesis
+
+# tests/mutants.py runs its tests with this profile: a failure ends the test
+# at once, without shrinking, and nothing is written to the example database
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.generate], database=None)
 
 
 @pytest.fixture

@@ -266,6 +266,64 @@ def greedy_nms(score, lo, hi, iou_thresh) -> list[int]:
     return kept
 
 
+def average_precision_reference(preds, gts, class_id: int, iou_thresh: float):
+    """All-points interpolated AP with scalar IoUs, as first written: each
+    prediction, by descending score then start then video, takes the first
+    unmatched ground truth of its video with the highest IoU, a true positive
+    iff that IoU is strictly above the threshold. None without ground truth."""
+    gt = [g for g in gts if g.class_id == class_id]
+    if not gt:
+        return None
+    ranked = sorted((p for p in preds if p.class_id == class_id),
+                    key=lambda p: (-p.score, p.start_s, p.video_id))
+    if not ranked:
+        return 0.0
+    matched, tp = set(), []
+    for p in ranked:
+        best_iou, best = 0.0, None
+        for j, g in enumerate(gt):
+            if g.video_id != p.video_id or j in matched:
+                continue
+            inter = min(p.end_s, g.end_s) - max(p.start_s, g.start_s)
+            ov = inter / (max(p.end_s, g.end_s) - min(p.start_s, g.start_s)) if inter > 0 else 0.0
+            if ov > best_iou:
+                best_iou, best = ov, j
+        hit = best is not None and best_iou > iou_thresh
+        if hit:
+            matched.add(best)
+        tp.append(1.0 if hit else 0.0)
+    acc_tp = np.cumsum(tp)
+    recall = acc_tp / len(gt)
+    precision = acc_tp / np.maximum(acc_tp + np.cumsum(1.0 - np.array(tp)), 1e-12)
+    r = np.concatenate([[0.0], recall, [recall[-1]]])
+    env = np.maximum.accumulate(np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
+    steps = np.nonzero(r[1:] != r[:-1])[0] + 1
+    return float(np.sum((r[steps] - r[steps - 1]) * env[steps]))
+
+
+def scatter_reference(M: int, T: int, t, m, d_tx, d_tw) -> np.ndarray:
+    """The 2M x T regression-map gradient: hypothesis i adds d_tx[i] to row
+    2m, column t and d_tw[i] to row 2m+1, one addition at a time in input
+    order (as np.add.at does)."""
+    grad = np.zeros((2 * M, T))
+    for ti, mi, gx, gw in zip(t, m, d_tx, d_tw):
+        grad[2 * mi, ti] += gx
+        grad[2 * mi + 1, ti] += gw
+    return grad
+
+
+def predictions_reference(survivors, fps: float, video_id: str) -> list:
+    """The selection layer's predictions as first built: one Prediction per
+    ``(k, t, m, score, x1, x2)`` survivor, times from scalar snippet_to_time,
+    then Python's stable sort on (-score, start, class)."""
+    from oicloc.selection import Prediction, snippet_to_time
+
+    preds = [Prediction(k, snippet_to_time(lo, fps), snippet_to_time(hi, fps), s, lo, hi, video_id)
+             for k, s, lo, hi in zip(*(survivors[i].tolist() for i in (0, 3, 4, 5)))]
+    preds.sort(key=lambda p: (-p.score, p.start_s, p.class_id))
+    return preds
+
+
 # -- the regressor's training step as first written, pinned bit for bit ------
 # These keep the straightforward NumPy form of the step (np.pad per conv,
 # batch norm through z.var with the centring recomputed, one momentum update

@@ -2,6 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import average_precision_reference
 
 from oicloc.cas import Cas, GroundTruthSegment, VideoRecord
 from oicloc.errors import InputError
@@ -9,10 +13,9 @@ from oicloc.evaluation import (
     GtInstance,
     average_precision,
     gt_instances,
-    iou,
     map_report,
 )
-from oicloc.selection import Prediction
+from oicloc.selection import Prediction, iou
 
 
 def P(video, k, s, e, score):
@@ -38,18 +41,19 @@ HAND_PREDS = [
 
 class TestIou:
     def test_basic_overlap(self):
-        assert iou((0.0, 10.0), (5.0, 15.0)) == pytest.approx(1.0 / 3.0)
+        assert iou(0.0, 10.0, 5.0, 15.0) == pytest.approx(1.0 / 3.0)
 
     def test_disjoint_and_touching(self):
-        assert iou((0.0, 5.0), (5.0, 10.0)) == 0.0
-        assert iou((0.0, 5.0), (7.0, 10.0)) == 0.0
+        assert iou(0.0, 5.0, 5.0, 10.0) == 0.0
+        assert iou(0.0, 5.0, 7.0, 10.0) == 0.0
 
     def test_identical(self):
-        assert iou((2.0, 4.0), (2.0, 4.0)) == 1.0
+        assert iou(2.0, 4.0, 2.0, 4.0) == 1.0
 
     def test_rejects_reversed(self):
+        gts = [GtInstance("A", 1, 0.0, 1.0)]
         with pytest.raises(InputError):
-            iou((5.0, 1.0), (0.0, 1.0))
+            average_precision([P("A", 1, 5.0, 1.0, 0.9)], gts, 1, 0.5)
 
 
 class TestHandFixture:
@@ -99,10 +103,38 @@ class TestAveragePrecision:
         # the first gt free for the exact second prediction
         assert average_precision(preds, gts, 1, 0.5) == pytest.approx(1.0)
 
+    def test_equal_ious_match_the_first_listed_gt(self):
+        # the first prediction overlaps both gts with IoU 1/3; taking the first
+        # leaves the second prediction, which only overlaps the first, unmatched
+        gts = [GtInstance("A", 1, 0.0, 4.0), GtInstance("A", 1, 4.0, 8.0)]
+        preds = [P("A", 1, 2.0, 6.0, 0.9), P("A", 1, 0.0, 3.0, 0.8)]
+        assert average_precision(preds, gts, 1, 0.3) == pytest.approx(0.5)
+        assert average_precision(preds, gts, 1, 0.3) == average_precision_reference(
+            preds, gts, 1, 0.3)
+
     def test_cross_video_isolation(self):
         gts = [GtInstance("A", 1, 0.0, 10.0)]
         preds = [P("B", 1, 0.0, 10.0, 0.9)]
         assert average_precision(preds, gts, 1, 0.5) == 0.0
+
+
+segments = st.tuples(st.sampled_from("AB"), st.integers(1, 2), st.integers(0, 8),
+                     st.integers(1, 6))
+
+
+class TestAveragePrecisionOracle:
+    @given(gts=st.lists(segments, min_size=1, max_size=8),
+           preds=st.lists(st.tuples(segments, st.sampled_from([0.3, 0.6, 0.9])), max_size=14),
+           iou_thresh=st.sampled_from([0.0, 1 / 3, 0.5, 0.6, 0.9]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scalar_first_form(self, gts, preds, iou_thresh):
+        # integer endpoints and three scores: IoUs land exactly on 1/3 and 0.5,
+        # and scores, starts and IoUs tie
+        gt = [GtInstance(v, k, float(s), float(s + d)) for v, k, s, d in gts]
+        pr = [P(v, k, float(s), float(s + d), score) for (v, k, s, d), score in preds]
+        for k in (1, 2):
+            assert average_precision(pr, gt, k, iou_thresh) == average_precision_reference(
+                pr, gt, k, iou_thresh)
 
 
 class TestReport:

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import threading
 import time
 import tracemalloc
 
@@ -67,6 +68,23 @@ class TestConv1d:
             want, want_xp = conv1d_pad_reference(x, w, b)
             assert np.array_equal(xp, want_xp) and np.array_equal(out, want)
 
+    @pytest.mark.parametrize("T", [90, 1])
+    def test_desk_width_matches_the_per_tap_oracle_bitwise(self, rng, T):
+        """At 32 x 32 no call reaches the worker; the straight-line taps give
+        the oracle's bits, the matrix-vector products of T 1 included."""
+        assert regressor._worker(32 * 32 * T) is None
+        x = rng.standard_normal((32, T))
+        w = rng.standard_normal((3, 32, 32)).transpose(1, 2, 0)  # tap-major, as the net stores it
+        b = rng.standard_normal(32)
+        dy = rng.standard_normal((32, T))
+        y, xp = conv1d_forward(x, w, b)
+        assert y.tobytes() == conv1d_pad_reference(x, w, b)[0].tobytes()
+        want = conv1d_backward_reference(xp, w, dy)
+        for got, ref in zip(conv1d_backward(xp, w, dy), want, strict=True):
+            assert got.tobytes() == ref.tobytes()
+        dx, dw, db = conv1d_backward(xp, w, dy, input_grad=False)
+        assert dx is None and dw.tobytes() == want[1].tobytes() and db.tobytes() == want[2].tobytes()
+
     def test_same_padding_preserves_length(self, rng):
         x = rng.standard_normal((2, 9))
         out, _ = conv1d_forward(x, rng.standard_normal((4, 2, 3)), np.zeros(4))
@@ -114,25 +132,39 @@ class TestWorkerPool:
             child.join()
         assert child.exitcode == 0
 
-    def test_the_worker_is_joined_before_an_error_surfaces(self, pool):
-        """No job outlives the call: an error on the caller's side surfaces
-        once the worker's job has finished, and the worker's own error
-        reaches the caller."""
-        done = []
+    def test_the_worker_is_joined_before_an_error_surfaces(self, rng, pool, monkeypatch):
+        """No job outlives the call: when this thread's first tap fails, the
+        error surfaces once the worker's (slowed) last tap has finished, and
+        the worker's own error reaches the caller."""
+        xp = _padded(rng.standard_normal((self.C_IN, self.T)), 1)
+        w = rng.standard_normal((self.C_OUT, self.C_IN, 3))
+        dy = rng.standard_normal((self.C_OUT, self.T))
+        done, tap_backward = [], regressor._tap_backward
 
-        def slow_job():
-            time.sleep(0.05)
-            done.append(True)
+        def slow_on_the_worker(*args):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+                done.append(True)
+            return tap_backward(*args)
 
-        def fail(message):
-            raise ValueError(message)
+        monkeypatch.setattr(regressor, "_tap_backward", slow_on_the_worker)
 
-        worker = regressor._worker(regressor.POOL_MIN_MADDS)
-        with pytest.raises(ValueError, match="caller"):
-            regressor._concurrently(worker, lambda: fail("caller"), slow_job)
-        assert done == ([True] if worker else [])  # without the worker, it never started
-        with pytest.raises(ValueError, match="worker"):
-            regressor._concurrently(worker, list, lambda: fail("worker"))
+        class Taps(list):
+            """A weight gradient whose taps are separate arrays."""
+
+            def __getitem__(self, index):
+                return list.__getitem__(self, index[2])
+
+        def taps(read_only: int) -> Taps:
+            blocks = [np.empty(w.shape[:2]) for _ in range(3)]
+            blocks[read_only].flags.writeable = False
+            return Taps(blocks)
+
+        with pytest.raises(ValueError, match="read-only"):
+            conv1d_backward(xp, w, dy, dw=taps(read_only=0))
+        assert done == ([] if pool[-1] is None else [True])  # without the worker, never started
+        with pytest.raises(ValueError, match="read-only"):
+            conv1d_backward(xp, w, dy, dw=taps(read_only=2))
 
 
 class TestNetworkB:

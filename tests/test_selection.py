@@ -12,20 +12,24 @@ from oracles import (
     brute_force_inner_loss,
     brute_force_loss,
     greedy_nms,
+    predictions_reference,
+    scatter_reference,
     selection_oracle,
 )
 
-from oicloc.boundary import AnchorConfig
+from oicloc import oic
+from oicloc.boundary import AnchorConfig, transform_backward
 from oicloc.cas import Cas
 from oicloc.errors import InputError, TrainingError
-from oicloc.evaluation import iou
 from oicloc.selection import (
     NMS_MATRIX_MAX,
     Prediction,
     build_candidates,
+    iou,
     nms_order,
     select,
     snippet_to_time,
+    to_predictions,
     training_loss,
 )
 
@@ -55,6 +59,20 @@ def assert_matches_oracle(rng, anchors, t_max, videos):
             cas.act, reg_map, anchors.scales, classes, 0.25, 0.1, -0.3, 0.4
         )
         assert kept_triples(mask) == expected
+
+
+def tied_anchors_at_position_10():
+    """(T, anchors, reg_map, grid) where position 10's two anchors score
+    equal losses: inner [0, T] and [1, T+1], both in outer [0, T+1]."""
+    T = 21
+    anchors = AnchorConfig((16, 32))
+    reg_map = np.zeros((4, T))
+    reg_map[0, 9], reg_map[1, 9] = (10.5 - 10) / 16, math.log(21 / 16)
+    reg_map[2, 9], reg_map[3, 9] = (12 - 10) / 32, math.log(22 / 32)
+    grid = build_candidates(reg_map, anchors, T, 0.25)
+    # rows: rx1, rx2, rX1, rX2; columns: anchors 16, 32
+    assert grid.rounded[:, 9].tolist() == [[0, 1], [21, 22], [0, 0], [22, 22]]
+    return T, anchors, reg_map, grid
 
 
 class TestSnippetToTime:
@@ -172,7 +190,7 @@ class TestNms:
         kept = nms(preds, 0.4)
         for i, a in enumerate(kept):
             for b in kept[i + 1 :]:
-                assert iou((a.start_s, a.end_s), (b.start_s, b.end_s)) <= 0.4
+                assert iou(a.start_s, a.end_s, b.start_s, b.end_s) <= 0.4
 
 
 class TestNmsOracle:
@@ -213,14 +231,7 @@ class TestSelect:
         # outer [0, T+1] for m=1. Their losses are equal, so m=0 must win, and
         # then position 5 (anchor 32, the same box as m=0) suppresses it: equal
         # scores and boundaries keep the earlier position.
-        T = 21
-        anchors = AnchorConfig((16, 32))
-        reg_map = np.zeros((4, T))
-        reg_map[0, 9], reg_map[1, 9] = (10.5 - 10) / 16, math.log(21 / 16)
-        reg_map[2, 9], reg_map[3, 9] = (12 - 10) / 32, math.log(22 / 32)
-        grid = build_candidates(reg_map, anchors, T, 0.25)
-        # rows: rx1, rx2, rX1, rX2; columns: anchors 16, 32
-        assert grid.rounded[:, 9].tolist() == [[0, 1], [21, 22], [0, 0], [22, 22]]
+        T, anchors, reg_map, grid = tied_anchors_at_position_10()
         for seed in range(200):
             cas = Cas(np.random.default_rng(seed).uniform(0.2, 1, (1, T)))
             mask, _ = select(cas, grid, [1])
@@ -228,6 +239,15 @@ class TestSelect:
             want = selection_oracle(cas.act, reg_map, anchors.scales, [1], 0.25, 0.1, -0.3, 0.4)
             assert got == want, f"seed {seed}"
             assert (1, 5, 1) in got and all(t != 10 for _, t, _ in got), f"seed {seed}"
+
+    def test_equal_losses_keep_the_smaller_anchor_where_nms_cannot_hide_it(self):
+        # only position 10 clears the activation floor, so its choice survives
+        T, _, _, grid = tied_anchors_at_position_10()
+        for seed in range(50):
+            act = np.random.default_rng(seed).uniform(0.2, 0.9, (1, T))
+            act[0, 9] = 0.95
+            _, (_, t, m, *_) = select(Cas(act), grid, [1], act_min=0.92)
+            assert (t.tolist(), m.tolist()) == ([9], [0]), f"seed {seed}"
 
     def test_activation_floor_gates_positions(self):
         act = np.full((1, 10), 0.05)
@@ -243,7 +263,8 @@ class TestSelect:
         grid = build_candidates(np.zeros((6, 10)), ANCHORS, 10, 0.25)
         mask, survivors = select(cas, grid, [1])
         assert not mask.any()
-        assert survivors == []
+        assert all(column.size == 0 for column in survivors)
+        assert to_predictions(survivors) == []
 
     def test_training_only_touches_label_classes(self, rng):
         cas = Cas(rng.uniform(0, 1, size=(3, 14)))
@@ -257,11 +278,52 @@ class TestSelect:
         cas = Cas(act)
         grid = build_candidates(np.zeros((6, 20)), ANCHORS, 20, 0.25)
         _, survivors = select(cas, grid, [1])
-        assert survivors
-        for pred, (t, m) in survivors:
-            assert pred.score >= 1.0 + 0.3  # loss <= -0.3
-            assert pred.start_s == snippet_to_time(grid.x1[t, m], 30.0)
-            assert pred.end_s == snippet_to_time(grid.x2[t, m], 30.0)
+        k, t, m, score, x1, x2 = survivors
+        assert k.size and (score >= 1.0 + 0.3).all()  # loss <= -0.3
+        assert np.array_equal(x1, grid.x1[t, m]) and np.array_equal(x2, grid.x2[t, m])
+        got = sorted((p.start_s, p.end_s, p.score) for p in to_predictions(survivors))
+        assert got == sorted((snippet_to_time(lo, 30.0), snippet_to_time(hi, 30.0), s)
+                             for lo, hi, s in zip(x1.tolist(), x2.tolist(), score.tolist()))
+
+    def test_survivors_are_the_mask(self, rng):
+        for _ in range(40):
+            T, K = int(rng.integers(5, 40)), int(rng.integers(1, 4))
+            cas = Cas(rng.uniform(0, 1, size=(K, T)))
+            _, grid = make_grid(rng, T)
+            mask, (k, t, m, *_) = select(cas, grid, range(1, K + 1))
+            assert k.size == np.count_nonzero(mask) and mask[k - 1, t, m].all()
+            # by ascending class
+            assert (np.diff(k) >= 0).all()
+
+
+survivor_columns = st.integers(0, 12).flatmap(lambda n: st.tuples(*(
+    st.lists(values, min_size=n, max_size=n) for values in (
+        st.integers(1, 3), st.sampled_from([1.3, 1.5, 2.0]), st.sampled_from([0.0, 1.0, 2.5, 4.0]),
+        st.sampled_from([0.5, 1.0, 3.0])))))
+
+
+class TestToPredictions:
+    """The conversion reproduces the predictions select first built itself."""
+
+    @given(columns=survivor_columns, fps=st.sampled_from([30.0, 25.0, 7.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_first_built_predictions(self, columns, fps):
+        # few distinct classes, scores and starts, so that every sort key ties
+        k, score, x1, length = (np.array(c) for c in columns)
+        survivors = (k.astype(np.int64), np.arange(k.size), k % 2, score.astype(float),
+                     x1.astype(float), x1 + length)
+        got = to_predictions(survivors, fps, "v")
+        want = predictions_reference(survivors, fps, "v")
+        assert got == want
+        assert [type(p.class_id) for p in got] == [int] * len(got)
+
+    def test_select_survivors_on_random_videos(self, rng):
+        for _ in range(30):
+            T, K = int(rng.integers(5, 60)), int(rng.integers(1, 4))
+            cas = Cas(rng.uniform(0, 1, size=(K, T)))
+            _, grid = make_grid(rng, T)
+            _, survivors = select(cas, grid, range(1, K + 1))
+            assert to_predictions(survivors, 30.0, "x") == predictions_reference(survivors, 30.0, "x")
 
 
 class TestTrainingLoss:
@@ -272,7 +334,7 @@ class TestTrainingLoss:
         reg_map, grid = make_grid(rng, 20)
         mask, survivors = select(cas, grid, [1])
         total, grad_out = training_loss(cas, grid, mask, 0.25)
-        expected = sum(-(p.score - 1.0) for p, _ in survivors)
+        expected = sum(-(s - 1.0) for s in survivors[3].tolist())
         assert total == pytest.approx(expected)
         assert grad_out.shape == reg_map.shape
 
@@ -337,3 +399,26 @@ class TestTrainingLoss:
         _, grid = make_grid(rng, 10)
         with pytest.raises(InputError):
             training_loss(cas, grid, np.zeros((2, 10, 3), dtype=bool), 0.25)
+
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 4), T=st.integers(5, 40),
+           keep=st.sampled_from([0.0, 0.2, 0.6]), every_class=st.booleans(),
+           loss=st.sampled_from(["oic", "inner"]))
+    @settings(max_examples=60, deadline=None)
+    def test_grad_out_matches_the_add_at_oracle(self, seed, K, T, keep, every_class, loss):
+        # a kept (t, m) under several classes sends several gradients to one slot
+        rng = np.random.default_rng(seed)
+        cas = Cas(rng.uniform(0, 1, size=(K, T)))
+        _, grid = make_grid(rng, T, reg_scale=0.5)
+        cells = grid.valid & (rng.uniform(size=grid.valid.shape) < keep)
+        mask = np.repeat(cells[None], K, axis=0)
+        if not every_class:
+            mask &= rng.uniform(size=mask.shape) < 0.6
+        _, grad_out = training_loss(cas, grid, mask, 0.25, loss=loss)
+        k, t, m = np.nonzero(mask)
+        padded = np.pad(cas.act, ((0, 0), (1, 1)))
+        _, g = oic.oic_kernel(padded, k, *grid.rounded[:, t, m], inner_only=loss == "inner")
+        d_tx, d_tw = transform_backward(g, grid.anchors[m], grid.w[t, m], 0.25,
+                                        grid.min_offset[t, m])
+        want = scatter_reference(ANCHORS.count, T, t, m, d_tx, d_tw)
+        assert grad_out.dtype == np.float64 and grad_out.shape == want.shape
+        assert grad_out.tobytes() == want.tobytes()
