@@ -284,16 +284,17 @@ class NetworkB:
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat = z  # centred, then scaled, in place
             xhat *= inv_std[:, None]
-            out = np.zeros((z.shape[0], T + 2 * PAD))  # the next conv's padded input
-            y = np.multiply(self.params[f"bn{i}.gamma"][:, None], xhat, out=out[:, PAD : PAD + T])
+            # y stays contiguous: the same ufuncs on a strided view of the next
+            # buffer took ~7 us more per layer at 32 x 96
+            y = self.params[f"bn{i}.gamma"][:, None] * xhat
             y += self.params[f"bn{i}.beta"][:, None]
             relu_mask = y > 0
-            y *= relu_mask
             if train:
                 cache["layers"].append(
                     {"xp": xp, "inv_std": inv_std, "xhat": xhat, "relu_mask": relu_mask}
                 )
-            xp = out
+            xp = np.zeros((y.shape[0], T + 2 * PAD))  # the next conv's padded input
+            np.multiply(y, relu_mask, out=xp[:, PAD : PAD + T])
         reg = _conv1d(xp, self.params["pred.w"], self.params["pred.b"])
         if train:
             cache["pred_xp"] = xp
@@ -318,7 +319,7 @@ class NetworkB:
         for i in reversed(range(HIDDEN_LAYERS)):
             lay = cache["layers"][i]
             xhat = lay["xhat"]
-            dy = np.multiply(dx, lay["relu_mask"], out=dx)
+            dy = dx * lay["relu_mask"]  # contiguous, unlike dx: 4 ufuncs read it
             dgamma, dbeta = grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"]
             dz = dy * xhat
             np.add.reduce(dz, 1, out=dgamma)
