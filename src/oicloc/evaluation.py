@@ -40,17 +40,20 @@ def gt_instances(videos: list[VideoRecord]) -> list[GtInstance]:
     return out
 
 
-def _bounds(segments) -> tuple[np.ndarray, np.ndarray]:
-    """The start_s and end_s arrays of predictions or ground truth segments."""
-    return np.array([s.start_s for s in segments]), np.array([s.end_s for s in segments])
+def _bounds(segments) -> np.ndarray:
+    """The float64 start_s and end_s rows of predictions or ground truth segments."""
+    return np.array([(s.start_s, s.end_s) for s in segments], dtype=np.float64).T
 
 
-def _class_pairs(preds: list[Prediction], gts: list[GtInstance], class_id: int) -> tuple | None:
-    """One class's (ground truth count, prediction count, prediction index,
-    ground truth index, IoU) over every (prediction, ground truth of its
-    video) pair; predictions are ranked by descending score, then start, then
-    video, and pairs are in rank then ground truth order. None when the class
-    has no ground truth."""
+def average_precision(
+    preds: list[Prediction],
+    gts: list[GtInstance],
+    class_id: int,
+    iou_thresh: float,
+) -> float | None:
+    """All-points interpolated AP for one class at one IoU threshold; None when
+    the class has no gt. The IoUs of every (prediction, ground truth of its
+    video) pair are computed at once."""
     class_gts = [g for g in gts if g.class_id == class_id]
     if not class_gts:
         return None
@@ -58,6 +61,8 @@ def _class_pairs(preds: list[Prediction], gts: list[GtInstance], class_id: int) 
         (p for p in preds if p.class_id == class_id),
         key=lambda p: (-p.score, p.start_s, p.video_id),
     )
+    if not cls_preds:
+        return 0.0
     by_video: dict[str, list[int]] = {}
     for j, g in enumerate(class_gts):
         by_video.setdefault(g.video_id, []).append(j)
@@ -69,16 +74,9 @@ def _class_pairs(preds: list[Prediction], gts: list[GtInstance], class_id: int) 
         raise InputError("intervals must satisfy start <= end")
     g_lo, g_hi = _bounds(class_gts)
     ov = iou(lo[pred_idx], hi[pred_idx], g_lo[gt_idx], g_hi[gt_idx])
-    return len(class_gts), len(cls_preds), pred_idx, gt_idx, ov
-
-
-def _ap(n_gt: int, n_pred: int, pred_idx, gt_idx, ov, iou_thresh: float) -> float:
-    """All-points interpolated AP of one class's :func:`_class_pairs`."""
-    if not n_pred:
-        return 0.0
     hit = ov > iou_thresh
     matched: set[int] = set()
-    tp = np.zeros(n_pred)
+    tp = np.zeros(len(cls_preds))
     candidates = zip(pred_idx[hit].tolist(), gt_idx[hit].tolist(), ov[hit].tolist())
     for i, group in itertools.groupby(candidates, key=lambda c: c[0]):
         best_iou, best_gt = 0.0, None  # the first unmatched ground truth of highest IoU
@@ -90,25 +88,13 @@ def _ap(n_gt: int, n_pred: int, pred_idx, gt_idx, ov, iou_thresh: float) -> floa
             tp[i] = 1.0
     acc_tp = np.cumsum(tp)
     acc_fp = np.cumsum(1.0 - tp)
-    recall = acc_tp / n_gt
+    recall = acc_tp / len(class_gts)
     precision = acc_tp / np.maximum(acc_tp + acc_fp, 1e-12)
     r = np.concatenate([[0.0], recall, [recall[-1]]])
     # monotone precision envelope, then sum over recall steps
     env = np.maximum.accumulate(np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
     steps = np.nonzero(r[1:] != r[:-1])[0] + 1
     return float(np.sum((r[steps] - r[steps - 1]) * env[steps]))
-
-
-def average_precision(
-    preds: list[Prediction],
-    gts: list[GtInstance],
-    class_id: int,
-    iou_thresh: float,
-) -> float | None:
-    """All-points interpolated AP for one class at one IoU threshold; None when
-    the class has no gt."""
-    pairs = _class_pairs(preds, gts, class_id)
-    return None if pairs is None else _ap(*pairs, iou_thresh)
 
 
 @dataclass(frozen=True)
@@ -155,11 +141,10 @@ def map_report(
     """Evaluate mAP over the given IoU threshold grid."""
     if not gts:
         raise InputError("evaluation requires at least one ground truth segment")
-    # every class here has ground truth; its pairs and IoUs serve every threshold
-    pairs = {k: _class_pairs(preds, gts, k) for k in sorted({g.class_id for g in gts})}
+    classes = sorted({g.class_id for g in gts})
     per_threshold: dict[float, dict] = {}
     for thr in iou_thresholds:
-        aps = {k: _ap(*p, thr) for k, p in pairs.items()}
+        aps = {k: average_precision(preds, gts, k, thr) for k in classes}
         per_threshold[thr] = {"ap": aps, "map": float(np.mean(list(aps.values())))}
     avg_map = float(np.mean([e["map"] for e in per_threshold.values()]))
     return EvalReport(per_threshold, avg_map)

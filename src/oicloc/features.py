@@ -34,11 +34,8 @@ def cas_to_features(cas: Cas, feature_dim: int) -> np.ndarray:
         np.tanh(buf, out=buf)
     else:  # its two row halves at once: elementwise, so bit-equal
         half = feature_dim // 2
-        job = pool.submit(np.tanh, buf[half:], out=buf[half:])
-        try:
-            np.tanh(buf[:half], out=buf[:half])
-        finally:  # joined before this returns or raises
-            job.result()
+        regressor._alongside(pool, (np.tanh, buf[half:], buf[half:]),
+                             np.tanh, buf[:half], buf[:half])
     return feat
 
 

@@ -20,12 +20,10 @@ row halves at once. Each moved job is a whole, unchanged BLAS or ufunc call
 and the products are summed in tap order, ``(W0 x0 + W1 x1) + W2 x2``, so
 every output bit is the same with or without the worker. It engages only at
 POOL_MIN_MADDS and with a second usable CPU, on top of any BLAS threads.
-Below that (every desk-width conv) no job is submitted and the same code
-runs straight through on this thread, every tap in the same order, with no
-closures or hand-off bookkeeping around ~4 us taps. Batch norm works in
-place on the conv output (centre, then scale, into ``x̂``); each step is the
-same ufunc on the same values as the plain form, so the bits are those of
-``tests/oracles.py``.
+Below that (every desk-width conv) the same taps run on this thread in the
+same order, with no hand-off around ~4 us taps. Batch norm centres and
+scales the conv output in place into ``x̂``: the same ufuncs on the same
+values as the plain form, so the bits are those of ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -93,22 +91,37 @@ def _padded(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
+def _alongside(pool, there: tuple, here, *args) -> tuple:
+    """``(here(*args), there[0](*there[1:]))``, with ``there`` on the worker thread
+    ``pool``, joined before this returns or raises: no job outlives the call."""
+    job = pool.submit(*there)
+    try:
+        mine = here(*args)
+    finally:
+        theirs = job.result()
+    return mine, theirs
+
+
+def _taps(xp: np.ndarray, w: np.ndarray, T: int, n: int) -> np.ndarray:
+    """sum_{i < n} w[:, :, i] @ xp[:, i:i+T], summed in tap order."""
+    y = w[:, :, 0] @ xp[:, :T]
+    for i in range(1, n):
+        y += w[:, :, i] @ xp[:, i : i + T]
+    return y
+
+
 def _conv1d(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The convolution of the padded input ``xp``, one BLAS matmul per kernel
     tap (at least two): y = sum_k w[:, :, k] @ xp[:, k:k+T], summed in tap
-    order. With the worker thread, it computes the last tap's product while
-    this thread does the others, and that product is still added last."""
+    order. The last tap's product may run on the worker thread; it is added last."""
     ksz = w.shape[2]
     T = xp.shape[1] - (ksz - 1)
     pool = _worker(w.shape[0] * w.shape[1] * T)
-    job = None if pool is None else pool.submit(np.matmul, w[:, :, -1], xp[:, ksz - 1 :])
-    try:
-        y = w[:, :, 0] @ xp[:, :T]
-        for i in range(1, ksz if job is None else ksz - 1):
-            y += w[:, :, i] @ xp[:, i : i + T]
-    finally:  # the worker is joined before this returns or raises
-        last = None if job is None else job.result()
-    if last is not None:
+    if pool is None:
+        y = _taps(xp, w, T, ksz)
+    else:
+        y, last = _alongside(pool, (np.matmul, w[:, :, -1], xp[:, ksz - 1 :]),
+                             _taps, xp, w, T, ksz - 1)
         y += last
     y += b[:, None]
     return y
@@ -121,6 +134,18 @@ def _tap_backward(dy, x_tap, w_tap, dw_tap, input_grad: bool):
     return w_tap.T @ dy if input_grad else None
 
 
+def _taps_backward(xp, w, dy, dw, n: int, input_grad: bool):
+    """Taps 0..n-1 of :func:`conv1d_backward`: weight gradients into ``dw``, and
+    the input-gradient products summed in tap order (None without ``input_grad``)."""
+    T = dy.shape[1]
+    dxp = np.zeros(xp.shape) if input_grad else None
+    for i in range(n):
+        dx_tap = _tap_backward(dy, xp[:, i : i + T], w[:, :, i], dw[:, :, i], input_grad)
+        if input_grad:
+            dxp[:, i : i + T] += dx_tap
+    return dxp
+
+
 def conv1d_backward(
     xp: np.ndarray, w: np.ndarray, dy: np.ndarray, input_grad: bool = True,
     dw: np.ndarray | None = None, db: np.ndarray | None = None,
@@ -129,25 +154,20 @@ def conv1d_backward(
     ``dx`` is None without ``input_grad``. Each tap's weight gradient is
     written in place into ``dw[:, :, i]`` (default: a new tap-major array,
     so that each tap is one C-contiguous block) and the bias gradient into
-    ``db`` (default: a new array). With the worker thread, it computes the
-    last tap's weight gradient and input-gradient product while this thread
-    does the others; the products are added into ``dx`` in tap order."""
+    ``db`` (default: a new array). The last tap may run on the worker
+    thread; the input-gradient products are added into ``dx`` in tap order."""
     ksz = w.shape[2]
     pad = (ksz - 1) // 2
     T = dy.shape[1]
     if dw is None:
         dw = np.empty((ksz,) + w.shape[:2]).transpose(1, 2, 0)
     pool = _worker(w.shape[0] * w.shape[1] * T)
-    job = None if pool is None else pool.submit(
-        _tap_backward, dy, xp[:, ksz - 1 :], w[:, :, -1], dw[:, :, -1], input_grad)
-    try:
-        dxp = np.zeros(xp.shape) if input_grad else None
-        for i in range(ksz if job is None else ksz - 1):
-            dx_tap = _tap_backward(dy, xp[:, i : i + T], w[:, :, i], dw[:, :, i], input_grad)
-            if input_grad:
-                dxp[:, i : i + T] += dx_tap
-    finally:  # the worker is joined before this returns or raises
-        last = None if job is None else job.result()
+    if pool is None:
+        dxp, last = _taps_backward(xp, w, dy, dw, ksz, input_grad), None
+    else:
+        dxp, last = _alongside(
+            pool, (_tap_backward, dy, xp[:, ksz - 1 :], w[:, :, -1], dw[:, :, -1], input_grad),
+            _taps_backward, xp, w, dy, dw, ksz - 1, input_grad)
     db = np.add.reduce(dy, 1, out=db)
     if not input_grad:
         return None, dw, db

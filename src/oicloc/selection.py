@@ -230,8 +230,7 @@ def training_loss(
     d_tx, d_tw = transform_backward(
         g, grid.anchors[m], grid.w[t, m], alpha, grid.min_offset[t, m]
     )
-    # rows 2m and 2m+1 of the 2M x T map, each slot summed in k-major order
-    # (bincount gives integer zeros when nothing is kept)
+    # rows 2m, 2m+1; each slot summed k-major (integer zeros when nothing is kept)
     slots = np.concatenate([2 * m * T + t, (2 * m + 1) * T + t])
     grad_out = np.bincount(slots, np.concatenate([d_tx, d_tw]), 2 * M * T)
     return float(areas.loss.sum()), grad_out.astype(np.float64, copy=False).reshape(2 * M, T)

@@ -50,22 +50,25 @@ MUTANTS = [
     Mutant("regressor.py", "mu /= T", "mu *= 1.0 / T", (STEP,)),
     Mutant("regressor.py", "var /= T", "var *= 1.0 / T", (STEP,)),
     # conv tap order: straight-line taps summed last to first
-    Mutant("regressor.py", "        for i in range(1, ksz if job is None else ksz - 1):",
-           "        for i in reversed(range(1, ksz if job is None else ksz - 1)):", (DESK_CONV,)),
-    Mutant("regressor.py", "        for i in range(ksz if job is None else ksz - 1):",
-           "        for i in reversed(range(ksz if job is None else ksz - 1)):", (DESK_CONV,)),
-    # conv on the worker path: the bias added before the worker's last tap;
-    # the worker's input-gradient product added at tap 0's columns
-    Mutant("regressor.py", "    if last is not None:\n        y += last\n    y += b[:, None]\n",
-           "    y += b[:, None]\n    if last is not None:\n        y += last\n", (POOL_CONV,)),
+    Mutant("regressor.py", "    for i in range(1, n):\n", "    for i in reversed(range(1, n)):\n",
+           (DESK_CONV,)),
+    Mutant("regressor.py", "    for i in range(n):\n", "    for i in reversed(range(n)):\n",
+           (DESK_CONV,)),
+    # conv on the worker path: the first tap handed over and added last; the
+    # bias added before the worker's last tap; the worker's input-gradient
+    # product added at tap 0's columns
+    Mutant("regressor.py", "(np.matmul, w[:, :, -1], xp[:, ksz - 1 :]),\n"
+           "                             _taps, xp, w, T, ksz - 1)",
+           "(np.matmul, w[:, :, 0], xp[:, :T]),\n"
+           "                             _taps, xp[:, 1:], w[:, :, 1:], T, ksz - 1)", (POOL_CONV,)),
+    Mutant("regressor.py", "        y += last\n    y += b[:, None]\n",
+           "        y += b[:, None]\n        y += last\n        return y\n    y += b[:, None]\n",
+           (POOL_CONV,)),
     Mutant("regressor.py", "dxp[:, ksz - 1 :] += last", "dxp[:, : xp.shape[1] - ksz + 1] += last",
            (POOL_CONV,)),
-    # the worker joined only when this thread's taps succeed
-    Mutant("regressor.py",
-           "    finally:  # the worker is joined before this returns or raises\n"
-           "        last = None if job is None else job.result()\n    db =",
-           "    except ValueError:\n        raise\n"
-           "    last = None if job is None else job.result()\n    db =",
+    # the worker joined only when this thread's work succeeds
+    Mutant("regressor.py", "    finally:\n        theirs = job.result()\n",
+           "    except ValueError:\n        raise\n    theirs = job.result()\n",
            ("tests/test_regressor.py::TestWorkerPool::"
             "test_the_worker_is_joined_before_an_error_surfaces[pool]",)),
     # training_loss: t_x and t_w slots swapped
@@ -83,7 +86,10 @@ MUTANTS = [
     # to_predictions sorts by class before start
     Mutant("selection.py", "np.lexsort((k, start_s, -score))", "np.lexsort((start_s, k, -score))",
            ("tests/test_selection.py::TestToPredictions",)),
-    # average precision: an IoU at the threshold matches; ties keep the last best
+    # average precision: integer seconds kept as integers; an IoU at the
+    # threshold matches; ties keep the last best
+    Mutant("evaluation.py", "dtype=np.float64).T", ").T",
+           ("tests/test_eval.py::TestAveragePrecisionOracle",)),
     Mutant("evaluation.py", "hit = ov > iou_thresh", "hit = ov >= iou_thresh",
            ("tests/test_eval.py::TestAveragePrecisionOracle", "tests/test_eval.py::TestHandFixture")),
     Mutant("evaluation.py", "if v > best_iou and j not in matched:",

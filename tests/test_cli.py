@@ -85,6 +85,25 @@ class TestTrainPredictEval:
                                    "MKL_NUM_THREADS": None}
         assert {"oicloc", "blas"} <= set(meta)
 
+    def test_eval_reads_integer_seconds(self, workspace, tmp_path):
+        corpus = workspace / "corpus"
+        entries = json.loads((corpus / "manifest.json").read_text())
+        lines = []
+        for e in entries:
+            for g in e["gt"]:
+                g["start_s"], g["end_s"] = int(g["start_s"]), int(g["end_s"]) + 1
+                lines.append(json.dumps({"video_id": e["video_id"], "class": g["class"],
+                                         "start_s": g["start_s"], "end_s": g["end_s"],
+                                         "score": 1}))
+        manifest = corpus / "manifest_integer_seconds.json"
+        manifest.write_text(json.dumps(entries))
+        pred = tmp_path / "preds.jsonl"
+        pred.write_text("\n".join(lines))
+        report = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(pred), "--manifest", str(manifest),
+                     "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["avg_mAP"] == 1.0
+
     def test_threshold_mode_needs_no_checkpoint(self, workspace):
         out = workspace / "thr.jsonl"
         assert main(["predict", "--config", str(workspace / "run.json"),

@@ -125,16 +125,19 @@ segments = st.tuples(st.sampled_from("AB"), st.integers(1, 2), st.integers(0, 8)
 class TestAveragePrecisionOracle:
     @given(gts=st.lists(segments, min_size=1, max_size=8),
            preds=st.lists(st.tuples(segments, st.sampled_from([0.3, 0.6, 0.9])), max_size=14),
-           iou_thresh=st.sampled_from([0.0, 1 / 3, 0.5, 0.6, 0.9]))
+           iou_thresh=st.sampled_from([0.0, 1 / 3, 0.5, 0.6, 0.9]),
+           seconds=st.sampled_from([float, int]))
     @settings(max_examples=200, deadline=None)
-    def test_matches_the_scalar_first_form(self, gts, preds, iou_thresh):
+    def test_matches_the_scalar_first_form(self, gts, preds, iou_thresh, seconds):
         # integer endpoints and three scores: IoUs land exactly on 1/3 and 0.5,
-        # and scores, starts and IoUs tie
-        gt = [GtInstance(v, k, float(s), float(s + d)) for v, k, s, d in gts]
-        pr = [P(v, k, float(s), float(s + d), score) for (v, k, s, d), score in preds]
+        # and scores, starts and IoUs tie; both readers keep integer seconds as ints
+        gt = [GtInstance(v, k, seconds(s), seconds(s + d)) for v, k, s, d in gts]
+        pr = [P(v, k, seconds(s), seconds(s + d), score) for (v, k, s, d), score in preds]
+        aps = map_report(pr, gt, (iou_thresh,)).per_threshold[iou_thresh]["ap"]
         for k in (1, 2):
-            assert average_precision(pr, gt, k, iou_thresh) == average_precision_reference(
-                pr, gt, k, iou_thresh)
+            want = average_precision_reference(pr, gt, k, iou_thresh)
+            assert average_precision(pr, gt, k, iou_thresh) == want
+            assert aps.get(k) == want
 
 
 class TestReport:
