@@ -28,14 +28,10 @@ def cas_to_features(cas: Cas, feature_dim: int) -> np.ndarray:
     feat = regressor.zero_bordered(feature_dim, cas.num_snippets)
     proj = _projection(cas.num_classes, feature_dim)
     np.matmul(proj, aug, out=feat)
-    # squash the whole contiguous buffer: tanh(+0.0) is +0.0, so the border stays zero
-    buf, pool = feat.base, regressor._worker(proj.size * cas.num_snippets)
-    if pool is None:
-        np.tanh(buf, out=buf)
-    else:  # its two row halves at once: elementwise, so bit-equal
-        half = feature_dim // 2
-        regressor._alongside(pool, (np.tanh, buf[half:], buf[half:]),
-                             np.tanh, buf[:half], buf[:half])
+    # squash the whole contiguous buffer, in row halves at once with the worker
+    # (elementwise, so bit-equal): tanh(+0.0) is +0.0, so the border stays zero
+    buf = feat.base
+    regressor._in_halves(regressor._worker(proj.size * cas.num_snippets), np.tanh, (buf, buf))
     return feat
 
 

@@ -13,17 +13,31 @@ k) view has each tap ``w[:, :, i]`` as one C-contiguous block, so the per-tap
 matmuls read the weights without a gather and the backward writes each tap's
 weight gradient straight into its block of the gradient vector.
 
-At paper width a second core joins in: a conv hands its last tap (forward:
-``w[:, :, 2] @ xp[:, 2:2+T]``; backward: that tap's weight gradient and input
-gradient product) to one worker thread, and the feature lift squashes its two
-row halves at once. Each moved job is a whole, unchanged BLAS or ufunc call
-and the products are summed in tap order, ``(W0 x0 + W1 x1) + W2 x2``, so
-every output bit is the same with or without the worker. It engages only at
-POOL_MIN_MADDS and with a second usable CPU, on top of any BLAS threads.
-Below that (every desk-width conv) the same taps run on this thread in the
-same order, with no hand-off around ~4 us taps. Batch norm centres and
-scales the conv output in place into ``x̂``: the same ufuncs on the same
-values as the plain form, so the bits are those of ``tests/oracles.py``.
+At paper width a second core joins in. Each conv layer asks :func:`_worker`
+once, from its multiply-adds per tap; when that hands out the worker thread,
+the layer's work is shared with it:
+
+- forward conv: the worker computes the last tap, ``w[:, :, 2] @ xp[:, 2:2+T]``,
+  and this thread the others, summed in tap order ``(W0 x0 + W1 x1) + W2 x2``;
+- forward rows: adding that last tap and the bias, batch norm (mean,
+  variance, ``x̂``, γ/β) and the ReLU written into the next padded buffer run
+  on two row halves at once, the top half on the worker;
+- backward conv: the six tap products split 3:3, the worker taking tap 2's
+  weight gradient and input-gradient product and tap 1's weight gradient;
+  the input-gradient products are added into ``dx`` in tap order here;
+- backward rows: batch-norm and ReLU backward (``dγ``, ``dβ``, ``dz``) on two
+  row halves at once.
+
+The feature lift squashes its two row halves at once, and :func:`sgd_step`
+updates the two halves of the flat vector at once from POOL_MIN_PARAMS. A
+single matmul is never split: each moved job is a whole, unchanged BLAS call
+or a row-wise ufunc sequence on whole rows, so every output bit is the same
+with or without the worker. It engages only from the thresholds below and
+with a second usable CPU, on top of any BLAS threads. Below them (every
+desk-width layer) this thread runs every tap and row in the same order,
+with no hand-off around ~4 us taps. Batch norm centres and scales the conv output
+in place into ``x̂``: the same ufuncs on the same values as the plain form,
+so the bits are those of ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -44,23 +58,29 @@ KERNEL = 3
 HIDDEN_LAYERS = 3
 CHECKPOINT_VERSION = 3
 PAD = (KERNEL - 1) // 2
-# Multiply-adds per tap (c_out * c_in * T) from which a call hands work to the
-# worker thread. A hand-off and join costs ~50 us; with one BLAS thread on two
-# cores, moving a forward conv's last tap broke even at ~1M (64 x 64 x 256,
-# 128 x 128 x 64) and took 0.89x the time at 12 x 128 x 800, 0.76x at
-# 128 x 128 x 128 and 0.70x at 128 x 2048 x 1540. Desk shapes (at most
-# 32 x 32 x 120) stay sequential.
+# Multiply-adds per tap (c_out * c_in * T) from which a conv layer shares its
+# work with the worker thread. A hand-off and join costs ~50 us; with one BLAS
+# thread on two cores, moving a forward conv's last tap broke even at ~1M
+# (64 x 64 x 256, 128 x 128 x 64) and took 0.89x the time at 12 x 128 x 800,
+# 0.76x at 128 x 128 x 128 and 0.70x at 128 x 2048 x 1540. Desk shapes (at
+# most 32 x 32 x 120) stay sequential.
 POOL_MIN_MADDS = 1 << 21
+# Parameters from which sgd_step updates the two halves of the flat vector at
+# once. With one BLAS thread on two cores (median of 40-200 steps), a momentum
+# step took 151 -> 203 us split at 64k elements, 506 -> 323 us at 128k and
+# 6.4 -> 2.6 ms at 890k (thumos width): the hand-off broke even near 90k.
+# Desk nets (~9k parameters) stay sequential.
+POOL_MIN_PARAMS = 1 << 17
 
 _pool = None  # (owning process id, single-worker ThreadPoolExecutor)
 
 
-def _worker(madds: int):
+def _worker(work: int, least: int = POOL_MIN_MADDS):
     """The single worker thread's executor, created on first use, for a call
-    of ``madds`` multiply-adds per tap; None below POOL_MIN_MADDS or when
-    only one CPU is usable."""
+    of ``work`` units (multiply-adds per tap, or parameters with ``least`` =
+    POOL_MIN_PARAMS); None below ``least`` or when only one CPU is usable."""
     global _pool
-    if madds < POOL_MIN_MADDS or len(os.sched_getaffinity(0)) < 2:
+    if work < least or len(os.sched_getaffinity(0)) < 2:
         return None
     if _pool is None or _pool[0] != os.getpid():  # a forked child has no worker thread
         # imported here: importing it with this module slowed the baselines
@@ -70,25 +90,30 @@ def _worker(madds: int):
     return _pool[1]
 
 
+def _conv_worker(w: np.ndarray, T: int):
+    """:func:`_worker` for a conv layer of weights ``w`` over ``T`` snippets."""
+    return _worker(w.shape[0] * w.shape[1] * T)
+
+
 def zero_bordered(rows: int, T: int) -> np.ndarray:
     """The (rows, T) interior of a new zeroed (rows, T + 2*PAD) buffer. A conv
     given such a view reads its buffer in place instead of padding a copy."""
     return np.zeros((rows, T + 2 * PAD))[:, PAD : PAD + T]
 
 
-def _padded(x: np.ndarray, pad: int) -> np.ndarray:
+def _padded(x: np.ndarray) -> np.ndarray:
     """The zero-bordered buffer ``x`` is the interior of (see
     :func:`zero_bordered`), or else a new one holding a copy of ``x``."""
     buf = x.base
     rows, T = x.shape
-    if (isinstance(buf, np.ndarray) and buf.shape == (rows, T + 2 * pad)
+    if (isinstance(buf, np.ndarray) and buf.shape == (rows, T + 2 * PAD)
             and buf.dtype == x.dtype and buf.flags.c_contiguous and x.strides == buf.strides
-            and x.ctypes.data == buf.ctypes.data + pad * buf.itemsize
-            and not buf[:, :pad].any() and not buf[:, pad + T :].any()):
+            and x.ctypes.data == buf.ctypes.data + PAD * buf.itemsize
+            and not buf[:, :: T + 1].any()):  # columns 0 and T + 1, the border as PAD is 1
         return buf
-    xp = np.zeros((rows, T + 2 * pad))
-    xp[:, pad : pad + T] = x
-    return xp
+    xp = zero_bordered(rows, T)
+    xp[...] = x
+    return xp.base
 
 
 def _alongside(pool, there: tuple, here, *args) -> tuple:
@@ -102,6 +127,20 @@ def _alongside(pool, there: tuple, here, *args) -> tuple:
     return mine, theirs
 
 
+def _in_halves(pool, fn, arrays: tuple, *rest) -> None:
+    """``fn(*arrays, *rest)``; with the worker thread ``pool``, on the arrays'
+    top row halves there and on their bottom halves here, at once. The arrays'
+    first axes index the same rows and ``fn`` works row by row (elementwise or
+    along each row), so the bits are those of one call over all rows."""
+    if pool is None:
+        fn(*arrays, *rest)
+        return
+    half = len(arrays[0]) // 2
+    top = [a[:half] for a in arrays]
+    bottom = [a[half:] for a in arrays]
+    _alongside(pool, (fn, *top, *rest), fn, *bottom, *rest)
+
+
 def _taps(xp: np.ndarray, w: np.ndarray, T: int, n: int) -> np.ndarray:
     """sum_{i < n} w[:, :, i] @ xp[:, i:i+T], summed in tap order."""
     y = w[:, :, 0] @ xp[:, :T]
@@ -110,70 +149,129 @@ def _taps(xp: np.ndarray, w: np.ndarray, T: int, n: int) -> np.ndarray:
     return y
 
 
-def _conv1d(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The convolution of the padded input ``xp``, one BLAS matmul per kernel
-    tap (at least two): y = sum_k w[:, :, k] @ xp[:, k:k+T], summed in tap
-    order. The last tap's product may run on the worker thread; it is added last."""
+def _conv_taps(xp: np.ndarray, w: np.ndarray, pool) -> tuple:
+    """The convolution of the padded input ``xp`` without its bias, one BLAS
+    matmul per kernel tap (at least two): ``(sum of the taps, None)``, or with
+    the worker thread ``pool``, ``(sum of all taps but the last, the last
+    tap's product)``, the last computed there. :func:`_add_bias` completes it."""
     ksz = w.shape[2]
     T = xp.shape[1] - (ksz - 1)
-    pool = _worker(w.shape[0] * w.shape[1] * T)
     if pool is None:
-        y = _taps(xp, w, T, ksz)
-    else:
-        y, last = _alongside(pool, (np.matmul, w[:, :, -1], xp[:, ksz - 1 :]),
-                             _taps, xp, w, T, ksz - 1)
+        return _taps(xp, w, T, ksz), None
+    return _alongside(pool, (np.matmul, w[:, :, -1], xp[:, ksz - 1 :]), _taps, xp, w, T, ksz - 1)
+
+
+def _add_bias(y: np.ndarray, last, b: np.ndarray) -> None:
+    """Adds the last tap's product ``last`` (unless None), then the bias, into
+    a :func:`_conv_taps` sum: y = sum_k w[:, :, k] @ xp[:, k:k+T] + b, in tap order."""
+    if last is not None:
         y += last
     y += b[:, None]
+
+
+def _conv1d(xp: np.ndarray, w: np.ndarray, b: np.ndarray, pool) -> np.ndarray:
+    """The convolution of the padded input ``xp`` (see :func:`_conv_taps`)."""
+    y, last = _conv_taps(xp, w, pool)
+    _add_bias(y, last, b)
     return y
 
 
-def _tap_backward(dy, x_tap, w_tap, dw_tap, input_grad: bool):
-    """One tap's weight gradient, written into ``dw_tap``, and its product
-    for the input gradient (None without ``input_grad``)."""
-    np.matmul(dy, x_tap.T, out=dw_tap)
-    return w_tap.T @ dy if input_grad else None
-
-
-def _taps_backward(xp, w, dy, dw, n: int, input_grad: bool):
-    """Taps 0..n-1 of :func:`conv1d_backward`: weight gradients into ``dw``, and
-    the input-gradient products summed in tap order (None without ``input_grad``)."""
+def _taps_backward(xp, w, dy, dw, dxp) -> None:
+    """Every tap's weight gradient, written into ``dw[:, :, i]``, and unless
+    ``dxp`` is None its input-gradient product ``w[:, :, i].T @ dy`` added
+    into ``dxp[:, i:i+T]``, in tap order."""
     T = dy.shape[1]
-    dxp = np.zeros(xp.shape) if input_grad else None
-    for i in range(n):
-        dx_tap = _tap_backward(dy, xp[:, i : i + T], w[:, :, i], dw[:, :, i], input_grad)
-        if input_grad:
-            dxp[:, i : i + T] += dx_tap
-    return dxp
+    for i in range(w.shape[2]):
+        np.matmul(dy, xp[:, i : i + T].T, out=dw[:, :, i])
+        if dxp is not None:
+            dxp[:, i : i + T] += w[:, :, i].T @ dy
+
+
+def _tap_grads(xp, w, dy, dw, dw_taps, dx_taps) -> list:
+    """The weight gradients of the taps in ``dw_taps``, each written into
+    ``dw[:, :, i]``, and the input-gradient products ``w[:, :, i].T @ dy`` of
+    the taps in ``dx_taps``, in order."""
+    T = dy.shape[1]
+    for i in dw_taps:
+        np.matmul(dy, xp[:, i : i + T].T, out=dw[:, :, i])
+    return [w[:, :, i].T @ dy for i in dx_taps]
 
 
 def conv1d_backward(
-    xp: np.ndarray, w: np.ndarray, dy: np.ndarray, input_grad: bool = True,
+    xp: np.ndarray, w: np.ndarray, dy: np.ndarray, pool, input_grad: bool = True,
     dw: np.ndarray | None = None, db: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients (dx, dw, db) of a same-padded temporal convolution, per tap;
     ``dx`` is None without ``input_grad``. Each tap's weight gradient is
     written in place into ``dw[:, :, i]`` (default: a new tap-major array,
     so that each tap is one C-contiguous block) and the bias gradient into
-    ``db`` (default: a new array). The last tap may run on the worker
-    thread; the input-gradient products are added into ``dx`` in tap order."""
+    ``db`` (default: a new array). With the worker thread ``pool`` (see
+    :func:`_worker`), the worker computes the weight gradients of taps k//2
+    onward and the input-gradient products of the taps after k//2, this
+    thread the rest: 3:3 products for k = 3 with the input gradient. The
+    input-gradient products are added into ``dx`` in tap order, here."""
     ksz = w.shape[2]
     pad = (ksz - 1) // 2
     T = dy.shape[1]
     if dw is None:
         dw = np.empty((ksz,) + w.shape[:2]).transpose(1, 2, 0)
-    pool = _worker(w.shape[0] * w.shape[1] * T)
+    dxp = np.zeros(xp.shape) if input_grad else None
     if pool is None:
-        dxp, last = _taps_backward(xp, w, dy, dw, ksz, input_grad), None
+        _taps_backward(xp, w, dy, dw, dxp)
     else:
-        dxp, last = _alongside(
-            pool, (_tap_backward, dy, xp[:, ksz - 1 :], w[:, :, -1], dw[:, :, -1], input_grad),
-            _taps_backward, xp, w, dy, dw, ksz - 1, input_grad)
+        mid, taps = ksz // 2, range(ksz)
+        dx_taps = taps if input_grad else range(0)
+        mine, theirs = _alongside(
+            pool, (_tap_grads, xp, w, dy, dw, taps[mid:], dx_taps[mid + 1 :]),
+            _tap_grads, xp, w, dy, dw, taps[:mid], dx_taps[: mid + 1])
+        for i, product in enumerate(mine + theirs):
+            dxp[:, i : i + T] += product
     db = np.add.reduce(dy, 1, out=db)
     if not input_grad:
         return None, dw, db
-    if last is not None:
-        dxp[:, ksz - 1 :] += last
     return dxp[:, pad : xp.shape[1] - pad], dw, db
+
+
+def _batch_norm_relu(z, last, b, gamma, beta, mean, var, inv_std, relu_mask, out,
+                     train: bool) -> None:
+    """Rows of a hidden layer after its conv's :func:`_conv_taps`: the last
+    tap and bias added into ``z``, then batch norm over time, centring and
+    scaling ``z`` in place into x̂ (train: ``mean`` and ``var`` written from
+    these rows; infer: the running statistics read from them), ``inv_std``
+    and ``relu_mask`` written, and ReLU(γ x̂ + β) written into ``out``."""
+    _add_bias(z, last, b)
+    T = z.shape[1]
+    if train:
+        np.add.reduce(z, 1, out=mean)
+        mean /= T  # bit-equal to z.mean(axis=1)
+        z -= mean[:, None]
+        np.add.reduce(z * z, 1, out=var)
+        var /= T  # bit-equal to z.var(axis=1)
+    else:
+        z -= mean[:, None]
+    np.divide(1.0, np.sqrt(var + BN_EPS), out=inv_std)
+    z *= inv_std[:, None]
+    # a contiguous y: ufuncs on a strided view of the next buffer cost more
+    y = gamma[:, None] * z
+    y += beta[:, None]
+    np.greater(y, 0, out=relu_mask)
+    np.multiply(y, relu_mask, out=out)
+
+
+def _batch_norm_backward(dx, relu_mask, xhat, gamma, inv_std, dgamma, dbeta, dz) -> None:
+    """Rows of a hidden layer's ReLU and batch-norm backward with batch
+    statistics over the time axis: ``dgamma``, ``dbeta`` and the conv
+    output's gradient ``dz`` written, the last in the compact form
+    dz = γ/σ · (dy − (dβ + x̂·dγ) / n)."""
+    dy = dx * relu_mask  # contiguous, unlike dx: 4 ufuncs read it
+    np.multiply(dy, xhat, out=dz)
+    np.add.reduce(dz, 1, out=dgamma)
+    np.add.reduce(dy, 1, out=dbeta)
+    np.multiply(xhat, dgamma[:, None], out=dz)
+    dz += dbeta[:, None]
+    dz /= xhat.shape[1]
+    np.subtract(dy, dz, out=dz)
+    dz *= (gamma * inv_std)[:, None]
 
 
 def _parameter_shapes(feature_dim: int, anchor_count: int, hidden: int) -> dict[str, tuple]:
@@ -283,38 +381,34 @@ class NetworkB:
         train = mode == "train"
         T = feat.shape[1]
         cache = {"layers": [], "T": T} if train else None
-        xp = _padded(feat, PAD)
+        xp = _padded(feat)
         for i in range(HIDDEN_LAYERS):
-            z = _conv1d(xp, self.params[f"conv{i}.w"], self.params[f"conv{i}.b"])
+            w = self.params[f"conv{i}.w"]
+            pool = _conv_worker(w, T)
+            z, last = _conv_taps(xp, w, pool)
+            rows = z.shape[0]
             if train:
-                mu = np.add.reduce(z, 1)
-                mu /= T  # bit-equal to z.mean(axis=1)
-                z -= mu[:, None]
-                var = np.add.reduce(z * z, 1)
-                var /= T  # bit-equal to z.var(axis=1)
+                mean, var = np.empty(rows), np.empty(rows)
+            else:
+                mean, var = self.running_mean[i], self.running_var[i]
+            inv_std, relu_mask = np.empty(rows), np.empty(z.shape, dtype=bool)
+            out = zero_bordered(rows, T)  # the next conv's padded input
+            _in_halves(pool, _batch_norm_relu,
+                       (z, last, self.params[f"conv{i}.b"], self.params[f"bn{i}.gamma"],
+                        self.params[f"bn{i}.beta"], mean, var, inv_std, relu_mask, out), train)
+            if train:
                 self.running_mean[i] = (
-                    BN_MOMENTUM * self.running_mean[i] + (1 - BN_MOMENTUM) * mu
+                    BN_MOMENTUM * self.running_mean[i] + (1 - BN_MOMENTUM) * mean
                 )
                 self.running_var[i] = (
                     BN_MOMENTUM * self.running_var[i] + (1 - BN_MOMENTUM) * var
                 )
-            else:
-                z -= self.running_mean[i][:, None]
-                var = self.running_var[i]
-            inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = z  # centred, then scaled, in place
-            xhat *= inv_std[:, None]
-            # a contiguous y: ufuncs on a strided view of the next buffer cost more
-            y = self.params[f"bn{i}.gamma"][:, None] * xhat
-            y += self.params[f"bn{i}.beta"][:, None]
-            relu_mask = y > 0
-            if train:
                 cache["layers"].append(
-                    {"xp": xp, "inv_std": inv_std, "xhat": xhat, "relu_mask": relu_mask}
+                    {"xp": xp, "inv_std": inv_std, "xhat": z, "relu_mask": relu_mask}
                 )
-            xp = np.zeros((y.shape[0], T + 2 * PAD))  # the next conv's padded input
-            np.multiply(y, relu_mask, out=xp[:, PAD : PAD + T])
-        reg = _conv1d(xp, self.params["pred.w"], self.params["pred.b"])
+            xp = out.base
+        w = self.params["pred.w"]
+        reg = _conv1d(xp, w, self.params["pred.b"], _conv_worker(w, T))
         if train:
             cache["pred_xp"] = xp
             return reg, cache
@@ -333,24 +427,17 @@ class NetworkB:
                 f"grad_out shape {grad_out.shape} does not match cached forward"
             )
         grads = FlatTensors(np.empty(self.params.flat.size), self._layout, _BACKWARD_ORDER)
-        dx = conv1d_backward(cache["pred_xp"], self.params["pred.w"], grad_out,
+        T, w = cache["T"], self.params["pred.w"]
+        dx = conv1d_backward(cache["pred_xp"], w, grad_out, _conv_worker(w, T),
                              dw=grads["pred.w"], db=grads["pred.b"])[0]
         for i in reversed(range(HIDDEN_LAYERS)):
-            lay = cache["layers"][i]
-            xhat = lay["xhat"]
-            dy = dx * lay["relu_mask"]  # contiguous, unlike dx: 4 ufuncs read it
-            dgamma, dbeta = grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"]
-            dz = dy * xhat
-            np.add.reduce(dz, 1, out=dgamma)
-            np.add.reduce(dy, 1, out=dbeta)
-            # batch-norm backward with batch statistics over the time axis, in
-            # the compact form: dz = γ/σ · (dy − (dβ + x̂·dγ) / n)
-            np.multiply(xhat, dgamma[:, None], out=dz)
-            dz += dbeta[:, None]
-            dz /= xhat.shape[1]
-            np.subtract(dy, dz, out=dz)
-            dz *= (self.params[f"bn{i}.gamma"] * lay["inv_std"])[:, None]
-            dx = conv1d_backward(lay["xp"], self.params[f"conv{i}.w"], dz, input_grad=i > 0,
+            lay, w = cache["layers"][i], self.params[f"conv{i}.w"]
+            pool = _conv_worker(w, T)
+            dz = np.empty(lay["xhat"].shape)
+            _in_halves(pool, _batch_norm_backward,
+                       (dx, lay["relu_mask"], lay["xhat"], self.params[f"bn{i}.gamma"],
+                        lay["inv_std"], grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"], dz))
+            dx = conv1d_backward(lay["xp"], w, dz, pool, input_grad=i > 0,
                                  dw=grads[f"conv{i}.w"], db=grads[f"conv{i}.b"])[0]
         return grads
 
@@ -461,15 +548,26 @@ def sgd_step(
     if not np.isfinite(g).all():
         name = next(name for name, t in grads.items() if not np.isfinite(t).all())
         raise TrainingError(f"non-finite gradient in {name} at iteration {iteration}")
-    lr = learning_rate(cfg, iteration)
     p = net.params.flat
-    update = cfg.weight_decay * p
-    update += g
     v = velocity.get("flat")
-    if v is None:
-        v = velocity["flat"] = update
+    first = v is None
+    if first:
+        v = velocity["flat"] = np.empty(p.size)
+    _in_halves(_worker(p.size, POOL_MIN_PARAMS), _momentum_rows, (p, g, v),
+               learning_rate(cfg, iteration), cfg.momentum, cfg.weight_decay, first)
+
+
+def _momentum_rows(p, g, v, lr: float, momentum: float, decay: float, first: bool) -> None:
+    """Momentum SGD with weight decay, in place, on these elements of the
+    parameters ``p``, gradient ``g`` and velocity ``v``: v = momentum·v +
+    (decay·p + g), or on the ``first`` step v = decay·p + g; then p -= lr·v."""
+    if first:
+        np.multiply(decay, p, out=v)
+        v += g
         p -= lr * v
     else:
-        v *= cfg.momentum
+        update = decay * p
+        update += g
+        v *= momentum
         v += update
         p -= np.multiply(v, lr, out=update)  # update is dead once folded into v

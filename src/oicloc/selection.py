@@ -17,7 +17,7 @@ import numpy as np
 
 from . import oic
 from .boundary import (
-    AnchorConfig, clip_zero_pad, inflate, round_boundary, transform_backward,
+    AnchorConfig, _clip, _inflate, round_boundary, transform_backward,
 )
 from .cas import SNIPPET_FRAMES, Cas
 from .errors import DegenerateOuterError, InputError, TrainingError
@@ -89,8 +89,9 @@ def build_candidates(
         raise TrainingError(
             f"t_w = {t_w[t, m]:.6g} collapses the segment at position {t + 1}, anchor {m}"
         )
-    x1, x2 = clip_zero_pad(raw_x1, raw_x2, T)
-    X1, X2 = inflate(x1, x2, width, alpha, T)
+    # widths are positive, so x1 <= x2 holds and the helpers' checks could not fire
+    x1, x2 = _clip(raw_x1, raw_x2, T)
+    X1, X2 = _inflate(x1, x2, width, alpha, T)
     rx1, rx2, rX1, rX2 = rounded = round_boundary(np.stack([x1, x2, X1, X2]))
     valid = ((rX2 - rX1) - (rx2 - rx1) >= 1) & (rX1 >= 0) & (rX2 <= T + 1)
     return Candidates(w_a, w, x1, x2, X1, X2, rounded, width * alpha < 1.0, valid)

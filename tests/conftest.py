@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import Phase, settings
@@ -18,21 +20,36 @@ def rng():
 
 @pytest.fixture(params=["pool", "no-pool"])
 def pool(request, monkeypatch):
-    """Runs a test as if two CPUs ("pool": the conv worker thread engages at
-    every call from ``POOL_MIN_MADDS`` up) or one ("no-pool": it never does)
+    """Runs a test as if two CPUs ("pool": the worker thread engages at every
+    call from ``POOL_MIN_MADDS`` or ``POOL_MIN_PARAMS`` up) or one ("no-pool": it never does)
     were usable. Yields the list of what ``_worker`` handed out, one entry
     (the pool or None) per call."""
     cpus = {0, 1} if request.param == "pool" else {0}
     monkeypatch.setattr(regressor.os, "sched_getaffinity", lambda pid: cpus)
     handed, worker = [], regressor._worker
 
-    def spy(madds):
-        handed.append(worker(madds))
+    def spy(*args):
+        handed.append(worker(*args))
         return handed[-1]
 
     monkeypatch.setattr(regressor, "_worker", spy)
     yield handed
     assert any(handed) == (request.param == "pool")  # the mode was in force
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """Records ``(name, ran on the worker thread, args)`` for every call of
+    the regressor's functions that the worker thread can share: both batch
+    norms, the momentum update and the conv backward's taps."""
+    calls = []
+    for name in ("_batch_norm_relu", "_batch_norm_backward", "_momentum_rows", "_tap_grads"):
+        def spy(*args, _fn=getattr(regressor, name), _name=name):
+            calls.append((_name, threading.current_thread() is not threading.main_thread(), args))
+            return _fn(*args)
+
+        monkeypatch.setattr(regressor, name, spy)
+    return calls
 
 
 @pytest.fixture

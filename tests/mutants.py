@@ -37,40 +37,56 @@ STEP = "tests/test_train.py::TestStepIsBitwise"
 FIRST_WRITTEN = "tests/test_train.py::TestBackwardMatchesFirstWritten"
 DESK_CONV = "tests/test_regressor.py::TestConv1d::test_desk_width_matches_the_per_tap_oracle_bitwise"
 POOL_CONV = "tests/test_regressor.py::TestWorkerPool::test_conv_matches_the_per_tap_oracle_bitwise[pool]"
+POOL_NET = "tests/test_regressor.py::TestWorkerPool::test_every_split_gives_the_bits_of_one_cpu[pool]"
+POOL_SGD = "tests/test_regressor.py::TestSgd::test_halves_match_the_per_tensor_reference[pool]"
 SGD = "tests/test_regressor.py::TestSgd"
 
 MUTANTS = [
     # batch-norm backward: drop the 1/n, swap dβ and dγ
-    Mutant("regressor.py", "            dz /= xhat.shape[1]\n", "", (STEP, FIRST_WRITTEN)),
+    Mutant("regressor.py", "    dz /= xhat.shape[1]\n", "", (STEP, FIRST_WRITTEN)),
     Mutant("regressor.py",
-           "np.multiply(xhat, dgamma[:, None], out=dz)\n            dz += dbeta[:, None]",
-           "np.multiply(xhat, dbeta[:, None], out=dz)\n            dz += dgamma[:, None]",
+           "np.multiply(xhat, dgamma[:, None], out=dz)\n    dz += dbeta[:, None]",
+           "np.multiply(xhat, dbeta[:, None], out=dz)\n    dz += dgamma[:, None]",
            (STEP, FIRST_WRITTEN)),
     # batch-norm forward: the mean and variance as a product with 1/T
-    Mutant("regressor.py", "mu /= T", "mu *= 1.0 / T", (STEP,)),
+    Mutant("regressor.py", "mean /= T", "mean *= 1.0 / T", (STEP,)),
     Mutant("regressor.py", "var /= T", "var *= 1.0 / T", (STEP,)),
-    # conv tap order: straight-line taps summed last to first
+    # conv tap order: straight-line taps summed last to first (forward, and
+    # the input-gradient products into dx); the worker path's input-gradient
+    # products summed into dx last to first
     Mutant("regressor.py", "    for i in range(1, n):\n", "    for i in reversed(range(1, n)):\n",
            (DESK_CONV,)),
-    Mutant("regressor.py", "    for i in range(n):\n", "    for i in reversed(range(n)):\n",
-           (DESK_CONV,)),
+    Mutant("regressor.py", "    for i in range(w.shape[2]):\n",
+           "    for i in reversed(range(w.shape[2])):\n", (DESK_CONV,)),
+    Mutant("regressor.py", "        for i, product in enumerate(mine + theirs):\n",
+           "        for i, product in reversed(list(enumerate(mine + theirs))):\n", (POOL_CONV,)),
     # conv on the worker path: the first tap handed over and added last; the
     # bias added before the worker's last tap; the worker's input-gradient
-    # product added at tap 0's columns
-    Mutant("regressor.py", "(np.matmul, w[:, :, -1], xp[:, ksz - 1 :]),\n"
-           "                             _taps, xp, w, T, ksz - 1)",
-           "(np.matmul, w[:, :, 0], xp[:, :T]),\n"
-           "                             _taps, xp[:, 1:], w[:, :, 1:], T, ksz - 1)", (POOL_CONV,)),
-    Mutant("regressor.py", "        y += last\n    y += b[:, None]\n",
-           "        y += b[:, None]\n        y += last\n        return y\n    y += b[:, None]\n",
+    # products put before this thread's; tap 1's weight gradient computed by
+    # neither thread
+    Mutant("regressor.py", "(np.matmul, w[:, :, -1], xp[:, ksz - 1 :]), _taps, xp, w, T, ksz - 1)",
+           "(np.matmul, w[:, :, 0], xp[:, :T]), _taps, xp[:, 1:], w[:, :, 1:], T, ksz - 1)",
            (POOL_CONV,)),
-    Mutant("regressor.py", "dxp[:, ksz - 1 :] += last", "dxp[:, : xp.shape[1] - ksz + 1] += last",
-           (POOL_CONV,)),
+    Mutant("regressor.py", "    if last is not None:\n        y += last\n    y += b[:, None]\n",
+           "    y += b[:, None]\n    if last is not None:\n        y += last\n", (POOL_CONV,)),
+    Mutant("regressor.py", "enumerate(mine + theirs)", "enumerate(theirs + mine)", (POOL_CONV,)),
+    Mutant("regressor.py", "(_tap_grads, xp, w, dy, dw, taps[mid:],",
+           "(_tap_grads, xp, w, dy, dw, taps[mid + 1 :],", (POOL_CONV,)),
     # the worker joined only when this thread's work succeeds
     Mutant("regressor.py", "    finally:\n        theirs = job.result()\n",
            "    except ValueError:\n        raise\n    theirs = job.result()\n",
            ("tests/test_regressor.py::TestWorkerPool::"
             "test_the_worker_is_joined_before_an_error_surfaces[pool]",)),
+    # row halves: the bottom half one row short at odd widths (row `half`
+    # never done); the halves overlapping by one row, so the SGD step updates
+    # one element twice
+    Mutant("regressor.py", "    bottom = [a[half:] for a in arrays]\n",
+           "    bottom = [a[-half:] for a in arrays]\n", (POOL_NET,)),
+    Mutant("regressor.py", "    top = [a[:half] for a in arrays]\n",
+           "    top = [a[: half + 1] for a in arrays]\n", (POOL_SGD,)),
+    # the zero-border check scans only the left border column
+    Mutant("regressor.py", "not buf[:, :: T + 1].any()", "not buf[:, :1].any()",
+           ("tests/test_regressor.py::TestNetworkB::test_any_other_map_is_copied_bit_identically",)),
     # training_loss: t_x and t_w slots swapped
     Mutant("selection.py", "slots = np.concatenate([2 * m * T + t, (2 * m + 1) * T + t])",
            "slots = np.concatenate([(2 * m + 1) * T + t, 2 * m * T + t])",
@@ -86,6 +102,14 @@ MUTANTS = [
     # to_predictions sorts by class before start
     Mutant("selection.py", "np.lexsort((k, start_s, -score))", "np.lexsort((start_s, k, -score))",
            ("tests/test_selection.py::TestToPredictions",)),
+    # oic_areas: the inner box summed with rx1 and rx2 swapped
+    Mutant("oic.py", "inner_sum = csum[k, rx2 + 1] - csum[k, rx1]",
+           "inner_sum = csum[k, rx1 + 1] - csum[k, rx2]",
+           ("tests/test_oic.py::TestForward::test_matches_brute_force",)),
+    # transform_backward: the outer start ignores the minimum-offset regime
+    Mutant("boundary.py", "dX1_dtw = np.where(min_offset, -w / 2.0, -w / 2.0 - alpha * w)",
+           "dX1_dtw = -w / 2.0 - alpha * w",
+           ("tests/test_boundary.py::TestTransformBackward::test_tw_min_offset_regime",)),
     # average precision: integer seconds kept as integers; an IoU at the
     # threshold matches; ties keep the last best
     Mutant("evaluation.py", "dtype=np.float64).T", ").T",
@@ -97,9 +121,9 @@ MUTANTS = [
            ("tests/test_eval.py::TestAveragePrecision::test_equal_ious_match_the_first_listed_gt",)),
     # sgd_step: no finite check, decay sign, momentum order, lr on the first step
     Mutant("regressor.py", "    if not np.isfinite(g).all():\n", "    if False:\n", (SGD,)),
-    Mutant("regressor.py", "update = cfg.weight_decay * p", "update = -cfg.weight_decay * p", (SGD,)),
-    Mutant("regressor.py", "        v *= cfg.momentum\n        v += update\n",
-           "        v += update\n        v *= cfg.momentum\n", (SGD,)),
+    Mutant("regressor.py", "update = decay * p", "update = -decay * p", (SGD,)),
+    Mutant("regressor.py", "        v *= momentum\n        v += update\n",
+           "        v += update\n        v *= momentum\n", (SGD,)),
     Mutant("regressor.py", "        p -= lr * v\n", "        p -= v\n", (SGD,)),
 ]
 

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import sys
 import threading
 import time
 import tracemalloc
@@ -15,15 +16,21 @@ from oicloc import regressor
 from oicloc.cli import main
 from oicloc.config import RunConfig
 from oicloc.errors import ConfigError, TrainingError, UsageError
-from oicloc.regressor import (NetworkB, _conv1d, _padded, conv1d_backward, learning_rate,
-                              sgd_step, zero_bordered)
+from oicloc.regressor import (NetworkB, _conv1d, _padded, learning_rate, sgd_step,
+                              zero_bordered)
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """(output, padded input) of the package's same-padded conv; the padded
-    input is ``x``'s own buffer when ``x`` is a ``zero_bordered`` interior."""
-    xp = _padded(x, (w.shape[2] - 1) // 2)
-    return _conv1d(xp, w, b), xp
+    """(output, padded input) of the package's same-padded conv, with the
+    worker the net hands a conv of this shape; the padded input is ``x``'s
+    own buffer when ``x`` is a ``zero_bordered`` interior."""
+    xp = _padded(x)
+    return _conv1d(xp, w, b, regressor._conv_worker(w, x.shape[1])), xp
+
+
+def conv1d_backward(xp: np.ndarray, w: np.ndarray, dy: np.ndarray, **kwargs):
+    """The package's conv backward, with the worker the net hands a conv of this shape."""
+    return regressor.conv1d_backward(xp, w, dy, regressor._conv_worker(w, dy.shape[1]), **kwargs)
 
 
 class TestConv1d:
@@ -92,8 +99,9 @@ class TestConv1d:
 
 
 class TestWorkerPool:
-    """Above POOL_MIN_MADDS the last tap runs on the worker thread; every
-    output keeps the bits of the straight per-tap sum."""
+    """From POOL_MIN_MADDS a conv layer shares its taps and the row halves of
+    its batch norm with the worker thread; every output keeps the bits of
+    the straight per-tap sum and of one call over all rows."""
 
     C_OUT, C_IN, T = 64, 256, 256  # 4.2M multiply-adds per tap
 
@@ -134,20 +142,20 @@ class TestWorkerPool:
 
     def test_the_worker_is_joined_before_an_error_surfaces(self, rng, pool, monkeypatch):
         """No job outlives the call: when this thread's first tap fails, the
-        error surfaces once the worker's (slowed) last tap has finished, and
+        error surfaces once the worker's (slowed) taps have finished, and
         the worker's own error reaches the caller."""
-        xp = _padded(rng.standard_normal((self.C_IN, self.T)), 1)
+        xp = _padded(rng.standard_normal((self.C_IN, self.T)))
         w = rng.standard_normal((self.C_OUT, self.C_IN, 3))
         dy = rng.standard_normal((self.C_OUT, self.T))
-        done, tap_backward = [], regressor._tap_backward
+        done, tap_grads = [], regressor._tap_grads
 
         def slow_on_the_worker(*args):
             if threading.current_thread() is not threading.main_thread():
                 time.sleep(0.05)
                 done.append(True)
-            return tap_backward(*args)
+            return tap_grads(*args)
 
-        monkeypatch.setattr(regressor, "_tap_backward", slow_on_the_worker)
+        monkeypatch.setattr(regressor, "_tap_grads", slow_on_the_worker)
 
         class Taps(list):
             """A weight gradient whose taps are separate arrays."""
@@ -165,6 +173,48 @@ class TestWorkerPool:
         assert done == ([] if pool[-1] is None else [True])  # without the worker, never started
         with pytest.raises(ValueError, match="read-only"):
             conv1d_backward(xp, w, dy, dw=taps(read_only=2))
+
+    @pytest.mark.parametrize("pool", ["pool"], indirect=True)
+    def test_every_split_gives_the_bits_of_one_cpu(self, rng, pool, split_calls, monkeypatch):
+        """At an odd hidden width, 149 (row halves of 74 and 75), and T 100,
+        conv1 and conv2 reach POOL_MIN_MADDS and the net's 0.14M parameters
+        POOL_MIN_PARAMS; conv0 (8 inputs) and the prediction conv do not.
+        Three train steps and an inference give the parameters, running
+        statistics, velocity and regression map of the same run on one CPU,
+        and each split ran on the worker."""
+        feat = rng.standard_normal((8, 100))
+        grad_outs = rng.standard_normal((3, 4, 100))
+        cfg = RunConfig(lr=0.1, momentum=0.9, weight_decay=5e-4)
+
+        def run():
+            net, velocity = NetworkB(8, 2, hidden=149, seed=1), {}
+            for i, grad_out in enumerate(grad_outs):
+                _, cache = net.forward(feat, mode="train")
+                sgd_step(net, net.backward(cache, grad_out), cfg, velocity, i)
+            stats = np.concatenate(net.running_mean + net.running_var)
+            return net.params.flat, stats, velocity["flat"], net.forward(feat)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: a lost row update would show
+        try:
+            with_pool = run()
+        finally:
+            sys.setswitchinterval(interval)
+        calls = len(split_calls)
+        monkeypatch.setattr(regressor.os, "sched_getaffinity", lambda pid: {0})
+        alone = run()
+        for got, want in zip(with_pool, alone, strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert not any(there for _, there, _ in split_calls[calls:])
+        there = [(name, args) for name, on_worker, args in split_calls[:calls] if on_worker]
+        size = with_pool[0].size
+        # the top halves: 2 layers x 4 forwards, 2 layers x 3 backwards, 3 steps
+        assert sorted((name, len(args[0])) for name, args in there if name != "_tap_grads") == (
+            [("_batch_norm_backward", 74)] * 6 + [("_batch_norm_relu", 74)] * 8
+            + [("_momentum_rows", size // 2)] * 3)
+        # conv2 and conv1 backward: tap 1's weight gradient and all of tap 2's
+        taps = [(list(args[4]), list(args[5])) for name, args in there if name == "_tap_grads"]
+        assert taps == [([1, 2], [2])] * 6
 
 
 class TestNetworkB:
@@ -238,10 +288,13 @@ class TestNetworkB:
 
         feat = zero_bordered(5, 11)
         feat[...] = rng.standard_normal(feat.shape)
-        dirty = np.ones((5, 13))
-        dirty[:, 1:-1] = feat
+        dirty = []
+        for side in (0, -1):  # one nonzero border column, either side
+            buf = np.zeros((5, 13))
+            buf[:, 1:-1], buf[:, side] = feat, 1.0
+            dirty.append(buf[:, 1:-1])
         want, _ = run(feat)
-        for other in (np.array(feat), np.asfortranarray(feat), dirty[:, 1:-1]):
+        for other in (np.array(feat), np.asfortranarray(feat), *dirty):
             got, cache = run(other)
             assert not np.shares_memory(cache["layers"][0]["xp"], other)
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
@@ -531,6 +584,26 @@ class TestSgd:
                            cfg.weight_decay, ref_velocity)
             for name, p in params.items():
                 assert np.array_equal(net.params[name], p)
+
+    def test_halves_match_the_per_tensor_reference(self, rng, pool, split_calls):
+        """From POOL_MIN_PARAMS (an odd 0.14M here) the worker updates the top
+        half of the flat vector; every bit stays the per-tensor reference's."""
+        net = NetworkB(feature_dim=4, anchor_count=2, hidden=149, seed=2)
+        assert net.num_parameters() % 2 == 1 and net.num_parameters() >= regressor.POOL_MIN_PARAMS
+        cfg = RunConfig(lr=0.05, lr_step=2, momentum=0.9, weight_decay=5e-4)
+        params = {name: p.copy() for name, p in net.params.items()}
+        velocity, ref_velocity = {}, {}
+        for iteration in range(3):
+            g = gradients(net)
+            g.flat[...] = rng.standard_normal(g.flat.size)
+            sgd_step(net, g, cfg, velocity, iteration)
+            sgd_per_tensor(params, g, learning_rate(cfg, iteration), cfg.momentum,
+                           cfg.weight_decay, ref_velocity)
+            for name, p in params.items():
+                assert net.params[name].tobytes() == p.tobytes()
+        on_worker = [len(args[0]) for name, there, args in split_calls
+                     if name == "_momentum_rows" and there]
+        assert on_worker == ([net.num_parameters() // 2] * 3 if pool[-1] else [])
 
     def test_later_steps_hold_one_parameter_sized_temporary(self, rng):
         net = NetworkB(feature_dim=64, anchor_count=2, hidden=64, seed=3)

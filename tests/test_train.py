@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -174,31 +176,53 @@ class TestBackwardMatchesFirstWritten:
 
 class TestWorkerPoolKeepsBits:
     @pytest.mark.parametrize("pool", ["pool"], indirect=True)
-    def test_train_and_predict_give_the_same_bits_on_one_cpu(self, pool, monkeypatch):
-        """At thumos width and K 20, T 130-160, the lift, conv0 and the hidden
-        convs all reach POOL_MIN_MADDS; a run with the worker thread and one
-        without it (one usable CPU) give the same parameters, running
-        statistics, losses and predictions."""
+    def test_train_and_predict_give_the_same_bits_on_one_cpu(self, pool, split_calls,
+                                                              monkeypatch):
+        """At thumos width and K 20, T 130-160, the lift, every hidden conv
+        with its batch norm and the SGD step reach the worker's thresholds;
+        a run with the worker thread and one without it (one usable CPU)
+        give the same parameters, running statistics, velocity, losses and
+        predictions, and every split ran on the worker."""
+        self.check(PROFILES["thumos"], pool, split_calls, monkeypatch)
+
+    @pytest.mark.parametrize("pool", ["pool"], indirect=True)
+    def test_an_odd_hidden_width_gives_the_same_bits_on_one_cpu(self, pool, split_calls,
+                                                                monkeypatch):
+        """The same at hidden width 129, whose row halves (64 and 65 rows)
+        and flat-vector halves differ in size."""
+        cfg = replace(PROFILES["thumos"], hidden=129)
+        assert new_network(cfg, 0).num_parameters() % 2 == 1
+        self.check(cfg, pool, split_calls, monkeypatch)
+
+    @staticmethod
+    def check(cfg, pool, split_calls, monkeypatch):
         videos = synth_corpus(SynthSpec(num_classes=20, t_range=(130, 160),
                                         instances_range=(1, 3)), 7, 3)
-        cfg = PROFILES["thumos"]
 
         def run():
             net, velocity = new_network(cfg, 0), {}
             losses = [train_step(net, v, cfg, velocity, i) for i, v in enumerate(videos)]
             stats = np.concatenate(net.running_mean + net.running_var)
-            return net.params.flat, stats, losses, [predict_video(net, v, cfg) for v in videos]
+            return (net.params.flat, stats, velocity["flat"], losses,
+                    [predict_video(net, v, cfg) for v in videos])
 
         with_pool = run()
-        calls = len(pool)
+        calls, splits = len(pool), len(split_calls)
         monkeypatch.setattr(regressor.os, "sched_getaffinity", lambda pid: {0})
         alone = run()
-        # per video, training pools the lift and 3 + 3 convs, prediction the lift and 3 convs
-        assert sum(map(bool, pool[:calls])) == 11 * len(videos) and not any(pool[calls:])
+        # per video, training pools the lift, 3 + 3 convs and the SGD step,
+        # prediction the lift and 3 convs
+        assert sum(map(bool, pool[:calls])) == 12 * len(videos) and not any(pool[calls:])
         assert not np.array_equal(with_pool[0], new_network(cfg, 0).params.flat)
-        assert any(with_pool[3]) and with_pool[2] == alone[2] and with_pool[3] == alone[3]
-        for got, want in zip(with_pool[:2], alone[:2]):
+        assert any(with_pool[4]) and with_pool[3:] == alone[3:]
+        for got, want in zip(with_pool[:3], alone[:3]):
             assert got.tobytes() == want.tobytes()
+        on_worker = [name for name, there, args in split_calls[:splits] if there]
+        assert not any(there for _, there, _ in split_calls[splits:])
+        # per video: 3 + 3 batch norms (train), 3 (predict), 3 conv backwards, 1 step
+        assert sorted(on_worker) == sorted(len(videos) * (
+            ["_batch_norm_relu"] * 6 + ["_batch_norm_backward"] * 3 + ["_tap_grads"] * 3
+            + ["_momentum_rows"]))
 
 
 class TestPredictVideo:
