@@ -6,7 +6,7 @@ zero-padded snippets used by the boundary machinery.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,20 +17,26 @@ SNIPPET_FRAMES = 15
 
 @dataclass(frozen=True)
 class Cas:
-    """Activation matrix; every entry lies in [0, 1]."""
+    """Activation matrix; every entry lies in [0, 1]. ``padded`` is the same
+    matrix with a zero snippet at each end (positions 0 and T+1), K x (T+2).
+    Both are C-contiguous and read-only."""
 
     act: np.ndarray
+    padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.array(self.act, dtype=np.float64)  # private copy, frozen below
+        arr = np.array(self.act, dtype=np.float64, order="C")  # private copy, frozen below
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InputError(f"expected a K x T matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise InputError("matrix contains non-finite entries")
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise InputError("activations must lie in [0, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "act", arr)
+        padded = np.zeros((arr.shape[0], arr.shape[1] + 2))
+        padded[:, 1:-1] = arr
+        for name, value in (("act", arr), ("padded", padded)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def num_classes(self) -> int:
@@ -41,10 +47,10 @@ class Cas:
         return self.act.shape[1]
 
     def padded_row(self, k: int) -> np.ndarray:
-        """Length T+2 activation row with the zero pad at both ends."""
+        """Length T+2 activation row with the zero pad at both ends (read-only)."""
         if not 1 <= k <= self.num_classes:
             raise InputError(f"class index {k} outside 1..{self.num_classes}")
-        return np.pad(self.act[k - 1], 1)
+        return self.padded[k - 1]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """File formats: CAS CSV, manifests, predictions."""
 from __future__ import annotations
 
-import csv
 import json
 import sys
 from pathlib import Path
@@ -13,10 +12,15 @@ from .errors import InputError
 from .selection import Prediction
 
 
+def _cas_header(K: int) -> str:
+    """The header line of a K-class CAS CSV: ``snippet,class_1,...,class_K``."""
+    return ",".join(["snippet", *(f"class_{k}" for k in range(1, K + 1))])
+
+
 def write_cas_csv(path: str | Path, cas: Cas) -> None:
-    """One ``snippet,class_1..class_K`` row per snippet, each value as its repr,
-    with the CSV dialect's ``\\r\\n`` line ends (no value needs quoting)."""
-    lines = ["snippet," + ",".join(f"class_{k}" for k in range(1, cas.num_classes + 1))]
+    """The header, then one ``t,v_1,...,v_K`` row per snippet t = 1..T, each
+    value as its repr, every line ended by ``\\r\\n``."""
+    lines = [_cas_header(cas.num_classes)]
     lines += [f"{t}," + ",".join(map(repr, row))
               for t, row in enumerate(cas.act.T.tolist(), start=1)]
     with open(path, "w", newline="") as fh:
@@ -24,88 +28,51 @@ def write_cas_csv(path: str | Path, cas: Cas) -> None:
 
 
 def read_cas_csv(path: str | Path) -> Cas:
-    """Read a snippet,class_1..class_K CSV into a K x T CAS.
-
-    A file of canonical unquoted rows is parsed in bulk; any other input
-    (quotes, a bare ``\r``, mixed line ends, a blank line, a wrong index, a
-    bad cell or value, no data rows, a line the csv module could refuse) goes
-    to the line-by-line reader, which accepts or rejects it and words every
-    error. Both convert cells with ``float``, so the two give the same bits.
-    """
+    """Read a CAS CSV into a K x T CAS. The one dialect is what
+    :func:`write_cas_csv` writes: its header, then the row ``t,v_1,...,v_K``
+    for each t = 1..T (the index spelled ``str(t)``, each value as ``float``
+    reads it), every line ended by ``\\r\\n`` or every line by ``\\n``, the
+    last line end optional. Anything else (quoted cells, blank lines, a bare
+    ``\\r``) fails as one InputError naming the file, and the line if any."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, ValueError):
-        return _read_cas_lines(path)
-    act = _parse_cas_bulk(text)
-    if act is not None:
-        try:
-            return Cas(act)
-        except InputError:
-            pass
-    return _read_cas_lines(path)
-
-
-def _parse_cas_bulk(text: str) -> np.ndarray | None:
-    """The K x T matrix of a canonical unquoted CAS CSV, or None for any other
-    text (a quote fails the header check or ``int``/``float``)."""
-    crs = text.count("\r")
-    lines = text.split("\r\n" if crs else "\n")
-    if crs and not crs == text.count("\n") == len(lines) - 1:
-        return None  # a bare \r or \n
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2 or max(map(len, lines)) >= csv.field_size_limit():
-        return None
-    K = lines[0].count(",")
-    if lines[0] != ",".join(["snippet", *(f"class_{k}" for k in range(1, K + 1))]):
-        return None
-    rows = lines[1:]
-    if [row.count(",") for row in rows] != [K] * len(rows):
-        return None
-    cells = ",".join(rows).split(",")
-    index = cells[:: K + 1]
-    del cells[:: K + 1]
-    try:
-        if list(map(int, index)) != list(range(1, len(rows) + 1)):
-            return None
-        values = np.fromiter(map(float, cells), np.float64, len(cells))
-    except ValueError:
-        return None
-    return values.reshape(len(rows), K).T  # the layout np.array(rows).T gives
-
-
-def _read_cas_lines(path: str | Path) -> Cas:
-    """Line-by-line reader: the one that words every CAS CSV error."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
     except (OSError, ValueError) as exc:  # missing file, bad path, not UTF-8
         raise InputError(f"{path}: {exc}") from None
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise InputError(f"{path}: {exc}") from None
-    if not rows:
+    crs = text.count("\r")
+    if crs and not crs == text.count("\n") == text.count("\r\n"):
+        raise InputError(f"{path}: mixed line ends")
+    quote = text.find('"')
+    if quote >= 0:
+        lineno = text.count("\n", 0, quote) + 1
+        raise InputError(f"{path}:{lineno}: quoted cell")
+    lines = text.split("\r\n" if crs else "\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
         raise InputError(f"{path}: empty CSV")
-    header = rows[0]
-    if header[:1] != ["snippet"] or any(
-        name != f"class_{i + 1}" for i, name in enumerate(header[1:])
-    ):
+    K = lines[0].count(",")
+    if lines[0] != _cas_header(K):
         raise InputError(f"{path}: expected header snippet,class_1,...,class_K")
-    K = len(header) - 1
-    values = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    cells = []
+    for t, line in enumerate(lines[1:], start=1):  # snippet t is on line t + 1
+        row = line.split(",")
         if len(row) != K + 1:
-            raise InputError(f"{path}:{lineno}: expected {K + 1} columns")
-        try:
-            index, cells = int(row[0]), [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
-        if index != lineno - 1:
-            raise InputError(f"{path}:{lineno}: snippet indices must run 1..T")
-        values.append(cells)
+            raise InputError(f"{path}:{t + 1}: expected {K + 1} columns")
+        if row[0] != str(t):
+            raise InputError(f"{path}:{t + 1}: snippet indices must run 1..T")
+        cells += row[1:]
     try:
-        return Cas(np.array(values).T)
-    except InputError as exc:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        for i, cell in enumerate(cells):  # find the refused cell, K to a line
+            try:
+                float(cell)
+            except ValueError as exc:
+                raise InputError(f"{path}:{i // K + 2}: {exc}") from None
+    try:
+        return Cas(values.reshape(len(lines) - 1, K).T)
+    except InputError as exc:  # a value outside [0, 1], no data rows
         raise InputError(f"{path}: {exc}") from None
 
 

@@ -118,7 +118,10 @@ def _padded(x: np.ndarray) -> np.ndarray:
 
 def _alongside(pool, there: tuple, here, *args) -> tuple:
     """``(here(*args), there[0](*there[1:]))``, with ``there`` on the worker thread
-    ``pool``, joined before this returns or raises: no job outlives the call."""
+    ``pool``, joined before this returns or raises: no job outlives the call.
+    Without a pool, ``there`` runs here after ``here``."""
+    if pool is None:
+        return here(*args), there[0](*there[1:])
     job = pool.submit(*there)
     try:
         mine = here(*args)
@@ -151,40 +154,22 @@ def _taps(xp: np.ndarray, w: np.ndarray, T: int, n: int) -> np.ndarray:
 
 def _conv_taps(xp: np.ndarray, w: np.ndarray, pool) -> tuple:
     """The convolution of the padded input ``xp`` without its bias, one BLAS
-    matmul per kernel tap (at least two): ``(sum of the taps, None)``, or with
-    the worker thread ``pool``, ``(sum of all taps but the last, the last
-    tap's product)``, the last computed there. :func:`_add_bias` completes it."""
+    matmul per kernel tap (at least two): ``(sum of all taps but the last, the
+    last tap's product)``, the last computed on the worker thread ``pool``
+    (see :func:`_alongside`). Adding the last product, then the bias,
+    completes it in tap order."""
     ksz = w.shape[2]
     T = xp.shape[1] - (ksz - 1)
-    if pool is None:
-        return _taps(xp, w, T, ksz), None
     return _alongside(pool, (np.matmul, w[:, :, -1], xp[:, ksz - 1 :]), _taps, xp, w, T, ksz - 1)
 
 
-def _add_bias(y: np.ndarray, last, b: np.ndarray) -> None:
-    """Adds the last tap's product ``last`` (unless None), then the bias, into
-    a :func:`_conv_taps` sum: y = sum_k w[:, :, k] @ xp[:, k:k+T] + b, in tap order."""
-    if last is not None:
-        y += last
-    y += b[:, None]
-
-
 def _conv1d(xp: np.ndarray, w: np.ndarray, b: np.ndarray, pool) -> np.ndarray:
-    """The convolution of the padded input ``xp`` (see :func:`_conv_taps`)."""
+    """The convolution of the padded input ``xp`` (see :func:`_conv_taps`):
+    y = sum_k w[:, :, k] @ xp[:, k:k+T] + b, in tap order."""
     y, last = _conv_taps(xp, w, pool)
-    _add_bias(y, last, b)
+    y += last
+    y += b[:, None]
     return y
-
-
-def _taps_backward(xp, w, dy, dw, dxp) -> None:
-    """Every tap's weight gradient, written into ``dw[:, :, i]``, and unless
-    ``dxp`` is None its input-gradient product ``w[:, :, i].T @ dy`` added
-    into ``dxp[:, i:i+T]``, in tap order."""
-    T = dy.shape[1]
-    for i in range(w.shape[2]):
-        np.matmul(dy, xp[:, i : i + T].T, out=dw[:, :, i])
-        if dxp is not None:
-            dxp[:, i : i + T] += w[:, :, i].T @ dy
 
 
 def _tap_grads(xp, w, dy, dw, dw_taps, dx_taps) -> list:
@@ -205,27 +190,24 @@ def conv1d_backward(
     ``dx`` is None without ``input_grad``. Each tap's weight gradient is
     written in place into ``dw[:, :, i]`` (default: a new tap-major array,
     so that each tap is one C-contiguous block) and the bias gradient into
-    ``db`` (default: a new array). With the worker thread ``pool`` (see
-    :func:`_worker`), the worker computes the weight gradients of taps k//2
-    onward and the input-gradient products of the taps after k//2, this
-    thread the rest: 3:3 products for k = 3 with the input gradient. The
-    input-gradient products are added into ``dx`` in tap order, here."""
+    ``db`` (default: a new array). The worker thread ``pool`` (see
+    :func:`_alongside`) computes the weight gradients of taps k//2 onward and
+    the input-gradient products of the taps after k//2, this thread the
+    rest: 3:3 products for k = 3 with the input gradient. The input-gradient
+    products are added into ``dx`` in tap order, here."""
     ksz = w.shape[2]
     pad = (ksz - 1) // 2
     T = dy.shape[1]
     if dw is None:
         dw = np.empty((ksz,) + w.shape[:2]).transpose(1, 2, 0)
     dxp = np.zeros(xp.shape) if input_grad else None
-    if pool is None:
-        _taps_backward(xp, w, dy, dw, dxp)
-    else:
-        mid, taps = ksz // 2, range(ksz)
-        dx_taps = taps if input_grad else range(0)
-        mine, theirs = _alongside(
-            pool, (_tap_grads, xp, w, dy, dw, taps[mid:], dx_taps[mid + 1 :]),
-            _tap_grads, xp, w, dy, dw, taps[:mid], dx_taps[: mid + 1])
-        for i, product in enumerate(mine + theirs):
-            dxp[:, i : i + T] += product
+    mid, taps = ksz // 2, range(ksz)
+    dx_taps = taps if input_grad else range(0)
+    mine, theirs = _alongside(
+        pool, (_tap_grads, xp, w, dy, dw, taps[mid:], dx_taps[mid + 1 :]),
+        _tap_grads, xp, w, dy, dw, taps[:mid], dx_taps[: mid + 1])
+    for i, product in enumerate(mine + theirs):
+        dxp[:, i : i + T] += product
     db = np.add.reduce(dy, 1, out=db)
     if not input_grad:
         return None, dw, db
@@ -239,7 +221,8 @@ def _batch_norm_relu(z, last, b, gamma, beta, mean, var, inv_std, relu_mask, out
     scaling ``z`` in place into x̂ (train: ``mean`` and ``var`` written from
     these rows; infer: the running statistics read from them), ``inv_std``
     and ``relu_mask`` written, and ReLU(γ x̂ + β) written into ``out``."""
-    _add_bias(z, last, b)
+    z += last
+    z += b[:, None]
     T = z.shape[1]
     if train:
         np.add.reduce(z, 1, out=mean)

@@ -135,13 +135,6 @@ def nms_order(score: np.ndarray, lo: np.ndarray, hi: np.ndarray, iou_thresh: flo
     return order[kept].tolist()
 
 
-def _padded(act: np.ndarray) -> np.ndarray:
-    """Rows of ``act`` with a zero snippet at each end (positions 0 and T+1)."""
-    padded = np.zeros((act.shape[0], act.shape[1] + 2))
-    padded[:, 1:-1] = act
-    return padded
-
-
 def _check_loss(loss: str) -> None:
     if loss not in ("oic", "inner"):
         raise InputError(f"unknown loss variant {loss!r}")
@@ -173,7 +166,7 @@ def select(
     ks = np.array(sorted(set(int(c) for c in classes)), dtype=np.int64)
     if ks.size and not (1 <= ks[0] and ks[-1] <= K):
         raise InputError(f"class indices {ks.tolist()} outside 1..{K}")
-    padded = _padded(cas.act[ks - 1])
+    padded = cas.padded[ks - 1]
     # gated positions in class-major, position-ascending order
     g_c, g_t = np.nonzero(padded[:, 1:-1] >= act_min)
     valid = grid.valid[g_t]
@@ -226,7 +219,7 @@ def training_loss(
     if not grid.valid[t, m].all():
         raise DegenerateOuterError("mask keeps a hypothesis with an empty outer ring")
     areas, g = oic.oic_kernel(
-        _padded(cas.act), k, *grid.rounded[:, t, m], inner_only=loss == "inner"
+        cas.padded, k, *grid.rounded[:, t, m], inner_only=loss == "inner"
     )
     d_tx, d_tw = transform_backward(
         g, grid.anchors[m], grid.w[t, m], alpha, grid.min_offset[t, m]

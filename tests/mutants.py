@@ -40,6 +40,7 @@ POOL_CONV = "tests/test_regressor.py::TestWorkerPool::test_conv_matches_the_per_
 POOL_NET = "tests/test_regressor.py::TestWorkerPool::test_every_split_gives_the_bits_of_one_cpu[pool]"
 POOL_SGD = "tests/test_regressor.py::TestSgd::test_halves_match_the_per_tensor_reference[pool]"
 SGD = "tests/test_regressor.py::TestSgd"
+CAS_SPELLINGS = "tests/test_io.py::TestCasCsv::test_refuses_other_spellings_on_their_line"
 
 MUTANTS = [
     # batch-norm backward: drop the 1/n, swap dβ and dγ
@@ -51,32 +52,37 @@ MUTANTS = [
     # batch-norm forward: the mean and variance as a product with 1/T
     Mutant("regressor.py", "mean /= T", "mean *= 1.0 / T", (STEP,)),
     Mutant("regressor.py", "var /= T", "var *= 1.0 / T", (STEP,)),
-    # conv tap order: straight-line taps summed last to first (forward, and
-    # the input-gradient products into dx); the worker path's input-gradient
-    # products summed into dx last to first
-    Mutant("regressor.py", "    for i in range(1, n):\n", "    for i in reversed(range(1, n)):\n",
-           (DESK_CONV,)),
-    Mutant("regressor.py", "    for i in range(w.shape[2]):\n",
-           "    for i in reversed(range(w.shape[2])):\n", (DESK_CONV,)),
-    Mutant("regressor.py", "        for i, product in enumerate(mine + theirs):\n",
-           "        for i, product in reversed(list(enumerate(mine + theirs))):\n", (POOL_CONV,)),
-    # conv on the worker path: the first tap handed over and added last; the
-    # bias added before the worker's last tap; the worker's input-gradient
-    # products put before this thread's; tap 1's weight gradient computed by
-    # neither thread
+    # the worker: a forked child reusing its parent's (threadless) executor,
+    # which hangs the child's first pooled conv until the test's join times
+    # out (listed early, as it runs longest); a second CPU not required
+    Mutant("regressor.py", "if _pool is None or _pool[0] != os.getpid():", "if _pool is None:",
+           ("tests/test_regressor.py::TestWorkerPool::test_a_forked_child_starts_its_own_worker[pool]",)),
+    Mutant("regressor.py", "len(os.sched_getaffinity(0)) < 2", "len(os.sched_getaffinity(0)) < 1",
+           ("tests/test_regressor.py::TestWorkerPool::"
+            "test_conv_matches_the_per_tap_oracle_bitwise[no-pool]",)),
+    # conv taps, one code path at both widths: the input-gradient products
+    # summed into dx last to first; the first tap computed apart and added
+    # last, (W1 x1 + W2 x2) + W0 x0; the bias added before the last tap; the
+    # worker's input-gradient products put before this thread's; tap 1's
+    # weight gradient computed by neither thread
+    Mutant("regressor.py", "    for i, product in enumerate(mine + theirs):\n",
+           "    for i, product in reversed(list(enumerate(mine + theirs))):\n", (DESK_CONV, POOL_CONV)),
     Mutant("regressor.py", "(np.matmul, w[:, :, -1], xp[:, ksz - 1 :]), _taps, xp, w, T, ksz - 1)",
            "(np.matmul, w[:, :, 0], xp[:, :T]), _taps, xp[:, 1:], w[:, :, 1:], T, ksz - 1)",
-           (POOL_CONV,)),
-    Mutant("regressor.py", "    if last is not None:\n        y += last\n    y += b[:, None]\n",
-           "    y += b[:, None]\n    if last is not None:\n        y += last\n", (POOL_CONV,)),
-    Mutant("regressor.py", "enumerate(mine + theirs)", "enumerate(theirs + mine)", (POOL_CONV,)),
+           (DESK_CONV, POOL_CONV)),
+    Mutant("regressor.py", "    y += last\n    y += b[:, None]\n", "    y += b[:, None]\n    y += last\n",
+           (DESK_CONV, POOL_CONV)),
+    Mutant("regressor.py", "enumerate(mine + theirs)", "enumerate(theirs + mine)", (DESK_CONV, POOL_CONV)),
     Mutant("regressor.py", "(_tap_grads, xp, w, dy, dw, taps[mid:],",
-           "(_tap_grads, xp, w, dy, dw, taps[mid + 1 :],", (POOL_CONV,)),
+           "(_tap_grads, xp, w, dy, dw, taps[mid + 1 :],", (DESK_CONV, POOL_CONV)),
     # the worker joined only when this thread's work succeeds
     Mutant("regressor.py", "    finally:\n        theirs = job.result()\n",
            "    except ValueError:\n        raise\n    theirs = job.result()\n",
            ("tests/test_regressor.py::TestWorkerPool::"
             "test_the_worker_is_joined_before_an_error_surfaces[pool]",)),
+    # a checkpoint payload shorter than its header's tensors is not refused
+    Mutant("regressor.py", "if len(payload) != size:", "if len(payload) > size:",
+           ("tests/test_regressor.py::TestCheckpoint::test_v3_rejects_a_truncated_file",)),
     # row halves: the bottom half one row short at odd widths (row `half`
     # never done); the halves overlapping by one row, so the SGD step updates
     # one element twice
@@ -87,6 +93,18 @@ MUTANTS = [
     # the zero-border check scans only the left border column
     Mutant("regressor.py", "not buf[:, :: T + 1].any()", "not buf[:, :1].any()",
            ("tests/test_regressor.py::TestNetworkB::test_any_other_map_is_copied_bit_identically",)),
+    # the CAS reader: a bare \n in a \r\n file, quotes, a header that only
+    # starts with "snippet", rows wider than the header, index spellings
+    # int() reads, a refused cell put on the line before its own
+    Mutant("io.py", 'crs == text.count("\\n") == text.count("\\r\\n")', 'crs == text.count("\\r\\n")',
+           (CAS_SPELLINGS,)),
+    Mutant("io.py", "if quote >= 0:", "if False:", (CAS_SPELLINGS,)),
+    Mutant("io.py", "if lines[0] != _cas_header(K):", 'if not lines[0].startswith("snippet"):',
+           ("tests/test_io.py::TestCasCsv::test_rejects_bad_header",)),
+    Mutant("io.py", "if len(row) != K + 1:", "if len(row) < K + 1:", (CAS_SPELLINGS,)),
+    Mutant("io.py", "if row[0] != str(t):", "if int(row[0]) != t:", (CAS_SPELLINGS,)),
+    Mutant("io.py", "{i // K + 2}", "{i // K + 1}",
+           ("tests/test_cli.py::TestBadInput::test_non_numeric_cas_cell",)),
     # training_loss: t_x and t_w slots swapped
     Mutant("selection.py", "slots = np.concatenate([2 * m * T + t, (2 * m + 1) * T + t])",
            "slots = np.concatenate([(2 * m + 1) * T + t, 2 * m * T + t])",

@@ -493,3 +493,57 @@ def checkpoint_v3(net, meta=None) -> tuple[dict, bytes]:
               "meta": {} if meta is None else meta}
     payload = b"".join(np.asarray(t, dtype="<f8").tobytes() for _, t in tensors)
     return header, payload
+
+
+# -- the CAS CSV dialect, parsed line by line -------------------------------
+
+
+def cas_csv_reference(data: bytes):
+    """The K x T matrix (C-contiguous) of a CAS CSV in the package's one
+    dialect, or None for any other bytes. The dialect: UTF-8 text whose lines
+    all end in "\\r\\n" or all in "\\n" (the last line end optional); the
+    header "snippet,class_1,...,class_K" with K >= 1; then for t = 1..T, with
+    T >= 1, the line "t,v_1,...,v_K" whose index is written exactly as str(t)
+    and whose values are each what float() reads, finite and in [0, 1]."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if "\r" in text:
+        lines = text.split("\r\n")
+        for line in lines:
+            if "\r" in line or "\n" in line:
+                return None
+    else:
+        lines = text.split("\n")
+    if lines[-1] == "":
+        lines = lines[:-1]
+    if len(lines) < 2:
+        return None
+    header = lines[0].split(",")
+    K = len(header) - 1
+    if K < 1 or header[0] != "snippet":
+        return None
+    for k in range(1, K + 1):
+        if header[k] != "class_" + str(k):
+            return None
+    rows = []
+    for t in range(1, len(lines)):
+        cells = lines[t].split(",")
+        if len(cells) != K + 1 or cells[0] != str(t):
+            return None
+        row = []
+        for cell in cells[1:]:
+            try:
+                value = float(cell)
+            except ValueError:
+                return None
+            if not (0.0 <= value <= 1.0):  # also False for NaN
+                return None
+            row.append(value)
+        rows.append(row)
+    act = np.zeros((K, len(rows)))
+    for t, row in enumerate(rows):
+        for k, value in enumerate(row):
+            act[k, t] = value
+    return act

@@ -173,10 +173,10 @@ class TestBadInput:
                          {**self.ENTRY, "cas_path": "a\nb.csv"})
         assert "a\\nb.csv" in err
 
-    @pytest.mark.parametrize("cell", ['"' + "0" * 200_000 + '"', "0" * 200_000])
+    @pytest.mark.parametrize("cell", ['"' + "0" * 200_000 + '"'])
     def test_cas_cell_over_the_csv_field_limit(self, tmp_path, capsys, cell):
         err = self.train(tmp_path, capsys, f"snippet,class_1\n1,{cell}\n")
-        assert "v.csv: field larger than field limit" in err
+        assert err.endswith("v.csv:2: quoted cell\n")
 
     def test_non_utf8_cas_csv(self, tmp_path, capsys):
         err = self.train(tmp_path, capsys, b"snippet,class_1\n1,0.5\xff\n")

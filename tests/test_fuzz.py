@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import checkpoint_v2, checkpoint_v3
+from oracles import cas_csv_reference, checkpoint_v2, checkpoint_v3
 
 from oicloc import io
-from oicloc.cas import Cas, VideoRecord
+from oicloc.cas import VideoRecord
 from oicloc.config import RunConfig, load_config
 from oicloc.errors import ConfigError, InputError
 from oicloc.regressor import NetworkB
@@ -84,8 +84,7 @@ def test_read_manifest_any_document(workdir, data):
 
 
 # spellings that replace one cell or one snippet index of a well-formed file:
-# some parse to the same value, some are out of range, some send the file to
-# the line reader
+# some read as the same value, some are out of range, some leave the dialect
 CELLS = ["1", "-0", "1e-3", " 0.5", "0.5 ", "1_0", "0_5", "+0.5", "nan", "inf", "1e400", "2",
          "", "x", '"0.5"', '"', "\r", "0.5\r", "0.5\n", "0.5,0.5"]
 INDICES = ["+{}", "0{}", "{}.0", " {}", "{}_0", "{}0", "x", '"{}"', ""]
@@ -93,7 +92,7 @@ INDICES = ["+{}", "0{}", "{}.0", " {}", "{}_0", "{}0", "x", '"{}"', ""]
 
 @st.composite
 def cas_csv_texts(draw):
-    """A well-formed CAS CSV, or one with a few faults the two readers must agree on."""
+    """A well-formed CAS CSV, or one with a few faults in or out of the dialect."""
     K, T = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     grid = [["snippet", *(f"class_{k}" for k in range(1, K + 1))]] + [
         [str(t), *draw(st.lists(st.sampled_from(["0.5", "0", "1", "0.25", "0.1"]),
@@ -114,35 +113,38 @@ def cas_csv_texts(draw):
     return (end.join(lines) + draw(st.sampled_from(["", end, end + end]))).encode()
 
 
-def cas_outcome(reader, path):
-    """The CAS matrix (bytes, shape and layout) a reader gives, or its error text."""
-    try:
-        cas = reader(path)
-    except InputError as exc:
-        return str(exc)
-    assert isinstance(cas, Cas)
-    return cas.act.tobytes(), cas.act.shape, cas.act.strides
-
-
 @FUZZ
 @given(data=st.binary(max_size=60) | cas_csv_texts())
 @example(data=b"snippet,class_1,class_2\n1,0.5\r,0.5\n")  # a bare \r inside a row
 @example(data=b"snippet,class_1\r\n1,0.5\r\r\n")  # a bare \r before the line end
 @example(data=b"snippet,class_1\r\n1,0.5\n\r\n")  # a bare \n in a \r\n file
-@example(data=b'snippet,class_1\n1,"0.5"\n')  # quoted cells the csv module reads
+@example(data=b"snippet,class_1\r1,0.5\r")  # bare \r line ends throughout
+@example(data=b'snippet,class_1\n1,"0.5"\n')  # quoted cells
 @example(data=b'snippet,class_1,class_2\n1,"0.5,0.5"\n')
 @example(data=b"snippet,class_1\n1,0.5\n\n")  # trailing and leading blank lines
 @example(data=b"snippet,class_1\n\n1,0.5\n")
-@example(data=b"snippet,class_1\n+1, 0.5\n02,0.5 \n3_0,0.5\n")  # int and float spellings
+@example(data=b"snippet,class_1\n+1, 0.5\n02,0.5 \n3_0,0.5\n")  # index and value spellings
+@example(data=b"snippet,class_1\n1, 0.5\n2,0.5 \n3,1_0e-1\n")  # values float() reads
 @example(data=b"snippet,class_1\n1.0,0.5\n")
 @example(data=b"snippet,class_1\n1,0.5,2\n0.5\n")  # rows of wrong widths, right total
 @example(data=b"snippet,class_1\n")  # header only
 @example(data=b"snippet\n1\n")  # no class column
-@example(data=b"snippet,class_1\n1,1_0\n")  # parses, but out of [0, 1]
+@example(data=b"snippet,class_1\n1,1_0\n")  # reads, but out of [0, 1]
+@example(data=b"snippet,class_1\n1,0.5\xff\n")  # not UTF-8
 def test_read_cas_csv(workdir, data):
+    """Text in the dialect reads as the reference parser's C-contiguous matrix;
+    any other bytes end in one InputError line that names the file."""
     path = workdir / "cas.csv"
     path.write_bytes(data)
-    assert cas_outcome(io.read_cas_csv, path) == cas_outcome(io._read_cas_lines, path)
+    want = cas_csv_reference(data)
+    try:
+        act = io.read_cas_csv(path).act
+    except InputError as exc:
+        assert want is None
+        assert str(exc).startswith(f"{path}:") and "\n" not in str(exc)
+        return
+    assert want is not None and act.flags.c_contiguous
+    assert act.shape == want.shape and act.tobytes() == want.tobytes()
 
 
 CONFIG = {"version": 1, "profile": "synthetic", "manifest": "m.json", "anchors": [2, 4],

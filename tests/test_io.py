@@ -24,16 +24,37 @@ class TestCasCsv:
         assert np.array_equal(back.act, video.cas.act)
 
     @pytest.mark.parametrize("line_end", ["\r\n", "\n"])
-    def test_written_files_parse_in_bulk_to_the_line_readers_bits(self, tmp_path, line_end):
-        act = np.random.default_rng(4).uniform(0, 1, (3, 40))
+    def test_written_files_read_back_with_the_same_bits_and_strides(self, tmp_path, line_end):
+        cas = Cas(np.random.default_rng(4).uniform(0, 1, (3, 40)))
         path = tmp_path / "cas.csv"
-        io.write_cas_csv(path, Cas(act))
-        text = path.read_bytes().decode().replace("\r\n", line_end)
-        path.write_text(text, newline="")
-        bulk = io._parse_cas_bulk(text)
-        assert bulk is not None
-        lines = io._read_cas_lines(path).act
-        assert bulk.tobytes() == lines.tobytes() and bulk.strides == lines.strides
+        io.write_cas_csv(path, cas)
+        text = path.read_bytes().replace(b"\r\n", line_end.encode())
+        for data in (text, text.removesuffix(line_end.encode())):  # the last line end is optional
+            path.write_bytes(data)
+            back = io.read_cas_csv(path)
+            for got, want in ((back.act, cas.act), (back.padded, cas.padded)):
+                assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+    @pytest.mark.parametrize("text, refusal", [
+        ('snippet,class_1\n1,0.5\n2,"0.5"\n', ":3: quoted cell"),
+        ('snippet,"class_1"\n1,0.5\n', ":1: quoted cell"),
+        ("snippet,class_1\n\n1,0.5\n", ":2: expected 2 columns"),
+        ("snippet,class_1\n1,0.5\n\n", ":3: expected 2 columns"),
+        ("snippet,class_1\n1,0.5,0.5\n", ":2: expected 2 columns"),
+        ("snippet,class_1\r1,0.5\r", ": mixed line ends"),
+        ("snippet,class_1\r\n1,0.5\n", ": mixed line ends"),
+        ("snippet,class_1\n1,0.5\r\n", ": mixed line ends"),
+        ("snippet,class_1\n01,0.5\n", ":2: snippet indices must run 1..T"),
+        ("snippet,class_1\n1,0.5\n+2,0.5\n", ":3: snippet indices must run 1..T"),
+        ("snippet,class_1\n1,0.5\n 2,0.5\n", ":3: snippet indices must run 1..T"),
+        ("snippet,class_1\n1.0,0.5\n", ":2: snippet indices must run 1..T"),
+    ])
+    def test_refuses_other_spellings_on_their_line(self, tmp_path, text, refusal):
+        path = tmp_path / "cas.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(InputError) as err:
+            io.read_cas_csv(path)
+        assert str(err.value) == f"{path}{refusal}"
 
     def test_bytes_match_the_csv_writer_form(self, tmp_path):
         act = np.array([[5e-324, 0.1, 1.0, 1 / 3, -0.0], [0.0, 1 - 2**-53, 0.7, 2**-1074, 0.5]])
