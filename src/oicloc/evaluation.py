@@ -52,17 +52,28 @@ def average_precision(
     iou_thresh: float,
 ) -> float | None:
     """All-points interpolated AP for one class at one IoU threshold; None when
-    the class has no gt. The IoUs of every (prediction, ground truth of its
-    video) pair are computed at once."""
+    the class has no gt."""
+    return average_precisions(preds, gts, class_id, (iou_thresh,))[0]
+
+
+def average_precisions(
+    preds: list[Prediction],
+    gts: list[GtInstance],
+    class_id: int,
+    iou_thresholds: tuple[float, ...],
+) -> list[float | None]:
+    """:func:`average_precision` at each IoU threshold, in order. The class's
+    predictions are ranked and the IoUs of every (prediction, ground truth of
+    its video) pair computed once, for all thresholds."""
     class_gts = [g for g in gts if g.class_id == class_id]
     if not class_gts:
-        return None
+        return [None] * len(iou_thresholds)
     cls_preds = sorted(
         (p for p in preds if p.class_id == class_id),
         key=lambda p: (-p.score, p.start_s, p.video_id),
     )
     if not cls_preds:
-        return 0.0
+        return [0.0] * len(iou_thresholds)
     by_video: dict[str, list[int]] = {}
     for j, g in enumerate(class_gts):
         by_video.setdefault(g.video_id, []).append(j)
@@ -74,9 +85,16 @@ def average_precision(
         raise InputError("intervals must satisfy start <= end")
     g_lo, g_hi = _bounds(class_gts)
     ov = iou(lo[pred_idx], hi[pred_idx], g_lo[gt_idx], g_hi[gt_idx])
+    return [_ap_at(pred_idx, gt_idx, ov, thr, len(cls_preds), len(class_gts))
+            for thr in iou_thresholds]
+
+
+def _ap_at(pred_idx, gt_idx, ov, iou_thresh: float, num_preds: int, num_gts: int) -> float:
+    """AP at one threshold from the pairs of ranked prediction ``pred_idx[i]``
+    and ground truth ``gt_idx[i]``, grouped by prediction, and their IoUs ``ov``."""
     hit = ov > iou_thresh
     matched: set[int] = set()
-    tp = np.zeros(len(cls_preds))
+    tp = np.zeros(num_preds)
     candidates = zip(pred_idx[hit].tolist(), gt_idx[hit].tolist(), ov[hit].tolist())
     for i, group in itertools.groupby(candidates, key=lambda c: c[0]):
         best_iou, best_gt = 0.0, None  # the first unmatched ground truth of highest IoU
@@ -88,7 +106,7 @@ def average_precision(
             tp[i] = 1.0
     acc_tp = np.cumsum(tp)
     acc_fp = np.cumsum(1.0 - tp)
-    recall = acc_tp / len(class_gts)
+    recall = acc_tp / num_gts
     precision = acc_tp / np.maximum(acc_tp + acc_fp, 1e-12)
     r = np.concatenate([[0.0], recall, [recall[-1]]])
     # monotone precision envelope, then sum over recall steps
@@ -138,13 +156,16 @@ def map_report(
     gts: list[GtInstance],
     iou_thresholds=THUMOS_THRESHOLDS,
 ) -> EvalReport:
-    """Evaluate mAP over the given IoU threshold grid."""
+    """Evaluate mAP over the given IoU threshold grid, each class once for
+    every threshold."""
     if not gts:
         raise InputError("evaluation requires at least one ground truth segment")
+    thresholds = tuple(iou_thresholds)
     classes = sorted({g.class_id for g in gts})
+    by_class = {k: average_precisions(preds, gts, k, thresholds) for k in classes}
     per_threshold: dict[float, dict] = {}
-    for thr in iou_thresholds:
-        aps = {k: average_precision(preds, gts, k, thr) for k in classes}
+    for i, thr in enumerate(thresholds):
+        aps = {k: by_class[k][i] for k in classes}
         per_threshold[thr] = {"ap": aps, "map": float(np.mean(list(aps.values())))}
     avg_map = float(np.mean([e["map"] for e in per_threshold.values()]))
     return EvalReport(per_threshold, avg_map)

@@ -13,31 +13,14 @@ k) view has each tap ``w[:, :, i]`` as one C-contiguous block, so the per-tap
 matmuls read the weights without a gather and the backward writes each tap's
 weight gradient straight into its block of the gradient vector.
 
-At paper width a second core joins in. Each conv layer asks :func:`_worker`
-once, from its multiply-adds per tap; when that hands out the worker thread,
-the layer's work is shared with it:
-
-- forward conv: the worker computes the last tap, ``w[:, :, 2] @ xp[:, 2:2+T]``,
-  and this thread the others, summed in tap order ``(W0 x0 + W1 x1) + W2 x2``;
-- forward rows: adding that last tap and the bias, batch norm (mean,
-  variance, ``x̂``, γ/β) and the ReLU written into the next padded buffer run
-  on two row halves at once, the top half on the worker;
-- backward conv: the six tap products split 3:3, the worker taking tap 2's
-  weight gradient and input-gradient product and tap 1's weight gradient;
-  the input-gradient products are added into ``dx`` in tap order here;
-- backward rows: batch-norm and ReLU backward (``dγ``, ``dβ``, ``dz``) on two
-  row halves at once.
-
-The feature lift squashes its two row halves at once, and :func:`sgd_step`
-updates the two halves of the flat vector at once from POOL_MIN_PARAMS. A
-single matmul is never split: each moved job is a whole, unchanged BLAS call
-or a row-wise ufunc sequence on whole rows, so every output bit is the same
-with or without the worker. It engages only from the thresholds below and
-with a second usable CPU, on top of any BLAS threads. Below them (every
-desk-width layer) this thread runs every tap and row in the same order,
-with no hand-off around ~4 us taps. Batch norm centres and scales the conv output
-in place into ``x̂``: the same ufuncs on the same values as the plain form,
-so the bits are those of ``tests/oracles.py``.
+At paper width, from the thresholds below and with a second usable CPU,
+each conv layer with its batch norm, the SGD step and the feature lift share
+their work with one worker thread (:func:`_worker`). Each moved job is a
+whole, unchanged BLAS call or the same ufuncs on whole rows, so every output
+bit is the same with or without it; README's worker account ("The worker
+thread changes no bit") gives the split. Batch norm centres and scales the
+conv output in place into ``x̂``: the same ufuncs on the same values as the
+plain form, so the bits are those of ``tests/oracles.py``.
 """
 from __future__ import annotations
 

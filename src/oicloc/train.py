@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from .cas import VideoRecord
 from .config import RunConfig
 from .errors import TrainingError
-from .features import cas_to_features
+from .features import cas_to_features, lift_worker
 from .regressor import NetworkB, sgd_step
 from .selection import Prediction, build_candidates, select, to_predictions, training_loss
 
@@ -29,22 +29,50 @@ def new_network(cfg: RunConfig, seed: int) -> NetworkB:
 def train_network(
     corpus: list[VideoRecord], cfg: RunConfig, seed: int = 0, loss: str = "oic"
 ) -> TrainResult:
-    """Train the boundary regressor on a corpus with the selection-layer loss."""
+    """Train the boundary regressor on a corpus with the selection-layer loss.
+
+    A video whose lift the worker thread takes (``features.lift_worker``) is
+    lifted there ahead of its step: the first while the net is initialised,
+    each next one, in epoch order, while the step before it runs. The lift
+    is queued before that step's conv jobs, so it runs while this thread
+    computes the first conv's first taps. The pending lift is joined before
+    this returns or raises.
+    """
     if not corpus:
         raise ValueError("training requires at least one video")
-    result = TrainResult(new_network(cfg, seed))
-    velocity: dict = {}
-    for epoch in range(cfg.epochs):
-        for i, video in enumerate(corpus):
-            iteration = epoch * len(corpus) + i
-            result.losses.append(train_step(result.net, video, cfg, velocity, iteration, loss))
-        log.info("epoch %d done, last loss %.4f", epoch, result.losses[-1])
+    order = [video for _ in range(cfg.epochs) for video in corpus]
+    pending = _lift_ahead(order[0], cfg)
+    try:
+        result = TrainResult(new_network(cfg, seed))
+        velocity: dict = {}
+        for iteration, (video, following) in enumerate(zip(order, order[1:] + [None])):
+            feat = None if pending is None else pending.result()
+            pending = None if following is None else _lift_ahead(following, cfg)
+            result.losses.append(
+                train_step(result.net, video, cfg, velocity, iteration, loss, feat))
+            epoch, i = divmod(iteration, len(corpus))
+            if i == len(corpus) - 1:
+                log.info("epoch %d done, last loss %.4f", epoch, result.losses[-1])
+    finally:
+        if pending is not None and not pending.cancel():
+            pending.exception()  # waits for the running lift
     return result
 
 
-def train_step(net, video, cfg, velocity, iteration, loss="oic") -> float:
-    """One optimizer step on one video; returns the summed selection loss."""
-    feat = cas_to_features(video.cas, cfg.feature_dim)
+def _lift_ahead(video, cfg):
+    """The whole lift of ``video`` submitted to the worker thread, or None
+    where the worker would not take it (its step then lifts it inline)."""
+    pool = lift_worker(video.cas, cfg.feature_dim)
+    if pool is None:
+        return None
+    return pool.submit(cas_to_features, video.cas, cfg.feature_dim, halves=False)
+
+
+def train_step(net, video, cfg, velocity, iteration, loss="oic", feat=None) -> float:
+    """One optimizer step on one video; returns the summed selection loss.
+    ``feat`` is the video's lifted feature map, lifted here when None."""
+    if feat is None:
+        feat = cas_to_features(video.cas, cfg.feature_dim)
     reg_map, cache = net.forward(feat, mode="train")
     try:
         grid = build_candidates(reg_map, cfg.anchor_config(), video.cas.num_snippets, cfg.alpha)

@@ -53,8 +53,8 @@ MUTANTS = [
     Mutant("regressor.py", "mean /= T", "mean *= 1.0 / T", (STEP,)),
     Mutant("regressor.py", "var /= T", "var *= 1.0 / T", (STEP,)),
     # the worker: a forked child reusing its parent's (threadless) executor,
-    # which hangs the child's first pooled conv until the test's join times
-    # out (listed early, as it runs longest); a second CPU not required
+    # which hangs the child's first pooled conv until the test stops waiting
+    # for its report (listed early, as it runs longest); a second CPU not required
     Mutant("regressor.py", "if _pool is None or _pool[0] != os.getpid():", "if _pool is None:",
            ("tests/test_regressor.py::TestWorkerPool::test_a_forked_child_starts_its_own_worker[pool]",)),
     Mutant("regressor.py", "len(os.sched_getaffinity(0)) < 2", "len(os.sched_getaffinity(0)) < 1",
@@ -80,6 +80,10 @@ MUTANTS = [
            "    except ValueError:\n        raise\n    theirs = job.result()\n",
            ("tests/test_regressor.py::TestWorkerPool::"
             "test_the_worker_is_joined_before_an_error_surfaces[pool]",)),
+    # training: the lift pending on the worker left running when a step raises
+    Mutant("train.py", "pending.exception()", "pending.done()",
+           ("tests/test_train.py::TestLiftAhead::"
+            "test_the_pending_lift_is_joined_before_an_error_surfaces[pool]",)),
     # a checkpoint payload shorter than its header's tensors is not refused
     Mutant("regressor.py", "if len(payload) != size:", "if len(payload) > size:",
            ("tests/test_regressor.py::TestCheckpoint::test_v3_rejects_a_truncated_file",)),

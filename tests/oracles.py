@@ -7,6 +7,7 @@ access -- so that agreement with the package is meaningful.
 from __future__ import annotations
 
 import base64
+import itertools
 import math
 
 import numpy as np
@@ -299,6 +300,62 @@ def average_precision_reference(preds, gts, class_id: int, iou_thresh: float):
     env = np.maximum.accumulate(np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
     steps = np.nonzero(r[1:] != r[:-1])[0] + 1
     return float(np.sum((r[steps] - r[steps - 1]) * env[steps]))
+
+
+def average_precision_per_threshold(preds, gts, class_id: int, iou_thresh: float):
+    """``evaluation.average_precision`` as it was when ``map_report`` called it
+    once per (class, threshold): each call ranks the class's predictions and
+    computes every (prediction, ground truth of its video) IoU itself."""
+    class_gts = [g for g in gts if g.class_id == class_id]
+    if not class_gts:
+        return None
+    cls_preds = sorted((p for p in preds if p.class_id == class_id),
+                       key=lambda p: (-p.score, p.start_s, p.video_id))
+    if not cls_preds:
+        return 0.0
+    by_video = {}
+    for j, g in enumerate(class_gts):
+        by_video.setdefault(g.video_id, []).append(j)
+    own = [by_video.get(p.video_id, ()) for p in cls_preds]
+    pred_idx = np.repeat(np.arange(len(own)), list(map(len, own)))
+    gt_idx = np.fromiter(itertools.chain.from_iterable(own), np.intp, pred_idx.size)
+    lo, hi = np.array([(p.start_s, p.end_s) for p in cls_preds], dtype=np.float64).T
+    g_lo, g_hi = np.array([(g.start_s, g.end_s) for g in class_gts], dtype=np.float64).T
+    lo_a, hi_a, lo_b, hi_b = lo[pred_idx], hi[pred_idx], g_lo[gt_idx], g_hi[gt_idx]
+    inter = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
+    union = np.maximum(hi_a, hi_b) - np.minimum(lo_a, lo_b)
+    ov = np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
+    hit = ov > iou_thresh
+    matched = set()
+    tp = np.zeros(len(cls_preds))
+    candidates = zip(pred_idx[hit].tolist(), gt_idx[hit].tolist(), ov[hit].tolist())
+    for i, group in itertools.groupby(candidates, key=lambda c: c[0]):
+        best_iou, best_gt = 0.0, None
+        for _, j, v in group:
+            if v > best_iou and j not in matched:
+                best_iou, best_gt = v, j
+        if best_gt is not None:
+            matched.add(best_gt)
+            tp[i] = 1.0
+    acc_tp = np.cumsum(tp)
+    acc_fp = np.cumsum(1.0 - tp)
+    recall = acc_tp / len(class_gts)
+    precision = acc_tp / np.maximum(acc_tp + acc_fp, 1e-12)
+    r = np.concatenate([[0.0], recall, [recall[-1]]])
+    env = np.maximum.accumulate(np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
+    steps = np.nonzero(r[1:] != r[:-1])[0] + 1
+    return float(np.sum((r[steps] - r[steps - 1]) * env[steps]))
+
+
+def map_report_per_threshold(preds, gts, iou_thresholds):
+    """``(per_threshold, avg_map)`` of ``evaluation.map_report``, one
+    :func:`average_precision_per_threshold` call per (threshold, class)."""
+    classes = sorted({g.class_id for g in gts})
+    per_threshold = {}
+    for thr in iou_thresholds:
+        aps = {k: average_precision_per_threshold(preds, gts, k, thr) for k in classes}
+        per_threshold[thr] = {"ap": aps, "map": float(np.mean(list(aps.values())))}
+    return per_threshold, float(np.mean([e["map"] for e in per_threshold.values()]))
 
 
 def scatter_reference(M: int, T: int, t, m, d_tx, d_tw) -> np.ndarray:

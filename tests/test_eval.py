@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import average_precision_reference
+from oracles import average_precision_reference, map_report_per_threshold
 
 from oicloc.cas import Cas, GroundTruthSegment, VideoRecord
 from oicloc.errors import InputError
 from oicloc.evaluation import (
+    ACTIVITYNET_THRESHOLDS,
+    THUMOS_THRESHOLDS,
     GtInstance,
     average_precision,
     gt_instances,
@@ -138,6 +140,39 @@ class TestAveragePrecisionOracle:
             want = average_precision_reference(pr, gt, k, iou_thresh)
             assert average_precision(pr, gt, k, iou_thresh) == want
             assert aps.get(k) == want
+
+
+class TestReportOncePerClass:
+    """map_report ranks each class and computes its IoUs once for the whole
+    grid; every AP float is that of one evaluation per (class, threshold)."""
+
+    @given(gts=st.lists(segments, min_size=1, max_size=8),
+           preds=st.lists(st.tuples(segments, st.sampled_from([0.3, 0.6, 0.9])), max_size=14),
+           grid=st.sampled_from([THUMOS_THRESHOLDS, ACTIVITYNET_THRESHOLDS]),
+           seconds=st.sampled_from([float, int]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_evaluation_per_threshold(self, gts, preds, grid, seconds):
+        # three scores and integer endpoints: scores, starts and IoUs tie
+        gt = [GtInstance(v, k, seconds(s), seconds(s + d)) for v, k, s, d in gts]
+        pr = [P(v, k, seconds(s), seconds(s + d), score) for (v, k, s, d), score in preds]
+        report = map_report(pr, gt, grid)
+        assert (report.per_threshold, report.avg_map) == map_report_per_threshold(pr, gt, grid)
+
+    @pytest.mark.parametrize("grid", [THUMOS_THRESHOLDS, ACTIVITYNET_THRESHOLDS])
+    def test_matches_on_many_videos_with_tied_scores(self, rng, grid):
+        gt, pr = [], []
+        for v in range(30):
+            for k in range(1, 5):
+                for _ in range(int(rng.integers(0, 3))):
+                    s = float(rng.uniform(0, 100))
+                    gt.append(GtInstance(f"v{v}", k, s, s + float(rng.uniform(1, 20))))
+                for _ in range(int(rng.integers(0, 8))):
+                    s = float(rng.uniform(0, 100))
+                    score = float(rng.choice([0.2, 0.5, 0.5, 0.8, rng.uniform(0, 1)]))
+                    pr.append(P(f"v{v}", k, s, s + float(rng.uniform(1, 20)), score))
+        report = map_report(pr, gt, grid)
+        assert (report.per_threshold, report.avg_map) == map_report_per_threshold(pr, gt, grid)
+        assert 0.0 < report.avg_map < 1.0
 
 
 class TestReport:

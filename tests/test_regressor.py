@@ -128,17 +128,23 @@ class TestWorkerPool:
         want, _ = conv1d_pad_reference(x, w, np.zeros(self.C_OUT))
         assert np.array_equal(conv1d_forward(x, w, np.zeros(self.C_OUT))[0], want)
 
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+
         def in_child():
             y, _ = conv1d_forward(x, w, np.zeros(self.C_OUT))
-            assert np.array_equal(y, want)
+            writer.send(np.array_equal(y, want))
 
-        child = multiprocessing.get_context("fork").Process(target=in_child)
+        child = context.Process(target=in_child)
         child.start()
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
+        try:
+            # a few milliseconds when it works; a hung child never reports
+            assert reader.poll(timeout=10), "the forked child's conv did not finish"
+            assert reader.recv() is True
+        finally:
+            if child.is_alive():
+                child.kill()
             child.join()
-        assert child.exitcode == 0
 
     def test_the_worker_is_joined_before_an_error_surfaces(self, rng, pool, monkeypatch):
         """No job outlives the call: when this thread's first tap fails, the

@@ -1,3 +1,5 @@
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ from oracles import (
     network_forward_reference, sgd_per_tensor,
 )
 
-from oicloc import features, regressor
+from oicloc import features, regressor, train
 from oicloc.config import PROFILES, RunConfig
 from oicloc.errors import TrainingError
 from oicloc.features import cas_to_features
@@ -174,6 +176,9 @@ class TestBackwardMatchesFirstWritten:
                 assert err.max() <= 1e-4, (name, err.max())
 
 
+PAPER_WIDTH_VIDEOS = SynthSpec(num_classes=20, t_range=(130, 160), instances_range=(1, 3))
+
+
 class TestWorkerPoolKeepsBits:
     @pytest.mark.parametrize("pool", ["pool"], indirect=True)
     def test_train_and_predict_give_the_same_bits_on_one_cpu(self, pool, split_calls,
@@ -196,8 +201,7 @@ class TestWorkerPoolKeepsBits:
 
     @staticmethod
     def check(cfg, pool, split_calls, monkeypatch):
-        videos = synth_corpus(SynthSpec(num_classes=20, t_range=(130, 160),
-                                        instances_range=(1, 3)), 7, 3)
+        videos = synth_corpus(PAPER_WIDTH_VIDEOS, 7, 3)
 
         def run():
             net, velocity = new_network(cfg, 0), {}
@@ -223,6 +227,70 @@ class TestWorkerPoolKeepsBits:
         assert sorted(on_worker) == sorted(len(videos) * (
             ["_batch_norm_relu"] * 6 + ["_batch_norm_backward"] * 3 + ["_tap_grads"] * 3
             + ["_momentum_rows"]))
+
+
+class TestLiftAhead:
+    """At thumos width and K 20, T 130-160, each video's lift reaches the
+    worker's threshold, so train_network lifts it on the worker thread ahead
+    of its step (over two epochs, across video and epoch boundaries)."""
+
+    CFG = replace(PROFILES["thumos"], epochs=2)
+
+    @pytest.mark.parametrize("pool", ["pool"], indirect=True)
+    def test_lifts_on_the_worker_give_the_bits_of_inline_lifts(self, pool, monkeypatch):
+        """Parameters, running statistics and losses equal those of a run
+        with no worker at all and of a plain loop of steps lifting inline."""
+        videos = synth_corpus(PAPER_WIDTH_VIDEOS, 7, 3)
+        on_worker, lift = [], train.cas_to_features
+
+        def spy(*args, **kwargs):
+            on_worker.append(threading.current_thread() is not threading.main_thread())
+            return lift(*args, **kwargs)
+
+        monkeypatch.setattr(train, "cas_to_features", spy)
+
+        def bits(net, losses):
+            stats = np.concatenate(net.running_mean + net.running_var)
+            return net.params.flat.tobytes(), stats.tobytes(), losses
+
+        result = train_network(videos, self.CFG, seed=0)
+        with_worker = bits(result.net, result.losses)
+        assert on_worker == [True] * 6
+        net, velocity = new_network(self.CFG, 0), {}
+        losses = [train_step(net, v, self.CFG, velocity, i) for i, v in enumerate(videos * 2)]
+        assert on_worker[6:] == [False] * 6 and bits(net, losses) == with_worker
+        monkeypatch.setattr(regressor, "_worker", lambda *args: None)
+        result = train_network(videos, self.CFG, seed=0)
+        assert on_worker[12:] == [False] * 6 and bits(result.net, result.losses) == with_worker
+        assert not np.array_equal(result.net.params.flat, new_network(self.CFG, 0).params.flat)
+
+    @pytest.mark.parametrize("pool", ["pool"], indirect=True)
+    def test_the_pending_lift_is_joined_before_an_error_surfaces(self, pool, monkeypatch):
+        """When the step at iteration 1 fails while the lift of video 2
+        runs on the worker, that lift has finished when the error surfaces."""
+        videos = synth_corpus(PAPER_WIDTH_VIDEOS, 7, 3)
+        started, finished, lift = [], [], train.cas_to_features
+
+        def slow_lift(*args, **kwargs):
+            started.append(True)
+            time.sleep(0.2)
+            feat = lift(*args, **kwargs)
+            finished.append(True)
+            return feat
+
+        def failing_step(net, video, cfg, velocity, iteration, loss="oic", feat=None):
+            if iteration == 1:
+                deadline = time.monotonic() + 10.0
+                while len(started) < 3 and time.monotonic() < deadline:
+                    time.sleep(0.001)  # until the lift of video 2 runs
+                raise TrainingError("iteration 1: failed")
+            return 0.0
+
+        monkeypatch.setattr(train, "cas_to_features", slow_lift)
+        monkeypatch.setattr(train, "train_step", failing_step)
+        with pytest.raises(TrainingError, match="iteration 1"):
+            train_network(videos, self.CFG)
+        assert len(started) == len(finished) == 3
 
 
 class TestPredictVideo:
