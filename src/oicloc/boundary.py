@@ -45,34 +45,19 @@ def round_boundary(x):
 
 def clip_zero_pad(x1, x2, T: int):
     """Clip boundaries (scalars or arrays) into the zero-padded grid [0, T+1]."""
-    if np.any(np.greater(x1, x2)):
-        raise InputError(f"boundary must satisfy x1 <= x2, got ({x1}, {x2})")
-    return _clip(x1, x2, T)
-
-
-def _clip(x1, x2, T: int):
-    """:func:`clip_zero_pad` for boundaries known to satisfy x1 <= x2."""
     hi = float(T + 1)
     return np.minimum(np.maximum(x1, 0.0), hi), np.minimum(np.maximum(x2, 0.0), hi)
 
 
 def inflate(x1, x2, w, alpha: float, T: int):
-    """Extend inner boundaries (scalars or arrays) by ratio alpha, >= 1 snippet per side."""
-    if np.any(np.greater(x1, x2)):
-        raise InputError(f"boundary must satisfy x1 <= x2, got ({x1}, {x2})")
-    if np.any(np.less_equal(w, 0)):
-        raise InputError("predicted length and inflation ratio must be positive")
-    return _inflate(x1, x2, w, alpha, T)
-
-
-def _inflate(x1, x2, w, alpha: float, T: int):
-    """:func:`inflate` for boundaries known to satisfy x1 <= x2 and lengths
-    known to be positive (the outer boundaries then satisfy X1 < X2)."""
+    """Extend inner boundaries (scalars or arrays) by ratio alpha, >= 1 snippet
+    per side, then clip. For x1 <= x2 and lengths w > 0, as both callers
+    ensure, the outer boundaries satisfy X1 < X2 before clipping."""
     if alpha <= 0:
-        raise InputError("predicted length and inflation ratio must be positive")
+        raise InputError("inflation ratio must be positive")
     X1 = np.minimum(x1 - w * alpha, x1 - 1.0)
     X2 = np.maximum(x2 + w * alpha, x2 + 1.0)
-    return _clip(X1, X2, T)
+    return clip_zero_pad(X1, X2, T)
 
 
 def transform_backward(g: "BoundaryGradients", w_a, w, alpha: float, min_offset):

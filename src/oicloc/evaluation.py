@@ -45,26 +45,16 @@ def _bounds(segments) -> np.ndarray:
     return np.array([(s.start_s, s.end_s) for s in segments], dtype=np.float64).T
 
 
-def average_precision(
-    preds: list[Prediction],
-    gts: list[GtInstance],
-    class_id: int,
-    iou_thresh: float,
-) -> float | None:
-    """All-points interpolated AP for one class at one IoU threshold; None when
-    the class has no gt."""
-    return average_precisions(preds, gts, class_id, (iou_thresh,))[0]
-
-
 def average_precisions(
     preds: list[Prediction],
     gts: list[GtInstance],
     class_id: int,
     iou_thresholds: tuple[float, ...],
 ) -> list[float | None]:
-    """:func:`average_precision` at each IoU threshold, in order. The class's
-    predictions are ranked and the IoUs of every (prediction, ground truth of
-    its video) pair computed once, for all thresholds."""
+    """All-points interpolated AP for one class at each IoU threshold, in
+    order; None at each when the class has no gt. The class's predictions are
+    ranked and the IoUs of every (prediction, ground truth of its video) pair
+    computed once, for all thresholds."""
     class_gts = [g for g in gts if g.class_id == class_id]
     if not class_gts:
         return [None] * len(iou_thresholds)

@@ -23,22 +23,21 @@ def lift_worker(cas: Cas, feature_dim: int):
     return regressor._worker(feature_dim * (cas.num_classes + 1) * cas.num_snippets)
 
 
-def cas_to_features(cas: Cas, feature_dim: int, halves: bool = True) -> np.ndarray:
+def cas_to_features(cas: Cas, feature_dim: int) -> np.ndarray:
     """Lift a K x T CAS to a feature_dim x T feature map, deterministically.
 
     The map is the interior of a zeroed buffer one column wider on each side
     (``regressor.zero_bordered``), which the net's first conv reads in place
-    as its padded input, so the map is held once. Without ``halves`` the
-    squash is one call over the whole buffer: a lift running on the worker
-    thread must not hand half of it to that same thread.
+    as its padded input, so the map is held once.
     """
     aug = np.vstack([cas.act, cas.act.max(axis=0, keepdims=True)])
     feat = regressor.zero_bordered(feature_dim, cas.num_snippets)
     np.matmul(_projection(cas.num_classes, feature_dim), aug, out=feat)
     # squash the whole contiguous buffer, in row halves at once with the worker
-    # (elementwise, so bit-equal): tanh(+0.0) is +0.0, so the border stays zero
+    # (elementwise, so bit-equal; whole on the worker thread itself): tanh(+0.0)
+    # is +0.0, so the border stays zero
     buf = feat.base
-    regressor._in_halves(lift_worker(cas, feature_dim) if halves else None, np.tanh, (buf, buf))
+    regressor._in_halves(lift_worker(cas, feature_dim), np.tanh, (buf, buf))
     return feat
 
 

@@ -133,9 +133,8 @@ def check_transform_fd(seed: int = 0, cases: int = 200, T: int = 60,
             c = grid(tx, tw)
             return smooth_loss(cas, 1, c.x1[t, 0], c.x2[t, 0], c.X1[t, 0], c.X2[t, 0])
 
-        mask = np.zeros((1, T, 1), dtype=bool)
-        mask[0, t, 0] = True
-        d_tx, d_tw = training_loss(cas, grid(t_x, t_w), mask, alpha)[1][:, t]
+        kept = np.array([1]), np.array([t]), np.array([0])  # class 1, position t, anchor 0
+        d_tx, d_tw = training_loss(cas, grid(t_x, t_w), kept, alpha)[1][:, t]
         fd_tx = (end_to_end(t_x + step, t_w) - end_to_end(t_x - step, t_w)) / (2 * step)
         fd_tw = (end_to_end(t_x, t_w + step) - end_to_end(t_x, t_w - step)) / (2 * step)
         for analytic, approx in ((d_tx, fd_tx), (d_tw, fd_tw)):

@@ -113,20 +113,3 @@ def oic_kernel(
     d_X1 = (a_outer - padded[k, rX1]) / ring_len
     d_X2 = (padded[k, rX2] - a_outer) / ring_len
     return areas, BoundaryGradients(d_x1, d_x2, d_X1, d_X2)
-
-
-def step_filter_weights(h: SegmentHypothesis, T: int) -> tuple[int, np.ndarray, float]:
-    """Signed step-filter profile over [round(X1), round(X2)].
-
-    Returns (start index, weights, norm). The weights are integer-valued
-    (+inner_len on the outer ring, -ring_len on the inner area) so they sum
-    to exactly zero in float arithmetic; dividing the dot product of the
-    weights with the padded activation row by norm = inner_len * ring_len
-    reproduces the loss.
-    """
-    rx1, rx2, rX1, rX2 = _rounded(h, T)
-    inner_len = rx2 - rx1 + 1
-    ring_len = (rX2 - rX1 + 1) - inner_len
-    weights = np.full(rX2 - rX1 + 1, float(inner_len))
-    weights[rx1 - rX1 : rx2 - rX1 + 1] = -float(ring_len)
-    return rX1, weights, float(inner_len * ring_len)

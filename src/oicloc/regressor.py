@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -56,20 +57,24 @@ POOL_MIN_MADDS = 1 << 21
 POOL_MIN_PARAMS = 1 << 17
 
 _pool = None  # (owning process id, single-worker ThreadPoolExecutor)
+_WORKER_NAME = "oicloc-worker"
 
 
 def _worker(work: int, least: int = POOL_MIN_MADDS):
     """The single worker thread's executor, created on first use, for a call
     of ``work`` units (multiply-adds per tap, or parameters with ``least`` =
-    POOL_MIN_PARAMS); None below ``least`` or when only one CPU is usable."""
+    POOL_MIN_PARAMS); None below ``least``, when only one CPU is usable, or
+    on the worker thread itself, whose jobs so run whole instead of waiting
+    on their own queue."""
     global _pool
-    if work < least or len(os.sched_getaffinity(0)) < 2:
+    if (work < least or len(os.sched_getaffinity(0)) < 2
+            or threading.current_thread().name.startswith(_WORKER_NAME)):
         return None
     if _pool is None or _pool[0] != os.getpid():  # a forked child has no worker thread
         # imported here: importing it with this module slowed the baselines
         # workload, which never uses the worker, by 3.5-3.8% (10 benchmark pairs)
         from concurrent.futures import ThreadPoolExecutor
-        _pool = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="oicloc-worker")
+        _pool = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix=_WORKER_NAME)
     return _pool[1]
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import oic
 from .boundary import (
-    AnchorConfig, _clip, _inflate, round_boundary, transform_backward,
+    AnchorConfig, clip_zero_pad, inflate, round_boundary, transform_backward,
 )
 from .cas import SNIPPET_FRAMES, Cas
 from .errors import DegenerateOuterError, InputError, TrainingError
@@ -89,9 +89,8 @@ def build_candidates(
         raise TrainingError(
             f"t_w = {t_w[t, m]:.6g} collapses the segment at position {t + 1}, anchor {m}"
         )
-    # widths are positive, so x1 <= x2 holds and the helpers' checks could not fire
-    x1, x2 = _clip(raw_x1, raw_x2, T)
-    X1, X2 = _inflate(x1, x2, width, alpha, T)
+    x1, x2 = clip_zero_pad(raw_x1, raw_x2, T)  # widths are positive, so x1 <= x2
+    X1, X2 = inflate(x1, x2, width, alpha, T)
     rx1, rx2, rX1, rX2 = rounded = round_boundary(np.stack([x1, x2, X1, X2]))
     valid = ((rX2 - rX1) - (rx2 - rx1) >= 1) & (rX1 >= 0) & (rX2 <= T + 1)
     return Candidates(w_a, w, x1, x2, X1, X2, rounded, width * alpha < 1.0, valid)
@@ -148,15 +147,15 @@ def select(
     loss_max: float = -0.3,
     nms_iou: float = 0.4,
     loss: str = "oic",
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+) -> tuple[np.ndarray, ...]:
     """Run the selection layer for the given class set.
 
     Training passes the video's label set; testing passes all classes.
-    Returns the K x T x M keep mask and the survivors as arrays ``(k, t, m,
-    score, x1, x2)``: 1-based class, 0-based grid position and anchor,
-    score = 1 - loss and the clipped boundaries in snippets, by ascending
-    class and, within a class, in NMS order. :func:`to_predictions` turns
-    them into predictions; training reads the mask alone.
+    Returns the survivors as arrays ``(k, t, m, score, x1, x2)``: 1-based
+    class, 0-based grid position and anchor, score = 1 - loss and the
+    clipped boundaries in snippets, by ascending class and, within a class,
+    in NMS order. :func:`to_predictions` turns them into predictions;
+    :func:`training_loss` takes them as they are.
     """
     _check_loss(loss)
     K, T = cas.num_classes, cas.num_snippets
@@ -185,10 +184,7 @@ def select(
     bounds = c.searchsorted(np.arange(ks.size + 1)).tolist()
     kept = np.array([a + i for a, b in zip(bounds, bounds[1:]) if b > a
                      for i in nms_order(score[a:b], x1[a:b], x2[a:b], nms_iou)], dtype=np.intp)
-    survivors = ks[c[kept]], t[kept], m[kept], score[kept], x1[kept], x2[kept]
-    mask = np.zeros((K, T, M), dtype=bool)
-    mask[survivors[0] - 1, survivors[1], survivors[2]] = True
-    return mask, survivors
+    return ks[c[kept]], t[kept], m[kept], score[kept], x1[kept], x2[kept]
 
 
 def to_predictions(survivors, fps: float = 30.0, video_id: str = "") -> list[Prediction]:
@@ -205,19 +201,20 @@ def to_predictions(survivors, fps: float = 30.0, video_id: str = "") -> list[Pre
 def training_loss(
     cas: Cas,
     grid: Candidates,
-    mask: np.ndarray,
+    survivors: tuple,
     alpha: float,
     loss: str = "oic",
 ) -> tuple[float, np.ndarray]:
-    """Sum of kept losses plus the gradients scattered to regression slots."""
+    """Sum of the survivors' losses plus the gradients scattered to regression
+    slots. Of the survivors only ``(k, t, m)`` (1-based class, 0-based grid
+    position and anchor) are read, and taken in (class, position) order."""
     _check_loss(loss)
-    K, T = cas.num_classes, cas.num_snippets
-    M = grid.x1.shape[1]
-    if mask.shape != (K, T, M):
-        raise InputError(f"mask shape {mask.shape} does not match (K, T, M)")
-    k, t, m = np.nonzero(mask)
+    T, M = cas.num_snippets, grid.x1.shape[1]
+    k, t, m = survivors[:3]
+    order = np.lexsort((t, k))  # the loss is summed in this order
+    k, t, m = k[order] - 1, t[order], m[order]
     if not grid.valid[t, m].all():
-        raise DegenerateOuterError("mask keeps a hypothesis with an empty outer ring")
+        raise DegenerateOuterError("a survivor has an empty outer ring")
     areas, g = oic.oic_kernel(
         cas.padded, k, *grid.rounded[:, t, m], inner_only=loss == "inner"
     )

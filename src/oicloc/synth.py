@@ -102,6 +102,8 @@ def _place_instances(rng, spec: SynthSpec, T: int, count: int) -> list[tuple[int
 
 def synth_corpus(spec: SynthSpec, seed: int, count: int, prefix: str = "video") -> list[VideoRecord]:
     """Generate `count` videos; byte-identical for the same (spec, seed)."""
+    if count < 1:
+        raise InputError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     videos = []
     for i in range(count):

@@ -65,7 +65,7 @@ def _lift_ahead(video, cfg):
     pool = lift_worker(video.cas, cfg.feature_dim)
     if pool is None:
         return None
-    return pool.submit(cas_to_features, video.cas, cfg.feature_dim, halves=False)
+    return pool.submit(cas_to_features, video.cas, cfg.feature_dim)
 
 
 def train_step(net, video, cfg, velocity, iteration, loss="oic", feat=None) -> float:
@@ -78,9 +78,9 @@ def train_step(net, video, cfg, velocity, iteration, loss="oic", feat=None) -> f
         grid = build_candidates(reg_map, cfg.anchor_config(), video.cas.num_snippets, cfg.alpha)
     except TrainingError as err:
         raise TrainingError(f"iteration {iteration}, video {video.video_id}: {err}") from err
-    mask, _ = select(video.cas, grid, video.labels, cfg.act_min, cfg.loss_max, cfg.nms_iou,
-                     loss=loss)
-    total, grad_out = training_loss(video.cas, grid, mask, cfg.alpha, loss=loss)
+    survivors = select(video.cas, grid, video.labels, cfg.act_min, cfg.loss_max, cfg.nms_iou,
+                       loss=loss)
+    total, grad_out = training_loss(video.cas, grid, survivors, cfg.alpha, loss=loss)
     grads = net.backward(cache, grad_out)
     sgd_step(net, grads, cfg, velocity, iteration)
     return total
@@ -90,11 +90,10 @@ def predict_video(
     net: NetworkB, video: VideoRecord, cfg: RunConfig, loss: str = "oic"
 ) -> list[Prediction]:
     """Frozen-network inference over all classes: the survivors of
-    :func:`select` as predictions, best first (training reads select's mask
-    alone and builds none)."""
+    :func:`select` as predictions, best first."""
     feat = cas_to_features(video.cas, cfg.feature_dim)
     reg_map = net.forward(feat, mode="infer")
     grid = build_candidates(reg_map, cfg.anchor_config(), video.cas.num_snippets, cfg.alpha)
-    _, survivors = select(video.cas, grid, range(1, video.cas.num_classes + 1), cfg.act_min,
-                          cfg.loss_max, cfg.nms_iou, loss=loss)
+    survivors = select(video.cas, grid, range(1, video.cas.num_classes + 1), cfg.act_min,
+                       cfg.loss_max, cfg.nms_iou, loss=loss)
     return to_predictions(survivors, video.fps, video.video_id)

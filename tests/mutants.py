@@ -80,6 +80,11 @@ MUTANTS = [
            "    except ValueError:\n        raise\n    theirs = job.result()\n",
            ("tests/test_regressor.py::TestWorkerPool::"
             "test_the_worker_is_joined_before_an_error_surfaces[pool]",)),
+    # the worker handed to a job running on it
+    Mutant("regressor.py", "or threading.current_thread().name.startswith(_WORKER_NAME)):",
+           "or False):",
+           ("tests/test_regressor.py::TestWorkerPool::"
+            "test_a_job_on_the_worker_is_not_handed_the_worker[pool]",)),
     # training: the lift pending on the worker left running when a step raises
     Mutant("train.py", "pending.exception()", "pending.done()",
            ("tests/test_train.py::TestLiftAhead::"
@@ -113,6 +118,10 @@ MUTANTS = [
     Mutant("selection.py", "slots = np.concatenate([2 * m * T + t, (2 * m + 1) * T + t])",
            "slots = np.concatenate([(2 * m + 1) * T + t, 2 * m * T + t])",
            ("tests/test_selection.py::TestTrainingLoss::test_grad_out_matches_the_add_at_oracle",)),
+    # training_loss: the survivors summed in select's order, not (class, position) order
+    Mutant("selection.py", "order = np.lexsort((t, k))", "order = np.arange(k.size)",
+           ("tests/test_selection.py::TestTrainingLoss::"
+            "test_total_sums_the_kernel_losses_in_class_then_position_order",)),
     # select: equal losses keep the last minimum, i.e. the larger anchor
     Mutant("selection.py", "best_m = losses.argmin(axis=1)",
            "best_m = M - 1 - losses[:, ::-1].argmin(axis=1)",

@@ -40,6 +40,24 @@ def brute_force_loss(act_row: np.ndarray, x1: float, x2: float, X1: float, X2: f
     return (outer_sum - inner_sum) / ring_len - inner_sum / inner_len
 
 
+def step_filter_weights(h) -> tuple[int, np.ndarray, float]:
+    """Signed step-filter profile of hypothesis ``h`` over [round(X1), round(X2)].
+
+    Returns (start index, weights, norm). The weights are integer-valued
+    (+inner_len on the outer ring, -ring_len on the inner area) so they sum
+    to exactly zero in float arithmetic; dividing the dot product of the
+    weights with the padded activation row by norm = inner_len * ring_len
+    reproduces the loss.
+    """
+    rx1, rx2 = round_half_away(h.x1), round_half_away(h.x2)
+    rX1, rX2 = round_half_away(h.X1), round_half_away(h.X2)
+    inner_len = rx2 - rx1 + 1
+    ring_len = (rX2 - rX1 + 1) - inner_len
+    weights = np.full(rX2 - rX1 + 1, float(inner_len))
+    weights[rx1 - rX1 : rx2 - rX1 + 1] = -float(ring_len)
+    return rX1, weights, float(inner_len * ring_len)
+
+
 def brute_force_inner_loss(act_row: np.ndarray, x1: float, x2: float) -> float:
     rx1, rx2 = round_half_away(x1), round_half_away(x2)
     total = 0.0

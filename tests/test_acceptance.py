@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import enumeration_oracle, selection_oracle
+from oracles import enumeration_oracle, selection_oracle, step_filter_weights
 
 from oicloc import baselines, evaluation
 from oicloc.boundary import AnchorConfig
@@ -26,7 +26,7 @@ from oicloc.cas import Cas
 from oicloc.cli import main as cli_main
 from oicloc.config import PROFILES
 from oicloc.gradcheck import check_network_fd, check_oic_discrete, check_transform_fd
-from oicloc.oic import SegmentHypothesis, oic_backward, oic_forward, step_filter_weights
+from oicloc.oic import SegmentHypothesis, oic_backward, oic_forward
 from oicloc.selection import build_candidates, select
 from oicloc.synth import SynthSpec, synth_corpus
 from oicloc.train import predict_video, train_network
@@ -82,7 +82,7 @@ def test_criterion_1_step_filter_identity(capsys, rng):
         T = int(rng.integers(4, 60))
         cas = Cas(rng.uniform(0, 1, size=(1, T)))
         h = random_hypothesis(rng, T)
-        s, weights, norm = step_filter_weights(h, T)
+        s, weights, norm = step_filter_weights(h)
         row = cas.padded_row(1)
         dot = float(weights @ row[s : s + len(weights)]) / norm
         worst = max(worst, abs(dot - oic_forward(cas, h).loss))
@@ -132,8 +132,8 @@ def test_criterion_4_oracle_equivalence(capsys, rng):
         reg_map = 0.3 * rng.standard_normal((6, T))
         grid = build_candidates(reg_map, anchors, T, 0.25)
         classes = list(range(1, K + 1))
-        mask, _ = select(cas, grid, classes)
-        got = sorted((int(k) + 1, int(t) + 1, int(m)) for k, t, m in zip(*np.nonzero(mask)))
+        k, t, m = select(cas, grid, classes)[:3]
+        got = sorted(zip(k.tolist(), (t + 1).tolist(), m.tolist()))
         want = selection_oracle(cas.act, reg_map, anchors.scales, classes, 0.25, 0.1, -0.3, 0.4)
         select_ok = select_ok and got == want
         preds = baselines.oic_selection_enumerate(cas, 1)
@@ -209,10 +209,10 @@ def test_criterion_7_alpha_sweep_stability(capsys):
 
 
 def test_criterion_8_evaluation_correctness(capsys):
-    ap_11 = evaluation.average_precision(HAND_PREDS, HAND_GTS, 1, 0.5)
-    ap_12 = evaluation.average_precision(HAND_PREDS, HAND_GTS, 2, 0.5)
-    ap_91 = evaluation.average_precision(HAND_PREDS, HAND_GTS, 1, 0.9)
-    ap_92 = evaluation.average_precision(HAND_PREDS, HAND_GTS, 2, 0.9)
+    ap_11 = evaluation.average_precisions(HAND_PREDS, HAND_GTS, 1, (0.5,))[0]
+    ap_12 = evaluation.average_precisions(HAND_PREDS, HAND_GTS, 2, (0.5,))[0]
+    ap_91 = evaluation.average_precisions(HAND_PREDS, HAND_GTS, 1, (0.9,))[0]
+    ap_92 = evaluation.average_precisions(HAND_PREDS, HAND_GTS, 2, (0.9,))[0]
     exact = (ap_11, ap_12, ap_91, ap_92) == (1.0, 2.0 / 3.0, 0.5, 0.25)
     grid = tuple(round(0.05 * i, 2) for i in range(1, 20))
     rep = evaluation.map_report(HAND_PREDS, HAND_GTS, grid)

@@ -46,10 +46,6 @@ class TestClipInflate:
         assert clip_zero_pad(2.0, 14.0, 10) == (2.0, 11.0)
         assert clip_zero_pad(-5.0, 20.0, 10) == (0.0, 11.0)
 
-    def test_clip_rejects_reversed(self):
-        with pytest.raises(InputError):
-            clip_zero_pad(5.0, 3.0, 10)
-
     def test_ratio_regime(self):
         # w*alpha = 2 >= 1, so the ring extends by alpha*w on each side
         X1, X2 = inflate(10.0, 18.0, 8.0, 0.25, 40)

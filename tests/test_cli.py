@@ -163,6 +163,16 @@ class TestBadInput:
         err = self.train(tmp_path, capsys, "\nsnippet,class_1\n1,0.5\n")
         assert "v.csv: expected header" in err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_synth_count_below_one(self, tmp_path, capsys, count):
+        spec = {"num_classes": 2, "t_range": [30, 45], "instances_range": [1, 2]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        code = main(["synth", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "corpus"), "--count", count])
+        err = capsys.readouterr().err
+        assert code == 2 and err == f"error: count must be at least 1, got {count}\n"
+        assert not (tmp_path / "corpus").exists()
+
     @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
     def test_non_finite_fps(self, tmp_path, capsys, fps):
         err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n", {**self.ENTRY, "fps": fps})

@@ -13,7 +13,7 @@ from oicloc.evaluation import (
     ACTIVITYNET_THRESHOLDS,
     THUMOS_THRESHOLDS,
     GtInstance,
-    average_precision,
+    average_precisions,
     gt_instances,
     map_report,
 )
@@ -55,27 +55,27 @@ class TestIou:
     def test_rejects_reversed(self):
         gts = [GtInstance("A", 1, 0.0, 1.0)]
         with pytest.raises(InputError):
-            average_precision([P("A", 1, 5.0, 1.0, 0.9)], gts, 1, 0.5)
+            average_precisions([P("A", 1, 5.0, 1.0, 0.9)], gts, 1, (0.5,))[0]
 
 
 class TestHandFixture:
     def test_ap_at_half(self):
         # class 1: TP, TP, FP -> recall steps 0.5, 1.0 at precision 1 -> AP = 1
-        assert average_precision(HAND_PREDS, HAND_GTS, 1, 0.5) == pytest.approx(1.0)
+        assert average_precisions(HAND_PREDS, HAND_GTS, 1, (0.5,))[0] == pytest.approx(1.0)
         # class 2: FP (IoU 0.5 is not strictly above), TP, TP
         # precision 0, 1/2, 2/3 at recall 0, 1/2, 1 -> AP = 2/3
-        assert average_precision(HAND_PREDS, HAND_GTS, 2, 0.5) == pytest.approx(2.0 / 3.0)
+        assert average_precisions(HAND_PREDS, HAND_GTS, 2, (0.5,))[0] == pytest.approx(2.0 / 3.0)
 
     def test_ap_at_point_nine(self):
         # class 1: only the exact match survives -> AP = 0.5
-        assert average_precision(HAND_PREDS, HAND_GTS, 1, 0.9) == pytest.approx(0.5)
+        assert average_precisions(HAND_PREDS, HAND_GTS, 1, (0.9,))[0] == pytest.approx(0.5)
         # class 2: FP, TP, FP -> precision 1/2 at recall 1/2 -> AP = 0.25
-        assert average_precision(HAND_PREDS, HAND_GTS, 2, 0.9) == pytest.approx(0.25)
+        assert average_precisions(HAND_PREDS, HAND_GTS, 2, (0.9,))[0] == pytest.approx(0.25)
 
     def test_ap_at_point_three(self):
         # class 2: the IoU-0.5 prediction now matches first and steals the gt
-        assert average_precision(HAND_PREDS, HAND_GTS, 1, 0.3) == pytest.approx(1.0)
-        assert average_precision(HAND_PREDS, HAND_GTS, 2, 0.3) == pytest.approx(1.0)
+        assert average_precisions(HAND_PREDS, HAND_GTS, 1, (0.3,))[0] == pytest.approx(1.0)
+        assert average_precisions(HAND_PREDS, HAND_GTS, 2, (0.3,))[0] == pytest.approx(1.0)
 
     def test_map_values(self):
         report = map_report(HAND_PREDS, HAND_GTS, (0.3, 0.5, 0.9))
@@ -93,31 +93,31 @@ class TestHandFixture:
 
 class TestAveragePrecision:
     def test_none_when_class_has_no_gt(self):
-        assert average_precision(HAND_PREDS, HAND_GTS, 3, 0.5) is None
+        assert average_precisions(HAND_PREDS, HAND_GTS, 3, (0.5,))[0] is None
 
     def test_zero_when_no_predictions(self):
-        assert average_precision([], HAND_GTS, 1, 0.5) == 0.0
+        assert average_precisions([], HAND_GTS, 1, (0.5,))[0] == 0.0
 
     def test_greedy_matching_takes_highest_iou(self):
         gts = [GtInstance("A", 1, 0.0, 10.0), GtInstance("A", 1, 8.0, 18.0)]
         preds = [P("A", 1, 7.0, 17.0, 0.9), P("A", 1, 0.0, 10.0, 0.8)]
         # the first prediction matches the second gt (IoU 9/11), leaving
         # the first gt free for the exact second prediction
-        assert average_precision(preds, gts, 1, 0.5) == pytest.approx(1.0)
+        assert average_precisions(preds, gts, 1, (0.5,))[0] == pytest.approx(1.0)
 
     def test_equal_ious_match_the_first_listed_gt(self):
         # the first prediction overlaps both gts with IoU 1/3; taking the first
         # leaves the second prediction, which only overlaps the first, unmatched
         gts = [GtInstance("A", 1, 0.0, 4.0), GtInstance("A", 1, 4.0, 8.0)]
         preds = [P("A", 1, 2.0, 6.0, 0.9), P("A", 1, 0.0, 3.0, 0.8)]
-        assert average_precision(preds, gts, 1, 0.3) == pytest.approx(0.5)
-        assert average_precision(preds, gts, 1, 0.3) == average_precision_reference(
+        assert average_precisions(preds, gts, 1, (0.3,))[0] == pytest.approx(0.5)
+        assert average_precisions(preds, gts, 1, (0.3,))[0] == average_precision_reference(
             preds, gts, 1, 0.3)
 
     def test_cross_video_isolation(self):
         gts = [GtInstance("A", 1, 0.0, 10.0)]
         preds = [P("B", 1, 0.0, 10.0, 0.9)]
-        assert average_precision(preds, gts, 1, 0.5) == 0.0
+        assert average_precisions(preds, gts, 1, (0.5,))[0] == 0.0
 
 
 segments = st.tuples(st.sampled_from("AB"), st.integers(1, 2), st.integers(0, 8),
@@ -138,7 +138,7 @@ class TestAveragePrecisionOracle:
         aps = map_report(pr, gt, (iou_thresh,)).per_threshold[iou_thresh]["ap"]
         for k in (1, 2):
             want = average_precision_reference(pr, gt, k, iou_thresh)
-            assert average_precision(pr, gt, k, iou_thresh) == want
+            assert average_precisions(pr, gt, k, (iou_thresh,))[0] == want
             assert aps.get(k) == want
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_inner_loss, brute_force_loss
+from oracles import brute_force_inner_loss, brute_force_loss, step_filter_weights
 
 from oicloc.boundary import round_boundary
 from oicloc.cas import Cas
@@ -13,7 +13,6 @@ from oicloc.oic import (
     oic_backward,
     oic_forward,
     oic_kernel,
-    step_filter_weights,
 )
 
 from conftest import random_hypothesis
@@ -131,7 +130,7 @@ class TestStepFilter:
             T = int(rng.integers(5, 50))
             cas = Cas(rng.uniform(0, 1, size=(1, T)))
             h = random_hypothesis(rng, T)
-            start, weights, norm = step_filter_weights(h, T)
+            start, weights, norm = step_filter_weights(h)
             row = cas.padded_row(1)
             dot = float(weights @ row[start : start + len(weights)]) / norm
             assert dot == pytest.approx(oic_forward(cas, h).loss, abs=1e-12)
@@ -139,7 +138,7 @@ class TestStepFilter:
 
     def test_integer_valued_profile(self):
         h = SegmentHypothesis(3.0, 5.0, 1.0, 7.0, 1)
-        start, weights, norm = step_filter_weights(h, 10)
+        start, weights, norm = step_filter_weights(h)
         assert start == 1
         # inner length 3, ring length 4
         assert np.array_equal(weights, [3.0, 3.0, -4.0, -4.0, -4.0, 3.0, 3.0])
@@ -154,5 +153,5 @@ class TestStepFilter:
         x2 = x1 + inner_len - 1
         T = int(x2 + right)
         h = SegmentHypothesis(x1, x2, 0.0, x2 + right, 1)
-        _, weights, _ = step_filter_weights(h, T)
+        _, weights, _ = step_filter_weights(h)
         assert weights.sum() == 0.0

@@ -120,6 +120,14 @@ class TestWorkerPool:
         assert dx is None and np.array_equal(dw, want[1]) and np.array_equal(db, want[2])
         assert len(pool) == 3
 
+    @pytest.mark.parametrize("pool", ["pool"], indirect=True)
+    def test_a_job_on_the_worker_is_not_handed_the_worker(self, pool):
+        """A job on the worker thread runs whole: handed the worker, it would
+        queue its half behind itself and wait forever."""
+        executor = regressor._worker(1 << 30)
+        assert executor is not None
+        assert executor.submit(regressor._worker, 1 << 30).result(timeout=10) is None
+
     def test_a_forked_child_starts_its_own_worker(self, rng, pool):
         """A child forked after the parent's worker started has no worker
         thread; its pooled convs must not wait on the parent's."""

@@ -134,9 +134,9 @@ class TestStepIsBitwise:
             reg_map, cache = network_forward_reference(params, means, variances, feat)
             grid = build_candidates(reg_map, cfg.anchor_config(), video.cas.num_snippets,
                                     cfg.alpha)
-            mask, _ = select(video.cas, grid, video.labels, cfg.act_min, cfg.loss_max,
-                             cfg.nms_iou)
-            ref_loss, grad_out = training_loss(video.cas, grid, mask, cfg.alpha)
+            survivors = select(video.cas, grid, video.labels, cfg.act_min, cfg.loss_max,
+                               cfg.nms_iou)
+            ref_loss, grad_out = training_loss(video.cas, grid, survivors, cfg.alpha)
             grads = network_backward_lean_reference(params, cache, grad_out)
             sgd_per_tensor(params, grads, learning_rate(cfg, iteration), cfg.momentum,
                            cfg.weight_decay, ref_velocity)
