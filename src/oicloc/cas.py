@@ -58,6 +58,7 @@ class GroundTruthSegment:
     class_id: int
     start_s: float
     end_s: float
+    video_id: str = ""  # stamped by ``evaluation.gt_instances``
 
     def __post_init__(self):
         if not (0.0 <= self.start_s < self.end_s):

@@ -95,6 +95,8 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"{args.checkpoint}: checkpoint has {net.anchor_count} anchors and "
                           f"feature_dim {net.feature_dim}, but {args.config} has {M} anchors "
                           f"and feature_dim {cfg.feature_dim}")
+    if args.mode == "threshold" and not 0 < cfg.act_min < 1:
+        raise ConfigError(f"{args.config}: 'act_min' must lie in (0, 1) for --mode threshold")
     preds = baselines.detect(args.mode, videos, cfg, net=net, seed=args.seed)
     io.write_predictions_jsonl(args.out, preds)
     print(f"wrote {len(preds)} predictions to {args.out}")

@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .cas import VideoRecord
+from .cas import GroundTruthSegment, VideoRecord
 from .errors import InputError
 from .selection import Prediction, iou
 
@@ -24,20 +24,9 @@ THUMOS_THRESHOLDS = (0.3, 0.4, 0.5, 0.6, 0.7)
 ACTIVITYNET_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
 
-@dataclass(frozen=True)
-class GtInstance:
-    video_id: str
-    class_id: int
-    start_s: float
-    end_s: float
-
-
-def gt_instances(videos: list[VideoRecord]) -> list[GtInstance]:
-    out = []
-    for v in videos:
-        for g in v.gt or ():
-            out.append(GtInstance(v.video_id, g.class_id, g.start_s, g.end_s))
-    return out
+def gt_instances(videos: list[VideoRecord]) -> list[GroundTruthSegment]:
+    """Every video's ground truth segments, each stamped with its video's id."""
+    return [replace(g, video_id=v.video_id) for v in videos for g in v.gt or ()]
 
 
 def _bounds(segments) -> np.ndarray:
@@ -47,7 +36,7 @@ def _bounds(segments) -> np.ndarray:
 
 def average_precisions(
     preds: list[Prediction],
-    gts: list[GtInstance],
+    gts: list[GroundTruthSegment],
     class_id: int,
     iou_thresholds: tuple[float, ...],
 ) -> list[float | None]:
@@ -143,7 +132,7 @@ class EvalReport:
 
 def map_report(
     preds: list[Prediction],
-    gts: list[GtInstance],
+    gts: list[GroundTruthSegment],
     iou_thresholds=THUMOS_THRESHOLDS,
 ) -> EvalReport:
     """Evaluate mAP over the given IoU threshold grid, each class once for

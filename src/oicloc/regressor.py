@@ -521,24 +521,20 @@ def sgd_step(
         raise TrainingError(f"non-finite gradient in {name} at iteration {iteration}")
     p = net.params.flat
     v = velocity.get("flat")
-    first = v is None
-    if first:
-        v = velocity["flat"] = np.empty(p.size)
+    if v is None:
+        v = velocity["flat"] = np.zeros(p.size)
     _in_halves(_worker(p.size, POOL_MIN_PARAMS), _momentum_rows, (p, g, v),
-               learning_rate(cfg, iteration), cfg.momentum, cfg.weight_decay, first)
+               learning_rate(cfg, iteration), cfg.momentum, cfg.weight_decay)
 
 
-def _momentum_rows(p, g, v, lr: float, momentum: float, decay: float, first: bool) -> None:
+def _momentum_rows(p, g, v, lr: float, momentum: float, decay: float) -> None:
     """Momentum SGD with weight decay, in place, on these elements of the
     parameters ``p``, gradient ``g`` and velocity ``v``: v = momentum·v +
-    (decay·p + g), or on the ``first`` step v = decay·p + g; then p -= lr·v."""
-    if first:
-        np.multiply(decay, p, out=v)
-        v += g
-        p -= lr * v
-    else:
-        update = decay * p
-        update += g
-        v *= momentum
-        v += update
-        p -= np.multiply(v, lr, out=update)  # update is dead once folded into v
+    (decay·p + g), then p -= lr·v. From a zero velocity, the first step's v
+    differs from decay·p + g only in a zero's sign, which moves no bit of p:
+    no parameter is -0.0 (``NetworkB`` makes none; p - x is -0.0 only if p is)."""
+    update = decay * p
+    update += g
+    v *= momentum
+    v += update
+    p -= np.multiply(v, lr, out=update)  # update is dead once folded into v

@@ -92,7 +92,9 @@ def build_candidates(
     x1, x2 = clip_zero_pad(raw_x1, raw_x2, T)  # widths are positive, so x1 <= x2
     X1, X2 = inflate(x1, x2, width, alpha, T)
     rx1, rx2, rX1, rX2 = rounded = round_boundary(np.stack([x1, x2, X1, X2]))
-    valid = ((rX2 - rX1) - (rx2 - rx1) >= 1) & (rX1 >= 0) & (rX2 <= T + 1)
+    # inflate clips X1, X2 into [0, T+1] and the finite and width checks above
+    # (inf - inf) leave no NaN, so only the outer ring's width decides validity
+    valid = (rX2 - rX1) - (rx2 - rx1) >= 1
     return Candidates(w_a, w, x1, x2, X1, X2, rounded, width * alpha < 1.0, valid)
 
 

@@ -128,7 +128,7 @@ def synth_corpus(spec: SynthSpec, seed: int, count: int, prefix: str = "video") 
                     hi = e - width  # notch start so the notch ends before e
                 if hi < lo:
                     lo = hi = max(s + 1, min(e - width, s + (e - s) // 2))
-                d0 = int(rng.integers(lo, hi + 1)) if hi >= lo else lo
+                d0 = int(rng.integers(lo, hi + 1))
                 act[k - 1, d0 - 1 : d0 - 1 + width] = spec.dip_level
             gt.append(GroundTruthSegment(k, snippet_to_time(s, spec.fps),
                                          snippet_to_time(e, spec.fps)))

@@ -150,12 +150,18 @@ MUTANTS = [
     Mutant("evaluation.py", "if v > best_iou and j not in matched:",
            "if v >= best_iou and j not in matched:",
            ("tests/test_eval.py::TestAveragePrecision::test_equal_ious_match_the_first_listed_gt",)),
-    # sgd_step: no finite check, decay sign, momentum order, lr on the first step
+    # sgd_step: no finite check, decay sign, momentum order, no lr, the
+    # velocity started at one instead of zero
     Mutant("regressor.py", "    if not np.isfinite(g).all():\n", "    if False:\n", (SGD,)),
     Mutant("regressor.py", "update = decay * p", "update = -decay * p", (SGD,)),
-    Mutant("regressor.py", "        v *= momentum\n        v += update\n",
-           "        v += update\n        v *= momentum\n", (SGD,)),
-    Mutant("regressor.py", "        p -= lr * v\n", "        p -= v\n", (SGD,)),
+    Mutant("regressor.py", "    v *= momentum\n    v += update\n",
+           "    v += update\n    v *= momentum\n", (SGD,)),
+    Mutant("regressor.py", "np.multiply(v, lr, out=update)", "np.multiply(v, 1.0, out=update)",
+           (SGD,)),
+    Mutant("regressor.py", "np.zeros(p.size)", "np.ones(p.size)", (SGD,)),
+    # gt_instances: the segments left unstamped with their video's id
+    Mutant("evaluation.py", "replace(g, video_id=v.video_id)", "g",
+           ("tests/test_eval.py::TestReport::test_gt_instances_flattens_videos",)),
 ]
 
 

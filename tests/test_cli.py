@@ -271,6 +271,19 @@ class TestBadInput:
         assert "checkpoint has 2 anchors and feature_dim 8" in err
         assert "run.json has 3 anchors and feature_dim 8" in err
 
+    @pytest.mark.parametrize("act_min", [0, 1])
+    def test_threshold_mode_with_act_min_at_an_end(self, workspace, tmp_path, capsys, act_min):
+        """The config accepts act_min 0 and 1; thresholding needs (0, 1)."""
+        config = json.loads((workspace / "run.json").read_text())
+        config.update(act_min=act_min, manifest=str(workspace / "corpus" / "manifest.json"))
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        code = main(["predict", "--config", str(tmp_path / "run.json"), "--mode", "threshold",
+                     "--out", str(tmp_path / "p.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith(f"error: {tmp_path / 'run.json'}: 'act_min' must lie in (0, 1)")
+        assert not (tmp_path / "p.jsonl").exists()
+
     @pytest.mark.parametrize("key, value", [("alpha", "0.25"), ("hidden", "8"), ("epochs", -3)])
     def test_bad_config_value(self, tmp_path, capsys, key, value):
         (tmp_path / "run.json").write_text(json.dumps({"version": 1, key: value}))

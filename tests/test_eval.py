@@ -12,7 +12,6 @@ from oicloc.errors import InputError
 from oicloc.evaluation import (
     ACTIVITYNET_THRESHOLDS,
     THUMOS_THRESHOLDS,
-    GtInstance,
     average_precisions,
     gt_instances,
     map_report,
@@ -24,12 +23,16 @@ def P(video, k, s, e, score):
     return Prediction(class_id=k, start_s=s, end_s=e, score=score, video_id=video)
 
 
+def G(video, k, s, e):
+    return GroundTruthSegment(class_id=k, start_s=s, end_s=e, video_id=video)
+
+
 # Three-video fixture with every AP walked by hand below.
 HAND_GTS = [
-    GtInstance("A", 1, 0.0, 10.0),
-    GtInstance("A", 2, 20.0, 30.0),
-    GtInstance("B", 1, 5.0, 15.0),
-    GtInstance("C", 2, 0.0, 10.0),
+    G("A", 1, 0.0, 10.0),
+    G("A", 2, 20.0, 30.0),
+    G("B", 1, 5.0, 15.0),
+    G("C", 2, 0.0, 10.0),
 ]
 HAND_PREDS = [
     P("A", 1, 0.0, 10.0, 0.90),  # IoU 1.0 with A/c1
@@ -53,7 +56,7 @@ class TestIou:
         assert iou(2.0, 4.0, 2.0, 4.0) == 1.0
 
     def test_rejects_reversed(self):
-        gts = [GtInstance("A", 1, 0.0, 1.0)]
+        gts = [G("A", 1, 0.0, 1.0)]
         with pytest.raises(InputError):
             average_precisions([P("A", 1, 5.0, 1.0, 0.9)], gts, 1, (0.5,))[0]
 
@@ -99,7 +102,7 @@ class TestAveragePrecision:
         assert average_precisions([], HAND_GTS, 1, (0.5,))[0] == 0.0
 
     def test_greedy_matching_takes_highest_iou(self):
-        gts = [GtInstance("A", 1, 0.0, 10.0), GtInstance("A", 1, 8.0, 18.0)]
+        gts = [G("A", 1, 0.0, 10.0), G("A", 1, 8.0, 18.0)]
         preds = [P("A", 1, 7.0, 17.0, 0.9), P("A", 1, 0.0, 10.0, 0.8)]
         # the first prediction matches the second gt (IoU 9/11), leaving
         # the first gt free for the exact second prediction
@@ -108,14 +111,14 @@ class TestAveragePrecision:
     def test_equal_ious_match_the_first_listed_gt(self):
         # the first prediction overlaps both gts with IoU 1/3; taking the first
         # leaves the second prediction, which only overlaps the first, unmatched
-        gts = [GtInstance("A", 1, 0.0, 4.0), GtInstance("A", 1, 4.0, 8.0)]
+        gts = [G("A", 1, 0.0, 4.0), G("A", 1, 4.0, 8.0)]
         preds = [P("A", 1, 2.0, 6.0, 0.9), P("A", 1, 0.0, 3.0, 0.8)]
         assert average_precisions(preds, gts, 1, (0.3,))[0] == pytest.approx(0.5)
         assert average_precisions(preds, gts, 1, (0.3,))[0] == average_precision_reference(
             preds, gts, 1, 0.3)
 
     def test_cross_video_isolation(self):
-        gts = [GtInstance("A", 1, 0.0, 10.0)]
+        gts = [G("A", 1, 0.0, 10.0)]
         preds = [P("B", 1, 0.0, 10.0, 0.9)]
         assert average_precisions(preds, gts, 1, (0.5,))[0] == 0.0
 
@@ -133,7 +136,7 @@ class TestAveragePrecisionOracle:
     def test_matches_the_scalar_first_form(self, gts, preds, iou_thresh, seconds):
         # integer endpoints and three scores: IoUs land exactly on 1/3 and 0.5,
         # and scores, starts and IoUs tie; both readers keep integer seconds as ints
-        gt = [GtInstance(v, k, seconds(s), seconds(s + d)) for v, k, s, d in gts]
+        gt = [G(v, k, seconds(s), seconds(s + d)) for v, k, s, d in gts]
         pr = [P(v, k, seconds(s), seconds(s + d), score) for (v, k, s, d), score in preds]
         aps = map_report(pr, gt, (iou_thresh,)).per_threshold[iou_thresh]["ap"]
         for k in (1, 2):
@@ -153,7 +156,7 @@ class TestReportOncePerClass:
     @settings(max_examples=150, deadline=None)
     def test_matches_one_evaluation_per_threshold(self, gts, preds, grid, seconds):
         # three scores and integer endpoints: scores, starts and IoUs tie
-        gt = [GtInstance(v, k, seconds(s), seconds(s + d)) for v, k, s, d in gts]
+        gt = [G(v, k, seconds(s), seconds(s + d)) for v, k, s, d in gts]
         pr = [P(v, k, seconds(s), seconds(s + d), score) for (v, k, s, d), score in preds]
         report = map_report(pr, gt, grid)
         assert (report.per_threshold, report.avg_map) == map_report_per_threshold(pr, gt, grid)
@@ -165,7 +168,7 @@ class TestReportOncePerClass:
             for k in range(1, 5):
                 for _ in range(int(rng.integers(0, 3))):
                     s = float(rng.uniform(0, 100))
-                    gt.append(GtInstance(f"v{v}", k, s, s + float(rng.uniform(1, 20))))
+                    gt.append(G(f"v{v}", k, s, s + float(rng.uniform(1, 20))))
                 for _ in range(int(rng.integers(0, 8))):
                     s = float(rng.uniform(0, 100))
                     score = float(rng.choice([0.2, 0.5, 0.5, 0.8, rng.uniform(0, 1)]))
@@ -203,4 +206,4 @@ class TestReport:
             gt=(GroundTruthSegment(1, 0.0, 1.0), GroundTruthSegment(2, 2.0, 3.0)),
         )
         out = gt_instances([v])
-        assert out == [GtInstance("v", 1, 0.0, 1.0), GtInstance("v", 2, 2.0, 3.0)]
+        assert out == [G("v", 1, 0.0, 1.0), G("v", 2, 2.0, 3.0)]

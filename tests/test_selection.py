@@ -162,6 +162,28 @@ class TestBuildCandidates:
         with pytest.raises(InputError):
             build_candidates(np.zeros((5, 8)), ANCHORS, 8, 0.25)
 
+    # (t_x, t_w) per cell: ordinary; shifts far off the grid at any length up
+    # to w = inf; shifts near the float range with lengths that dwarf them.
+    # None collapses a segment or overflows exp, so build_candidates accepts all.
+    cells = st.one_of(st.tuples(st.floats(-4, 4), st.floats(-4, 4)),
+                      st.tuples(st.floats(-1e12, 1e12), st.floats(-4, 709)),
+                      st.tuples(st.floats(-1e300, 1e300), st.floats(700, 709)))
+
+    @given(data=st.data(), T=st.integers(1, 40), alpha=st.floats(0.125, 0.5),
+           scales=st.sampled_from([(2, 4), (1, 3), (2, 4, 8), (4, 16, 32)]))
+    @settings(max_examples=200, deadline=None)
+    def test_outer_bounds_stay_on_the_padded_grid(self, data, T, alpha, scales):
+        """inflate clips, so every rounded outer bound lies in [0, T+1] and the
+        ring test alone decides validity."""
+        M = len(scales)
+        pairs = data.draw(st.lists(self.cells, min_size=T * M, max_size=T * M))
+        reg_map = np.reshape(pairs, (T, 2 * M)).T  # rows t_x, t_w of each anchor
+        with np.errstate(over="ignore"):  # w_a * exp(t_w) may reach inf
+            grid = build_candidates(reg_map, AnchorConfig(scales), T, alpha)
+        rx1, rx2, rX1, rX2 = grid.rounded
+        assert ((0 <= rX1) & (rX1 <= T + 1) & (0 <= rX2) & (rX2 <= T + 1)).all()
+        assert np.array_equal(grid.valid, (rX2 - rX1) - (rx2 - rx1) >= 1)
+
 
 def nms(preds, iou_thresh):
     """Greedy same-class suppression of predictions through ``nms_order``."""
