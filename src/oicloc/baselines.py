@@ -92,15 +92,12 @@ def _video_seed(video_id: str, seed: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def direct_optimize(
-    video: VideoRecord, cfg: RunConfig, seed: int = 0, n_iters: int | None = None
-) -> list[Prediction]:
-    """Optimize a fresh regressor on one video alone, then predict on it."""
-    if n_iters is None:
-        n_iters = cfg.direct_opt_iters
+def direct_optimize(video: VideoRecord, cfg: RunConfig, seed: int = 0) -> list[Prediction]:
+    """Optimize a fresh regressor on one video alone for ``cfg.direct_opt_iters``
+    epochs, then predict on it."""
     all_classes = tuple(range(1, video.cas.num_classes + 1))  # test-mode class set
     relabelled = VideoRecord(video.video_id, video.cas, all_classes, video.fps)
-    net = train_network([relabelled], replace(cfg, epochs=n_iters),
+    net = train_network([relabelled], replace(cfg, epochs=cfg.direct_opt_iters),
                         seed=_video_seed(video.video_id, seed)).net
     return predict_video(net, video, cfg)
 

@@ -181,6 +181,14 @@ def _write_plot_data(dirpath: Path, videos, preds) -> None:
                 writer.writerow(["pred", p.class_id, p.start_s, p.end_s, p.score])
 
 
+def non_negative_int(text: str) -> int:
+    """A ``--seed`` value: NumPy's generators refuse negative seeds."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oicloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -188,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--prefix", default="video")
     p.set_defaults(func=cmd_synth)
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the boundary regressor")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="run a detector over a manifest")
@@ -208,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["full", "threshold", "oic_select", "direct_opt", "inner_only"],
     )
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predictions against a manifest")
@@ -219,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="variant comparison on one corpus")
     p.add_argument("--config", required=True)
     p.add_argument("--test-config")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_ablate)
     return parser
 

@@ -151,15 +151,6 @@ def _conv_taps(xp: np.ndarray, w: np.ndarray, pool) -> tuple:
     return _alongside(pool, (np.matmul, w[:, :, -1], xp[:, ksz - 1 :]), _taps, xp, w, T, ksz - 1)
 
 
-def _conv1d(xp: np.ndarray, w: np.ndarray, b: np.ndarray, pool) -> np.ndarray:
-    """The convolution of the padded input ``xp`` (see :func:`_conv_taps`):
-    y = sum_k w[:, :, k] @ xp[:, k:k+T] + b, in tap order."""
-    y, last = _conv_taps(xp, w, pool)
-    y += last
-    y += b[:, None]
-    return y
-
-
 def _tap_grads(xp, w, dy, dw, dw_taps, dx_taps) -> list:
     """The weight gradients of the taps in ``dw_taps``, each written into
     ``dw[:, :, i]``, and the input-gradient products ``w[:, :, i].T @ dy`` of
@@ -171,23 +162,19 @@ def _tap_grads(xp, w, dy, dw, dw_taps, dx_taps) -> list:
 
 
 def conv1d_backward(
-    xp: np.ndarray, w: np.ndarray, dy: np.ndarray, pool, input_grad: bool = True,
-    dw: np.ndarray | None = None, db: np.ndarray | None = None,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of a same-padded temporal convolution, per tap;
-    ``dx`` is None without ``input_grad``. Each tap's weight gradient is
-    written in place into ``dw[:, :, i]`` (default: a new tap-major array,
-    so that each tap is one C-contiguous block) and the bias gradient into
-    ``db`` (default: a new array). The worker thread ``pool`` (see
-    :func:`_alongside`) computes the weight gradients of taps k//2 onward and
-    the input-gradient products of the taps after k//2, this thread the
-    rest: 3:3 products for k = 3 with the input gradient. The input-gradient
-    products are added into ``dx`` in tap order, here."""
+    xp: np.ndarray, w: np.ndarray, dy: np.ndarray, pool, dw: np.ndarray, db: np.ndarray,
+    input_grad: bool = True,
+) -> np.ndarray | None:
+    """The input gradient ``dx`` of a same-padded temporal convolution, None
+    without ``input_grad``. Each tap's weight gradient is written in place
+    into ``dw[:, :, i]`` and the bias gradient into ``db``. The worker thread
+    ``pool`` (see :func:`_alongside`) computes the weight gradients of taps
+    k//2 onward and the input-gradient products of the taps after k//2, this
+    thread the rest: 3:3 products for k = 3 with the input gradient. The
+    input-gradient products are added into ``dx`` in tap order, here."""
     ksz = w.shape[2]
     pad = (ksz - 1) // 2
     T = dy.shape[1]
-    if dw is None:
-        dw = np.empty((ksz,) + w.shape[:2]).transpose(1, 2, 0)
     dxp = np.zeros(xp.shape) if input_grad else None
     mid, taps = ksz // 2, range(ksz)
     dx_taps = taps if input_grad else range(0)
@@ -196,10 +183,10 @@ def conv1d_backward(
         _tap_grads, xp, w, dy, dw, taps[:mid], dx_taps[: mid + 1])
     for i, product in enumerate(mine + theirs):
         dxp[:, i : i + T] += product
-    db = np.add.reduce(dy, 1, out=db)
+    np.add.reduce(dy, 1, out=db)
     if not input_grad:
-        return None, dw, db
-    return dxp[:, pad : xp.shape[1] - pad], dw, db
+        return None
+    return dxp[:, pad : xp.shape[1] - pad]
 
 
 def _batch_norm_relu(z, last, b, gamma, beta, mean, var, inv_std, relu_mask, out,
@@ -331,9 +318,6 @@ class NetworkB:
         self.running_mean = [np.zeros(hidden) for _ in range(HIDDEN_LAYERS)]
         self.running_var = [np.ones(hidden) for _ in range(HIDDEN_LAYERS)]
 
-    def num_parameters(self) -> int:
-        return self.params.flat.size
-
     def forward(self, feat: np.ndarray, mode: str = "infer"):
         """Run the net over a D x T feature map.
 
@@ -379,7 +363,9 @@ class NetworkB:
                 )
             xp = out.base
         w = self.params["pred.w"]
-        reg = _conv1d(xp, w, self.params["pred.b"], _conv_worker(w, T))
+        reg, last = _conv_taps(xp, w, _conv_worker(w, T))
+        reg += last
+        reg += self.params["pred.b"][:, None]
         if train:
             cache["pred_xp"] = xp
             return reg, cache
@@ -400,7 +386,7 @@ class NetworkB:
         grads = FlatTensors(np.empty(self.params.flat.size), self._layout, _BACKWARD_ORDER)
         T, w = cache["T"], self.params["pred.w"]
         dx = conv1d_backward(cache["pred_xp"], w, grad_out, _conv_worker(w, T),
-                             dw=grads["pred.w"], db=grads["pred.b"])[0]
+                             grads["pred.w"], grads["pred.b"])
         for i in reversed(range(HIDDEN_LAYERS)):
             lay, w = cache["layers"][i], self.params[f"conv{i}.w"]
             pool = _conv_worker(w, T)
@@ -408,8 +394,8 @@ class NetworkB:
             _in_halves(pool, _batch_norm_backward,
                        (dx, lay["relu_mask"], lay["xhat"], self.params[f"bn{i}.gamma"],
                         lay["inv_std"], grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"], dz))
-            dx = conv1d_backward(lay["xp"], w, dz, pool, input_grad=i > 0,
-                                 dw=grads[f"conv{i}.w"], db=grads[f"conv{i}.b"])[0]
+            dx = conv1d_backward(lay["xp"], w, dz, pool, grads[f"conv{i}.w"],
+                                 grads[f"conv{i}.b"], input_grad=i > 0)
         return grads
 
     # -- checkpointing ----------------------------------------------------

@@ -10,7 +10,6 @@ scores prefer the earlier start.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,16 +70,19 @@ def build_candidates(
     if not np.isfinite(reg_map).all():
         raise InputError("regression values must be finite")
     w_a, t_w = np.asarray(anchors.scales), reg_map[1::2].T
-    try:
-        # math.exp, not np.exp: the two differ in the last ulp on some inputs,
-        # and the straight-line oracles use math.exp
-        growth = np.fromiter(map(math.exp, t_w.ravel().tolist()), np.float64, t_w.size)
-    except OverflowError:
-        t, m = divmod(int(np.argmax(t_w.ravel() > math.log(sys.float_info.max))), M)
+    with np.errstate(over="ignore"):  # an inf length is refused below
+        try:
+            # math.exp, not np.exp: the two differ in the last ulp on some
+            # inputs, and the straight-line oracles use math.exp
+            growth = np.fromiter(map(math.exp, t_w.ravel().tolist()), np.float64, t_w.size)
+        except OverflowError:  # np.exp only locates the cell: its overflow is inf
+            growth = np.exp(t_w.ravel())
+        w = w_a * growth.reshape(t_w.shape)
+    if np.isinf(w).any():
+        t, m = divmod(int(np.argmax(np.isinf(w).ravel())), M)
         raise TrainingError(
-            f"t_w = {t_w[t, m]:.6g} overflows exp at position {t + 1}, anchor {m}"
-        ) from None
-    w = w_a * growth.reshape(t_w.shape)
+            f"t_w = {t_w[t, m]:.6g} overflows the length at position {t + 1}, anchor {m}"
+        )
     c_x = np.arange(1.0, T + 1.0)[:, None] + w_a * reg_map[0::2].T
     raw_x1, raw_x2 = c_x - w / 2.0, c_x + w / 2.0
     width = raw_x2 - raw_x1

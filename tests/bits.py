@@ -4,13 +4,15 @@ Checks REV out with ``git worktree add`` into a temporary directory, runs the
 same fixed pipelines from that tree and from this one, and compares the
 sha256 of every artifact they write:
 
-- the CI round trip: synth, train, predict, eval and ablate on 8 small videos;
+- a small round trip: synth, train, predict, eval and ablate on 8 videos;
 - 24 desk-profile videos (K 3, T 60-120, 2 epochs): train, predict and eval;
 - the paper-width corpus (thumos profile, K 20, T 130-160, 3 videos,
   2 epochs): train and predict with the worker thread, then again with the
   process pinned to one CPU, where the worker stays off;
 - the output of ``oicloc gradcheck``.
 
+Within each tree, the paper-width run on one CPU must also write the same
+checkpoint, loss log and predictions as the run with the worker thread.
 Each command runs in its own process with ``PYTHONPATH=<tree>/src`` and one
 BLAS thread, and refuses to run if ``oicloc`` imports from anywhere else (an
 editable install could otherwise win). It prints every artifact's hash,
@@ -46,6 +48,7 @@ sys.exit(oicloc.cli.main(sys.argv[3:]))
 SMALL_SPEC = {"num_classes": 2, "t_range": [30, 45], "instances_range": [1, 2]}
 SMALL_RUN = {"anchors": [2, 4, 8], "feature_dim": 8, "hidden": 8}
 PAPER_SPEC = {"num_classes": 20, "t_range": [130, 160], "instances_range": [1, 3]}
+ONE_CPU_EQUAL = ("checkpoint.ckpt", "loss.csv", "preds.jsonl")  # paper/one vs paper/a
 
 
 def _run_pipelines(tree: Path, out: Path) -> None:
@@ -116,12 +119,18 @@ def main(argv: list[str] | None = None) -> int:
         _run_pipelines(ROOT, Path(tmp) / "this")
         before, after = _hashes(Path(tmp) / "parent"), _hashes(Path(tmp) / "this")
     differences = 0
+    for tree, hashes in ((args.against, before), ("this tree", after)):
+        for name in ONE_CPU_EQUAL:
+            if hashes[f"paper/one/{name}"] != hashes[f"paper/a/{name}"]:
+                differences += 1
+                print(f"DIFFERS on one CPU at {tree}: paper/one/{name} from paper/a/{name}")
     for name in sorted(before.keys() | after.keys()):
         old, new = before.get(name, "missing"), after.get(name, "missing")
         differences += old != new
         print(f"{new}  {name}" if old == new else f"DIFFERS {name}: {old} at "
               f"{args.against}, {new} here")
-    print(f"{len(before.keys() | after.keys())} artifacts, {differences} differ from {args.against}")
+    print(f"{len(before.keys() | after.keys())} artifacts; {differences} differences, "
+          f"from {args.against} or within a tree")
     return 1 if differences else 0
 
 

@@ -62,19 +62,19 @@ MUTANTS = [
             "test_conv_matches_the_per_tap_oracle_bitwise[no-pool]",)),
     # conv taps, one code path at both widths: the input-gradient products
     # summed into dx last to first; the first tap computed apart and added
-    # last, (W1 x1 + W2 x2) + W0 x0; the bias added before the last tap; the
-    # worker's input-gradient products put before this thread's; tap 1's
-    # weight gradient computed by neither thread
+    # last, (W1 x1 + W2 x2) + W0 x0; the worker's input-gradient products put
+    # before this thread's; tap 1's weight gradient computed by neither thread
     Mutant("regressor.py", "    for i, product in enumerate(mine + theirs):\n",
            "    for i, product in reversed(list(enumerate(mine + theirs))):\n", (DESK_CONV, POOL_CONV)),
     Mutant("regressor.py", "(np.matmul, w[:, :, -1], xp[:, ksz - 1 :]), _taps, xp, w, T, ksz - 1)",
            "(np.matmul, w[:, :, 0], xp[:, :T]), _taps, xp[:, 1:], w[:, :, 1:], T, ksz - 1)",
            (DESK_CONV, POOL_CONV)),
-    Mutant("regressor.py", "    y += last\n    y += b[:, None]\n", "    y += b[:, None]\n    y += last\n",
-           (DESK_CONV, POOL_CONV)),
     Mutant("regressor.py", "enumerate(mine + theirs)", "enumerate(theirs + mine)", (DESK_CONV, POOL_CONV)),
     Mutant("regressor.py", "(_tap_grads, xp, w, dy, dw, taps[mid:],",
            "(_tap_grads, xp, w, dy, dw, taps[mid + 1 :],", (DESK_CONV, POOL_CONV)),
+    # the prediction layer's bias added before its last tap
+    Mutant("regressor.py", '        reg += last\n        reg += self.params["pred.b"][:, None]\n',
+           '        reg += self.params["pred.b"][:, None]\n        reg += last\n', (STEP,)),
     # the worker joined only when this thread's work succeeds
     Mutant("regressor.py", "    finally:\n        theirs = job.result()\n",
            "    except ValueError:\n        raise\n    theirs = job.result()\n",
@@ -114,6 +114,9 @@ MUTANTS = [
     Mutant("io.py", "if row[0] != str(t):", "if int(row[0]) != t:", (CAS_SPELLINGS,)),
     Mutant("io.py", "{i // K + 2}", "{i // K + 1}",
            ("tests/test_cli.py::TestBadInput::test_non_numeric_cas_cell",)),
+    # a negative --seed let through to NumPy
+    Mutant("cli.py", "if value < 0:", "if value < -1:",
+           ("tests/test_cli.py::TestBadInput::test_negative_seed_is_refused_by_the_parser",)),
     # training_loss: t_x and t_w slots swapped
     Mutant("selection.py", "slots = np.concatenate([2 * m * T + t, (2 * m + 1) * T + t])",
            "slots = np.concatenate([(2 * m + 1) * T + t, 2 * m * T + t])",
@@ -127,6 +130,10 @@ MUTANTS = [
            "best_m = M - 1 - losses[:, ::-1].argmin(axis=1)",
            ("tests/test_selection.py::TestSelect::"
             "test_equal_losses_keep_the_smaller_anchor_where_nms_cannot_hide_it",)),
+    # build_candidates: an infinite length w_a * exp(t_w) not refused
+    Mutant("selection.py", "if np.isinf(w).any():", "if False:",
+           ("tests/test_selection.py::TestBuildCandidates::"
+            "test_overflowing_length_raises_training_error",)),
     # nms_order ranks by hi before lo
     Mutant("selection.py", "np.lexsort((hi, lo, -score))", "np.lexsort((lo, hi, -score))",
            ("tests/test_selection.py::TestNmsOracle",)),

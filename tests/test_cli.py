@@ -173,6 +173,19 @@ class TestBadInput:
         assert code == 2 and err == f"error: count must be at least 1, got {count}\n"
         assert not (tmp_path / "corpus").exists()
 
+    @pytest.mark.parametrize("command", [["synth", "--spec", "s.json", "--out", "o"],
+                                         ["train", "--config", "r.json", "--out", "o"],
+                                         ["predict", "--config", "r.json", "--out", "p.jsonl"],
+                                         ["gradcheck"],
+                                         ["ablate", "--config", "r.json", "--out", "o"]])
+    def test_negative_seed_is_refused_by_the_parser(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            main([*command, "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert exited.value.code == 2
+        assert err.splitlines()[-1] == (f"oicloc {command[0]}: error: argument --seed: "
+                                        "must be a non-negative integer, got -1")
+
     @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
     def test_non_finite_fps(self, tmp_path, capsys, fps):
         err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n", {**self.ENTRY, "fps": fps})

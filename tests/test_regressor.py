@@ -16,21 +16,33 @@ from oicloc import regressor
 from oicloc.cli import main
 from oicloc.config import RunConfig
 from oicloc.errors import ConfigError, TrainingError, UsageError
-from oicloc.regressor import (NetworkB, _conv1d, _padded, learning_rate, sgd_step,
+from oicloc.regressor import (NetworkB, _conv_taps, _padded, learning_rate, sgd_step,
                               zero_bordered)
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """(output, padded input) of the package's same-padded conv, with the
-    worker the net hands a conv of this shape; the padded input is ``x``'s
-    own buffer when ``x`` is a ``zero_bordered`` interior."""
+    """(output, padded input) of the package's same-padded conv as the net's
+    prediction layer runs it, with the worker the net hands a conv of this
+    shape; the padded input is ``x``'s own buffer when ``x`` is a
+    ``zero_bordered`` interior."""
     xp = _padded(x)
-    return _conv1d(xp, w, b, regressor._conv_worker(w, x.shape[1])), xp
+    y, last = _conv_taps(xp, w, regressor._conv_worker(w, x.shape[1]))
+    y += last
+    y += b[:, None]
+    return y, xp
 
 
-def conv1d_backward(xp: np.ndarray, w: np.ndarray, dy: np.ndarray, **kwargs):
-    """The package's conv backward, with the worker the net hands a conv of this shape."""
-    return regressor.conv1d_backward(xp, w, dy, regressor._conv_worker(w, dy.shape[1]), **kwargs)
+def conv1d_backward(xp: np.ndarray, w: np.ndarray, dy: np.ndarray, input_grad: bool = True,
+                    dw: np.ndarray | None = None):
+    """(dx, dw, db) of the package's conv backward, with the worker the net
+    hands a conv of this shape, into ``dw`` (default: a new tap-major array,
+    as the net stores its weights) and a new ``db``."""
+    if dw is None:
+        dw = np.empty((w.shape[2],) + w.shape[:2]).transpose(1, 2, 0)
+    db = np.empty(w.shape[0])
+    dx = regressor.conv1d_backward(xp, w, dy, regressor._conv_worker(w, dy.shape[1]), dw, db,
+                                   input_grad)
+    return dx, dw, db
 
 
 class TestConv1d:
@@ -603,7 +615,7 @@ class TestSgd:
         """From POOL_MIN_PARAMS (an odd 0.14M here) the worker updates the top
         half of the flat vector; every bit stays the per-tensor reference's."""
         net = NetworkB(feature_dim=4, anchor_count=2, hidden=149, seed=2)
-        assert net.num_parameters() % 2 == 1 and net.num_parameters() >= regressor.POOL_MIN_PARAMS
+        assert net.params.flat.size % 2 == 1 and net.params.flat.size >= regressor.POOL_MIN_PARAMS
         cfg = RunConfig(lr=0.05, lr_step=2, momentum=0.9, weight_decay=5e-4)
         params = {name: p.copy() for name, p in net.params.items()}
         velocity, ref_velocity = {}, {}
@@ -617,7 +629,7 @@ class TestSgd:
                 assert net.params[name].tobytes() == p.tobytes()
         on_worker = [len(args[0]) for name, there, args in split_calls
                      if name == "_momentum_rows" and there]
-        assert on_worker == ([net.num_parameters() // 2] * 3 if pool[-1] else [])
+        assert on_worker == ([net.params.flat.size // 2] * 3 if pool[-1] else [])
 
     def test_later_steps_hold_one_parameter_sized_temporary(self, rng):
         net = NetworkB(feature_dim=64, anchor_count=2, hidden=64, seed=3)

@@ -152,6 +152,13 @@ class TestBuildCandidates:
         with pytest.raises(TrainingError, match="position 3, anchor 1"):
             build_candidates(reg_map, ANCHORS, 8, 0.25)
 
+    def test_overflowing_length_raises_training_error(self):
+        """exp(709) is finite, but the length-8 anchor's 8 * exp(709) is not."""
+        reg_map = np.zeros((6, 12))
+        reg_map[5, 6] = 709.0  # t_w of anchor 2 at position 7
+        with pytest.raises(TrainingError, match="overflows the length at position 7, anchor 2"):
+            build_candidates(reg_map, ANCHORS, 12, 0.25)
+
     def test_collapsing_scale_raises_training_error(self):
         reg_map = np.zeros((6, 8))
         reg_map[5, 3] = -40.0  # t_w of anchor 2 at position 4: w_a * exp(t_w) vanishes
@@ -164,7 +171,8 @@ class TestBuildCandidates:
 
     # (t_x, t_w) per cell: ordinary; shifts far off the grid at any length up
     # to w = inf; shifts near the float range with lengths that dwarf them.
-    # None collapses a segment or overflows exp, so build_candidates accepts all.
+    # None collapses a segment or overflows exp; a length w_a * exp(t_w) may
+    # overflow, which build_candidates refuses.
     cells = st.one_of(st.tuples(st.floats(-4, 4), st.floats(-4, 4)),
                       st.tuples(st.floats(-1e12, 1e12), st.floats(-4, 709)),
                       st.tuples(st.floats(-1e300, 1e300), st.floats(700, 709)))
@@ -174,12 +182,15 @@ class TestBuildCandidates:
     @settings(max_examples=200, deadline=None)
     def test_outer_bounds_stay_on_the_padded_grid(self, data, T, alpha, scales):
         """inflate clips, so every rounded outer bound lies in [0, T+1] and the
-        ring test alone decides validity."""
+        ring test alone decides validity; an infinite length is an error."""
         M = len(scales)
         pairs = data.draw(st.lists(self.cells, min_size=T * M, max_size=T * M))
         reg_map = np.reshape(pairs, (T, 2 * M)).T  # rows t_x, t_w of each anchor
-        with np.errstate(over="ignore"):  # w_a * exp(t_w) may reach inf
-            grid = build_candidates(reg_map, AnchorConfig(scales), T, alpha)
+        if any(w_a * math.exp(t_w) == math.inf for w_a, (_, t_w) in zip(scales * T, pairs)):
+            with pytest.raises(TrainingError, match="overflows the length"):
+                build_candidates(reg_map, AnchorConfig(scales), T, alpha)
+            return
+        grid = build_candidates(reg_map, AnchorConfig(scales), T, alpha)
         rx1, rx2, rX1, rX2 = grid.rounded
         assert ((0 <= rX1) & (rX1 <= T + 1) & (0 <= rX2) & (rX2 <= T + 1)).all()
         assert np.array_equal(grid.valid, (rX2 - rX1) - (rx2 - rx1) >= 1)

@@ -196,7 +196,7 @@ class TestWorkerPoolKeepsBits:
         """The same at hidden width 129, whose row halves (64 and 65 rows)
         and flat-vector halves differ in size."""
         cfg = replace(PROFILES["thumos"], hidden=129)
-        assert new_network(cfg, 0).num_parameters() % 2 == 1
+        assert new_network(cfg, 0).params.flat.size % 2 == 1
         self.check(cfg, pool, split_calls, monkeypatch)
 
     @staticmethod
