@@ -76,6 +76,10 @@ class VideoRecord:
     gt: tuple[GroundTruthSegment, ...] | None = None
 
     def __post_init__(self):
+        # the id names the video's files (``<id>.csv`` in a corpus and in
+        # ablate's plot_data), so it must be one path component
+        if self.video_id in ("", ".", "..") or "/" in self.video_id or "\0" in self.video_id:
+            raise InputError(f"video id {self.video_id!r} is not a file name")
         if self.fps <= 0:
             raise InputError("fps must be positive")
         labels = tuple(sorted(set(int(k) for k in self.labels)))

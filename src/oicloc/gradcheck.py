@@ -21,7 +21,6 @@ import numpy as np
 from . import oic
 from .boundary import AnchorConfig, round_boundary
 from .cas import Cas
-from .oic import SegmentHypothesis
 from .regressor import NetworkB
 from .selection import build_candidates, training_loss
 
@@ -53,12 +52,14 @@ def smooth_loss(cas: Cas, k: int, x1: float, x2: float, X1: float, X2: float) ->
 
 
 def check_oic_discrete(seed: int = 0, cases: int = 1000) -> CheckResult:
-    """Analytic boundary partials vs +-1-snippet symmetric differences."""
+    """Analytic boundary partials vs +-1-snippet symmetric differences, each
+    over all cases in one kernel call."""
     rng = np.random.default_rng(seed)
     T = 80
-    worst = 0.0
-    for _ in range(cases):
-        cas = Cas(rng.uniform(0.0, 1.0, size=(1, T)))
+    padded = np.zeros((cases, T + 2))  # one zero-padded CAS row per case
+    boxes = np.zeros((4, cases), dtype=np.int64)  # x1, x2, X1, X2 per case
+    for i in range(cases):
+        padded[i, 1:-1] = rng.uniform(0.0, 1.0, size=T)
         # an inner of 10-24 snippets and 5-17 ring snippets per side: at most
         # 58 in all, placed so that 1 <= X1 and X2 <= T, which keeps every
         # +-1 difference on the padded grid [0, T+1]
@@ -68,23 +69,18 @@ def check_oic_discrete(seed: int = 0, cases: int = 1000) -> CheckResult:
         X1 = int(rng.integers(1, T - (inner_len + left_ring + right_ring) + 2))
         x1 = X1 + left_ring
         x2 = x1 + inner_len - 1
-        X2 = x2 + right_ring
-        h = SegmentHypothesis(float(x1), float(x2), float(X1), float(X2), 1)
-        g = oic.oic_backward(cas, h)
-        tol = 3.0 / min(inner_len, left_ring + right_ring)
-
-        def loss(a, b, A, B):
-            return oic.oic_forward(cas, SegmentHypothesis(a, b, A, B, 1)).loss
-
-        fd = {
-            "d_x1": (loss(x1 + 1, x2, X1, X2) - loss(x1 - 1, x2, X1, X2)) / 2.0,
-            "d_x2": (loss(x1, x2 + 1, X1, X2) - loss(x1, x2 - 1, X1, X2)) / 2.0,
-            "d_X1": (loss(x1, x2, X1 + 1, X2) - loss(x1, x2, X1 - 1, X2)) / 2.0,
-            "d_X2": (loss(x1, x2, X1, X2 + 1) - loss(x1, x2, X1, X2 - 1)) / 2.0,
-        }
-        for name, approx in fd.items():
-            err = abs(getattr(g, name) - approx) / tol
-            worst = max(worst, err)
+        boxes[:, i] = x1, x2, X1, x2 + right_ring
+    rows = np.arange(cases)
+    g = oic.oic_kernel(padded, rows, *boxes)[1]
+    x1, x2, X1, X2 = boxes
+    tol = 3.0 / np.minimum(x2 - x1 + 1, (X2 - X1) - (x2 - x1))
+    worst = 0.0
+    for j, name in enumerate(("d_x1", "d_x2", "d_X1", "d_X2")):
+        step = np.eye(4, dtype=np.int64)[:, [j]]  # +1 on box coordinate j
+        up = oic.oic_areas(padded, rows, *(boxes + step))[0].loss
+        down = oic.oic_areas(padded, rows, *(boxes - step))[0].loss
+        err = np.abs(getattr(g, name) - (up - down) / 2.0) / tol
+        worst = max(worst, float(err.max()))
     # errors are reported relative to the per-case tolerance 3/min(len)
     return CheckResult("oic-discrete-differences", worst, 1.0)
 

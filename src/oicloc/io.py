@@ -136,7 +136,7 @@ def read_manifest(path: str | Path) -> list[VideoRecord]:
         raise InputError(f"{path}: {exc}") from exc
     if not isinstance(entries, list):
         raise InputError(f"{path}: manifest must be a JSON array")
-    videos = []
+    videos, first_entry = [], {}  # video id -> index of the entry that holds it
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise InputError(f"{path}: manifest entry {i} must be a JSON object")
@@ -149,6 +149,10 @@ def read_manifest(path: str | Path) -> list[VideoRecord]:
         for key in ("video_id", "cas_path", "labels", "fps"):
             if key not in entry:
                 raise InputError(f"{path}: manifest entry {i} lacks key {key!r}")
+        j = first_entry.setdefault(entry["video_id"], i)
+        if j != i:
+            raise InputError(f"{path}: manifest entries {j} and {i} share video id "
+                             f"{entry['video_id']!r}")
         cas = read_cas_csv(path.parent / entry["cas_path"])
         try:
             gt = None

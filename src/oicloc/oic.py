@@ -1,6 +1,5 @@
 """Outer-inner contrastive loss: one array kernel for the loss and its areas,
-extended by the boundary gradients, with one-hypothesis views and the
-step-filter profile.
+extended by the boundary gradients.
 
 All activation lookups happen at rounded (integer) snippet coordinates on the
 zero-padded grid [0, T+1]; "integrals" are inclusive discrete sums with
@@ -12,65 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import round_boundary
-from .cas import Cas
-from .errors import DegenerateOuterError, InputError
-
-
-@dataclass(frozen=True)
-class SegmentHypothesis:
-    """Inner boundary [x1, x2], outer boundary [X1, X2], class k (1-based)."""
-
-    x1: float
-    x2: float
-    X1: float
-    X2: float
-    k: int
-
-    def __post_init__(self):
-        if not (self.X1 <= self.x1 <= self.x2 <= self.X2):
-            raise InputError(
-                f"need X1 <= x1 <= x2 <= X2, got ({self.X1}, {self.x1}, {self.x2}, {self.X2})"
-            )
-
 
 @dataclass(frozen=True)
 class OicBreakdown:
-    a_outer: float
-    a_inner: float
-    loss: float
+    a_outer: np.ndarray
+    a_inner: np.ndarray
+    loss: np.ndarray
 
 
 @dataclass(frozen=True)
 class BoundaryGradients:
-    d_x1: float
-    d_x2: float
-    d_X1: float
-    d_X2: float
-
-
-def _rounded(h: SegmentHypothesis, T: int) -> tuple[int, int, int, int]:
-    """Rounded (rx1, rx2, rX1, rX2): the outer on the padded grid, around a non-empty ring."""
-    rx1, rx2, rX1, rX2 = round_boundary(np.array([h.x1, h.x2, h.X1, h.X2])).tolist()
-    if rX1 < 0 or rX2 > T + 1:
-        raise InputError(f"rounded outer [{rX1}, {rX2}] outside padded grid [0, {T + 1}]")
-    if (rX2 - rX1) - (rx2 - rx1) < 1:
-        raise DegenerateOuterError(
-            f"rounded outer [{rX1}, {rX2}] does not strictly contain inner [{rx1}, {rx2}]"
-        )
-    return rx1, rx2, rX1, rX2
-
-
-def oic_forward(cas: Cas, h: SegmentHypothesis) -> OicBreakdown:
-    """Average outer-ring activation minus average inner activation."""
-    a = oic_areas(cas.padded_row(h.k)[None], 0, *_rounded(h, cas.num_snippets))[0]
-    return OicBreakdown(float(a.a_outer), float(a.a_inner), float(a.loss))
-
-
-def oic_backward(cas: Cas, h: SegmentHypothesis) -> BoundaryGradients:
-    """Analytic partials of the loss w.r.t. the four boundary coordinates."""
-    g = oic_kernel(cas.padded_row(h.k)[None], 0, *_rounded(h, cas.num_snippets))[1]
-    return BoundaryGradients(float(g.d_x1), float(g.d_x2), float(g.d_X1), float(g.d_X2))
+    d_x1: np.ndarray
+    d_x2: np.ndarray
+    d_X1: np.ndarray
+    d_X2: np.ndarray
 
 
 def oic_areas(padded, k, rx1, rx2, rX1, rX2, inner_only: bool = False):

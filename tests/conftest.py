@@ -6,7 +6,6 @@ from hypothesis import Phase, settings
 
 from oicloc import regressor
 from oicloc.cas import Cas
-from oicloc.oic import SegmentHypothesis
 
 # tests/mutants.py runs its tests with this profile: a failure ends the test
 # at once, without shrinking, and nothing is written to the example database
@@ -60,11 +59,12 @@ def ramp_cas():
 
 @pytest.fixture
 def ramp_hypothesis():
-    return SegmentHypothesis(3.0, 5.0, 2.0, 6.0, 1)
+    """The box (x1, x2, X1, X2) around ``ramp_cas``'s plateau."""
+    return 3.0, 5.0, 2.0, 6.0
 
 
 def random_hypothesis(rng, T):
-    """A hypothesis whose rounded boundaries fit the padded grid [0, T+1]."""
+    """A box (x1, x2, X1, X2) whose rounded boundaries fit the padded grid [0, T+1]."""
     x1 = int(rng.integers(1, T + 1))
     x2 = int(rng.integers(x1, min(T, x1 + 11) + 1))
     left = int(rng.integers(0, min(x1, 5) + 1))
@@ -74,4 +74,4 @@ def random_hypothesis(rng, T):
             left = 1
         else:
             right = 1  # x2 <= T, so x2 + 1 stays on the grid
-    return SegmentHypothesis(float(x1), float(x2), float(x1 - left), float(x2 + right), 1)
+    return float(x1), float(x2), float(x1 - left), float(x2 + right)

@@ -117,6 +117,14 @@ MUTANTS = [
     # a negative --seed let through to NumPy
     Mutant("cli.py", "if value < 0:", "if value < -1:",
            ("tests/test_cli.py::TestBadInput::test_negative_seed_is_refused_by_the_parser",)),
+    # build_candidates' shape error with the wrong row count; select gating
+    # out an activation equal to act_min, dropping a loss equal to loss_max
+    Mutant("selection.py", "{2 * M} x {T}", "{2 / M} x {T}",
+           ("tests/test_selection.py::TestBuildCandidates::test_rejects_wrong_reg_shape",)),
+    Mutant("selection.py", "padded[:, 1:-1] >= act_min", "padded[:, 1:-1] > act_min",
+           ("tests/test_selection.py::TestSelect::test_activation_exactly_at_the_floor_is_gated_in",)),
+    Mutant("selection.py", "(best <= loss_max)", "(best < loss_max)",
+           ("tests/test_selection.py::TestSelect::test_loss_exactly_at_the_ceiling_is_kept",)),
     # training_loss: t_x and t_w slots swapped
     Mutant("selection.py", "slots = np.concatenate([2 * m * T + t, (2 * m + 1) * T + t])",
            "slots = np.concatenate([(2 * m + 1) * T + t, 2 * m * T + t])",
@@ -140,6 +148,16 @@ MUTANTS = [
     # to_predictions sorts by class before start
     Mutant("selection.py", "np.lexsort((k, start_s, -score))", "np.lexsort((start_s, k, -score))",
            ("tests/test_selection.py::TestToPredictions",)),
+    # inflate accepting a ratio of 0
+    Mutant("boundary.py", "if alpha <= 0:", "if alpha < 0:",
+           ("tests/test_boundary.py::TestClipInflate::test_rejects_a_ratio_that_is_not_positive",)),
+    # a video id that is not a file name, or one that two manifest entries share, accepted
+    Mutant("cas.py",
+           'if self.video_id in ("", ".", "..") or "/" in self.video_id or "\\0" in self.video_id:',
+           "if False:",
+           ("tests/test_cas.py::TestVideoRecord::test_rejects_an_id_that_is_not_a_file_name",)),
+    Mutant("io.py", "if j != i:", "if False:",
+           ("tests/test_io.py::TestManifest::test_repeated_video_id_names_both_entries",)),
     # oic_areas: the inner box summed with rx1 and rx2 swapped
     Mutant("oic.py", "inner_sum = csum[k, rx2 + 1] - csum[k, rx1]",
            "inner_sum = csum[k, rx1 + 1] - csum[k, rx2]",

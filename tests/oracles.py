@@ -40,8 +40,8 @@ def brute_force_loss(act_row: np.ndarray, x1: float, x2: float, X1: float, X2: f
     return (outer_sum - inner_sum) / ring_len - inner_sum / inner_len
 
 
-def step_filter_weights(h) -> tuple[int, np.ndarray, float]:
-    """Signed step-filter profile of hypothesis ``h`` over [round(X1), round(X2)].
+def step_filter_weights(box) -> tuple[int, np.ndarray, float]:
+    """Signed step-filter profile of the box ``(x1, x2, X1, X2)`` over [round(X1), round(X2)].
 
     Returns (start index, weights, norm). The weights are integer-valued
     (+inner_len on the outer ring, -ring_len on the inner area) so they sum
@@ -49,8 +49,7 @@ def step_filter_weights(h) -> tuple[int, np.ndarray, float]:
     weights with the padded activation row by norm = inner_len * ring_len
     reproduces the loss.
     """
-    rx1, rx2 = round_half_away(h.x1), round_half_away(h.x2)
-    rX1, rX2 = round_half_away(h.X1), round_half_away(h.X2)
+    rx1, rx2, rX1, rX2 = map(round_half_away, box)
     inner_len = rx2 - rx1 + 1
     ring_len = (rX2 - rX1 + 1) - inner_len
     weights = np.full(rX2 - rX1 + 1, float(inner_len))
@@ -374,6 +373,18 @@ def map_report_per_threshold(preds, gts, iou_thresholds):
         aps = {k: average_precision_per_threshold(preds, gts, k, thr) for k in classes}
         per_threshold[thr] = {"ap": aps, "map": float(np.mean(list(aps.values())))}
     return per_threshold, float(np.mean([e["map"] for e in per_threshold.values()]))
+
+
+def kernel_at(cas, box, inner_only: bool = False):
+    """The package's OIC kernel on one box ``(x1, x2, X1, X2)`` of class 1:
+    ``(areas, gradients)``, each field a scalar. Not an oracle: it rounds with
+    ``boundary.round_boundary`` and calls ``oic.oic_kernel`` on one padded
+    row, as the selection layer does on many."""
+    from oicloc.boundary import round_boundary
+    from oicloc.oic import oic_kernel
+
+    rounded = round_boundary(np.array(box, dtype=np.float64))
+    return oic_kernel(cas.padded_row(1)[None], 0, *rounded, inner_only=inner_only)
 
 
 def scatter_reference(M: int, T: int, t, m, d_tx, d_tw) -> np.ndarray:

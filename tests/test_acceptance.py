@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import enumeration_oracle, selection_oracle, step_filter_weights
+from oracles import enumeration_oracle, kernel_at, selection_oracle, step_filter_weights
 
 from oicloc import baselines, evaluation
 from oicloc.boundary import AnchorConfig
@@ -26,7 +26,6 @@ from oicloc.cas import Cas
 from oicloc.cli import main as cli_main
 from oicloc.config import PROFILES
 from oicloc.gradcheck import check_network_fd, check_oic_discrete, check_transform_fd
-from oicloc.oic import SegmentHypothesis, oic_backward, oic_forward
 from oicloc.selection import build_candidates, select
 from oicloc.synth import SynthSpec, synth_corpus
 from oicloc.train import predict_video, train_network
@@ -85,7 +84,7 @@ def test_criterion_1_step_filter_identity(capsys, rng):
         s, weights, norm = step_filter_weights(h)
         row = cas.padded_row(1)
         dot = float(weights @ row[s : s + len(weights)]) / norm
-        worst = max(worst, abs(dot - oic_forward(cas, h).loss))
+        worst = max(worst, abs(dot - kernel_at(cas, h)[0].loss))
         zero_sum = zero_sum and weights.sum() == 0.0
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and zero_sum and elapsed < 5.0
@@ -98,7 +97,7 @@ def test_criterion_1_step_filter_identity(capsys, rng):
 
 def test_criterion_2_analytic_gradients(capsys, ramp_cas, ramp_hypothesis):
     suite = check_oic_discrete(seed=0, cases=1000)
-    g = oic_backward(ramp_cas, ramp_hypothesis)
+    g = kernel_at(ramp_cas, ramp_hypothesis)[1]
     example_ok = abs(g.d_x1 - 0.4) <= 1e-6 and abs(g.d_x2 + 19.0 / 60.0) <= 1e-6
     ok = suite.passed and example_ok
     report(
@@ -157,7 +156,7 @@ def test_criterion_5_clipped_gradient_sign(capsys, rng):
         x1 = float(rng.uniform(0.0, 0.49))  # rounds onto the zero pad
         x2 = float(rng.uniform(1.0, T - 1))
         X2 = min(float(T + 1), x2 + float(rng.integers(1, 4)))
-        g = oic_backward(cas, SegmentHypothesis(x1, x2, 0.0, X2, 1))
+        g = kernel_at(cas, (x1, x2, 0.0, X2))[1]
         worst = max(worst, g.d_x1)
         ok = ok and g.d_x1 <= 0.0
     report(

@@ -56,6 +56,11 @@ class TestClipInflate:
         X1, X2 = inflate(10.0, 12.0, 2.0, 0.25, 40)
         assert (X1, X2) == (9.0, 13.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.25])
+    def test_rejects_a_ratio_that_is_not_positive(self, alpha):
+        with pytest.raises(InputError, match="inflation ratio must be positive"):
+            inflate(10.0, 12.0, 2.0, alpha, 40)
+
     def test_inflation_clips_to_grid(self):
         X1, X2 = inflate(1.0, 39.0, 38.0, 0.25, 40)
         assert (X1, X2) == (0.0, 41.0)

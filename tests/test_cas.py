@@ -56,6 +56,15 @@ class TestVideoRecord:
         with pytest.raises(InputError):
             VideoRecord("v", Cas(np.zeros((2, 4))), (1,), 0.0)
 
+    @pytest.mark.parametrize("video_id", ["", ".", "..", "../../escaped", "a/b", "v/", "a\0b"])
+    def test_rejects_an_id_that_is_not_a_file_name(self, video_id):
+        with pytest.raises(InputError, match="is not a file name"):
+            VideoRecord(video_id, Cas(np.zeros((2, 4))), (1,), 30.0)
+
+    @pytest.mark.parametrize("video_id", ["...", "..v", "v.", "video 1", "a\\b"])
+    def test_accepts_any_other_id(self, video_id):
+        assert VideoRecord(video_id, Cas(np.zeros((2, 4))), (1,), 30.0).video_id == video_id
+
 
 class TestGroundTruth:
     def test_rejects_reversed(self):

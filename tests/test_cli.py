@@ -186,6 +186,43 @@ class TestBadInput:
         assert err.splitlines()[-1] == (f"oicloc {command[0]}: error: argument --seed: "
                                         "must be a non-negative integer, got -1")
 
+    def test_path_like_video_id_writes_nothing(self, tmp_path, capsys):
+        # ablate writes plot_data/<id>.csv: this id once escaped to out/escaped.csv
+        (tmp_path / "v.csv").write_text("snippet,class_1\n1,0.5\n")
+        (tmp_path / "manifest.json").write_text(
+            json.dumps([{**self.ENTRY, "video_id": "../../escaped"}]))
+        (tmp_path / "run.json").write_text(
+            json.dumps({"version": 1, "profile": "synthetic", "manifest": "manifest.json"}))
+        code = main(["ablate", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "out" / "abl")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: {tmp_path / 'manifest.json'}: manifest entry 0: "
+                       "video id '../../escaped' is not a file name\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_prefix_with_a_slash(self, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+        code = main(["synth", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "corpus"), "--count", "1", "--prefix", "../x"])
+        err = capsys.readouterr().err
+        assert code == 2 and err == "error: video id '../x_0000' is not a file name\n"
+        assert not (tmp_path / "corpus").exists()
+
+    def test_repeated_video_id(self, tmp_path, capsys):
+        # eval would pool both videos' ground truth under the one id
+        (tmp_path / "v.csv").write_text("snippet,class_1\n1,0.5\n")
+        (tmp_path / "manifest.json").write_text(json.dumps([self.ENTRY, self.ENTRY]))
+        (tmp_path / "preds.jsonl").write_text("")
+        code = main(["eval", "--pred", str(tmp_path / "preds.jsonl"),
+                     "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: {tmp_path / 'manifest.json'}: "
+                       "manifest entries 0 and 1 share video id 'v'\n")
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
     def test_non_finite_fps(self, tmp_path, capsys, fps):
         err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n", {**self.ENTRY, "fps": fps})

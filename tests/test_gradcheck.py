@@ -8,8 +8,9 @@ from oicloc.gradcheck import (
 
 import numpy as np
 
+from oracles import kernel_at
+
 from oicloc.cas import Cas
-from oicloc.oic import SegmentHypothesis, oic_forward
 
 
 class TestSmoothLoss:
@@ -19,10 +20,10 @@ class TestSmoothLoss:
             cas = Cas(rng.uniform(0, 1, size=(1, T)))
             x1 = float(rng.integers(3, T - 5))
             x2 = x1 + 3.0
-            h = SegmentHypothesis(x1, x2, x1 - 2.0, x2 + 2.0, 1)
+            h = (x1, x2, x1 - 2.0, x2 + 2.0)
             assert np.isclose(
-                smooth_loss(cas, 1, h.x1, h.x2, h.X1, h.X2),
-                oic_forward(cas, h).loss,
+                smooth_loss(cas, 1, *h),
+                kernel_at(cas, h)[0].loss,
                 atol=1e-12,
             )
 

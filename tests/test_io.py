@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -113,6 +114,16 @@ class TestManifest:
         path.write_text(text)
         with pytest.raises(InputError):
             io.read_manifest(path)
+
+    def test_repeated_video_id_names_both_entries(self, tmp_path, video):
+        path = tmp_path / "manifest.json"
+        io.write_manifest(path, [video])
+        entry = json.loads(path.read_text())[0]
+        path.write_text(json.dumps([entry, {**entry, "video_id": "other"}, entry]))
+        with pytest.raises(InputError) as refused:
+            io.read_manifest(path)
+        assert str(refused.value) == (
+            f"{path}: manifest entries 0 and 2 share video id 'vid_0001'")
 
     def test_not_an_array_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"

@@ -3,24 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_inner_loss, brute_force_loss, step_filter_weights
+from oracles import brute_force_inner_loss, brute_force_loss, kernel_at, step_filter_weights
 
-from oicloc.boundary import round_boundary
 from oicloc.cas import Cas
-from oicloc.errors import DegenerateOuterError, InputError
-from oicloc.oic import (
-    SegmentHypothesis,
-    oic_backward,
-    oic_forward,
-    oic_kernel,
-)
 
 from conftest import random_hypothesis
 
 
 class TestForward:
     def test_worked_example(self, ramp_cas, ramp_hypothesis):
-        out = oic_forward(ramp_cas, ramp_hypothesis)
+        out = kernel_at(ramp_cas, ramp_hypothesis)[0]
         assert out.a_inner == pytest.approx(0.9)
         assert out.a_outer == pytest.approx(0.1)
         assert out.loss == pytest.approx(-0.8)
@@ -30,36 +22,20 @@ class TestForward:
             T = int(rng.integers(5, 40))
             cas = Cas(rng.uniform(0, 1, size=(1, T)))
             h = random_hypothesis(rng, T)
-            expected = brute_force_loss(cas.act[0], h.x1, h.x2, h.X1, h.X2)
-            assert oic_forward(cas, h).loss == pytest.approx(expected, abs=1e-12)
+            expected = brute_force_loss(cas.act[0], *h)
+            assert kernel_at(cas, h)[0].loss == pytest.approx(expected, abs=1e-12)
 
     def test_fractional_coordinates_round_half_away(self):
         cas = Cas(np.array([[0.0, 1.0, 1.0, 0.0, 0.0]]))
         # x1=1.5 rounds to 2, x2=3.4 rounds to 3
-        out = oic_forward(cas, SegmentHypothesis(1.5, 3.4, 0.6, 4.8, 1))
+        out = kernel_at(cas, (1.5, 3.4, 0.6, 4.8))[0]
         assert out.a_inner == pytest.approx(1.0)
         assert out.a_outer == pytest.approx(0.0)
-
-    def test_rejects_degenerate_outer(self):
-        cas = Cas(np.full((1, 6), 0.5))
-        with pytest.raises(DegenerateOuterError):
-            oic_forward(cas, SegmentHypothesis(2.0, 5.0, 2.0, 5.0, 1))
-
-    def test_rejects_outer_off_grid(self):
-        cas = Cas(np.full((1, 6), 0.5))
-        with pytest.raises(InputError):
-            oic_forward(cas, SegmentHypothesis(2.0, 5.0, -1.0, 6.0, 1))
-
-    def test_hypothesis_ordering_enforced(self):
-        with pytest.raises(InputError):
-            SegmentHypothesis(5.0, 3.0, 1.0, 7.0, 1)
-        with pytest.raises(InputError):
-            SegmentHypothesis(3.0, 5.0, 4.0, 7.0, 1)
 
 
 class TestBackward:
     def test_worked_example_gradients(self, ramp_cas, ramp_hypothesis):
-        g = oic_backward(ramp_cas, ramp_hypothesis)
+        g = kernel_at(ramp_cas, ramp_hypothesis)[1]
         assert g.d_x1 == pytest.approx(0.4, abs=1e-6)
         assert g.d_x2 == pytest.approx(-19.0 / 60.0, abs=1e-6)
         assert g.d_X1 == pytest.approx(0.0, abs=1e-12)
@@ -73,22 +49,20 @@ class TestBackward:
             cas = Cas(rng.uniform(0, 1, size=(1, T)))
             x1 = float(rng.uniform(-0.49, 0.49))
             x2 = float(rng.uniform(1.0, T - 1))
-            h = SegmentHypothesis(x1, x2, x1, min(x2 + 2.0, T + 1.0), 1)
-            assert oic_backward(cas, h).d_x1 <= 0.0
+            h = (x1, x2, x1, min(x2 + 2.0, T + 1.0))
+            assert kernel_at(cas, h)[1].d_x1 <= 0.0
 
     def test_uniform_signal_has_zero_inner_gradients(self):
         cas = Cas(np.full((1, 12), 0.6))
-        h = SegmentHypothesis(4.0, 7.0, 2.0, 9.0, 1)
-        g = oic_backward(cas, h)
+        g = kernel_at(cas, (4.0, 7.0, 2.0, 9.0))[1]
         assert g.d_x1 == pytest.approx(0.0, abs=1e-12)
         assert g.d_x2 == pytest.approx(0.0, abs=1e-12)
 
 
 def inner_only(cas, h):
-    """Inner-only (loss, d_x1, d_x2) of one hypothesis; its outer boundary is ignored."""
-    rx1, rx2 = round_boundary(h.x1), round_boundary(h.x2)
-    areas, g = oic_kernel(cas.padded_row(h.k)[None], 0, rx1, rx2, rx1, rx2, inner_only=True)
-    return float(areas.loss), float(g.d_x1), float(g.d_x2)
+    """Inner-only (loss, d_x1, d_x2) of one box; its outer boundary is ignored."""
+    areas, g = kernel_at(cas, h, inner_only=True)
+    return areas.loss, g.d_x1, g.d_x2
 
 
 class TestInnerOnly:
@@ -97,13 +71,13 @@ class TestInnerOnly:
             T = int(rng.integers(4, 30))
             cas = Cas(rng.uniform(0, 1, size=(1, T)))
             h = random_hypothesis(rng, T)
-            expected = brute_force_inner_loss(cas.act[0], h.x1, h.x2)
+            expected = brute_force_inner_loss(cas.act[0], *h[:2])
             assert inner_only(cas, h)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_ignores_outer_boundary(self):
         cas = Cas(np.array([[0.2, 0.9, 0.8, 0.1, 0.3, 0.7]]))
-        a = inner_only(cas, SegmentHypothesis(2.0, 3.0, 1.0, 4.0, 1))
-        b = inner_only(cas, SegmentHypothesis(2.0, 3.0, 0.0, 6.0, 1))
+        a = inner_only(cas, (2.0, 3.0, 1.0, 4.0))
+        b = inner_only(cas, (2.0, 3.0, 0.0, 6.0))
         assert a == b
 
     def test_backward_matches_discrete_difference(self, rng):
@@ -112,11 +86,10 @@ class TestInnerOnly:
             cas = Cas(rng.uniform(0, 1, size=(1, T)))
             x1 = float(rng.integers(3, T - 14))
             x2 = x1 + 10.0
-            h = SegmentHypothesis(x1, x2, x1 - 1.0, x2 + 1.0, 1)
-            _, d_x1, d_x2 = inner_only(cas, h)
+            _, d_x1, d_x2 = inner_only(cas, (x1, x2, x1 - 1.0, x2 + 1.0))
 
             def loss(a, b):
-                return inner_only(cas, SegmentHypothesis(a, b, a - 1, b + 1, 1))[0]
+                return inner_only(cas, (a, b, a - 1, b + 1))[0]
 
             fd_x1 = (loss(x1 + 1, x2) - loss(x1 - 1, x2)) / 2.0
             fd_x2 = (loss(x1, x2 + 1) - loss(x1, x2 - 1)) / 2.0
@@ -133,12 +106,11 @@ class TestStepFilter:
             start, weights, norm = step_filter_weights(h)
             row = cas.padded_row(1)
             dot = float(weights @ row[start : start + len(weights)]) / norm
-            assert dot == pytest.approx(oic_forward(cas, h).loss, abs=1e-12)
+            assert dot == pytest.approx(kernel_at(cas, h)[0].loss, abs=1e-12)
             assert weights.sum() == 0.0
 
     def test_integer_valued_profile(self):
-        h = SegmentHypothesis(3.0, 5.0, 1.0, 7.0, 1)
-        start, weights, norm = step_filter_weights(h)
+        start, weights, norm = step_filter_weights((3.0, 5.0, 1.0, 7.0))
         assert start == 1
         # inner length 3, ring length 4
         assert np.array_equal(weights, [3.0, 3.0, -4.0, -4.0, -4.0, 3.0, 3.0])
@@ -151,7 +123,5 @@ class TestStepFilter:
             right = 1
         x1 = float(left)
         x2 = x1 + inner_len - 1
-        T = int(x2 + right)
-        h = SegmentHypothesis(x1, x2, 0.0, x2 + right, 1)
-        _, weights, _ = step_filter_weights(h)
+        _, weights, _ = step_filter_weights((x1, x2, 0.0, x2 + right))
         assert weights.sum() == 0.0

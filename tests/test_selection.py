@@ -166,7 +166,8 @@ class TestBuildCandidates:
             build_candidates(reg_map, ANCHORS, 8, 0.25)
 
     def test_rejects_wrong_reg_shape(self):
-        with pytest.raises(InputError):
+        # two rows per anchor: (t_x, t_w) for each of the three
+        with pytest.raises(InputError, match=r"must be 6 x 8, got \(5, 8\)"):
             build_candidates(np.zeros((5, 8)), ANCHORS, 8, 0.25)
 
     # (t_x, t_w) per cell: ordinary; shifts far off the grid at any length up
@@ -294,6 +295,25 @@ class TestSelect:
         grid = build_candidates(np.zeros((6, 10)), ANCHORS, 10, 0.25)
         _, t, *_ = select(cas, grid, [1], act_min=0.1)
         assert set(t.tolist()) <= {4}
+
+    @staticmethod
+    def plateau_at_position_6(level):
+        """(cas, grid) where one length-3 anchor at position 6 has inner [5, 8]
+        on a plateau of ``level`` and ring {4, 9} at 0, so its loss is
+        -level; every other position's loss is above -level / 2."""
+        act = np.zeros((1, 12))
+        act[0, 4:8] = level
+        return Cas(act), build_candidates(np.zeros((2, 12)), AnchorConfig((3,)), 12, 0.25)
+
+    def test_activation_exactly_at_the_floor_is_gated_in(self):
+        cas, grid = self.plateau_at_position_6(0.5)
+        _, t, *_ = select(cas, grid, [1], act_min=0.5)
+        assert t.tolist() == [5]
+
+    def test_loss_exactly_at_the_ceiling_is_kept(self):
+        cas, grid = self.plateau_at_position_6(1.0)
+        _, t, _, score, *_ = select(cas, grid, [1], loss_max=-1.0)
+        assert (t.tolist(), score.tolist()) == ([5], [2.0])
 
     def test_loss_ceiling_filters_weak_hypotheses(self):
         # flat weak signal: no hypothesis can contrast by more than 0.2
