@@ -13,7 +13,7 @@ from .errors import ConfigError, InputError
 from .oic import oic_areas
 from .boundary import inflate, round_boundary
 from .regressor import NetworkB
-from .selection import Prediction, nms_order, snippet_to_time
+from .selection import Prediction, nms_order, snippet_to_time, to_predictions
 from .train import predict_video, train_network
 
 # enumeration scores (x1, x2) pairs in row blocks of about this many pairs
@@ -22,19 +22,17 @@ ENUMERATE_CHUNK_PAIRS = 1 << 18
 
 def threshold_localize(cas: Cas, k: int, tau: float, fps: float = 30.0,
                        video_id: str = "") -> list[Prediction]:
-    """Maximal runs of activation >= tau become segments scored by mean activation."""
+    """Maximal runs of two or more snippets of activation >= tau become
+    segments scored by mean activation, best first."""
     if not (0.0 < tau < 1.0):
         raise InputError("tau must lie in (0, 1)")
     row = cas.act[k - 1]
     # rising and falling edges: each run covers snippets start+1 .. end (1-based)
     edges = np.flatnonzero(np.diff(np.concatenate([[0], row >= tau, [0]])))
-    starts, ends = edges.reshape(-1, 2).T
-    preds = [
-        Prediction(k, snippet_to_time(start + 1, fps), snippet_to_time(end, fps),
-                   float(row[start:end].mean()), float(start + 1), float(end), video_id)
-        for start, end in zip(starts.tolist(), ends.tolist())
-    ]
-    return [p for p in preds if p.end_s > p.start_s]
+    runs = edges.reshape(-1, 2)
+    starts, ends = runs[runs[:, 1] - runs[:, 0] > 1].T
+    score = np.array([row[a:b].mean() for a, b in zip(starts.tolist(), ends.tolist())])
+    return to_predictions(k, score, starts + 1, ends, fps, video_id)
 
 
 def threshold_sweep(
@@ -81,10 +79,8 @@ def oic_selection_enumerate(
         hit = loss <= loss_max
         parts.append((x1[hit], x2[hit], 1.0 - loss[hit]))
     x1, x2, score = (np.concatenate(v) for v in zip(*parts))
-    start_s, end_s = snippet_to_time(x1, fps), snippet_to_time(x2, fps)
-    columns = np.stack([start_s, end_s, score, x1, x2], axis=1)
-    return [Prediction(k, *columns[i].tolist(), video_id)
-            for i in nms_order(score, start_s, end_s, nms_iou)]
+    kept = nms_order(score, snippet_to_time(x1, fps), snippet_to_time(x2, fps), nms_iou)
+    return to_predictions(k, score[kept], x1[kept], x2[kept], fps, video_id)
 
 
 def _video_seed(video_id: str, seed: int) -> int:

@@ -111,7 +111,10 @@ def cmd_eval(args) -> int:
         if args.profile == "thumos"
         else evaluation.ACTIVITYNET_THRESHOLDS
     )
-    report = evaluation.map_report(preds, evaluation.gt_instances(videos), thresholds)
+    gts = evaluation.gt_instances(videos)
+    if not gts:
+        raise InputError(f"--manifest {args.manifest}: no video has a ground truth segment")
+    report = evaluation.map_report(preds, gts, thresholds)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report.to_json())

@@ -51,11 +51,11 @@ def smooth_loss(cas: Cas, k: int, x1: float, x2: float, X1: float, X2: float) ->
     return (outer - inner) / (outer_len - inner_len) - inner / inner_len
 
 
-def check_oic_discrete(seed: int = 0, cases: int = 1000) -> CheckResult:
+def check_oic_discrete(seed: int = 0) -> CheckResult:
     """Analytic boundary partials vs +-1-snippet symmetric differences, each
     over all cases in one kernel call."""
     rng = np.random.default_rng(seed)
-    T = 80
+    T, cases = 80, 1000
     padded = np.zeros((cases, T + 2))  # one zero-padded CAS row per case
     boxes = np.zeros((4, cases), dtype=np.int64)  # x1, x2, X1, X2 per case
     for i in range(cases):
@@ -96,11 +96,11 @@ _TRANSFORM_SETUPS = [
 ]
 
 
-def check_transform_fd(seed: int = 0, cases: int = 200) -> CheckResult:
+def check_transform_fd(seed: int = 0) -> CheckResult:
     """training_loss's (t_x, t_w) gradients for one kept hypothesis vs central
     differences of the surrogate loss at the boundaries build_candidates gives."""
     rng = np.random.default_rng(seed)
-    T, alpha, step = 60, 0.25, 1e-4
+    T, alpha, step, cases = 60, 0.25, 1e-4, 200
     worst = 0.0
     for i in range(cases):
         cas = Cas(rng.uniform(0.05, 0.95, size=(1, T)))
@@ -112,14 +112,14 @@ def check_transform_fd(seed: int = 0, cases: int = 200) -> CheckResult:
         def grid(tx: float, tw: float):
             reg_map = np.zeros((2, T))
             reg_map[:, t] = tx, tw
-            return build_candidates(reg_map, anchors, T, alpha)
+            return build_candidates(reg_map, anchors, alpha)
 
         def end_to_end(tx: float, tw: float) -> float:
             c = grid(tx, tw)
             return smooth_loss(cas, 1, c.x1[t, 0], c.x2[t, 0], c.X1[t, 0], c.X2[t, 0])
 
         kept = np.array([1]), np.array([t]), np.array([0])  # class 1, position t, anchor 0
-        d_tx, d_tw = training_loss(cas, grid(t_x, t_w), kept, alpha)[1][:, t]
+        d_tx, d_tw = training_loss(cas, grid(t_x, t_w), kept)[1][:, t]
         fd_tx = (end_to_end(t_x + step, t_w) - end_to_end(t_x - step, t_w)) / (2 * step)
         fd_tw = (end_to_end(t_x, t_w + step) - end_to_end(t_x, t_w - step)) / (2 * step)
         for analytic, approx in ((d_tx, fd_tx), (d_tw, fd_tw)):

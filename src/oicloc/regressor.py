@@ -400,38 +400,6 @@ class NetworkB:
 
     # -- checkpointing ----------------------------------------------------
 
-    @classmethod
-    def _from_v3(cls, header: dict, payload: memoryview) -> "NetworkB":
-        """The network of a version-3 header and its raw float64 payload. The
-        header's tensor list and the payload's length are checked against the
-        layout its dims imply before anything is allocated."""
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {header.get('version')!r}")
-        missing = {"feature_dim", "anchor_count", "hidden", "tensors", "meta"} - set(header)
-        if missing:
-            raise ConfigError(f"checkpoint lacks keys {sorted(missing)}")
-        dims = header["feature_dim"], header["anchor_count"], header["hidden"]
-        shapes = _checkpoint_shapes(*dims)
-        # compared as JSON text, so that 3.0 or true cannot stand for an integer
-        if json.dumps(header["tensors"]) != json.dumps(_tensor_list(shapes)):
-            raise ConfigError("checkpoint 'tensors' does not list the tensors of feature_dim "
-                              "{}, anchor_count {}, hidden {}".format(*dims))
-        if not isinstance(header["meta"], dict):
-            raise ConfigError("checkpoint 'meta' must be a JSON object")
-        size = 8 * sum(math.prod(shape) for shape in shapes.values())
-        if len(payload) != size:
-            raise ConfigError(f"checkpoint payload is {len(payload)} bytes, expected {size}")
-        values = np.frombuffer(payload, dtype="<f8")
-        net = cls.__new__(cls)
-        net._allocate(*dims)
-        net.meta = header["meta"]
-        offset = 0
-        for (name, shape), tensor in zip(shapes.items(), net._checkpoint_tensors()):
-            # each tensor in C order of its shape, assigned through its (tap-major) view
-            tensor[...] = values[offset : offset + math.prod(shape)].reshape(shape)
-            offset += math.prod(shape)
-        return net
-
     def _checkpoint_tensors(self) -> list[np.ndarray]:
         """Every tensor a checkpoint stores, as views, in payload order."""
         stats = [t for pair in zip(self.running_mean, self.running_var) for t in pair]
@@ -453,19 +421,51 @@ class NetworkB:
 
     @classmethod
     def load(cls, path: str | Path) -> "NetworkB":
-        """The network a version-3 checkpoint file holds. Any other file, a
-        version-2 JSON document included, fails with one ConfigError naming
-        the path."""
+        """The network a version-3 checkpoint file holds. The header is checked
+        against the layout its dims imply before anything is allocated, and each
+        tensor as it is filled: finite values, running variances not negative.
+        Any other file, a version-2 JSON document included, fails with one
+        ConfigError naming the path."""
         try:
             data = Path(path).read_bytes()
             end = data.find(b"\n")
             end = len(data) if end < 0 else end
-            header = json.loads(data[:end])
+            header, payload = json.loads(data[:end]), memoryview(data)[end + 1 :]
             if not isinstance(header, dict):
                 raise ConfigError("checkpoint header must be a JSON object")
-            return cls._from_v3(header, memoryview(data)[end + 1 :])
+            if header.get("version") != CHECKPOINT_VERSION:
+                raise ConfigError(f"unsupported checkpoint version {header.get('version')!r}")
+            missing = {"feature_dim", "anchor_count", "hidden", "tensors", "meta"} - set(header)
+            if missing:
+                raise ConfigError(f"checkpoint lacks keys {sorted(missing)}")
+            dims = header["feature_dim"], header["anchor_count"], header["hidden"]
+            shapes = _checkpoint_shapes(*dims)
+            # compared as JSON text, so that 3.0 or true cannot stand for an integer
+            if json.dumps(header["tensors"]) != json.dumps(_tensor_list(shapes)):
+                raise ConfigError("checkpoint 'tensors' does not list the tensors of "
+                                  "feature_dim {}, anchor_count {}, hidden {}".format(*dims))
+            if not isinstance(header["meta"], dict):
+                raise ConfigError("checkpoint 'meta' must be a JSON object")
+            size = 8 * sum(math.prod(shape) for shape in shapes.values())
+            if len(payload) != size:
+                raise ConfigError(f"checkpoint payload is {len(payload)} bytes, expected {size}")
+            values = np.frombuffer(payload, dtype="<f8")
+            net = cls.__new__(cls)
+            net._allocate(*dims)
+            net.meta = header["meta"]
+            offset = 0
+            for (name, shape), tensor in zip(shapes.items(), net._checkpoint_tensors()):
+                chunk = values[offset : offset + math.prod(shape)]
+                if not np.isfinite(chunk).all():
+                    raise ConfigError(f"checkpoint tensor {name} holds a non-finite value")
+                if name.endswith("running_var") and (chunk < 0).any():
+                    raise ConfigError(f"checkpoint tensor {name} holds a negative variance")
+                # each tensor in C order of its shape, assigned through its (tap-major) view
+                tensor[...] = chunk.reshape(shape)
+                offset += chunk.size
         except (ConfigError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
+        return net
 
 
 def _checkpoint_shapes(feature_dim: int, anchor_count: int, hidden: int) -> dict[str, tuple]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .cas import VideoRecord
 from .config import RunConfig
-from .errors import TrainingError
+from .errors import InputError, TrainingError
 from .features import cas_to_features, lift_worker
 from .regressor import NetworkB, sgd_step
 from .selection import Prediction, build_candidates, select, to_predictions, training_loss
@@ -75,12 +75,12 @@ def train_step(net, video, cfg, velocity, iteration, loss="oic", feat=None) -> f
         feat = cas_to_features(video.cas, cfg.feature_dim)
     reg_map, cache = net.forward(feat, mode="train")
     try:
-        grid = build_candidates(reg_map, cfg.anchor_config(), video.cas.num_snippets, cfg.alpha)
+        grid = build_candidates(reg_map, cfg.anchor_config(), cfg.alpha)
     except TrainingError as err:
         raise TrainingError(f"iteration {iteration}, video {video.video_id}: {err}") from err
     survivors = select(video.cas, grid, video.labels, cfg.act_min, cfg.loss_max, cfg.nms_iou,
                        loss=loss)
-    total, grad_out = training_loss(video.cas, grid, survivors, cfg.alpha, loss=loss)
+    total, grad_out = training_loss(video.cas, grid, survivors, loss=loss)
     grads = net.backward(cache, grad_out)
     sgd_step(net, grads, cfg, velocity, iteration)
     return total
@@ -93,7 +93,10 @@ def predict_video(
     :func:`select` as predictions, best first."""
     feat = cas_to_features(video.cas, cfg.feature_dim)
     reg_map = net.forward(feat, mode="infer")
-    grid = build_candidates(reg_map, cfg.anchor_config(), video.cas.num_snippets, cfg.alpha)
-    survivors = select(video.cas, grid, range(1, video.cas.num_classes + 1), cfg.act_min,
-                       cfg.loss_max, cfg.nms_iou, loss=loss)
-    return to_predictions(survivors, video.fps, video.video_id)
+    try:
+        grid = build_candidates(reg_map, cfg.anchor_config(), cfg.alpha)
+    except (TrainingError, InputError) as err:
+        raise type(err)(f"video {video.video_id}: {err}") from err
+    k, _, _, score, x1, x2 = select(video.cas, grid, range(1, video.cas.num_classes + 1),
+                                    cfg.act_min, cfg.loss_max, cfg.nms_iou, loss=loss)
+    return to_predictions(k, score, x1, x2, video.fps, video.video_id)

@@ -41,6 +41,8 @@ POOL_NET = "tests/test_regressor.py::TestWorkerPool::test_every_split_gives_the_
 POOL_SGD = "tests/test_regressor.py::TestSgd::test_halves_match_the_per_tensor_reference[pool]"
 SGD = "tests/test_regressor.py::TestSgd"
 CAS_SPELLINGS = "tests/test_io.py::TestCasCsv::test_refuses_other_spellings_on_their_line"
+CHECKPOINT_VALUES = "tests/test_regressor.py::TestCheckpoint::test_rejects_values_that_cannot_be_right"
+GRID_ERRORS = "tests/test_train.py::TestPredictVideo::test_grid_errors_name_the_video"
 
 MUTANTS = [
     # batch-norm backward: drop the 1/n, swap dβ and dγ
@@ -85,6 +87,11 @@ MUTANTS = [
            "or False):",
            ("tests/test_regressor.py::TestWorkerPool::"
             "test_a_job_on_the_worker_is_not_handed_the_worker[pool]",)),
+    # prediction: a grid error without the video's id; an InputError not prefixed
+    Mutant("train.py", 'raise type(err)(f"video {video.video_id}: {err}")', "raise type(err)(str(err))",
+           (GRID_ERRORS,)),
+    Mutant("train.py", "except (TrainingError, InputError) as err:", "except TrainingError as err:",
+           (GRID_ERRORS,)),
     # training: the lift pending on the worker left running when a step raises
     Mutant("train.py", "pending.exception()", "pending.done()",
            ("tests/test_train.py::TestLiftAhead::"
@@ -92,6 +99,9 @@ MUTANTS = [
     # a checkpoint payload shorter than its header's tensors is not refused
     Mutant("regressor.py", "if len(payload) != size:", "if len(payload) > size:",
            ("tests/test_regressor.py::TestCheckpoint::test_v3_rejects_a_truncated_file",)),
+    # checkpoint values: a non-finite value, a negative running variance let through
+    Mutant("regressor.py", "if not np.isfinite(chunk).all():", "if False:", (CHECKPOINT_VALUES,)),
+    Mutant("regressor.py", "(chunk < 0).any()", "(chunk < -1).any()", (CHECKPOINT_VALUES,)),
     # row halves: the bottom half one row short at odd widths (row `half`
     # never done); the halves overlapping by one row, so the SGD step updates
     # one element twice
@@ -114,12 +124,15 @@ MUTANTS = [
     Mutant("io.py", "if row[0] != str(t):", "if int(row[0]) != t:", (CAS_SPELLINGS,)),
     Mutant("io.py", "{i // K + 2}", "{i // K + 1}",
            ("tests/test_cli.py::TestBadInput::test_non_numeric_cas_cell",)),
+    # eval against a manifest without ground truth reaching map_report
+    Mutant("cli.py", "    if not gts:\n", "    if False:\n",
+           ("tests/test_cli.py::TestBadInput::test_eval_against_a_manifest_without_ground_truth",)),
     # a negative --seed let through to NumPy
     Mutant("cli.py", "if value < 0:", "if value < -1:",
            ("tests/test_cli.py::TestBadInput::test_negative_seed_is_refused_by_the_parser",)),
     # build_candidates' shape error with the wrong row count; select gating
     # out an activation equal to act_min, dropping a loss equal to loss_max
-    Mutant("selection.py", "{2 * M} x {T}", "{2 / M} x {T}",
+    Mutant("selection.py", "{2 * M} x T", "{2 / M} x T",
            ("tests/test_selection.py::TestBuildCandidates::test_rejects_wrong_reg_shape",)),
     Mutant("selection.py", "padded[:, 1:-1] >= act_min", "padded[:, 1:-1] > act_min",
            ("tests/test_selection.py::TestSelect::test_activation_exactly_at_the_floor_is_gated_in",)),
@@ -129,6 +142,9 @@ MUTANTS = [
     Mutant("selection.py", "slots = np.concatenate([2 * m * T + t, (2 * m + 1) * T + t])",
            "slots = np.concatenate([(2 * m + 1) * T + t, 2 * m * T + t])",
            ("tests/test_selection.py::TestTrainingLoss::test_grad_out_matches_the_add_at_oracle",)),
+    # training_loss: the outer bounds chained at a fixed ratio, not the grid's own
+    Mutant("selection.py", "grid.w[t, m], grid.alpha,", "grid.w[t, m], 0.25,",
+           ("tests/test_selection.py::TestTrainingLoss::test_each_grid_carries_its_own_alpha",)),
     # training_loss: the survivors summed in select's order, not (class, position) order
     Mutant("selection.py", "order = np.lexsort((t, k))", "order = np.arange(k.size)",
            ("tests/test_selection.py::TestTrainingLoss::"

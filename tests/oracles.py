@@ -398,14 +398,15 @@ def scatter_reference(M: int, T: int, t, m, d_tx, d_tw) -> np.ndarray:
     return grad
 
 
-def predictions_reference(survivors, fps: float, video_id: str) -> list:
+def predictions_reference(k, score, x1, x2, fps: float, video_id: str) -> list:
     """The selection layer's predictions as first built: one Prediction per
-    ``(k, t, m, score, x1, x2)`` survivor, times from scalar snippet_to_time,
-    then Python's stable sort on (-score, start, class)."""
+    segment of class ``k`` with ``score`` and snippet bounds ``x1``, ``x2``,
+    times from scalar snippet_to_time, then Python's stable sort on (-score,
+    start, class)."""
     from oicloc.selection import Prediction, snippet_to_time
 
-    preds = [Prediction(k, snippet_to_time(lo, fps), snippet_to_time(hi, fps), s, lo, hi, video_id)
-             for k, s, lo, hi in zip(*(survivors[i].tolist() for i in (0, 3, 4, 5)))]
+    preds = [Prediction(c, snippet_to_time(lo, fps), snippet_to_time(hi, fps), s, video_id)
+             for c, s, lo, hi in zip(*(column.tolist() for column in (k, score, x1, x2)))]
     preds.sort(key=lambda p: (-p.score, p.start_s, p.class_id))
     return preds
 

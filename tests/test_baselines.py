@@ -11,6 +11,7 @@ from oicloc import baselines
 from oicloc.cas import Cas
 from oicloc.config import RunConfig
 from oicloc.errors import ConfigError, InputError
+from oicloc.selection import snippet_to_time
 from oicloc.synth import SynthSpec, synth_corpus
 
 CFG = RunConfig(anchors=(2, 4, 8), feature_dim=8, hidden=8, lr=3e-6, direct_opt_iters=5)
@@ -20,8 +21,9 @@ class TestThresholdLocalize:
     def test_finds_plateau_runs(self):
         act = np.array([[0.1, 0.8, 0.9, 0.85, 0.1, 0.1, 0.7, 0.75, 0.1]])
         preds = baselines.threshold_localize(Cas(act), 1, 0.5, fps=30.0)
-        spans = [(p.x1, p.x2) for p in preds]
-        assert spans == [(2.0, 4.0), (7.0, 8.0)]
+        spans = [(p.start_s, p.end_s) for p in preds]
+        assert spans == [(snippet_to_time(2, 30.0), snippet_to_time(4, 30.0)),
+                         (snippet_to_time(7, 30.0), snippet_to_time(8, 30.0))]
 
     def test_scores_are_mean_activation(self):
         act = np.array([[0.1, 0.8, 0.9, 0.85, 0.1]])
@@ -40,15 +42,16 @@ class TestThresholdLocalize:
            st.sampled_from([0.3, 0.5, 0.7]))
     @settings(max_examples=100, deadline=None)
     def test_runs_match_a_scan_over_the_row(self, row, tau):
+        """At 15 fps a snippet lasts one second, so snippet x starts at x - 1 s."""
         preds = baselines.threshold_localize(Cas(np.array([row])), 1, tau, fps=15.0)
         runs, t = [], 0
         for above, group in itertools.groupby(row, key=lambda a: a >= tau):
             n = len(list(group))
             if above and n > 1:
-                runs.append((t + 1.0, float(t + n), float(np.mean(row[t : t + n]))))
+                runs.append((float(t), float(t + n - 1), float(np.mean(row[t : t + n]))))
             t += n
-        assert [(p.x1, p.x2, p.score) for p in preds] == runs
-        assert all(p.start_s == p.x1 - 1.0 and p.end_s == p.x2 - 1.0 for p in preds)
+        runs.sort(key=lambda run: (-run[2], run[0]))  # best first, then by start
+        assert [(p.start_s, p.end_s, p.score) for p in preds] == runs
 
     def test_sweep_covers_all_taus(self):
         spec = SynthSpec(num_classes=2, t_range=(30, 40), instances_range=(1, 2))
@@ -63,8 +66,9 @@ class TestEnumeration:
             T = int(rng.integers(5, 31))
             cas = Cas(rng.uniform(0, 1, size=(1, T)))
             preds = baselines.oic_selection_enumerate(cas, 1)
-            got = sorted((p.x1, p.x2) for p in preds)
-            expected = enumeration_oracle(cas.act[0], 1, T, 0.25, -0.3, 0.4)
+            got = sorted((p.start_s, p.end_s) for p in preds)
+            expected = [(snippet_to_time(x1, 30.0), snippet_to_time(x2, 30.0))
+                        for x1, x2 in enumeration_oracle(cas.act[0], 1, T, 0.25, -0.3, 0.4)]
             assert got == expected
 
     def test_weak_flat_video_yields_nothing(self):
@@ -74,7 +78,8 @@ class TestEnumeration:
     def test_max_len_cap(self, rng):
         cas = Cas(rng.uniform(0, 1, size=(1, 25)))
         preds = baselines.oic_selection_enumerate(cas, 1, max_len=4)
-        assert all(p.x2 - p.x1 + 1 <= 4 for p in preds)
+        # four snippets span three snippet steps, 1.5 s at the default 30 fps
+        assert preds and all(p.end_s - p.start_s <= snippet_to_time(4, 30.0) for p in preds)
         with pytest.raises(InputError):
             baselines.oic_selection_enumerate(cas, 1, max_len=26)
 

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from oracles import checkpoint_v3
+from oracles import checkpoint_tensors, checkpoint_v3
 
 from oicloc import io
 from oicloc.cli import main
@@ -223,6 +223,17 @@ class TestBadInput:
                        "manifest entries 0 and 1 share video id 'v'\n")
         assert not (tmp_path / "report.json").exists()
 
+    def test_eval_against_a_manifest_without_ground_truth(self, tmp_path, capsys):
+        (tmp_path / "v.csv").write_text("snippet,class_1\n1,0.5\n")
+        (tmp_path / "manifest.json").write_text(json.dumps([{**self.ENTRY, "gt": []}]))
+        (tmp_path / "p.jsonl").write_text("")
+        code = main(["eval", "--pred", str(tmp_path / "p.jsonl"), "--manifest",
+                     str(tmp_path / "manifest.json"), "--out", str(tmp_path / "e.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and not (tmp_path / "e.json").exists()
+        assert err == (f"error: --manifest {tmp_path / 'manifest.json'}: "
+                       "no video has a ground truth segment\n")
+
     @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
     def test_non_finite_fps(self, tmp_path, capsys, fps):
         err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n", {**self.ENTRY, "fps": fps})
@@ -310,6 +321,18 @@ class TestBadInput:
         (tmp_path / "ckpt.ckpt").write_bytes(json.dumps(header).encode() + b"\n" + payload)
         err = self.predict(workspace, tmp_path, capsys, tmp_path / "ckpt.ckpt")
         assert f"'{key}' must be a positive integer" in err
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("bn0.running_var", -1.0, "bn0.running_var holds a negative variance"),
+        ("conv0.w", float("nan"), "conv0.w holds a non-finite value"),
+    ])
+    def test_checkpoint_value_that_cannot_be_right(self, workspace, tmp_path, capsys,
+                                                   name, value, message):
+        net = NetworkB(feature_dim=8, anchor_count=3, hidden=8)
+        dict(checkpoint_tensors(net))[name].flat[0] = value
+        net.save(tmp_path / "ckpt.ckpt")
+        err = self.predict(workspace, tmp_path, capsys, tmp_path / "ckpt.ckpt")
+        assert err == f"error: {tmp_path / 'ckpt.ckpt'}: checkpoint tensor {message}\n"
 
     def test_non_utf8_checkpoint(self, workspace, tmp_path, capsys):
         (tmp_path / "ckpt.json").write_bytes(b'{"version": 3, "hidden": "\xff"}')

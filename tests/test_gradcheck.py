@@ -36,11 +36,11 @@ class TestSmoothLoss:
 
 class TestSuites:
     def test_oic_discrete_passes(self):
-        result = check_oic_discrete(seed=0, cases=200)
+        result = check_oic_discrete(seed=0)
         assert result.passed, result
 
     def test_transform_fd_passes(self):
-        result = check_transform_fd(seed=0, cases=60)
+        result = check_transform_fd(seed=0)
         assert result.passed, result
 
     def test_network_fd_passes(self):

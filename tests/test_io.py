@@ -4,10 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from oicloc import io
+from oicloc import baselines, io
 from oicloc.cas import Cas, GroundTruthSegment, VideoRecord
+from oicloc.config import RunConfig
 from oicloc.errors import InputError
 from oicloc.selection import Prediction
+from oicloc.synth import SynthSpec, synth_corpus
+from oicloc.train import train_network
 
 
 @pytest.fixture
@@ -150,6 +153,19 @@ class TestPredictions:
         assert [p.score for p in back] == [0.9, 0.4]
         assert back[0].video_id == "b"
         assert back[1].class_id == 1
+
+    @pytest.mark.parametrize("mode", ["full", "threshold", "oic_select"])
+    def test_detector_predictions_read_back_in_the_writers_order(self, tmp_path, mode):
+        spec = SynthSpec(num_classes=2, t_range=(30, 40), instances_range=(1, 2),
+                         base_activation=0.95, background=0.03)
+        videos = synth_corpus(spec, 1, 3)
+        cfg = RunConfig(anchors=(2, 4, 8), feature_dim=8, hidden=8)
+        net = train_network(videos, cfg).net if mode == "full" else None
+        preds = baselines.detect(mode, videos, cfg, net)
+        path = tmp_path / "preds.jsonl"
+        io.write_predictions_jsonl(path, preds)
+        written = sorted(preds, key=lambda p: (-p.score, p.video_id, p.start_s, p.class_id))
+        assert preds and io.read_predictions_jsonl(path) == written
 
     def test_bad_line_reports_line_number(self, tmp_path):
         path = tmp_path / "preds.jsonl"

@@ -523,6 +523,25 @@ class TestCheckpoint:
         write_v3({**header, "feature_dim": 10**12}, payload, path)  # conv0.w would be 24 TB
         assert_fails_small(path, "'tensors' does not list the tensors of feature_dim 1000000000000")
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("conv0.w", float("nan"), "conv0.w holds a non-finite value"),
+        ("pred.b", float("inf"), "pred.b holds a non-finite value"),
+        ("bn2.running_mean", -float("inf"), "bn2.running_mean holds a non-finite value"),
+        ("bn0.running_var", -1.0, "bn0.running_var holds a negative variance"),
+        ("bn2.running_var", float("nan"), "bn2.running_var holds a non-finite value"),
+    ])
+    def test_rejects_values_that_cannot_be_right(self, tmp_path, name, value, message):
+        net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
+        dict(checkpoint_tensors(net))[name].flat[-1] = value
+        write_v3(*checkpoint_v3(net), tmp_path / "bad.ckpt")
+        load_fails(tmp_path / "bad.ckpt", rf"checkpoint tensor {message}$")
+
+    def test_a_zero_running_variance_loads(self, rng, tmp_path):
+        net = trained_net(rng)
+        net.running_var[1][:] = 0.0  # a constant channel; eps keeps the scale finite
+        net.save(tmp_path / "ckpt.ckpt")
+        assert_same_net(net, NetworkB.load(tmp_path / "ckpt.ckpt"), rng)
+
     def test_rejects_v1_float_lists(self, tmp_path):
         net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
         data = {"version": 1, "feature_dim": 2, "anchor_count": 1, "hidden": 3,

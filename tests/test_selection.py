@@ -38,12 +38,18 @@ ANCHORS = AnchorConfig((2, 4, 8))
 
 def make_grid(rng, T, reg_scale=0.3, alpha=0.25):
     reg_map = reg_scale * rng.standard_normal((2 * ANCHORS.count, T))
-    return reg_map, build_candidates(reg_map, ANCHORS, T, alpha)
+    return reg_map, build_candidates(reg_map, ANCHORS, alpha)
 
 
 def kept_triples(survivors):
     """1-based (class, position) and anchor index of every survivor, sorted."""
     return sorted((int(k), int(t) + 1, int(m)) for k, t, m in zip(*survivors[:3]))
+
+
+def predicted_columns(survivors):
+    """The ``k, score, x1, x2`` columns of select's survivors, which
+    to_predictions takes."""
+    return tuple(survivors[i] for i in (0, 3, 4, 5))
 
 
 def triples(mask):
@@ -58,7 +64,7 @@ def assert_matches_oracle(rng, anchors, t_max, videos):
         K = int(rng.integers(1, 4))
         cas = Cas(rng.uniform(0, 1, size=(K, T)))
         reg_map = 0.3 * rng.standard_normal((2 * anchors.count, T))
-        grid = build_candidates(reg_map, anchors, T, 0.25)
+        grid = build_candidates(reg_map, anchors, 0.25)
         classes = list(range(1, K + 1))
         survivors = select(cas, grid, classes)
         expected = selection_oracle(
@@ -75,7 +81,7 @@ def tied_anchors_at_position_10():
     reg_map = np.zeros((4, T))
     reg_map[0, 9], reg_map[1, 9] = (10.5 - 10) / 16, math.log(21 / 16)
     reg_map[2, 9], reg_map[3, 9] = (12 - 10) / 32, math.log(22 / 32)
-    grid = build_candidates(reg_map, anchors, T, 0.25)
+    grid = build_candidates(reg_map, anchors, 0.25)
     # rows: rx1, rx2, rX1, rX2; columns: anchors 16, 32
     assert grid.rounded[:, 9].tolist() == [[0, 1], [21, 22], [0, 0], [22, 22]]
     return T, anchors, reg_map, grid
@@ -104,7 +110,7 @@ class TestBuildCandidates:
 
     def test_identity_regression_boundaries(self):
         reg_map = np.zeros((6, 12))
-        grid = build_candidates(reg_map, ANCHORS, 12, 0.25)
+        grid = build_candidates(reg_map, ANCHORS, 0.25)
         # position 6, anchor length 4
         assert (grid.x1[5, 1], grid.x2[5, 1]) == (4.0, 8.0)
         assert (grid.X1[5, 1], grid.X2[5, 1]) == (3.0, 9.0)
@@ -114,13 +120,13 @@ class TestBuildCandidates:
     def test_shift_scales_with_anchor_length(self):
         reg_map = np.zeros((6, 20))
         reg_map[2, 9] = 0.5  # t_x of the length-4 anchor at position 10
-        grid = build_candidates(reg_map, ANCHORS, 20, 0.25)
+        grid = build_candidates(reg_map, ANCHORS, 0.25)
         assert (grid.x1[9, 1], grid.x2[9, 1]) == (10.0, 14.0)
 
     def test_log_length(self):
         reg_map = np.zeros((6, 12))
         reg_map[3, 5] = math.log(2.0)  # t_w of the length-4 anchor at position 6
-        grid = build_candidates(reg_map, ANCHORS, 12, 0.25)
+        grid = build_candidates(reg_map, ANCHORS, 0.25)
         assert grid.w[5, 1] == pytest.approx(8.0)
         assert grid.x2[5, 1] - grid.x1[5, 1] == pytest.approx(8.0)
 
@@ -129,18 +135,18 @@ class TestBuildCandidates:
             reg_map = np.zeros((6, 8))
             reg_map[slot, 3] = bad
             with pytest.raises(InputError, match="finite"):
-                build_candidates(reg_map, ANCHORS, 8, 0.25)
+                build_candidates(reg_map, ANCHORS, 0.25)
 
     def test_min_offset_flag_uses_pre_round_width(self):
         reg_map = np.zeros((6, 12))
-        grid = build_candidates(reg_map, ANCHORS, 12, 0.25)
+        grid = build_candidates(reg_map, ANCHORS, 0.25)
         assert grid.min_offset[5, 0]  # w=2, 2*0.25 < 1
         assert not grid.min_offset[5, 1]  # w=4, 4*0.25 == 1
         assert not grid.min_offset[5, 2]  # w=8
 
     def test_clipping_recorded(self):
         reg_map = np.zeros((6, 8))
-        grid = build_candidates(reg_map, ANCHORS, 8, 0.25)
+        grid = build_candidates(reg_map, ANCHORS, 0.25)
         # anchor 8 at position 1 spills off the left edge: raw x1 = -3
         assert grid.x1[0, 2] == 0.0
         assert grid.x2[0, 2] == 5.0
@@ -150,25 +156,25 @@ class TestBuildCandidates:
         reg_map = np.zeros((6, 8))
         reg_map[3, 2] = 800.0  # t_w of anchor 1 at position 3
         with pytest.raises(TrainingError, match="position 3, anchor 1"):
-            build_candidates(reg_map, ANCHORS, 8, 0.25)
+            build_candidates(reg_map, ANCHORS, 0.25)
 
     def test_overflowing_length_raises_training_error(self):
         """exp(709) is finite, but the length-8 anchor's 8 * exp(709) is not."""
         reg_map = np.zeros((6, 12))
         reg_map[5, 6] = 709.0  # t_w of anchor 2 at position 7
         with pytest.raises(TrainingError, match="overflows the length at position 7, anchor 2"):
-            build_candidates(reg_map, ANCHORS, 12, 0.25)
+            build_candidates(reg_map, ANCHORS, 0.25)
 
     def test_collapsing_scale_raises_training_error(self):
         reg_map = np.zeros((6, 8))
         reg_map[5, 3] = -40.0  # t_w of anchor 2 at position 4: w_a * exp(t_w) vanishes
         with pytest.raises(TrainingError, match="position 4, anchor 2"):
-            build_candidates(reg_map, ANCHORS, 8, 0.25)
+            build_candidates(reg_map, ANCHORS, 0.25)
 
     def test_rejects_wrong_reg_shape(self):
         # two rows per anchor: (t_x, t_w) for each of the three
-        with pytest.raises(InputError, match=r"must be 6 x 8, got \(5, 8\)"):
-            build_candidates(np.zeros((5, 8)), ANCHORS, 8, 0.25)
+        with pytest.raises(InputError, match=r"must be 6 x T, got \(5, 8\)"):
+            build_candidates(np.zeros((5, 8)), ANCHORS, 0.25)
 
     # (t_x, t_w) per cell: ordinary; shifts far off the grid at any length up
     # to w = inf; shifts near the float range with lengths that dwarf them.
@@ -189,9 +195,9 @@ class TestBuildCandidates:
         reg_map = np.reshape(pairs, (T, 2 * M)).T  # rows t_x, t_w of each anchor
         if any(w_a * math.exp(t_w) == math.inf for w_a, (_, t_w) in zip(scales * T, pairs)):
             with pytest.raises(TrainingError, match="overflows the length"):
-                build_candidates(reg_map, AnchorConfig(scales), T, alpha)
+                build_candidates(reg_map, AnchorConfig(scales), alpha)
             return
-        grid = build_candidates(reg_map, AnchorConfig(scales), T, alpha)
+        grid = build_candidates(reg_map, AnchorConfig(scales), alpha)
         rx1, rx2, rX1, rX2 = grid.rounded
         assert ((0 <= rX1) & (rX1 <= T + 1) & (0 <= rX2) & (rX2 <= T + 1)).all()
         assert np.array_equal(grid.valid, (rX2 - rX1) - (rx2 - rx1) >= 1)
@@ -292,7 +298,7 @@ class TestSelect:
         act = np.full((1, 10), 0.05)
         act[0, 4] = 0.9
         cas = Cas(act)
-        grid = build_candidates(np.zeros((6, 10)), ANCHORS, 10, 0.25)
+        grid = build_candidates(np.zeros((6, 10)), ANCHORS, 0.25)
         _, t, *_ = select(cas, grid, [1], act_min=0.1)
         assert set(t.tolist()) <= {4}
 
@@ -303,7 +309,7 @@ class TestSelect:
         -level; every other position's loss is above -level / 2."""
         act = np.zeros((1, 12))
         act[0, 4:8] = level
-        return Cas(act), build_candidates(np.zeros((2, 12)), AnchorConfig((3,)), 12, 0.25)
+        return Cas(act), build_candidates(np.zeros((2, 12)), AnchorConfig((3,)), 0.25)
 
     def test_activation_exactly_at_the_floor_is_gated_in(self):
         cas, grid = self.plateau_at_position_6(0.5)
@@ -318,10 +324,10 @@ class TestSelect:
     def test_loss_ceiling_filters_weak_hypotheses(self):
         # flat weak signal: no hypothesis can contrast by more than 0.2
         cas = Cas(np.full((1, 10), 0.2))
-        grid = build_candidates(np.zeros((6, 10)), ANCHORS, 10, 0.25)
+        grid = build_candidates(np.zeros((6, 10)), ANCHORS, 0.25)
         survivors = select(cas, grid, [1])
         assert all(column.size == 0 for column in survivors)
-        assert to_predictions(survivors) == []
+        assert to_predictions(*predicted_columns(survivors)) == []
 
     def test_training_only_touches_label_classes(self, rng):
         cas = Cas(rng.uniform(0, 1, size=(3, 14)))
@@ -333,12 +339,13 @@ class TestSelect:
         act = np.full((1, 20), 0.02)
         act[0, 6:12] = 0.95
         cas = Cas(act)
-        grid = build_candidates(np.zeros((6, 20)), ANCHORS, 20, 0.25)
+        grid = build_candidates(np.zeros((6, 20)), ANCHORS, 0.25)
         survivors = select(cas, grid, [1])
         k, t, m, score, x1, x2 = survivors
         assert k.size and (score >= 1.0 + 0.3).all()  # loss <= -0.3
         assert np.array_equal(x1, grid.x1[t, m]) and np.array_equal(x2, grid.x2[t, m])
-        got = sorted((p.start_s, p.end_s, p.score) for p in to_predictions(survivors))
+        got = sorted((p.start_s, p.end_s, p.score)
+                     for p in to_predictions(*predicted_columns(survivors)))
         assert got == sorted((snippet_to_time(lo, 30.0), snippet_to_time(hi, 30.0), s)
                              for lo, hi, s in zip(x1.tolist(), x2.tolist(), score.tolist()))
 
@@ -366,10 +373,9 @@ class TestToPredictions:
     def test_matches_the_first_built_predictions(self, columns, fps):
         # few distinct classes, scores and starts, so that every sort key ties
         k, score, x1, length = (np.array(c) for c in columns)
-        survivors = (k.astype(np.int64), np.arange(k.size), k % 2, score.astype(float),
-                     x1.astype(float), x1 + length)
-        got = to_predictions(survivors, fps, "v")
-        want = predictions_reference(survivors, fps, "v")
+        segments = k.astype(np.int64), score.astype(float), x1.astype(float), x1 + length
+        got = to_predictions(*segments, fps, "v")
+        want = predictions_reference(*segments, fps, "v")
         assert got == want
         assert [type(p.class_id) for p in got] == [int] * len(got)
 
@@ -378,8 +384,47 @@ class TestToPredictions:
             T, K = int(rng.integers(5, 60)), int(rng.integers(1, 4))
             cas = Cas(rng.uniform(0, 1, size=(K, T)))
             _, grid = make_grid(rng, T)
-            survivors = select(cas, grid, range(1, K + 1))
-            assert to_predictions(survivors, 30.0, "x") == predictions_reference(survivors, 30.0, "x")
+            segments = predicted_columns(select(cas, grid, range(1, K + 1)))
+            assert to_predictions(*segments, 30.0, "x") == predictions_reference(*segments, 30.0, "x")
+
+
+def assert_matches_scalar_chain_rule(rng, loss, alpha):
+    """training_loss on random grids inflated by ``alpha`` against the
+    brute-force loss and partials chained per slot by the scalar oracle."""
+    anchors = AnchorConfig((1, 2, 4, 8, 16))  # w*alpha < 1 for the short ones
+    seen_min_offset = seen_clipped = 0
+    for _ in range(20):
+        T = int(rng.integers(6, 40))
+        K = int(rng.integers(1, 4))
+        cas = Cas(rng.uniform(0, 1, size=(K, T)))
+        reg_map = 0.5 * rng.standard_normal((2 * anchors.count, T))
+        grid = build_candidates(reg_map, anchors, alpha)
+        mask = (rng.uniform(size=(K, T, anchors.count)) < 0.5) & grid.valid
+        total, grad_out = training_loss(cas, grid, triples(mask), loss=loss)
+        want_total, want_grad = 0.0, np.zeros_like(grad_out)
+        for k, t, m in zip(*np.nonzero(mask)):
+            row = cas.act[k]
+            bounds = grid.x1[t, m], grid.x2[t, m], grid.X1[t, m], grid.X2[t, m]
+            if loss == "oic":
+                want_total += brute_force_loss(row, *bounds)
+                g = brute_force_gradients(row, *bounds)
+            else:
+                want_total += brute_force_inner_loss(row, *bounds[:2])
+                g = (*brute_force_inner_gradients(row, *bounds[:2]), 0.0, 0.0)
+            min_offset = bool(grid.min_offset[t, m])
+            d_tx, d_tw = anchor_chain_rule(
+                g, anchors.scales[m], reg_map[2 * m + 1, t], alpha, min_offset
+            )
+            want_grad[2 * m, t] += d_tx
+            want_grad[2 * m + 1, t] += d_tw
+            seen_min_offset += min_offset
+            seen_clipped += grid.x1[t, m] == 0.0 or grid.x2[t, m] == T + 1
+        assert total == pytest.approx(want_total, rel=1e-12)
+        # relative to the largest slot: where the oracle's partials cancel to
+        # exactly 0 (a one-snippet inner area), prefix sums leave ~1e-17
+        scale = np.abs(want_grad).max()
+        np.testing.assert_allclose(grad_out, want_grad, rtol=1e-12, atol=1e-12 * scale)
+    assert seen_min_offset and seen_clipped
 
 
 class TestTrainingLoss:
@@ -389,7 +434,7 @@ class TestTrainingLoss:
         cas = Cas(act)
         reg_map, grid = make_grid(rng, 20)
         survivors = select(cas, grid, [1])
-        total, grad_out = training_loss(cas, grid, survivors, 0.25)
+        total, grad_out = training_loss(cas, grid, survivors)
         expected = sum(-(s - 1.0) for s in survivors[3].tolist())
         assert total == pytest.approx(expected)
         assert grad_out.shape == reg_map.shape
@@ -400,7 +445,7 @@ class TestTrainingLoss:
         cas = Cas(act)
         _, grid = make_grid(rng, 20)
         survivors = select(cas, grid, [1])
-        _, grad_out = training_loss(cas, grid, survivors, 0.25)
+        _, grad_out = training_loss(cas, grid, survivors)
         kept_columns = set(survivors[1].tolist())
         nz_columns = set(np.nonzero(grad_out.any(axis=0))[0])
         assert nz_columns <= kept_columns
@@ -415,7 +460,7 @@ class TestTrainingLoss:
                 s = int(rng.integers(0, 52))
                 row[s : s + int(rng.integers(3, 8))] = rng.uniform(0.6, 1.0)
         cas = Cas(act)
-        grid = build_candidates(0.3 * rng.standard_normal((6, 60)), ANCHORS, 60, 0.25)
+        grid = build_candidates(0.3 * rng.standard_normal((6, 60)), ANCHORS, 0.25)
         survivors = select(cas, grid, [1, 2, 3])
         k, t, m = survivors[:3]
         order = np.lexsort((t, k))
@@ -423,53 +468,25 @@ class TestTrainingLoss:
         assert not np.array_equal(order, np.arange(k.size))  # NMS reordered positions
         losses = oic.oic_areas(cas.padded, k - 1, *grid.rounded[:, t, m])[0].loss
         assert losses.sum() != losses[order].sum()  # so the order shows in the bits
-        total, _ = training_loss(cas, grid, survivors, 0.25)
+        total, _ = training_loss(cas, grid, survivors)
         assert total == float(losses[order].sum())
 
     def test_empty_mask_gives_zero_loss_and_gradients(self, rng):
         cas = Cas(np.full((1, 10), 0.5))
         _, grid = make_grid(rng, 10)
         mask = np.zeros((1, 10, ANCHORS.count), dtype=bool)
-        total, grad_out = training_loss(cas, grid, triples(mask), 0.25)
+        total, grad_out = training_loss(cas, grid, triples(mask))
         assert total == 0.0
         assert not grad_out.any()
 
     @pytest.mark.parametrize("loss", ["oic", "inner"])
     def test_gradients_match_scalar_chain_rule(self, rng, loss):
-        anchors = AnchorConfig((1, 2, 4, 8, 16))  # w*alpha < 1 for the short ones
-        seen_min_offset = seen_clipped = 0
-        for _ in range(20):
-            T = int(rng.integers(6, 40))
-            K = int(rng.integers(1, 4))
-            cas = Cas(rng.uniform(0, 1, size=(K, T)))
-            reg_map = 0.5 * rng.standard_normal((2 * anchors.count, T))
-            grid = build_candidates(reg_map, anchors, T, 0.25)
-            mask = (rng.uniform(size=(K, T, anchors.count)) < 0.5) & grid.valid
-            total, grad_out = training_loss(cas, grid, triples(mask), 0.25, loss=loss)
-            want_total, want_grad = 0.0, np.zeros_like(grad_out)
-            for k, t, m in zip(*np.nonzero(mask)):
-                row = cas.act[k]
-                bounds = grid.x1[t, m], grid.x2[t, m], grid.X1[t, m], grid.X2[t, m]
-                if loss == "oic":
-                    want_total += brute_force_loss(row, *bounds)
-                    g = brute_force_gradients(row, *bounds)
-                else:
-                    want_total += brute_force_inner_loss(row, *bounds[:2])
-                    g = (*brute_force_inner_gradients(row, *bounds[:2]), 0.0, 0.0)
-                min_offset = bool(grid.min_offset[t, m])
-                d_tx, d_tw = anchor_chain_rule(
-                    g, anchors.scales[m], reg_map[2 * m + 1, t], 0.25, min_offset
-                )
-                want_grad[2 * m, t] += d_tx
-                want_grad[2 * m + 1, t] += d_tw
-                seen_min_offset += min_offset
-                seen_clipped += grid.x1[t, m] == 0.0 or grid.x2[t, m] == T + 1
-            assert total == pytest.approx(want_total, rel=1e-12)
-            # relative to the largest slot: where the oracle's partials cancel to
-            # exactly 0 (a one-snippet inner area), prefix sums leave ~1e-17
-            scale = np.abs(want_grad).max()
-            np.testing.assert_allclose(grad_out, want_grad, rtol=1e-12, atol=1e-12 * scale)
-        assert seen_min_offset and seen_clipped
+        assert_matches_scalar_chain_rule(rng, loss, 0.25)
+
+    @pytest.mark.parametrize("alpha", [0.125, 0.5])
+    def test_each_grid_carries_its_own_alpha(self, rng, alpha):
+        """The outer bounds' chain rule uses the ratio the grid was inflated with."""
+        assert_matches_scalar_chain_rule(rng, "oic", alpha)
 
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 4), T=st.integers(5, 40),
            keep=st.sampled_from([0.0, 0.2, 0.6]), every_class=st.booleans(),
@@ -484,7 +501,7 @@ class TestTrainingLoss:
         mask = np.repeat(cells[None], K, axis=0)
         if not every_class:
             mask &= rng.uniform(size=mask.shape) < 0.6
-        _, grad_out = training_loss(cas, grid, triples(mask), 0.25, loss=loss)
+        _, grad_out = training_loss(cas, grid, triples(mask), loss=loss)
         k, t, m = np.nonzero(mask)
         padded = np.pad(cas.act, ((0, 0), (1, 1)))
         _, g = oic.oic_kernel(padded, k, *grid.rounded[:, t, m], inner_only=loss == "inner")

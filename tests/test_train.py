@@ -12,7 +12,7 @@ from oracles import (
 
 from oicloc import features, regressor, train
 from oicloc.config import PROFILES, RunConfig
-from oicloc.errors import TrainingError
+from oicloc.errors import InputError, TrainingError
 from oicloc.features import cas_to_features
 from oicloc.regressor import learning_rate
 from oicloc.selection import build_candidates, select, training_loss
@@ -132,11 +132,10 @@ class TestStepIsBitwise:
             seed = features._EMBED_SEED + video.cas.num_classes
             feat = lift_reference(video.cas.act, cfg.feature_dim, seed)
             reg_map, cache = network_forward_reference(params, means, variances, feat)
-            grid = build_candidates(reg_map, cfg.anchor_config(), video.cas.num_snippets,
-                                    cfg.alpha)
+            grid = build_candidates(reg_map, cfg.anchor_config(), cfg.alpha)
             survivors = select(video.cas, grid, video.labels, cfg.act_min, cfg.loss_max,
                                cfg.nms_iou)
-            ref_loss, grad_out = training_loss(video.cas, grid, survivors, cfg.alpha)
+            ref_loss, grad_out = training_loss(video.cas, grid, survivors)
             grads = network_backward_lean_reference(params, cache, grad_out)
             sgd_per_tensor(params, grads, learning_rate(cfg, iteration), cfg.momentum,
                            cfg.weight_decay, ref_velocity)
@@ -308,6 +307,17 @@ class TestPredictVideo:
                     hits += 1
         total = sum(len(v.gt) for v in corpus)
         assert hits >= 0.8 * total
+
+    @pytest.mark.parametrize("bias, error, message", [
+        (800.0, TrainingError, "t_w = 800 overflows the length at position 1, anchor 0"),
+        (float("nan"), InputError, "regression values must be finite"),
+    ])
+    def test_grid_errors_name_the_video(self, corpus, bias, error, message):
+        net = new_network(CFG, 0)
+        net.params["pred.b"][1] = bias  # t_w of anchor 0 at every position
+        with pytest.raises(error) as info:
+            predict_video(net, corpus[0], CFG)
+        assert str(info.value) == f"video {corpus[0].video_id}: {message}"
 
     def test_prediction_fields(self, corpus):
         net = new_network(CFG, 0)
