@@ -65,7 +65,7 @@ def oic_selection_enumerate(
         max_len = T
     if max_len > T:
         raise InputError("max_len cannot exceed the snippet count")
-    padded = cas.padded_row(k)[None, :]
+    padded = cas.padded[k - 1 : k]
     rows = max(1, ENUMERATE_CHUNK_PAIRS // T)
     parts = []
     for r0 in range(0, T, rows):
@@ -144,7 +144,8 @@ def compare(
     """Test predictions of the full method and of every comparison detector.
 
     Trains the full and the inner-only network on ``train``; the threshold
-    baseline gives one ``threshold_{tau}`` entry per tau of the sweep.
+    baseline gives one ``threshold_{tau}`` entry per tau of the sweep, and
+    ``full_alpha_{alpha}`` is the full method trained at each alpha of the sweep.
     """
     table = {
         "full": detect("full", test, cfg, train_network(train, cfg, seed=seed).net),
@@ -153,4 +154,8 @@ def compare(
         "inner_only": detect("inner_only", test, cfg, train_inner_only(train, cfg, seed=seed)),
     }
     table.update((f"threshold_{tau}", preds) for tau, preds in threshold_sweep(test).items())
+    for alpha in (0.125, 0.25, 0.5):  # the entry at cfg.alpha is the "full" entry
+        alpha_cfg = replace(cfg, alpha=alpha)
+        table[f"full_alpha_{alpha}"] = table["full"] if alpha == cfg.alpha else detect(
+            "full", test, alpha_cfg, train_network(train, alpha_cfg, seed=seed).net)
     return table

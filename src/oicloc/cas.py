@@ -18,14 +18,14 @@ SNIPPET_FRAMES = 15
 @dataclass(frozen=True)
 class Cas:
     """Activation matrix; every entry lies in [0, 1]. ``padded`` is the same
-    matrix with a zero snippet at each end (positions 0 and T+1), K x (T+2).
-    Both are C-contiguous and read-only."""
+    matrix with a zero snippet at each end (positions 0 and T+1), K x (T+2): a
+    C-contiguous, read-only copy whose interior view ``padded[:, 1:-1]`` is ``act``."""
 
     act: np.ndarray
     padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.array(self.act, dtype=np.float64, order="C")  # private copy, frozen below
+        arr = np.asarray(self.act, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InputError(f"expected a K x T matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -34,9 +34,9 @@ class Cas:
             raise InputError("activations must lie in [0, 1]")
         padded = np.zeros((arr.shape[0], arr.shape[1] + 2))
         padded[:, 1:-1] = arr
-        for name, value in (("act", arr), ("padded", padded)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        padded.setflags(write=False)
+        object.__setattr__(self, "padded", padded)
+        object.__setattr__(self, "act", padded[:, 1:-1])
 
     @property
     def num_classes(self) -> int:
@@ -45,12 +45,6 @@ class Cas:
     @property
     def num_snippets(self) -> int:
         return self.act.shape[1]
-
-    def padded_row(self, k: int) -> np.ndarray:
-        """Length T+2 activation row with the zero pad at both ends (read-only)."""
-        if not 1 <= k <= self.num_classes:
-            raise InputError(f"class index {k} outside 1..{self.num_classes}")
-        return self.padded[k - 1]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -141,13 +141,6 @@ def cmd_ablate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = baselines.compare(videos, test_videos, cfg, seed=args.seed)
-    for alpha in (0.125, 0.25, 0.5):
-        if alpha == cfg.alpha:  # same config and seed as the "full" entry
-            table[f"full_alpha_{alpha}"] = table["full"]
-            continue
-        alpha_cfg = replace(cfg, alpha=alpha)
-        alpha_net = train_network(videos, alpha_cfg, seed=args.seed).net
-        table[f"full_alpha_{alpha}"] = baselines.detect("full", test_videos, alpha_cfg, alpha_net)
     gts = evaluation.gt_instances(test_videos)
     rows = []
     for name, preds in table.items():

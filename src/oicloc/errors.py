@@ -5,10 +5,6 @@ class InputError(ValueError):
     """Malformed or inconsistent input data."""
 
 
-class DegenerateOuterError(InputError):
-    """Rounded outer area collapsed onto the inner area (no context ring)."""
-
-
 class ConfigError(ValueError):
     """Invalid run configuration or file schema."""
 

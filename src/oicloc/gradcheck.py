@@ -38,7 +38,7 @@ class CheckResult:
 
 def smooth_loss(cas: Cas, k: int, x1: float, x2: float, X1: float, X2: float) -> float:
     """In-cell linear extension of the rounded-coordinate contrastive loss."""
-    row = cas.padded_row(k)
+    row = cas.padded[k - 1]
 
     def area(a: float, b: float) -> tuple[float, float]:
         ra, rb = round_boundary(a), round_boundary(b)

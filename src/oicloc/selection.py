@@ -19,7 +19,7 @@ from .boundary import (
     AnchorConfig, clip_zero_pad, inflate, round_boundary, transform_backward,
 )
 from .cas import SNIPPET_FRAMES, Cas
-from .errors import DegenerateOuterError, InputError, TrainingError
+from .errors import InputError, TrainingError
 
 
 def snippet_to_time(x: float, fps: float) -> float:
@@ -216,7 +216,7 @@ def training_loss(
     order = np.lexsort((t, k))  # the loss is summed in this order
     k, t, m = k[order] - 1, t[order], m[order]
     if not grid.valid[t, m].all():
-        raise DegenerateOuterError("a survivor has an empty outer ring")
+        raise InputError("a survivor has an empty outer ring")
     areas, g = oic.oic_kernel(
         cas.padded, k, *grid.rounded[:, t, m], inner_only=loss == "inner"
     )

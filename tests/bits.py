@@ -5,7 +5,8 @@ same fixed pipelines from that tree and from this one, and compares the
 sha256 of every artifact they write:
 
 - a small round trip: synth, train, predict, eval and ablate on 8 videos;
-- 24 desk-profile videos (K 3, T 60-120, 2 epochs): train, predict and eval;
+- 24 desk-profile videos (K 3, T 60-120, 2 epochs): train, predict, and eval
+  on the thumos and on the activitynet IoU grid;
 - the paper-width corpus (thumos profile, K 20, T 130-160, 3 videos,
   2 epochs): train and predict with the worker thread, then again with the
   process pinned to one CPU, where the worker stays off;
@@ -91,6 +92,8 @@ def _run_pipelines(tree: Path, out: Path) -> None:
     desk = corpus("desk", desk_spec, 24, {"profile": "synthetic", "epochs": 2})
     train_predict(desk, "a")
     evaluate(desk, "a")
+    oicloc(desk, "eval", "--pred", "a/preds.jsonl", "--manifest", "corpus/manifest.json",
+           "--profile", "activitynet", "--out", "a/report_activitynet.json")
     paper = corpus("paper", PAPER_SPEC, 3, {"profile": "thumos", "epochs": 2})
     train_predict(paper, "a")
     train_predict(paper, "one", pin=True)

@@ -43,6 +43,8 @@ SGD = "tests/test_regressor.py::TestSgd"
 CAS_SPELLINGS = "tests/test_io.py::TestCasCsv::test_refuses_other_spellings_on_their_line"
 CHECKPOINT_VALUES = "tests/test_regressor.py::TestCheckpoint::test_rejects_values_that_cannot_be_right"
 GRID_ERRORS = "tests/test_train.py::TestPredictVideo::test_grid_errors_name_the_video"
+SELECT_REFUSALS = ("tests/test_selection.py::TestSelect::"
+                   "test_rejects_a_grid_of_another_length_a_class_outside_1_to_k_and_an_unknown_loss")
 
 MUTANTS = [
     # batch-norm backward: drop the 1/n, swap dβ and dγ
@@ -127,6 +129,13 @@ MUTANTS = [
     # eval against a manifest without ground truth reaching map_report
     Mutant("cli.py", "    if not gts:\n", "    if False:\n",
            ("tests/test_cli.py::TestBadInput::test_eval_against_a_manifest_without_ground_truth",)),
+    # an empty manifest let through to training; eval's activitynet profile
+    # scored on the thumos grid
+    Mutant("cli.py", "    if not videos:\n", "    if False:\n",
+           ("tests/test_cli.py::TestBadInput::test_manifest_that_lists_no_videos",)),
+    Mutant("cli.py", "else evaluation.ACTIVITYNET_THRESHOLDS", "else evaluation.THUMOS_THRESHOLDS",
+           ("tests/test_cli.py::TestTrainPredictEval::"
+            "test_eval_activitynet_profile_scores_its_ten_thresholds",)),
     # a negative --seed let through to NumPy
     Mutant("cli.py", "if value < 0:", "if value < -1:",
            ("tests/test_cli.py::TestBadInput::test_negative_seed_is_refused_by_the_parser",)),
@@ -138,6 +147,15 @@ MUTANTS = [
            ("tests/test_selection.py::TestSelect::test_activation_exactly_at_the_floor_is_gated_in",)),
     Mutant("selection.py", "(best <= loss_max)", "(best < loss_max)",
            ("tests/test_selection.py::TestSelect::test_loss_exactly_at_the_ceiling_is_kept",)),
+    # select: a grid of another length, a class outside 1..K, an unknown loss
+    # variant let through; training_loss: a survivor without an outer ring
+    Mutant("selection.py", "if grid.x1.shape[0] != T:", "if False:", (SELECT_REFUSALS,)),
+    Mutant("selection.py", "if ks.size and not (1 <= ks[0] and ks[-1] <= K):", "if False:",
+           (SELECT_REFUSALS,)),
+    Mutant("selection.py", 'if loss not in ("oic", "inner"):', "if False:", (SELECT_REFUSALS,)),
+    Mutant("selection.py", "if not grid.valid[t, m].all():", "if False:",
+           ("tests/test_selection.py::TestTrainingLoss::"
+            "test_refuses_a_survivor_without_an_outer_ring",)),
     # training_loss: t_x and t_w slots swapped
     Mutant("selection.py", "slots = np.concatenate([2 * m * T + t, (2 * m + 1) * T + t])",
            "slots = np.concatenate([(2 * m + 1) * T + t, 2 * m * T + t])",
@@ -164,6 +182,19 @@ MUTANTS = [
     # to_predictions sorts by class before start
     Mutant("selection.py", "np.lexsort((k, start_s, -score))", "np.lexsort((start_s, k, -score))",
            ("tests/test_selection.py::TestToPredictions",)),
+    # enumeration: every row block after the first scored as the first
+    Mutant("baselines.py", "x1 + (r0 + 1)", "x1 + 1",
+           ("tests/test_baselines.py::TestEnumeration::test_row_blocks_give_the_one_block_predictions",)),
+    # synth specs with no class or a zero plateau accepted; the central notch's
+    # fallback placed against the instance's end
+    Mutant("synth.py", "if self.num_classes < 1:", "if self.num_classes < 0:",
+           ("tests/test_synth.py::TestSynthSpec::test_rejects_no_classes",)),
+    Mutant("synth.py", "0.0 < self.base_activation <= 1.0", "0.0 <= self.base_activation <= 1.0",
+           ("tests/test_synth.py::TestSynthSpec::test_rejects_mistyped_or_bad_field",)),
+    Mutant("synth.py", "lo = hi = max(s + 1, min(e - width, s + (e - s) // 2))",
+           "lo = hi = s + (e - s) // 2",
+           ("tests/test_synth.py::TestSynthCorpus::"
+            "test_central_dip_without_room_in_the_middle_third_fills_the_interior",)),
     # inflate accepting a ratio of 0
     Mutant("boundary.py", "if alpha <= 0:", "if alpha < 0:",
            ("tests/test_boundary.py::TestClipInflate::test_rejects_a_ratio_that_is_not_positive",)),

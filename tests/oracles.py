@@ -384,7 +384,7 @@ def kernel_at(cas, box, inner_only: bool = False):
     from oicloc.oic import oic_kernel
 
     rounded = round_boundary(np.array(box, dtype=np.float64))
-    return oic_kernel(cas.padded_row(1)[None], 0, *rounded, inner_only=inner_only)
+    return oic_kernel(cas.padded[:1], 0, *rounded, inner_only=inner_only)
 
 
 def scatter_reference(M: int, T: int, t, m, d_tx, d_tw) -> np.ndarray:

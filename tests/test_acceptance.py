@@ -82,7 +82,7 @@ def test_criterion_1_step_filter_identity(capsys, rng):
         cas = Cas(rng.uniform(0, 1, size=(1, T)))
         h = random_hypothesis(rng, T)
         s, weights, norm = step_filter_weights(h)
-        row = cas.padded_row(1)
+        row = cas.padded[0]
         dot = float(weights @ row[s : s + len(weights)]) / norm
         worst = max(worst, abs(dot - kernel_at(cas, h)[0].loss))
         zero_sum = zero_sum and weights.sum() == 0.0

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oicloc.config import RunConfig
 from oicloc.errors import ConfigError, InputError
 from oicloc.selection import snippet_to_time
 from oicloc.synth import SynthSpec, synth_corpus
+from oicloc.train import train_network
 
 CFG = RunConfig(anchors=(2, 4, 8), feature_dim=8, hidden=8, lr=3e-6, direct_opt_iters=5)
 
@@ -71,6 +73,21 @@ class TestEnumeration:
                         for x1, x2 in enumeration_oracle(cas.act[0], 1, T, 0.25, -0.3, 0.4)]
             assert got == expected
 
+    @pytest.mark.parametrize("max_len", [None, 6])
+    def test_row_blocks_give_the_one_block_predictions(self, rng, monkeypatch, max_len):
+        """Below T = 512 one block holds every row; a few pairs per block make many."""
+        for _ in range(30):
+            T = int(rng.integers(8, 31))
+            cas = Cas(rng.uniform(0, 1, size=(1, T)))
+            whole = baselines.oic_selection_enumerate(cas, 1, max_len=max_len)
+            with monkeypatch.context() as patch:
+                patch.setattr(baselines, "ENUMERATE_CHUNK_PAIRS", int(rng.integers(1, 3 * T)))
+                assert baselines.oic_selection_enumerate(cas, 1, max_len=max_len) == whole
+            if max_len is None:
+                expected = [(snippet_to_time(x1, 30.0), snippet_to_time(x2, 30.0))
+                            for x1, x2 in enumeration_oracle(cas.act[0], 1, T, 0.25, -0.3, 0.4)]
+                assert sorted((p.start_s, p.end_s) for p in whole) == expected
+
     def test_weak_flat_video_yields_nothing(self):
         # every segment's contrast is at most 0.2, above the -0.3 ceiling
         assert baselines.oic_selection_enumerate(Cas(np.full((1, 20), 0.2)), 1) == []
@@ -116,8 +133,14 @@ class TestCompare:
         test = synth_corpus(spec, 2, 3, prefix="test")
         table = baselines.compare(train, test, CFG, seed=3)
         taus = [round(0.1 * i, 1) for i in range(1, 10)]
+        alphas = (0.125, 0.25, 0.5)
         assert list(table) == (["full", "direct_opt", "oic_select", "inner_only"]
-                               + [f"threshold_{tau}" for tau in taus])
+                               + [f"threshold_{tau}" for tau in taus]
+                               + [f"full_alpha_{alpha}" for alpha in alphas])
+        assert CFG.alpha == 0.25 and table["full_alpha_0.25"] is table["full"]
+        alpha_cfg = replace(CFG, alpha=0.5)
+        alpha_net = train_network(train, alpha_cfg, seed=3).net
+        assert table["full_alpha_0.5"] == baselines.detect("full", test, alpha_cfg, alpha_net)
         enumerated = [
             p
             for v in test

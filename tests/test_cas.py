@@ -31,16 +31,16 @@ class TestCas:
         with pytest.raises(ValueError):
             cas.act[0, 0] = 0.1
 
-    def test_padded_row_rejects_bad_class(self):
-        cas = Cas(np.array([[0.4, 0.6]]))
-        with pytest.raises(InputError):
-            cas.padded_row(0)
-        with pytest.raises(InputError):
-            cas.padded_row(2)
-
-    def test_padded_row(self):
-        cas = Cas(np.array([[0.4, 0.6]]))
-        assert np.array_equal(cas.padded_row(1), [0.0, 0.4, 0.6, 0.0])
+    def test_act_is_the_interior_of_one_padded_copy(self):
+        src = np.array([[0.4, 0.6], [0.1, 0.2]])
+        cas = Cas(src)
+        assert np.array_equal(cas.padded, [[0.0, 0.4, 0.6, 0.0], [0.0, 0.1, 0.2, 0.0]])
+        assert cas.act.base is cas.padded and np.array_equal(cas.act, src)
+        assert cas.padded.flags.c_contiguous
+        assert not np.shares_memory(cas.padded, src)
+        for value in (cas.act, cas.padded):
+            with pytest.raises(ValueError):
+                value[0, 0] = 0.5
 
 
 class TestVideoRecord:

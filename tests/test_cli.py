@@ -104,6 +104,23 @@ class TestTrainPredictEval:
                      "--out", str(report)]) == 0
         assert json.loads(report.read_text())["avg_mAP"] == 1.0
 
+    def test_eval_activitynet_profile_scores_its_ten_thresholds(self, workspace, tmp_path, capsys):
+        entries = json.loads((workspace / "corpus" / "manifest.json").read_text())
+        pred = tmp_path / "preds.jsonl"  # every ground truth segment, found
+        pred.write_text("\n".join(
+            json.dumps({"video_id": e["video_id"], "class": g["class"], "start_s": g["start_s"],
+                        "end_s": g["end_s"], "score": 1.0})
+            for e in entries for g in e["gt"]))
+        report = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(pred), "--manifest",
+                     str(workspace / "corpus" / "manifest.json"), "--profile", "activitynet",
+                     "--out", str(report)]) == 0
+        thresholds = ["0.5", "0.55", "0.6", "0.65", "0.7", "0.75", "0.8", "0.85", "0.9", "0.95"]
+        payload = json.loads(report.read_text())
+        assert list(payload) == thresholds + ["avg_mAP"] and payload["avg_mAP"] == 1.0
+        assert capsys.readouterr().out.splitlines() == (
+            [f"mAP@{thr}: 1.0000" for thr in thresholds] + ["avg mAP: 1.0000"])
+
     def test_threshold_mode_needs_no_checkpoint(self, workspace):
         out = workspace / "thr.jsonl"
         assert main(["predict", "--config", str(workspace / "run.json"),
@@ -222,6 +239,15 @@ class TestBadInput:
         assert err == (f"error: {tmp_path / 'manifest.json'}: "
                        "manifest entries 0 and 1 share video id 'v'\n")
         assert not (tmp_path / "report.json").exists()
+
+    def test_manifest_that_lists_no_videos(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text("[]")
+        (tmp_path / "run.json").write_text(json.dumps({"version": 1, "manifest": "manifest.json"}))
+        code = main(["train", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "m")])
+        assert code == 2 and not (tmp_path / "m").exists()
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'manifest.json'}: "
+                                           "manifest lists no videos\n")
 
     def test_eval_against_a_manifest_without_ground_truth(self, tmp_path, capsys):
         (tmp_path / "v.csv").write_text("snippet,class_1\n1,0.5\n")

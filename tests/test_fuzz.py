@@ -132,19 +132,20 @@ def cas_csv_texts(draw):
 @example(data=b"snippet,class_1\n1,1_0\n")  # reads, but out of [0, 1]
 @example(data=b"snippet,class_1\n1,0.5\xff\n")  # not UTF-8
 def test_read_cas_csv(workdir, data):
-    """Text in the dialect reads as the reference parser's C-contiguous matrix;
-    any other bytes end in one InputError line that names the file."""
+    """Text in the dialect reads as the reference parser's matrix, held as the
+    interior of a C-contiguous padded copy; any other bytes end in one
+    InputError line that names the file."""
     path = workdir / "cas.csv"
     path.write_bytes(data)
     want = cas_csv_reference(data)
     try:
-        act = io.read_cas_csv(path).act
+        cas = io.read_cas_csv(path)
     except InputError as exc:
         assert want is None
         assert str(exc).startswith(f"{path}:") and "\n" not in str(exc)
         return
-    assert want is not None and act.flags.c_contiguous
-    assert act.shape == want.shape and act.tobytes() == want.tobytes()
+    assert want is not None and cas.padded.flags.c_contiguous and cas.act.base is cas.padded
+    assert cas.act.shape == want.shape and cas.act.tobytes() == want.tobytes()
 
 
 CONFIG = {"version": 1, "profile": "synthetic", "manifest": "m.json", "anchors": [2, 4],

@@ -104,7 +104,7 @@ class TestStepFilter:
             cas = Cas(rng.uniform(0, 1, size=(1, T)))
             h = random_hypothesis(rng, T)
             start, weights, norm = step_filter_weights(h)
-            row = cas.padded_row(1)
+            row = cas.padded[0]
             dot = float(weights @ row[start : start + len(weights)]) / norm
             assert dot == pytest.approx(kernel_at(cas, h)[0].loss, abs=1e-12)
             assert weights.sum() == 0.0

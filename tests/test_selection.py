@@ -329,6 +329,17 @@ class TestSelect:
         assert all(column.size == 0 for column in survivors)
         assert to_predictions(*predicted_columns(survivors)) == []
 
+    def test_rejects_a_grid_of_another_length_a_class_outside_1_to_k_and_an_unknown_loss(self):
+        cas = Cas(np.full((2, 10), 0.5))
+        grid = build_candidates(np.zeros((6, 10)), ANCHORS, 0.25)
+        with pytest.raises(InputError, match="grid has 11 positions for a T=10 video"):
+            select(cas, build_candidates(np.zeros((6, 11)), ANCHORS, 0.25), [1])
+        for classes in ([0], [3], [1, 3]):
+            with pytest.raises(InputError, match="outside 1..2"):
+                select(cas, grid, classes)
+        with pytest.raises(InputError, match="unknown loss variant 'outer'"):
+            select(cas, grid, [1], loss="outer")
+
     def test_training_only_touches_label_classes(self, rng):
         cas = Cas(rng.uniform(0, 1, size=(3, 14)))
         _, grid = make_grid(rng, 14)
@@ -470,6 +481,16 @@ class TestTrainingLoss:
         assert losses.sum() != losses[order].sum()  # so the order shows in the bits
         total, _ = training_loss(cas, grid, survivors)
         assert total == float(losses[order].sum())
+
+    def test_refuses_a_survivor_without_an_outer_ring(self):
+        # anchor 16 at position 2 of a T=4 video: the inner box clips to the
+        # whole padded grid [0, 5], so the outer box adds no snippet
+        cas = Cas(np.full((1, 4), 0.5))
+        grid = build_candidates(np.zeros((2, 4)), AnchorConfig((16,)), 0.25)
+        assert grid.rounded[:, 1, 0].tolist() == [0, 5, 0, 5] and not grid.valid[1, 0]
+        survivor = (np.array([1]), np.array([1]), np.array([0]))
+        with pytest.raises(InputError, match="a survivor has an empty outer ring"):
+            training_loss(cas, grid, survivor)
 
     def test_empty_mask_gives_zero_loss_and_gradients(self, rng):
         cas = Cas(np.full((1, 10), 0.5))

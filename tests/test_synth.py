@@ -27,11 +27,15 @@ class TestSynthSpec:
 
     @pytest.mark.parametrize("field, value", [
         ("noise_amp", "x"), ("fps", True), ("num_classes", 2.0), ("t_range", (1, 2, 3)),
-        ("dip_central", 1), ("fps", 0.0),
+        ("dip_central", 1), ("fps", 0.0), ("base_activation", 0.0), ("base_activation", 1.5),
     ])
     def test_rejects_mistyped_or_bad_field(self, field, value):
         with pytest.raises(InputError, match=field):
             SynthSpec.from_dict({**SPEC.to_dict(), field: value})
+
+    def test_rejects_no_classes(self):
+        with pytest.raises(InputError, match="need at least one class"):
+            SynthSpec.from_dict({**SPEC.to_dict(), "num_classes": 0})
 
     @pytest.mark.parametrize("field", [
         "background", "noise_amp", "dip_prob", "bridge_prob", "level_jitter", "dip_level",
@@ -113,6 +117,17 @@ class TestSynthCorpus:
             dips = np.nonzero(row < 0.5)[0]
             assert len(dips) == 1
             assert len(row) // 3 <= dips[0] <= 2 * len(row) // 3
+
+    def test_central_dip_without_room_in_the_middle_third_fills_the_interior(self):
+        # a 6-snippet instance has no room for a 4-snippet notch in its middle
+        # third, so the notch falls back to s+1 .. s+4
+        spec = SynthSpec(num_classes=1, t_range=(40, 40), instances_range=(1, 2),
+                         dip_prob=1.0, dip_width_range=(4, 4), dip_central=True,
+                         instance_len_range=(6, 6))
+        for v in synth_corpus(spec, 0, 5):
+            for g in v.gt:
+                s = int(round(g.start_s * v.fps / 15.0)) + 1
+                assert v.cas.act[0, s - 1 : s + 5].tolist() == [0.9, 0.05, 0.05, 0.05, 0.05, 0.9]
 
     def test_activations_stay_in_unit_interval(self):
         noisy = SynthSpec(num_classes=2, t_range=(40, 60), instances_range=(1, 2),
