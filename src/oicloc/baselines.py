@@ -9,7 +9,7 @@ import numpy as np
 
 from .cas import Cas, VideoRecord
 from .config import RunConfig
-from .errors import ConfigError, InputError
+from .errors import InputError
 from .oic import oic_areas
 from .boundary import inflate, round_boundary
 from .regressor import NetworkB
@@ -24,6 +24,8 @@ def threshold_localize(cas: Cas, k: int, tau: float, fps: float = 30.0,
                        video_id: str = "") -> list[Prediction]:
     """Maximal runs of two or more snippets of activation >= tau become
     segments scored by mean activation, best first."""
+    if not 1 <= k <= cas.num_classes:
+        raise InputError(f"class {k} outside 1..{cas.num_classes}")
     if not (0.0 < tau < 1.0):
         raise InputError("tau must lie in (0, 1)")
     row = cas.act[k - 1]
@@ -60,6 +62,8 @@ def oic_selection_enumerate(
     video_id: str = "",
 ) -> list[Prediction]:
     """Score every integer segment up to max_len with the contrastive loss."""
+    if not 1 <= k <= cas.num_classes:
+        raise InputError(f"class {k} outside 1..{cas.num_classes}")
     T = cas.num_snippets
     if max_len is None:
         max_len = T
@@ -117,7 +121,7 @@ def detect(
     """
     if mode in ("full", "inner_only"):
         if net is None:
-            raise ConfigError(f"mode {mode} needs a trained network")
+            raise InputError(f"mode {mode} needs a trained network")
         loss = "oic" if mode == "full" else "inner"
         per_video = lambda v: predict_video(net, v, cfg, loss=loss)
     elif mode == "threshold":
@@ -134,7 +138,7 @@ def detect(
     elif mode == "direct_opt":
         per_video = lambda v: direct_optimize(v, cfg, seed=seed)
     else:
-        raise ConfigError(f"unknown prediction mode {mode!r}")
+        raise InputError(f"unknown prediction mode {mode!r}")
     return [p for v in videos for p in per_video(v)]
 
 

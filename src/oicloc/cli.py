@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib.metadata
-import json
 import logging
 import os
 import sys
@@ -16,7 +15,7 @@ import numpy as np
 from . import baselines, evaluation, io, synth
 from .cas import SNIPPET_FRAMES
 from .config import RunConfig, load_config
-from .errors import ConfigError, InputError, TrainingError
+from .errors import InputError, TrainingError
 from .gradcheck import run_all
 from .regressor import NetworkB
 from .train import train_network
@@ -33,19 +32,19 @@ def _setup_logging() -> None:
 def _load_run(config_path: str) -> tuple[RunConfig, list]:
     cfg = load_config(config_path)
     if cfg.manifest is None:
-        raise ConfigError(f"{config_path}: config must name a manifest")
+        raise InputError(f"{config_path}: config must name a manifest")
     manifest = Path(config_path).parent / cfg.manifest
     videos = io.read_manifest(manifest)
     if not videos:
-        raise ConfigError(f"{manifest}: manifest lists no videos")
+        raise InputError(f"{manifest}: manifest lists no videos")
     return cfg, videos
 
 
 def cmd_synth(args) -> int:
     try:
-        spec = synth.SynthSpec.from_dict(json.loads(Path(args.spec).read_bytes()))
-    except (ValueError, RecursionError) as exc:  # JSON (or nested too deep), encoding, spec
-        raise ConfigError(f"{args.spec}: {exc}") from None
+        spec = synth.SynthSpec.from_dict(io.parse_json(Path(args.spec).read_bytes()))
+    except InputError as exc:
+        raise InputError(f"{args.spec}: {exc}") from None
     videos = synth.synth_corpus(spec, args.seed, args.count, prefix=args.prefix)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -92,11 +91,11 @@ def cmd_predict(args) -> int:
     net = NetworkB.load(args.checkpoint) if args.checkpoint else None
     M = cfg.anchor_config().count
     if net is not None and (net.anchor_count, net.feature_dim) != (M, cfg.feature_dim):
-        raise ConfigError(f"{args.checkpoint}: checkpoint has {net.anchor_count} anchors and "
-                          f"feature_dim {net.feature_dim}, but {args.config} has {M} anchors "
-                          f"and feature_dim {cfg.feature_dim}")
+        raise InputError(f"{args.checkpoint}: checkpoint has {net.anchor_count} anchors and "
+                         f"feature_dim {net.feature_dim}, but {args.config} has {M} anchors "
+                         f"and feature_dim {cfg.feature_dim}")
     if args.mode == "threshold" and not 0 < cfg.act_min < 1:
-        raise ConfigError(f"{args.config}: 'act_min' must lie in (0, 1) for --mode threshold")
+        raise InputError(f"{args.config}: 'act_min' must lie in (0, 1) for --mode threshold")
     preds = baselines.detect(args.mode, videos, cfg, net=net, seed=args.seed)
     io.write_predictions_jsonl(args.out, preds)
     print(f"wrote {len(preds)} predictions to {args.out}")
@@ -240,7 +239,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InputError, TrainingError, OSError) as exc:
+    except (InputError, TrainingError, OSError) as exc:
         print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)  # one line
         return 2
 

@@ -1,13 +1,12 @@
 """Run configuration: dataclass, named profiles, strict JSON loading."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .boundary import AnchorConfig
-from .errors import ConfigError, InputError
-from .io import _is_finite, _is_int, _is_number
+from .errors import InputError
+from .io import _is_finite, _is_int, _is_number, check_object, parse_json
 
 CONFIG_VERSION = 1
 
@@ -48,17 +47,18 @@ class RunConfig:
         for names, valid, kind in _FIELD_RULES:
             for name in names:
                 if not valid(getattr(self, name)):
-                    raise ConfigError(f"{name!r} must be {kind}, got {getattr(self, name)!r}")
+                    raise InputError(f"{name!r} must be {kind}, got {getattr(self, name)!r}")
         object.__setattr__(self, "anchors", tuple(self.anchors))
         try:
             self.anchor_config()
         except InputError as exc:
-            raise ConfigError(f"'anchors': {exc}") from None
+            raise InputError(f"'anchors': {exc}") from None
 
     def anchor_config(self) -> AnchorConfig:
         return AnchorConfig(self.anchors)
 
 
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {"version", "profile"}
 PROFILES: dict[str, RunConfig] = {
     "thumos": RunConfig(anchors=(1, 2, 4, 8, 16, 32), lr_step=200),
     "activitynet": RunConfig(anchors=(16, 32, 64, 128, 256, 512), lr_step=500),
@@ -72,25 +72,13 @@ def load_config(path: str | Path) -> RunConfig:
     """Load a run config JSON; unknown keys, version mismatches and bad values are errors."""
     path = Path(path)
     try:
-        data = json.loads(path.read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    if data.get("version") != CONFIG_VERSION:
-        raise ConfigError(f"{path}: missing or unsupported config version")
-    profile = data.get("profile")
-    base = RunConfig()
-    if profile is not None:
-        if not isinstance(profile, str) or profile not in PROFILES:
-            raise ConfigError(f"{path}: unknown profile {profile!r}")
-        base = PROFILES[profile]
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - known - {"version", "profile"}
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    try:
-        return replace(base, **{k: v for k, v in data.items() if k in known})
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
+        data = check_object(parse_json(path.read_bytes()), "config", _CONFIG_KEYS, {"version"})
+        if data["version"] != CONFIG_VERSION:
+            raise InputError(f"unsupported config version {data['version']!r}")
+        profile = data.get("profile")
+        if profile is not None and not (isinstance(profile, str) and profile in PROFILES):
+            raise InputError(f"unknown profile {profile!r}")
+        base = RunConfig() if profile is None else PROFILES[profile]
+        return replace(base, **{k: v for k, v in data.items() if k not in ("version", "profile")})
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None

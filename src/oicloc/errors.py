@@ -2,11 +2,7 @@
 
 
 class InputError(ValueError):
-    """Malformed or inconsistent input data."""
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration or file schema."""
+    """Malformed or inconsistent input: a file, a run config or an argument."""
 
 
 class UsageError(RuntimeError):

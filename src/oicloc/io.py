@@ -1,4 +1,4 @@
-"""File formats: CAS CSV, manifests, predictions."""
+"""File formats: CAS CSV, manifests, predictions, and the one JSON reader."""
 from __future__ import annotations
 
 import json
@@ -10,6 +10,38 @@ import numpy as np
 from .cas import Cas, GroundTruthSegment, VideoRecord
 from .errors import InputError
 from .selection import Prediction
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise InputError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def parse_json(data: bytes) -> object:
+    """The JSON document in the UTF-8 bytes ``data``. Anything else (not UTF-8,
+    not JSON, nested too deep, a key repeated in one object) is an InputError."""
+    try:
+        return _DECODER.decode(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # a huge integer literal is a ValueError too
+        raise InputError(str(exc)) from None
+
+
+def check_object(obj, what: str, known, required=frozenset()) -> dict:
+    """``obj`` if it is a JSON object with no key outside the set ``known`` and
+    every key of the set ``required``; otherwise an InputError naming ``what``."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be a JSON object")
+    if not obj.keys() <= known:
+        raise InputError(f"{what}: unknown keys {sorted(obj.keys() - known)}")
+    if not obj.keys() >= required:
+        raise InputError(f"{what}: lacks keys {sorted(required - obj.keys())}")
+    return obj
 
 
 def _cas_header(K: int) -> str:
@@ -126,33 +158,28 @@ _ENTRY_TYPES = {
     "gt": (lambda v: isinstance(v, list) and all(map(_is_segment, v)),
            "a list of objects with integer class and finite start_s, end_s"),
 }
+_ENTRY_REQUIRED = _ENTRY_TYPES.keys() - {"gt"}
 
 
 def read_manifest(path: str | Path) -> list[VideoRecord]:
     path = Path(path)
-    try:
-        entries = json.loads(path.read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    if not isinstance(entries, list):
-        raise InputError(f"{path}: manifest must be a JSON array")
     videos, first_entry = [], {}  # video id -> index of the entry that holds it
+    try:
+        entries = parse_json(path.read_bytes())
+        if not isinstance(entries, list):
+            raise InputError("manifest must be a JSON array")
+        for i, entry in enumerate(entries):
+            check_object(entry, f"manifest entry {i}", _ENTRY_TYPES.keys(), _ENTRY_REQUIRED)
+            for key, (valid, kind) in _ENTRY_TYPES.items():
+                if key in entry and not valid(entry[key]):
+                    raise InputError(f"manifest entry {i}: {key!r} must be {kind}")
+            j = first_entry.setdefault(entry["video_id"], i)
+            if j != i:
+                raise InputError(f"manifest entries {j} and {i} share video id "
+                                 f"{entry['video_id']!r}")
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise InputError(f"{path}: manifest entry {i} must be a JSON object")
-        extra = set(entry) - set(_ENTRY_TYPES)
-        if extra:
-            raise InputError(f"{path}: unknown manifest keys {sorted(extra)}")
-        for key, (valid, kind) in _ENTRY_TYPES.items():
-            if key in entry and not valid(entry[key]):
-                raise InputError(f"{path}: manifest entry {i}: {key!r} must be {kind}")
-        for key in ("video_id", "cas_path", "labels", "fps"):
-            if key not in entry:
-                raise InputError(f"{path}: manifest entry {i} lacks key {key!r}")
-        j = first_entry.setdefault(entry["video_id"], i)
-        if j != i:
-            raise InputError(f"{path}: manifest entries {j} and {i} share video id "
-                             f"{entry['video_id']!r}")
         cas = read_cas_csv(path.parent / entry["cas_path"])
         try:
             gt = None
@@ -190,32 +217,28 @@ def write_predictions_jsonl(path: str | Path, preds: list[Prediction]) -> None:
 _PREDICTION_TYPES = {
     "video_id": (lambda v: isinstance(v, str), "a string"),
     "class": (_is_int, "an integer"),
-    "start_s": (_is_number, "a number"),
-    "end_s": (_is_number, "a number"),
-    "score": (_is_number, "a number"),
+    "start_s": (_is_finite, "a finite number"),
+    "end_s": (_is_finite, "a finite number"),
+    "score": (_is_finite, "a finite number"),
 }
 
 
 def read_predictions_jsonl(path: str | Path) -> list[Prediction]:
     preds = []
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-                raise InputError(f"{path}:{lineno}: bad prediction line: {exc}") from None
-            if not isinstance(obj, dict):
-                raise InputError(f"{path}:{lineno}: prediction must be a JSON object")
-            for key, (valid, kind) in _PREDICTION_TYPES.items():
-                if not valid(obj.get(key)):
-                    raise InputError(f"{path}:{lineno}: {key!r} must be {kind}")
-            for key in ("start_s", "end_s", "score"):
-                if not _is_finite(obj[key]):
-                    raise InputError(f"{path}:{lineno}: {key!r} must be finite")
-            if obj["start_s"] > obj["end_s"]:
-                raise InputError(f"{path}:{lineno}: 'start_s' must not exceed 'end_s'")
-            preds.append(Prediction(obj["class"], obj["start_s"], obj["end_s"], obj["score"],
-                                    video_id=obj["video_id"]))
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.strip():
+                    continue
+                obj = check_object(parse_json(raw), "prediction", _PREDICTION_TYPES.keys(),
+                                   _PREDICTION_TYPES.keys())
+                for key, (valid, kind) in _PREDICTION_TYPES.items():
+                    if not valid(obj[key]):
+                        raise InputError(f"{key!r} must be {kind}")
+                if obj["start_s"] > obj["end_s"]:
+                    raise InputError("'start_s' must not exceed 'end_s'")
+                preds.append(Prediction(obj["class"], obj["start_s"], obj["end_s"], obj["score"],
+                                        video_id=obj["video_id"]))
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
     return preds

@@ -33,14 +33,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, TrainingError, UsageError
-from .io import _is_int
+from .errors import InputError, TrainingError, UsageError
+from .io import _is_int, check_object, parse_json
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 KERNEL = 3
 HIDDEN_LAYERS = 3
 CHECKPOINT_VERSION = 3
+_HEADER_KEYS = frozenset(("version", "feature_dim", "anchor_count", "hidden", "tensors", "meta"))
 PAD = (KERNEL - 1) // 2
 # Multiply-adds per tap (c_out * c_in * T) from which a conv layer shares its
 # work with the worker thread. A hand-off and join costs ~50 us; with one BLAS
@@ -237,7 +238,7 @@ def _parameter_shapes(feature_dim: int, anchor_count: int, hidden: int) -> dict[
     dims = {"feature_dim": feature_dim, "anchor_count": anchor_count, "hidden": hidden}
     for name, value in dims.items():
         if not (_is_int(value) and value >= 1):
-            raise ConfigError(f"{name!r} must be a positive integer, got {value!r}")
+            raise InputError(f"{name!r} must be a positive integer, got {value!r}")
     widths = [feature_dim] + [hidden] * HIDDEN_LAYERS
     shapes = {}
     for i in range(HIDDEN_LAYERS):
@@ -328,7 +329,7 @@ class NetworkB:
         """
         feat = np.asarray(feat, dtype=np.float64)
         if feat.ndim != 2 or feat.shape[0] != self.feature_dim:
-            raise ConfigError(
+            raise InputError(
                 f"feature map must be {self.feature_dim} x T, got shape {feat.shape}"
             )
         if mode not in ("train", "infer"):
@@ -425,30 +426,26 @@ class NetworkB:
         against the layout its dims imply before anything is allocated, and each
         tensor as it is filled: finite values, running variances not negative.
         Any other file, a version-2 JSON document included, fails with one
-        ConfigError naming the path."""
+        InputError naming the path."""
         try:
             data = Path(path).read_bytes()
             end = data.find(b"\n")
             end = len(data) if end < 0 else end
-            header, payload = json.loads(data[:end]), memoryview(data)[end + 1 :]
-            if not isinstance(header, dict):
-                raise ConfigError("checkpoint header must be a JSON object")
-            if header.get("version") != CHECKPOINT_VERSION:
-                raise ConfigError(f"unsupported checkpoint version {header.get('version')!r}")
-            missing = {"feature_dim", "anchor_count", "hidden", "tensors", "meta"} - set(header)
-            if missing:
-                raise ConfigError(f"checkpoint lacks keys {sorted(missing)}")
+            header, payload = parse_json(data[:end]), memoryview(data)[end + 1 :]
+            if isinstance(header, dict) and header.get("version") != CHECKPOINT_VERSION:
+                raise InputError(f"unsupported checkpoint version {header.get('version')!r}")
+            check_object(header, "checkpoint header", _HEADER_KEYS, _HEADER_KEYS)
             dims = header["feature_dim"], header["anchor_count"], header["hidden"]
             shapes = _checkpoint_shapes(*dims)
             # compared as JSON text, so that 3.0 or true cannot stand for an integer
             if json.dumps(header["tensors"]) != json.dumps(_tensor_list(shapes)):
-                raise ConfigError("checkpoint 'tensors' does not list the tensors of "
-                                  "feature_dim {}, anchor_count {}, hidden {}".format(*dims))
+                raise InputError("checkpoint 'tensors' does not list the tensors of "
+                                 "feature_dim {}, anchor_count {}, hidden {}".format(*dims))
             if not isinstance(header["meta"], dict):
-                raise ConfigError("checkpoint 'meta' must be a JSON object")
+                raise InputError("checkpoint 'meta' must be a JSON object")
             size = 8 * sum(math.prod(shape) for shape in shapes.values())
             if len(payload) != size:
-                raise ConfigError(f"checkpoint payload is {len(payload)} bytes, expected {size}")
+                raise InputError(f"checkpoint payload is {len(payload)} bytes, expected {size}")
             values = np.frombuffer(payload, dtype="<f8")
             net = cls.__new__(cls)
             net._allocate(*dims)
@@ -457,14 +454,14 @@ class NetworkB:
             for (name, shape), tensor in zip(shapes.items(), net._checkpoint_tensors()):
                 chunk = values[offset : offset + math.prod(shape)]
                 if not np.isfinite(chunk).all():
-                    raise ConfigError(f"checkpoint tensor {name} holds a non-finite value")
+                    raise InputError(f"checkpoint tensor {name} holds a non-finite value")
                 if name.endswith("running_var") and (chunk < 0).any():
-                    raise ConfigError(f"checkpoint tensor {name} holds a negative variance")
+                    raise InputError(f"checkpoint tensor {name} holds a negative variance")
                 # each tensor in C order of its shape, assigned through its (tap-major) view
                 tensor[...] = chunk.reshape(shape)
                 offset += chunk.size
-        except (ConfigError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
         return net
 
 

@@ -8,13 +8,13 @@ single global threshold separates action from context in every video.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
 from .cas import Cas, GroundTruthSegment, VideoRecord
 from .errors import InputError
-from .io import _is_finite, _is_int, _is_number
+from .io import _is_finite, _is_int, _is_number, check_object
 from .selection import snippet_to_time
 
 # annotated field type -> (check of its value, what the check asks for)
@@ -72,16 +72,9 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthSpec":
-        if not isinstance(data, dict):
-            raise InputError("synth spec must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InputError(f"unknown synth spec keys: {sorted(unknown)}")
-        try:
-            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
-        except (TypeError, ValueError) as exc:  # missing keys, mistyped or invalid values
-            raise InputError(f"bad synth spec: {exc}") from None
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        check_object(data, "synth spec", {f.name for f in fields(cls)}, required)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}

@@ -43,6 +43,11 @@ SGD = "tests/test_regressor.py::TestSgd"
 CAS_SPELLINGS = "tests/test_io.py::TestCasCsv::test_refuses_other_spellings_on_their_line"
 CHECKPOINT_VALUES = "tests/test_regressor.py::TestCheckpoint::test_rejects_values_that_cannot_be_right"
 GRID_ERRORS = "tests/test_train.py::TestPredictVideo::test_grid_errors_name_the_video"
+# baselines' class refusal, the same text in two functions: told apart by the line after it
+CLASS_CHECK = ('if not 1 <= k <= cas.num_classes:\n'
+               '        raise InputError(f"class {k} outside 1..{cas.num_classes}")\n    ')
+NO_CLASS_CHECK = CLASS_CHECK.replace("not 1 <= k <= cas.num_classes", "False")
+JSON_REFUSALS = "tests/test_cli.py::TestBadInput::test_every_json_reader_refuses_bad_input"
 SELECT_REFUSALS = ("tests/test_selection.py::TestSelect::"
                    "test_rejects_a_grid_of_another_length_a_class_outside_1_to_k_and_an_unknown_loss")
 
@@ -231,6 +236,15 @@ MUTANTS = [
     Mutant("regressor.py", "np.multiply(v, lr, out=update)", "np.multiply(v, 1.0, out=update)",
            (SGD,)),
     Mutant("regressor.py", "np.zeros(p.size)", "np.ones(p.size)", (SGD,)),
+    # the JSON readers: unknown keys, missing keys or a repeated key let through
+    Mutant("io.py", "if not obj.keys() <= known:", "if False:", (JSON_REFUSALS,)),
+    Mutant("io.py", "if not obj.keys() >= required:", "if False:", (JSON_REFUSALS,)),
+    Mutant("io.py", "if len(obj) < len(pairs):", "if False:", (JSON_REFUSALS,)),
+    # thresholding and enumeration reading a class outside 1..K
+    Mutant("baselines.py", CLASS_CHECK + "if not (0.0 < tau", NO_CLASS_CHECK + "if not (0.0 < tau",
+           ("tests/test_baselines.py::TestThresholdLocalize::test_rejects_a_class_outside_1_to_k",)),
+    Mutant("baselines.py", CLASS_CHECK + "T = cas.num_snippets", NO_CLASS_CHECK + "T = cas.num_snippets",
+           ("tests/test_baselines.py::TestEnumeration::test_rejects_a_class_outside_1_to_k",)),
     # gt_instances: the segments left unstamped with their video's id
     Mutant("evaluation.py", "replace(g, video_id=v.video_id)", "g",
            ("tests/test_eval.py::TestReport::test_gt_instances_flattens_videos",)),

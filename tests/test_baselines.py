@@ -11,7 +11,7 @@ from oracles import enumeration_oracle
 from oicloc import baselines
 from oicloc.cas import Cas
 from oicloc.config import RunConfig
-from oicloc.errors import ConfigError, InputError
+from oicloc.errors import InputError
 from oicloc.selection import snippet_to_time
 from oicloc.synth import SynthSpec, synth_corpus
 from oicloc.train import train_network
@@ -40,6 +40,13 @@ class TestThresholdLocalize:
         with pytest.raises(InputError):
             baselines.threshold_localize(Cas(np.zeros((1, 4))), 1, 0.0)
 
+    @pytest.mark.parametrize("k", [-1, 0, 3])
+    def test_rejects_a_class_outside_1_to_k(self, k):
+        """Unchecked, k = -1 reads class 1's row, k = 0 class 2's, and k = 3 is an IndexError."""
+        cas = Cas(np.random.default_rng(0).uniform(size=(2, 12)))
+        with pytest.raises(InputError, match=rf"^class {k} outside 1\.\.2$"):
+            baselines.threshold_localize(cas, k, 0.5)
+
     @given(st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), min_size=1, max_size=30),
            st.sampled_from([0.3, 0.5, 0.7]))
     @settings(max_examples=100, deadline=None)
@@ -63,6 +70,13 @@ class TestThresholdLocalize:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("k", [-1, 0, 3])
+    def test_rejects_a_class_outside_1_to_k(self, k):
+        """Unchecked, k = -1 labels class 1's segments -1; k = 0 and 3 are IndexErrors."""
+        cas = Cas(np.random.default_rng(0).uniform(size=(2, 12)))
+        with pytest.raises(InputError, match=rf"^class {k} outside 1\.\.2$"):
+            baselines.oic_selection_enumerate(cas, k)
+
     def test_matches_oracle(self, rng):
         for _ in range(40):
             T = int(rng.integers(5, 31))
@@ -157,7 +171,7 @@ class TestCompare:
 
     def test_detect_rejects_unknown_mode_and_missing_network(self):
         videos = synth_corpus(SynthSpec(num_classes=2, t_range=(30, 40), instances_range=(1, 1)), 0, 1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             baselines.detect("best", videos, CFG)
-        with pytest.raises(ConfigError, match="needs a trained network"):
+        with pytest.raises(InputError, match="needs a trained network"):
             baselines.detect("inner_only", videos, CFG)

@@ -174,7 +174,7 @@ class TestBadInput:
     def test_manifest_entry_without_fps(self, tmp_path, capsys):
         entry = {k: v for k, v in self.ENTRY.items() if k != "fps"}
         err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n", entry)
-        assert "manifest entry 0 lacks key 'fps'" in err
+        assert "manifest.json: manifest entry 0: lacks keys ['fps']" in err
 
     def test_cas_csv_with_blank_header_line(self, tmp_path, capsys):
         err = self.train(tmp_path, capsys, "\nsnippet,class_1\n1,0.5\n")
@@ -321,6 +321,8 @@ class TestBadInput:
     @pytest.mark.parametrize("text, message", [
         ('{"version": 1, "profile": []}', "unknown profile []"),
         (b'{"version": 1, "profile": "\xff"}', "utf-8"),
+        pytest.param('{"version": 1, "epochs": ' + "1" * 5000 + "}", "Exceeds the limit",
+                     id="integer-too-long-for-int"),  # int() refuses it with a bare ValueError
     ])
     def test_bad_config_file(self, tmp_path, capsys, text, message):
         path = tmp_path / "run.json"
@@ -330,6 +332,54 @@ class TestBadInput:
         assert code == 2
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert message in err
+
+    # reader -> (the object it reads, a key it requires)
+    READERS = {
+        "config": ({"version": 1, "profile": "synthetic", "manifest": "corpus/manifest.json",
+                    "anchors": [2, 4, 8], "feature_dim": 8, "hidden": 8}, "version"),
+        "synth spec": (SPEC, "t_range"),
+        "manifest": (ENTRY, "fps"),
+        "predictions": ({"video_id": "v", "class": 1, "start_s": 0.0, "end_s": 1.0,
+                         "score": 0.5}, "score"),
+        "checkpoint": (checkpoint_v3(NetworkB(feature_dim=8, anchor_count=3, hidden=8))[0],
+                       "meta"),
+    }
+
+    @pytest.mark.parametrize("fault", ["not JSON", "not an object", "unknown key", "missing key",
+                                       "repeated key"])
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_every_json_reader_refuses_bad_input(self, workspace, tmp_path, capsys,
+                                                  reader, fault):
+        good, key = self.READERS[reader]
+        text = json.dumps(good)
+        text, message = {
+            "not JSON": (text[:-1], "Expecting"),
+            "not an object": ("[1]", "must be a JSON object"),
+            "unknown key": (json.dumps({**good, "extra": 1}), "unknown keys ['extra']"),
+            "missing key": (json.dumps({k: v for k, v in good.items() if k != key}),
+                            f"lacks keys ['{key}']"),
+            "repeated key": (f"{text[:-1]}, {json.dumps(key)}: {json.dumps(good[key])}}}",
+                             f"repeated key '{key}'"),
+        }[fault]
+        path, where, out = tmp_path / "bad", str(tmp_path / "bad"), str(tmp_path / "out")
+        corpus = str(workspace / "corpus" / "manifest.json")
+        command, data = {
+            "config": (["train", "--config", where, "--out", out], text),
+            "synth spec": (["synth", "--spec", where, "--out", out], text),
+            "manifest": (["eval", "--pred", str(tmp_path / "none.jsonl"), "--manifest", where,
+                          "--out", out], f"[{text}]"),
+            "predictions": (["eval", "--pred", where, "--manifest", corpus, "--out", out],
+                            f"{json.dumps(good)}\n{text}\n"),
+            "checkpoint": (["predict", "--config", str(workspace / "run.json"), "--checkpoint",
+                            where, "--out", out], f"{text}\n"),
+        }[reader]
+        path.write_text(data)
+        (tmp_path / "none.jsonl").write_text("")
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}{':2' if reader == 'predictions' else ''}: ")
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def predict(self, workspace, tmp_path, capsys, checkpoint):
         code = main(["predict", "--config", str(workspace / "run.json"), "--checkpoint",

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from oicloc.config import PROFILES, RunConfig, load_config
-from oicloc.errors import ConfigError
+from oicloc.errors import InputError
 
 
 def write(tmp_path, data):
@@ -23,23 +23,23 @@ class TestLoadConfig:
         assert cfg.alpha == 0.5
 
     def test_missing_version(self, tmp_path):
-        with pytest.raises(ConfigError, match="version"):
+        with pytest.raises(InputError, match="version"):
             load_config(write(tmp_path, {"alpha": 0.5}))
 
     def test_wrong_version(self, tmp_path):
-        with pytest.raises(ConfigError, match="version"):
+        with pytest.raises(InputError, match="version"):
             load_config(write(tmp_path, {"version": 2}))
 
     def test_unknown_keys_are_hard_errors(self, tmp_path):
-        with pytest.raises(ConfigError, match="learning_rate"):
+        with pytest.raises(InputError, match="learning_rate"):
             load_config(write(tmp_path, {"version": 1, "learning_rate": 0.1}))
 
     def test_unknown_profile(self, tmp_path):
-        with pytest.raises(ConfigError, match="profile"):
+        with pytest.raises(InputError, match="profile"):
             load_config(write(tmp_path, {"version": 1, "profile": "charades"}))
 
     def test_invalid_anchors_rejected_eagerly(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             load_config(write(tmp_path, {"version": 1, "anchors": [4, 2]}))
 
     @pytest.mark.parametrize("key, value", [
@@ -53,31 +53,31 @@ class TestLoadConfig:
             ("weight_decay", 10**400)]),
     ])
     def test_mistyped_or_out_of_range_value(self, tmp_path, key, value):
-        with pytest.raises(ConfigError, match=f"run.json: '{key}' must be"):
+        with pytest.raises(InputError, match=f"run.json: '{key}' must be"):
             load_config(write(tmp_path, {"version": 1, key: value}))
 
     def test_profile_overrides_are_validated(self, tmp_path):
-        with pytest.raises(ConfigError, match="'epochs' must be a positive integer"):
+        with pytest.raises(InputError, match="'epochs' must be a positive integer"):
             load_config(write(tmp_path, {"version": 1, "profile": "thumos", "epochs": 0}))
 
     def test_not_an_object(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("[1, 2]")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             load_config(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("{")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             load_config(path)
 
 
 class TestRunConfig:
     def test_constructor_validates(self):
-        with pytest.raises(ConfigError, match="'nms_iou'"):
+        with pytest.raises(InputError, match="'nms_iou'"):
             RunConfig(nms_iou=7)
-        with pytest.raises(ConfigError, match="'anchors'"):
+        with pytest.raises(InputError, match="'anchors'"):
             RunConfig(anchors=(4, 2))
 
     def test_anchor_list_becomes_tuple(self):

@@ -1,5 +1,5 @@
-"""Fuzz tests for the readers: any input gives a valid object or a ConfigError /
-InputError (which ``oicloc`` reports on one line before exiting 2)."""
+"""Fuzz tests for the readers: any input gives a valid object or an InputError
+(which ``oicloc`` reports on one line before exiting 2)."""
 import json
 import math
 
@@ -12,7 +12,7 @@ from oracles import cas_csv_reference, checkpoint_v2, checkpoint_v3
 from oicloc import io
 from oicloc.cas import VideoRecord
 from oicloc.config import RunConfig, load_config
-from oicloc.errors import ConfigError, InputError
+from oicloc.errors import InputError
 from oicloc.regressor import NetworkB
 from oicloc.selection import Prediction
 from oicloc.synth import SynthSpec
@@ -39,18 +39,25 @@ def mutations(base: dict, values):
     return replaced | dropped
 
 
+def repeated_keys(base: dict, values):
+    """JSON text of ``base`` with one of its keys written again, after the others."""
+    return st.builds(lambda k, v: f"{json.dumps(base)[:-1]}, {json.dumps(k)}: {json.dumps(v)}}}",
+                     st.sampled_from(sorted(base)), values)
+
+
 def documents(base: dict, values=json_values()):
-    """JSON text of a mutated ``base``, of any JSON value, or raw bytes."""
-    as_text = st.one_of(mutations(base, values), values).map(lambda d: json.dumps(d).encode())
-    return as_text | st.binary(max_size=60)
+    """JSON text of a mutated ``base``, of ``base`` with a repeated key, of any
+    JSON value, or raw bytes."""
+    as_text = st.one_of(mutations(base, values), values).map(json.dumps)
+    return (as_text | repeated_keys(base, values)).map(str.encode) | st.binary(max_size=60)
 
 
-def read(reader, path, data: bytes, errors):
-    """Write ``data`` to ``path`` and read it; None if it raised one of ``errors``."""
+def read(reader, path, data: bytes):
+    """Write ``data`` to ``path`` and read it; None if it raised an InputError."""
     path.write_bytes(data)
     try:
         return reader(path)
-    except errors:
+    except InputError:
         return None
 
 
@@ -70,8 +77,7 @@ CAS_PATHS = st.sampled_from(["v.csv", "missing.csv", "", ".", "v\x00.csv"])
 @given(entry=st.one_of(mutations(ENTRY, json_values()),
                        st.builds(lambda p: {**ENTRY, "cas_path": p}, CAS_PATHS)))
 def test_read_manifest(workdir, entry):
-    videos = read(io.read_manifest, workdir / "manifest.json", json.dumps([entry]).encode(),
-                  InputError)
+    videos = read(io.read_manifest, workdir / "manifest.json", json.dumps([entry]).encode())
     if videos is not None:
         assert len(videos) == 1 and isinstance(videos[0], VideoRecord)
         assert math.isfinite(videos[0].fps) and videos[0].fps > 0
@@ -80,7 +86,7 @@ def test_read_manifest(workdir, entry):
 @FUZZ
 @given(data=st.binary(max_size=60) | json_values().map(lambda d: json.dumps(d).encode()))
 def test_read_manifest_any_document(workdir, data):
-    read(io.read_manifest, workdir / "manifest.json", data, InputError)
+    read(io.read_manifest, workdir / "manifest.json", data)
 
 
 # spellings that replace one cell or one snippet index of a well-formed file:
@@ -155,7 +161,7 @@ CONFIG = {"version": 1, "profile": "synthetic", "manifest": "m.json", "anchors":
 @FUZZ
 @given(data=documents(CONFIG))
 def test_load_config(workdir, data):
-    cfg = read(load_config, workdir / "run.json", data, ConfigError)
+    cfg = read(load_config, workdir / "run.json", data)
     if cfg is not None:
         assert isinstance(cfg, RunConfig)
 
@@ -168,7 +174,7 @@ PREDICTION = {"video_id": "a", "class": 1, "start_s": 0.0, "end_s": 1.0, "score"
     mutations(PREDICTION, st.floats()).map(lambda d: json.dumps(d).encode())
     | documents(PREDICTION), max_size=3))
 def test_read_predictions_jsonl(workdir, lines):
-    preds = read(io.read_predictions_jsonl, workdir / "p.jsonl", b"\n".join(lines), InputError)
+    preds = read(io.read_predictions_jsonl, workdir / "p.jsonl", b"\n".join(lines))
     for p in preds or ():
         assert isinstance(p, Prediction)
         assert all(map(math.isfinite, (p.start_s, p.end_s, p.score)))
@@ -194,8 +200,8 @@ CHECKPOINT = checkpoint_v2(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
 @given(data=documents(CHECKPOINT))
 def test_checkpoint_load(workdir, data):
     """A version-2 document, mutated or not, any other JSON value and short
-    raw bytes all end in one ConfigError: only version 3 is read."""
-    assert read(NetworkB.load, workdir / "ckpt.json", data, ConfigError) is None
+    raw bytes all end in one InputError: only version 3 is read."""
+    assert read(NetworkB.load, workdir / "ckpt.json", data) is None
 
 
 HEADER, PAYLOAD = checkpoint_v3(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
@@ -207,10 +213,11 @@ V3_FILE = json.dumps(HEADER).encode() + b"\n" + PAYLOAD
        | st.integers(0, len(V3_FILE)).map(lambda n: V3_FILE[:n])
        | st.builds(lambda at, raw: V3_FILE[:at] + raw + V3_FILE[at + len(raw):],
                    st.integers(0, len(V3_FILE)), st.binary(min_size=1, max_size=8))
-       | st.builds(lambda header, payload: json.dumps(header).encode() + b"\n" + payload,
-                   mutations(HEADER, json_values()),
+       | st.builds(lambda header, payload: header.encode() + b"\n" + payload,
+                   mutations(HEADER, json_values()).map(json.dumps)
+                   | repeated_keys(HEADER, json_values()),
                    st.sampled_from([PAYLOAD, PAYLOAD[:-8], PAYLOAD + bytes(8), b""])))
 def test_checkpoint_v3_load(workdir, data):
-    net = read(NetworkB.load, workdir / "ckpt.ckpt", data, ConfigError)
+    net = read(NetworkB.load, workdir / "ckpt.ckpt", data)
     if net is not None:
         assert isinstance(net, NetworkB) and isinstance(net.meta, dict)

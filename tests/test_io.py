@@ -1,10 +1,12 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oicloc import baselines, io
+from oicloc import baselines, errors, io
 from oicloc.cas import Cas, GroundTruthSegment, VideoRecord
 from oicloc.config import RunConfig
 from oicloc.errors import InputError
@@ -176,7 +178,7 @@ class TestPredictions:
     @pytest.mark.parametrize("line, message", [
         ("[1, 2]", "prediction must be a JSON object"),
         ('{"video_id": "a", "class": 1, "start_s": 0.0, "end_s": 1.0, "score": "x"}',
-         "'score' must be a number"),
+         "'score' must be a finite number"),
         ('{"video_id": "a", "class": "1", "start_s": 0.0, "end_s": 1.0, "score": 1.0}',
          "'class' must be an integer"),
         ('{"video_id": "a", "class": true, "start_s": 0.0, "end_s": 1.0, "score": 1.0}',
@@ -184,7 +186,7 @@ class TestPredictions:
         ('{"video_id": 3, "class": 1, "start_s": 0.0, "end_s": 1.0, "score": 1.0}',
          "'video_id' must be a string"),
         ('{"video_id": "a", "class": 1, "start_s": 0.0, "score": 1.0}',
-         "'end_s' must be a number"),
+         "prediction: lacks keys ['end_s']"),
     ])
     def test_malformed_line_names_line_and_key(self, tmp_path, line, message):
         path = tmp_path / "preds.jsonl"
@@ -204,3 +206,36 @@ class TestPredictions:
         path = tmp_path / "preds.jsonl"
         path.write_text("\n")
         assert io.read_predictions_jsonl(path) == []
+
+
+class TestOneWayIn:
+    def test_json_is_parsed_only_in_io_and_refused_with_one_error_type(self):
+        """``io.parse_json`` is the package's one JSON parser, and every
+        refusal of outside input is an InputError."""
+        for path in Path(io.__file__).parent.glob("*.py"):
+            if path.name != "io.py":
+                assert not re.search(r"json\.loads?\b|JSONDecoder", path.read_text()), path.name
+        types = [name for name, value in vars(errors).items() if isinstance(value, type)]
+        assert types == ["InputError", "UsageError", "TrainingError"]
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"a": 1, "b": {"c": 2, "c": 2}}', "repeated key 'c'"),
+        (b'[{"a": 1}, {"b": 1, "a": 2, "b": 3}]', "repeated key 'b'"),
+        (b"1" * 5000, "Exceeds the limit (4300 digits)"),
+        (b"\xef\xbb\xbf{}", "Expecting value"),
+        (b'{"a": "\xff"}', "'utf-8' codec can't decode"),
+    ], ids=["nested", "in-a-list", "integer-too-long", "byte-order-mark", "not-utf-8"])
+    def test_parse_json_refusals(self, data, message):
+        with pytest.raises(InputError) as refused:
+            io.parse_json(data)
+        assert str(refused.value).startswith(message)
+
+    def test_check_object_names_what_it_checked(self):
+        known, required = frozenset("abc"), frozenset("ab")
+        assert io.check_object({"a": 1, "b": 2}, "thing", known, required) == {"a": 1, "b": 2}
+        for obj, message in [([], "thing must be a JSON object"),
+                             ({"a": 1, "b": 2, "z": 0, "y": 0}, "thing: unknown keys ['y', 'z']"),
+                             ({"c": 1}, "thing: lacks keys ['a', 'b']")]:
+            with pytest.raises(InputError) as refused:
+                io.check_object(obj, "thing", known, required)
+            assert str(refused.value) == message

@@ -15,7 +15,7 @@ from oracles import (checkpoint_layout, checkpoint_tensors, checkpoint_v2, check
 from oicloc import regressor
 from oicloc.cli import main
 from oicloc.config import RunConfig
-from oicloc.errors import ConfigError, TrainingError, UsageError
+from oicloc.errors import InputError, TrainingError, UsageError
 from oicloc.regressor import (NetworkB, _conv_taps, _padded, learning_rate, sgd_step,
                               zero_bordered)
 
@@ -256,7 +256,7 @@ class TestNetworkB:
 
     def test_rejects_wrong_feature_dim(self):
         net = NetworkB(feature_dim=6, anchor_count=2, hidden=8)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             net.forward(np.zeros((5, 13)))
 
     def test_rejects_unknown_mode(self):
@@ -342,15 +342,15 @@ def write_v3(header: dict, payload: bytes, path) -> None:
 
 
 def load_fails(path, match: str) -> str:
-    """The message of the ConfigError loading ``path`` raises; it names the path."""
-    with pytest.raises(ConfigError, match=match) as info:
+    """The message of the InputError loading ``path`` raises; it names the path."""
+    with pytest.raises(InputError, match=match) as info:
         NetworkB.load(path)
     assert str(info.value).startswith(f"{path}: ")
     return str(info.value)
 
 
 def assert_fails_small(path, match: str) -> None:
-    """Loading ``path`` raises ConfigError having allocated under 1 MB."""
+    """Loading ``path`` raises InputError having allocated under 1 MB."""
     tracemalloc.start()
     try:
         load_fails(path, match)
@@ -408,7 +408,7 @@ class TestCheckpoint:
         path = tmp_path / "v2.json"
         for tail in ("", "\n", "\n\n", "\r\n\t"):
             path.write_text(json.dumps(checkpoint_v2(trained_net(rng))) + tail)
-            with pytest.raises(ConfigError) as info:
+            with pytest.raises(InputError) as info:
                 NetworkB.load(path)
             assert str(info.value) == f"{path}: unsupported checkpoint version 2"
 
@@ -549,7 +549,7 @@ class TestCheckpoint:
                             for name, t in checkpoint_tensors(net)}}
         path = tmp_path / "v1.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(InputError) as info:
             NetworkB.load(path)
         assert str(info.value) == f"{path}: unsupported checkpoint version 1"
 
