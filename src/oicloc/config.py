@@ -1,29 +1,36 @@
 """Run configuration: dataclass, named profiles, strict JSON loading."""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .boundary import AnchorConfig
 from .errors import InputError
-from .io import _is_finite, _is_int, _is_number, check_object, parse_json
+from .io import (POSITIVE_FINITE, POSITIVE_INTEGER, UNIT, _is_finite, _is_int, _is_number,
+                 check_object, parse_json)
 
 CONFIG_VERSION = 1
 
 
-# (fields, check of each value, what the check asks for)
-_FIELD_RULES = (
-    (("anchors",), lambda v: isinstance(v, (list, tuple))
-     and all(map(_is_finite, v)), "a list of finite numbers"),
-    (("alpha", "lr"), lambda v: _is_finite(v) and v > 0, "a positive finite number"),
-    (("act_min", "nms_iou", "momentum"), lambda v: _is_number(v) and 0 <= v <= 1,
-     "a number in [0, 1]"),
-    (("loss_max",), lambda v: _is_number(v) and -1 <= v <= 1, "a number in [-1, 1]"),
-    (("weight_decay",), lambda v: _is_finite(v) and v >= 0, "a non-negative finite number"),
-    (("lr_step", "epochs", "feature_dim", "hidden", "direct_opt_iters"),
-     lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    (("manifest",), lambda v: v is None or isinstance(v, str), "a string"),
-)
+# config key -> (check of its value, what the check asks for); 'profile' is added below PROFILES
+_RULES = {
+    "version": (lambda v: _is_int(v) and v == CONFIG_VERSION, f"the integer {CONFIG_VERSION}"),
+    "anchors": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_finite, v)),
+                "a list of finite numbers"),
+    "alpha": POSITIVE_FINITE,
+    "act_min": UNIT,
+    "loss_max": (lambda v: _is_number(v) and -1 <= v <= 1, "a number in [-1, 1]"),
+    "nms_iou": UNIT,
+    "lr": POSITIVE_FINITE,
+    "lr_step": POSITIVE_INTEGER,
+    "momentum": UNIT,
+    "weight_decay": (lambda v: _is_finite(v) and v >= 0, "a non-negative finite number"),
+    "epochs": POSITIVE_INTEGER,
+    "feature_dim": POSITIVE_INTEGER,
+    "hidden": POSITIVE_INTEGER,
+    "direct_opt_iters": POSITIVE_INTEGER,
+    "manifest": (lambda v: v is None or isinstance(v, str), "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -44,21 +51,17 @@ class RunConfig:
     manifest: str | None = None
 
     def __post_init__(self):
-        for names, valid, kind in _FIELD_RULES:
-            for name in names:
-                if not valid(getattr(self, name)):
-                    raise InputError(f"{name!r} must be {kind}, got {getattr(self, name)!r}")
+        check_object(vars(self), "config", _RULES)
         object.__setattr__(self, "anchors", tuple(self.anchors))
         try:
             self.anchor_config()
         except InputError as exc:
-            raise InputError(f"'anchors': {exc}") from None
+            raise InputError(f"config: 'anchors': {exc}") from None
 
     def anchor_config(self) -> AnchorConfig:
         return AnchorConfig(self.anchors)
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {"version", "profile"}
 PROFILES: dict[str, RunConfig] = {
     "thumos": RunConfig(anchors=(1, 2, 4, 8, 16, 32), lr_step=200),
     "activitynet": RunConfig(anchors=(16, 32, 64, 128, 256, 512), lr_step=500),
@@ -66,19 +69,15 @@ PROFILES: dict[str, RunConfig] = {
         anchors=(2, 4, 8, 16, 32), lr=3e-6, lr_step=200, feature_dim=16, hidden=32
     ),
 }
+_RULES["profile"] = (lambda v: isinstance(v, str) and v in PROFILES, f"one of {sorted(PROFILES)}")
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Load a run config JSON; unknown keys, version mismatches and bad values are errors."""
     path = Path(path)
     try:
-        data = check_object(parse_json(path.read_bytes()), "config", _CONFIG_KEYS, {"version"})
-        if data["version"] != CONFIG_VERSION:
-            raise InputError(f"unsupported config version {data['version']!r}")
-        profile = data.get("profile")
-        if profile is not None and not (isinstance(profile, str) and profile in PROFILES):
-            raise InputError(f"unknown profile {profile!r}")
-        base = RunConfig() if profile is None else PROFILES[profile]
+        data = check_object(parse_json(path.read_bytes()), "config", _RULES, {"version"})
+        base = PROFILES[data["profile"]] if "profile" in data else RunConfig()
         return replace(base, **{k: v for k, v in data.items() if k not in ("version", "profile")})
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None

@@ -32,15 +32,20 @@ def parse_json(data: bytes) -> object:
         raise InputError(str(exc)) from None
 
 
-def check_object(obj, what: str, known, required=frozenset()) -> dict:
-    """``obj`` if it is a JSON object with no key outside the set ``known`` and
-    every key of the set ``required``; otherwise an InputError naming ``what``."""
+def check_object(obj, what: str, rules: dict, required=frozenset()) -> dict:
+    """``obj`` if it is a JSON object whose keys all have a rule in ``rules`` (key ->
+    (check of its value, what the check asks for)), include the set ``required`` and
+    hold values that pass their checks; else an InputError naming ``what`` and the key."""
     if not isinstance(obj, dict):
         raise InputError(f"{what} must be a JSON object")
-    if not obj.keys() <= known:
-        raise InputError(f"{what}: unknown keys {sorted(obj.keys() - known)}")
+    if not obj.keys() <= rules.keys():
+        raise InputError(f"{what}: unknown keys {sorted(obj.keys() - rules.keys())}")
     if not obj.keys() >= required:
         raise InputError(f"{what}: lacks keys {sorted(required - obj.keys())}")
+    for key, value in obj.items():
+        check, kind = rules[key]
+        if not check(value):
+            raise InputError(f"{what}: {key!r} must be {kind}")
     return obj
 
 
@@ -144,21 +149,22 @@ def _is_finite(v) -> bool:
     return _is_number(v) and abs(v) <= sys.float_info.max
 
 
-def _is_segment(g) -> bool:
-    return (isinstance(g, dict) and _is_int(g.get("class"))
-            and _is_finite(g.get("start_s")) and _is_finite(g.get("end_s")))
+# shared rules: (check of a JSON value, what the check asks for)
+STRING = (lambda v: isinstance(v, str), "a string")
+FINITE = (_is_finite, "a finite number")
+POSITIVE_FINITE = (lambda v: _is_finite(v) and v > 0, "a positive finite number")
+POSITIVE_INTEGER = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+UNIT = (lambda v: _is_number(v) and 0 <= v <= 1, "a finite number in [0, 1]")  # not NaN
 
-
-# manifest entry key -> (check of its JSON value, what the check asks for)
-_ENTRY_TYPES = {
-    "video_id": (lambda v: isinstance(v, str), "a string"),
-    "cas_path": (lambda v: isinstance(v, str), "a string"),
+_ENTRY_RULES = {
+    "video_id": STRING,
+    "cas_path": STRING,
     "labels": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
-    "fps": (lambda v: _is_finite(v) and v > 0, "a positive finite number"),
-    "gt": (lambda v: isinstance(v, list) and all(map(_is_segment, v)),
-           "a list of objects with integer class and finite start_s, end_s"),
+    "fps": POSITIVE_FINITE,
+    "gt": (lambda v: isinstance(v, list), "a list"),
 }
-_ENTRY_REQUIRED = _ENTRY_TYPES.keys() - {"gt"}
+_ENTRY_REQUIRED = _ENTRY_RULES.keys() - {"gt"}
+_SEGMENT_RULES = {"class": (_is_int, "an integer"), "start_s": FINITE, "end_s": FINITE}
 
 
 def read_manifest(path: str | Path) -> list[VideoRecord]:
@@ -169,10 +175,10 @@ def read_manifest(path: str | Path) -> list[VideoRecord]:
         if not isinstance(entries, list):
             raise InputError("manifest must be a JSON array")
         for i, entry in enumerate(entries):
-            check_object(entry, f"manifest entry {i}", _ENTRY_TYPES.keys(), _ENTRY_REQUIRED)
-            for key, (valid, kind) in _ENTRY_TYPES.items():
-                if key in entry and not valid(entry[key]):
-                    raise InputError(f"manifest entry {i}: {key!r} must be {kind}")
+            check_object(entry, f"manifest entry {i}", _ENTRY_RULES, _ENTRY_REQUIRED)
+            for j, segment in enumerate(entry.get("gt", ())):
+                check_object(segment, f"manifest entry {i}: gt[{j}]", _SEGMENT_RULES,
+                             _SEGMENT_RULES.keys())
             j = first_entry.setdefault(entry["video_id"], i)
             if j != i:
                 raise InputError(f"manifest entries {j} and {i} share video id "
@@ -213,14 +219,7 @@ def write_predictions_jsonl(path: str | Path, preds: list[Prediction]) -> None:
             )
 
 
-# prediction line key -> (check of its JSON value, what the check asks for)
-_PREDICTION_TYPES = {
-    "video_id": (lambda v: isinstance(v, str), "a string"),
-    "class": (_is_int, "an integer"),
-    "start_s": (_is_finite, "a finite number"),
-    "end_s": (_is_finite, "a finite number"),
-    "score": (_is_finite, "a finite number"),
-}
+_PREDICTION_RULES = {**_SEGMENT_RULES, "video_id": STRING, "score": FINITE}
 
 
 def read_predictions_jsonl(path: str | Path) -> list[Prediction]:
@@ -230,11 +229,8 @@ def read_predictions_jsonl(path: str | Path) -> list[Prediction]:
             for lineno, raw in enumerate(fh, start=1):
                 if not raw.strip():
                     continue
-                obj = check_object(parse_json(raw), "prediction", _PREDICTION_TYPES.keys(),
-                                   _PREDICTION_TYPES.keys())
-                for key, (valid, kind) in _PREDICTION_TYPES.items():
-                    if not valid(obj[key]):
-                        raise InputError(f"{key!r} must be {kind}")
+                obj = check_object(parse_json(raw), "prediction", _PREDICTION_RULES,
+                                   _PREDICTION_RULES.keys())
                 if obj["start_s"] > obj["end_s"]:
                     raise InputError("'start_s' must not exceed 'end_s'")
                 preds.append(Prediction(obj["class"], obj["start_s"], obj["end_s"], obj["score"],

@@ -34,14 +34,23 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import InputError, TrainingError, UsageError
-from .io import _is_int, check_object, parse_json
+from .io import POSITIVE_INTEGER, _is_int, _is_number, check_object, parse_json
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 KERNEL = 3
 HIDDEN_LAYERS = 3
 CHECKPOINT_VERSION = 3
-_HEADER_KEYS = frozenset(("version", "feature_dim", "anchor_count", "hidden", "tensors", "meta"))
+# checkpoint header key -> (check of its value, what the check asks for)
+_HEADER_RULES = {
+    "version": (lambda v: _is_int(v) and v == CHECKPOINT_VERSION,
+                f"the integer {CHECKPOINT_VERSION}"),
+    "feature_dim": POSITIVE_INTEGER,
+    "anchor_count": POSITIVE_INTEGER,
+    "hidden": POSITIVE_INTEGER,
+    "tensors": (lambda v: isinstance(v, list), "a list"),
+    "meta": (lambda v: isinstance(v, dict), "a JSON object"),
+}
 PAD = (KERNEL - 1) // 2
 # Multiply-adds per tap (c_out * c_in * T) from which a conv layer shares its
 # work with the worker thread. A hand-off and join costs ~50 us; with one BLAS
@@ -236,9 +245,7 @@ def _batch_norm_backward(dx, relu_mask, xhat, gamma, inv_std, dgamma, dbeta, dz)
 def _parameter_shapes(feature_dim: int, anchor_count: int, hidden: int) -> dict[str, tuple]:
     """Every parameter's shape by name, in initialization and checkpoint order."""
     dims = {"feature_dim": feature_dim, "anchor_count": anchor_count, "hidden": hidden}
-    for name, value in dims.items():
-        if not (_is_int(value) and value >= 1):
-            raise InputError(f"{name!r} must be a positive integer, got {value!r}")
+    check_object(dims, "network", _HEADER_RULES)
     widths = [feature_dim] + [hidden] * HIDDEN_LAYERS
     shapes = {}
     for i in range(HIDDEN_LAYERS):
@@ -432,17 +439,16 @@ class NetworkB:
             end = data.find(b"\n")
             end = len(data) if end < 0 else end
             header, payload = parse_json(data[:end]), memoryview(data)[end + 1 :]
-            if isinstance(header, dict) and header.get("version") != CHECKPOINT_VERSION:
-                raise InputError(f"unsupported checkpoint version {header.get('version')!r}")
-            check_object(header, "checkpoint header", _HEADER_KEYS, _HEADER_KEYS)
+            version = header.get("version") if isinstance(header, dict) else None
+            if _is_number(version) and version != CHECKPOINT_VERSION:  # other values: mistyped
+                raise InputError(f"unsupported checkpoint version {version!r}")
+            check_object(header, "checkpoint header", _HEADER_RULES, _HEADER_RULES.keys())
             dims = header["feature_dim"], header["anchor_count"], header["hidden"]
             shapes = _checkpoint_shapes(*dims)
             # compared as JSON text, so that 3.0 or true cannot stand for an integer
             if json.dumps(header["tensors"]) != json.dumps(_tensor_list(shapes)):
                 raise InputError("checkpoint 'tensors' does not list the tensors of "
                                  "feature_dim {}, anchor_count {}, hidden {}".format(*dims))
-            if not isinstance(header["meta"], dict):
-                raise InputError("checkpoint 'meta' must be a JSON object")
             size = 8 * sum(math.prod(shape) for shape in shapes.values())
             if len(payload) != size:
                 raise InputError(f"checkpoint payload is {len(payload)} bytes, expected {size}")

@@ -14,20 +14,35 @@ import numpy as np
 
 from .cas import Cas, GroundTruthSegment, VideoRecord
 from .errors import InputError
-from .io import _is_finite, _is_int, _is_number, check_object
+from .io import POSITIVE_FINITE, POSITIVE_INTEGER, UNIT, _is_int, _is_number, check_object
 from .selection import snippet_to_time
 
-# annotated field type -> (check of its value, what the check asks for)
-_FIELD_TYPES = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a number"),
-    "bool": (lambda v: isinstance(v, bool), "a boolean"),
-    "tuple[int, int]": (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v)),
-                        "a pair of integers"),
+
+def _pair(lo_min: int) -> tuple:
+    """The rule of a [lo, hi] range of integers with lo_min <= lo <= hi."""
+    return (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v))
+            and lo_min <= v[0] <= v[1], f"a pair of integers {lo_min} <= lo <= hi")
+
+
+# spec key -> (check of its value, what the check asks for)
+_RULES = {
+    "num_classes": POSITIVE_INTEGER,
+    "t_range": _pair(1),
+    "instances_range": _pair(0),
+    "base_activation": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "noise_amp": UNIT,
+    "dip_prob": UNIT,
+    "bridge_prob": UNIT,
+    "instance_len_range": _pair(3),
+    "gap_range": _pair(1),
+    "background": UNIT,
+    "level_jitter": UNIT,
+    "dip_level": UNIT,
+    "dip_width_range": _pair(1),
+    "dip_central": (lambda v: isinstance(v, bool), "a boolean"),
+    "bridge_level": UNIT,
+    "fps": POSITIVE_FINITE,
 }
-# activation levels and probabilities
-_UNIT_FIELDS = ("background", "noise_amp", "dip_prob", "bridge_prob", "level_jitter",
-                "dip_level", "bridge_level")
 
 
 @dataclass(frozen=True)
@@ -50,31 +65,14 @@ class SynthSpec:
     fps: float = 30.0
 
     def __post_init__(self):
-        for f in fields(self):
-            valid, kind = _FIELD_TYPES[f.type]
-            if not valid(getattr(self, f.name)):
-                raise InputError(f"{f.name!r} must be {kind}")
-            if f.type == "tuple[int, int]":
-                lo, hi = getattr(self, f.name)
-                if lo > hi or lo < (0 if f.name == "instances_range" else 1):
-                    raise InputError(f"empty or invalid range {f.name}={lo, hi}")
-        for name in _UNIT_FIELDS:
-            if not 0.0 <= getattr(self, name) <= 1.0:  # False for NaN
-                raise InputError(f"{name!r} must be a finite number in [0, 1]")
-        if self.num_classes < 1:
-            raise InputError("need at least one class")
-        if not (0.0 < self.base_activation <= 1.0):
-            raise InputError("base_activation must lie in (0, 1]")
-        if self.instance_len_range[0] < 3:
-            raise InputError("instances must be at least 3 snippets long")
-        if not (_is_finite(self.fps) and self.fps > 0):
-            raise InputError("'fps' must be a positive finite number")
+        for name, value in check_object(dict(vars(self)), "synth spec", _RULES).items():
+            if isinstance(value, list):  # a JSON pair
+                object.__setattr__(self, name, tuple(value))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthSpec":
         required = {f.name for f in fields(cls) if f.default is MISSING}
-        check_object(data, "synth spec", {f.name for f in fields(cls)}, required)
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+        return cls(**check_object(data, "synth spec", _RULES, required))
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}

@@ -39,7 +39,7 @@ def train_network(
     this returns or raises.
     """
     if not corpus:
-        raise ValueError("training requires at least one video")
+        raise InputError("training requires at least one video")
     order = [video for _ in range(cfg.epochs) for video in corpus]
     pending = _lift_ahead(order[0], cfg)
     try:

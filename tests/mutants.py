@@ -48,6 +48,8 @@ CLASS_CHECK = ('if not 1 <= k <= cas.num_classes:\n'
                '        raise InputError(f"class {k} outside 1..{cas.num_classes}")\n    ')
 NO_CLASS_CHECK = CLASS_CHECK.replace("not 1 <= k <= cas.num_classes", "False")
 JSON_REFUSALS = "tests/test_cli.py::TestBadInput::test_every_json_reader_refuses_bad_input"
+VALUE_REFUSALS = ("tests/test_cli.py::TestBadInput::"
+                  "test_refuses_a_version_of_another_type_and_an_unknown_segment_key")
 SELECT_REFUSALS = ("tests/test_selection.py::TestSelect::"
                    "test_rejects_a_grid_of_another_length_a_class_outside_1_to_k_and_an_unknown_loss")
 
@@ -94,6 +96,9 @@ MUTANTS = [
            "or False):",
            ("tests/test_regressor.py::TestWorkerPool::"
             "test_a_job_on_the_worker_is_not_handed_the_worker[pool]",)),
+    # an empty corpus refused with a bare ValueError
+    Mutant("train.py", 'raise InputError("training requires', 'raise ValueError("training requires',
+           ("tests/test_train.py::TestTrainNetwork::test_empty_corpus_is_an_input_error",)),
     # prediction: a grid error without the video's id; an InputError not prefixed
     Mutant("train.py", 'raise type(err)(f"video {video.video_id}: {err}")', "raise type(err)(str(err))",
            (GRID_ERRORS,)),
@@ -190,11 +195,11 @@ MUTANTS = [
     # enumeration: every row block after the first scored as the first
     Mutant("baselines.py", "x1 + (r0 + 1)", "x1 + 1",
            ("tests/test_baselines.py::TestEnumeration::test_row_blocks_give_the_one_block_predictions",)),
-    # synth specs with no class or a zero plateau accepted; the central notch's
-    # fallback placed against the instance's end
-    Mutant("synth.py", "if self.num_classes < 1:", "if self.num_classes < 0:",
+    # a zero count (a spec with no class) or a zero plateau accepted; the
+    # central notch's fallback placed against the instance's end
+    Mutant("io.py", "_is_int(v) and v >= 1,", "_is_int(v) and v >= 0,",
            ("tests/test_synth.py::TestSynthSpec::test_rejects_no_classes",)),
-    Mutant("synth.py", "0.0 < self.base_activation <= 1.0", "0.0 <= self.base_activation <= 1.0",
+    Mutant("synth.py", "_is_number(v) and 0 < v <= 1,", "_is_number(v) and 0 <= v <= 1,",
            ("tests/test_synth.py::TestSynthSpec::test_rejects_mistyped_or_bad_field",)),
     Mutant("synth.py", "lo = hi = max(s + 1, min(e - width, s + (e - s) // 2))",
            "lo = hi = s + (e - s) // 2",
@@ -236,8 +241,17 @@ MUTANTS = [
     Mutant("regressor.py", "np.multiply(v, lr, out=update)", "np.multiply(v, 1.0, out=update)",
            (SGD,)),
     Mutant("regressor.py", "np.zeros(p.size)", "np.ones(p.size)", (SGD,)),
-    # the JSON readers: unknown keys, missing keys or a repeated key let through
-    Mutant("io.py", "if not obj.keys() <= known:", "if False:", (JSON_REFUSALS,)),
+    # the JSON readers: unknown keys, missing keys, a repeated key or a value
+    # that fails its rule let through; a manifest's ground truth segments
+    # not checked; a config or checkpoint version of another type than int
+    # equal to the supported version accepted
+    Mutant("io.py", "if not obj.keys() <= rules.keys():", "if False:", (JSON_REFUSALS,)),
+    Mutant("io.py", "        if not check(value):\n", "        if False:\n", (JSON_REFUSALS,)),
+    Mutant("io.py", 'enumerate(entry.get("gt", ()))', "enumerate(())", (VALUE_REFUSALS,)),
+    Mutant("config.py", "_is_int(v) and v == CONFIG_VERSION", "v == CONFIG_VERSION",
+           (VALUE_REFUSALS,)),
+    Mutant("regressor.py", "_is_int(v) and v == CHECKPOINT_VERSION", "v == CHECKPOINT_VERSION",
+           (VALUE_REFUSALS,)),
     Mutant("io.py", "if not obj.keys() >= required:", "if False:", (JSON_REFUSALS,)),
     Mutant("io.py", "if len(obj) < len(pairs):", "if False:", (JSON_REFUSALS,)),
     # thresholding and enumeration reading a class outside 1..K

@@ -286,7 +286,8 @@ class TestBadInput:
     ])
     def test_mistyped_manifest_field(self, tmp_path, capsys, key, value):
         err = self.train(tmp_path, capsys, "snippet,class_1\n1,0.5\n", {**self.ENTRY, key: value})
-        assert f"manifest.json: manifest entry 0: '{key}' must be" in err
+        where = "gt[0]: 'start_s'" if isinstance(value, list) and key == "gt" else f"'{key}'"
+        assert f"manifest.json: manifest entry 0: {where} must be" in err
 
     @pytest.mark.parametrize("text", [
         "{", '{"num_classes": 2}', "[1]",
@@ -319,7 +320,7 @@ class TestBadInput:
 
 
     @pytest.mark.parametrize("text, message", [
-        ('{"version": 1, "profile": []}', "unknown profile []"),
+        ('{"version": 1, "profile": []}', "config: 'profile' must be one of ['activitynet', "),
         (b'{"version": 1, "profile": "\xff"}', "utf-8"),
         pytest.param('{"version": 1, "epochs": ' + "1" * 5000 + "}", "Exceeds the limit",
                      id="integer-too-long-for-int"),  # int() refuses it with a bare ValueError
@@ -333,34 +334,24 @@ class TestBadInput:
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert message in err
 
-    # reader -> (the object it reads, a key it requires)
+    # reader -> (the object it reads, a key it requires, what the reader calls
+    # the object, a mistyped value of that key)
     READERS = {
         "config": ({"version": 1, "profile": "synthetic", "manifest": "corpus/manifest.json",
-                    "anchors": [2, 4, 8], "feature_dim": 8, "hidden": 8}, "version"),
-        "synth spec": (SPEC, "t_range"),
-        "manifest": (ENTRY, "fps"),
+                    "anchors": [2, 4, 8], "feature_dim": 8, "hidden": 8}, "version", "config",
+                   "1"),
+        "synth spec": (SPEC, "t_range", "synth spec", 5),
+        "manifest": (ENTRY, "fps", "manifest entry 0", "30"),
         "predictions": ({"video_id": "v", "class": 1, "start_s": 0.0, "end_s": 1.0,
-                         "score": 0.5}, "score"),
+                         "score": 0.5}, "score", "prediction", "x"),
         "checkpoint": (checkpoint_v3(NetworkB(feature_dim=8, anchor_count=3, hidden=8))[0],
-                       "meta"),
+                       "meta", "checkpoint header", []),
     }
 
-    @pytest.mark.parametrize("fault", ["not JSON", "not an object", "unknown key", "missing key",
-                                       "repeated key"])
-    @pytest.mark.parametrize("reader", list(READERS))
-    def test_every_json_reader_refuses_bad_input(self, workspace, tmp_path, capsys,
-                                                  reader, fault):
-        good, key = self.READERS[reader]
-        text = json.dumps(good)
-        text, message = {
-            "not JSON": (text[:-1], "Expecting"),
-            "not an object": ("[1]", "must be a JSON object"),
-            "unknown key": (json.dumps({**good, "extra": 1}), "unknown keys ['extra']"),
-            "missing key": (json.dumps({k: v for k, v in good.items() if k != key}),
-                            f"lacks keys ['{key}']"),
-            "repeated key": (f"{text[:-1]}, {json.dumps(key)}: {json.dumps(good[key])}}}",
-                             f"repeated key '{key}'"),
-        }[fault]
+    def refused(self, workspace, tmp_path, capsys, reader, text) -> str:
+        """The one stderr line with which the command that reads ``text`` as
+        ``reader``'s object exits 2, less its ``error: <file>: `` prefix."""
+        good = self.READERS[reader][0]
         path, where, out = tmp_path / "bad", str(tmp_path / "bad"), str(tmp_path / "out")
         corpus = str(workspace / "corpus" / "manifest.json")
         command, data = {
@@ -377,9 +368,46 @@ class TestBadInput:
         (tmp_path / "none.jsonl").write_text("")
         assert main(command) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}{':2' if reader == 'predictions' else ''}: ")
-        assert message in err and err.count("\n") == 1
+        prefix = f"error: {path}{':2' if reader == 'predictions' else ''}: "
+        assert err.startswith(prefix) and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+        return err[len(prefix):]
+
+    @pytest.mark.parametrize("fault", ["not JSON", "not an object", "unknown key", "missing key",
+                                       "repeated key", "mistyped value"])
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_every_json_reader_refuses_bad_input(self, workspace, tmp_path, capsys,
+                                                  reader, fault):
+        good, key, what, mistyped = self.READERS[reader]
+        text = json.dumps(good)
+        text, message = {
+            "not JSON": (text[:-1], "Expecting"),
+            "not an object": ("[1]", "must be a JSON object"),
+            "unknown key": (json.dumps({**good, "extra": 1}), "unknown keys ['extra']"),
+            "missing key": (json.dumps({k: v for k, v in good.items() if k != key}),
+                            f"lacks keys ['{key}']"),
+            "repeated key": (f"{text[:-1]}, {json.dumps(key)}: {json.dumps(good[key])}}}",
+                             f"repeated key '{key}'"),
+            "mistyped value": (json.dumps({**good, key: mistyped}), f"{what}: '{key}' must be "),
+        }[fault]
+        err = self.refused(workspace, tmp_path, capsys, reader, text)
+        assert err.startswith(message) if fault == "mistyped value" else message in err
+
+    SEGMENT = {"class": 1, "start_s": 0.0, "end_s": 0.1}
+
+    @pytest.mark.parametrize("reader, change, message", [
+        ("manifest", {"gt": [SEGMENT, {**SEGMENT, "score": 7}]},
+         "manifest entry 0: gt[1]: unknown keys ['score']"),
+        ("config", {"version": True}, "config: 'version' must be the integer 1"),
+        ("config", {"version": 1.0}, "config: 'version' must be the integer 1"),
+        ("checkpoint", {"version": 3.0}, "checkpoint header: 'version' must be the integer 3"),
+        ("checkpoint", {"version": True}, "checkpoint header: 'version' must be the integer 3"),
+    ], ids=["gt-segment-key", "config-version-true", "config-version-1.0",
+            "checkpoint-version-3.0", "checkpoint-version-true"])
+    def test_refuses_a_version_of_another_type_and_an_unknown_segment_key(
+            self, workspace, tmp_path, capsys, reader, change, message):
+        text = json.dumps({**self.READERS[reader][0], **change})
+        assert self.refused(workspace, tmp_path, capsys, reader, text) == message + "\n"
 
     def predict(self, workspace, tmp_path, capsys, checkpoint):
         code = main(["predict", "--config", str(workspace / "run.json"), "--checkpoint",
@@ -439,7 +467,7 @@ class TestBadInput:
         code = main(["train", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "m")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"error: {tmp_path / 'run.json'}: '{key}' must be")
+        assert err.startswith(f"error: {tmp_path / 'run.json'}: config: '{key}' must be")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("line", [

@@ -1,7 +1,9 @@
 import json
+from dataclasses import fields
 
 import pytest
 
+from oicloc import config
 from oicloc.config import PROFILES, RunConfig, load_config
 from oicloc.errors import InputError
 
@@ -53,7 +55,7 @@ class TestLoadConfig:
             ("weight_decay", 10**400)]),
     ])
     def test_mistyped_or_out_of_range_value(self, tmp_path, key, value):
-        with pytest.raises(InputError, match=f"run.json: '{key}' must be"):
+        with pytest.raises(InputError, match=f"run.json: config: '{key}' must be"):
             load_config(write(tmp_path, {"version": 1, key: value}))
 
     def test_profile_overrides_are_validated(self, tmp_path):
@@ -79,6 +81,10 @@ class TestRunConfig:
             RunConfig(nms_iou=7)
         with pytest.raises(InputError, match="'anchors'"):
             RunConfig(anchors=(4, 2))
+
+    def test_every_field_and_file_key_has_one_rule(self):
+        """A field added without a rule fails here, not on the first bad file."""
+        assert config._RULES.keys() == {f.name for f in fields(RunConfig)} | {"version", "profile"}
 
     def test_anchor_list_becomes_tuple(self):
         assert RunConfig(anchors=[2, 4]).anchors == (2, 4)

@@ -178,13 +178,13 @@ class TestPredictions:
     @pytest.mark.parametrize("line, message", [
         ("[1, 2]", "prediction must be a JSON object"),
         ('{"video_id": "a", "class": 1, "start_s": 0.0, "end_s": 1.0, "score": "x"}',
-         "'score' must be a finite number"),
+         "prediction: 'score' must be a finite number"),
         ('{"video_id": "a", "class": "1", "start_s": 0.0, "end_s": 1.0, "score": 1.0}',
-         "'class' must be an integer"),
+         "prediction: 'class' must be an integer"),
         ('{"video_id": "a", "class": true, "start_s": 0.0, "end_s": 1.0, "score": 1.0}',
-         "'class' must be an integer"),
+         "prediction: 'class' must be an integer"),
         ('{"video_id": 3, "class": 1, "start_s": 0.0, "end_s": 1.0, "score": 1.0}',
-         "'video_id' must be a string"),
+         "prediction: 'video_id' must be a string"),
         ('{"video_id": "a", "class": 1, "start_s": 0.0, "score": 1.0}',
          "prediction: lacks keys ['end_s']"),
     ])
@@ -231,11 +231,12 @@ class TestOneWayIn:
         assert str(refused.value).startswith(message)
 
     def test_check_object_names_what_it_checked(self):
-        known, required = frozenset("abc"), frozenset("ab")
-        assert io.check_object({"a": 1, "b": 2}, "thing", known, required) == {"a": 1, "b": 2}
+        rules, required = dict.fromkeys("abc", io.POSITIVE_INTEGER), frozenset("ab")
+        assert io.check_object({"a": 1, "b": 2}, "thing", rules, required) == {"a": 1, "b": 2}
         for obj, message in [([], "thing must be a JSON object"),
                              ({"a": 1, "b": 2, "z": 0, "y": 0}, "thing: unknown keys ['y', 'z']"),
-                             ({"c": 1}, "thing: lacks keys ['a', 'b']")]:
+                             ({"c": 1}, "thing: lacks keys ['a', 'b']"),
+                             ({"a": 1, "b": 0, "c": "x"}, "thing: 'b' must be a positive integer")]:
             with pytest.raises(InputError) as refused:
-                io.check_object(obj, "thing", known, required)
+                io.check_object(obj, "thing", rules, required)
             assert str(refused.value) == message

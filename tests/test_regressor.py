@@ -476,7 +476,7 @@ class TestCheckpoint:
                    rf"checkpoint payload is {len(change(payload))} bytes, expected {len(payload)}$")
 
     @pytest.mark.parametrize("key, value, message", [
-        ("version", "3", "unsupported checkpoint version '3'"),
+        ("version", "3", "checkpoint header: 'version' must be the integer 3"),
         ("version", 3.5, "unsupported checkpoint version 3.5"),
         ("feature_dim", "2", "'feature_dim' must be a positive integer"),
         ("feature_dim", 2.0, "'feature_dim' must be a positive integer"),
@@ -484,7 +484,7 @@ class TestCheckpoint:
         ("hidden", True, "'hidden' must be a positive integer"),
         ("hidden", 0, "'hidden' must be a positive integer"),
         ("feature_dim", 3, "'tensors' does not list the tensors of feature_dim 3"),
-        ("tensors", {}, "'tensors' does not list"),
+        ("tensors", {}, "'tensors' must be a list"),
         ("tensors", checkpoint_layout(2, 1, 3)[:-1], "'tensors' does not list"),
         ("tensors", [[n, [float(d) for d in s]] for n, s in checkpoint_layout(2, 1, 3)],
          "'tensors' does not list"),
@@ -502,8 +502,7 @@ class TestCheckpoint:
         header, payload = checkpoint_v3(NetworkB(feature_dim=2, anchor_count=1, hidden=3))
         del header[key]
         write_v3(header, payload, tmp_path / "bad.ckpt")
-        message = "version None" if key == "version" else rf"lacks keys \['{key}'\]"
-        load_fails(tmp_path / "bad.ckpt", message)
+        load_fails(tmp_path / "bad.ckpt", rf"checkpoint header: lacks keys \['{key}'\]")
 
     def test_header_alone_allocates_nothing(self, tmp_path):
         path = tmp_path / "tiny.json"

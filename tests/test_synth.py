@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from oicloc import synth
 from oicloc.errors import InputError
 from oicloc.synth import SynthSpec, synth_corpus
 
@@ -34,7 +37,7 @@ class TestSynthSpec:
             SynthSpec.from_dict({**SPEC.to_dict(), field: value})
 
     def test_rejects_no_classes(self):
-        with pytest.raises(InputError, match="need at least one class"):
+        with pytest.raises(InputError, match="'num_classes' must be a positive integer"):
             SynthSpec.from_dict({**SPEC.to_dict(), "num_classes": 0})
 
     @pytest.mark.parametrize("field", [
@@ -54,6 +57,14 @@ class TestSynthSpec:
     def test_accepts_unit_interval_ends(self):
         ends = {"background": 0.0, "noise_amp": 1.0, "dip_prob": 1.0, "bridge_level": 0.0}
         assert SynthSpec.from_dict({**SPEC.to_dict(), **ends}).noise_amp == 1.0
+
+    def test_every_field_has_one_rule(self):
+        """A field added without a rule fails here, not on the first bad spec."""
+        assert synth._RULES.keys() == {f.name for f in fields(SynthSpec)}
+
+    def test_a_constructed_spec_holds_tuples(self):
+        spec = SynthSpec(num_classes=1, t_range=[40, 50], instances_range=(1, 1))
+        assert spec.t_range == (40, 50) and spec == SynthSpec.from_dict(spec.to_dict())
 
     def test_dict_roundtrip(self):
         assert SynthSpec.from_dict(SPEC.to_dict()) == SPEC

@@ -97,6 +97,10 @@ class TestTrainNetwork:
         with pytest.raises(ValueError):
             train_network([], CFG)
 
+    def test_empty_corpus_is_an_input_error(self):
+        with pytest.raises(InputError, match="^training requires at least one video$"):
+            train_network([], CFG)
+
     def test_diverged_scale_names_the_iteration(self, corpus):
         net = new_network(CFG, 0)
         net.params["pred.b"][1] = 800.0  # t_w of anchor 0 overflows exp
