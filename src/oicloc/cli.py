@@ -29,7 +29,7 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_run(config_path: str) -> tuple[RunConfig, list]:
+def _load_run(config_path: str) -> tuple[RunConfig, list, Path]:
     cfg = load_config(config_path)
     if cfg.manifest is None:
         raise InputError(f"{config_path}: config must name a manifest")
@@ -37,7 +37,7 @@ def _load_run(config_path: str) -> tuple[RunConfig, list]:
     videos = io.read_manifest(manifest)
     if not videos:
         raise InputError(f"{manifest}: manifest lists no videos")
-    return cfg, videos
+    return cfg, videos, manifest
 
 
 def cmd_synth(args) -> int:
@@ -72,7 +72,7 @@ def _run_meta(cfg: RunConfig, seed: int) -> dict:
 
 
 def cmd_train(args) -> int:
-    cfg, videos = _load_run(args.config)
+    cfg, videos, _ = _load_run(args.config)
     result = train_network(videos, cfg, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -87,7 +87,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg, videos = _load_run(args.config)
+    cfg, videos, _ = _load_run(args.config)
     net = NetworkB.load(args.checkpoint) if args.checkpoint else None
     M = cfg.anchor_config().count
     if net is not None and (net.anchor_count, net.feature_dim) != (M, cfg.feature_dim):
@@ -135,12 +135,16 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg, videos = _load_run(args.config)
-    test_videos = _load_run(args.test_config)[1] if args.test_config else videos
+    cfg, videos, manifest = _load_run(args.config)
+    test_videos = videos
+    if args.test_config:
+        _, test_videos, manifest = _load_run(args.test_config)
+    gts = evaluation.gt_instances(test_videos)
+    if not gts:  # refused before anything is trained
+        raise InputError(f"{manifest}: no video has a ground truth segment")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = baselines.compare(videos, test_videos, cfg, seed=args.seed)
-    gts = evaluation.gt_instances(test_videos)
     rows = []
     for name, preds in table.items():
         score = evaluation.map_report(preds, gts, (0.5,)).map_at(0.5)
@@ -238,7 +242,8 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a blow-up is reported as the one error line
+            return args.func(args)
     except (InputError, TrainingError, OSError) as exc:
         print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)  # one line
         return 2

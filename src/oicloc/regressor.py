@@ -24,6 +24,7 @@ plain form, so the bits are those of ``tests/oracles.py``.
 """
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
@@ -117,10 +118,11 @@ def _padded(x: np.ndarray) -> np.ndarray:
 def _alongside(pool, there: tuple, here, *args) -> tuple:
     """``(here(*args), there[0](*there[1:]))``, with ``there`` on the worker thread
     ``pool``, joined before this returns or raises: no job outlives the call.
-    Without a pool, ``there`` runs here after ``here``."""
+    The job runs in a copy of this thread's context, so under its NumPy error
+    state. Without a pool, ``there`` runs here after ``here``."""
     if pool is None:
         return here(*args), there[0](*there[1:])
-    job = pool.submit(*there)
+    job = pool.submit(contextvars.copy_context().run, *there)
     try:
         mine = here(*args)
     finally:
@@ -242,8 +244,9 @@ def _batch_norm_backward(dx, relu_mask, xhat, gamma, inv_std, dgamma, dbeta, dz)
     dz *= (gamma * inv_std)[:, None]
 
 
-def _parameter_shapes(feature_dim: int, anchor_count: int, hidden: int) -> dict[str, tuple]:
-    """Every parameter's shape by name, in initialization and checkpoint order."""
+def _tensor_shapes(feature_dim: int, anchor_count: int, hidden: int) -> dict[str, tuple]:
+    """Every tensor a network holds, by name, in checkpoint order: the
+    parameters, then each hidden layer's batch-norm running mean and variance."""
     dims = {"feature_dim": feature_dim, "anchor_count": anchor_count, "hidden": hidden}
     check_object(dims, "network", _HEADER_RULES)
     widths = [feature_dim] + [hidden] * HIDDEN_LAYERS
@@ -254,6 +257,9 @@ def _parameter_shapes(feature_dim: int, anchor_count: int, hidden: int) -> dict[
             shapes[part] = (widths[i + 1],)
     shapes["pred.w"] = (2 * anchor_count, hidden, KERNEL)
     shapes["pred.b"] = (2 * anchor_count,)
+    for i in range(HIDDEN_LAYERS):
+        for stat in ("running_mean", "running_var"):
+            shapes[f"bn{i}.{stat}"] = (hidden,)
     return shapes
 
 
@@ -290,8 +296,11 @@ class FlatTensors(dict):
 class NetworkB:
     """Parameters and manual forward/backward of the localization network.
 
-    Every parameter lives in one flat float64 vector, ``params.flat``;
-    ``params[name]`` is a view into it (conv weights tap-major).
+    Every tensor the network holds lives in one float64 vector: ``state``
+    views all of them in checkpoint order (conv weights tap-major). The
+    parameters come first, so ``params.flat`` is the vector's head and
+    ``params[name]`` a view into it; ``running_mean[i]`` and
+    ``running_var[i]`` view its tail.
     """
 
     def __init__(
@@ -316,15 +325,21 @@ class NetworkB:
         self.anchor_count = anchor_count
         self.hidden = hidden
         self._layout, offset = {}, 0
-        for name, shape in _parameter_shapes(feature_dim, anchor_count, hidden).items():
+        for name, shape in _tensor_shapes(feature_dim, anchor_count, hidden).items():
             size = math.prod(shape)
             taps = (shape[2], shape[0], shape[1]) if len(shape) == 3 else None
             self._layout[name] = (slice(offset, offset + size), taps)
             offset += size
-        self.params = FlatTensors(np.zeros(offset), self._layout)
+        self.state = FlatTensors(np.zeros(offset), self._layout)
+        names = list(self._layout)
+        stats = names[-2 * HIDDEN_LAYERS :]  # bn{i}.running_mean, bn{i}.running_var
+        self.params = FlatTensors(self.state.flat[: self._layout[stats[0]][0].start],
+                                  self._layout, names[: -len(stats)])
+        self.running_mean = [self.state[name] for name in stats[0::2]]
+        self.running_var = [self.state[name] for name in stats[1::2]]
+        for var in self.running_var:
+            var[...] = 1.0
         self.meta = {}  # the run metadata a version-3 checkpoint was saved with
-        self.running_mean = [np.zeros(hidden) for _ in range(HIDDEN_LAYERS)]
-        self.running_var = [np.ones(hidden) for _ in range(HIDDEN_LAYERS)]
 
     def forward(self, feat: np.ndarray, mode: str = "infer"):
         """Run the net over a D x T feature map.
@@ -360,12 +375,8 @@ class NetworkB:
                        (z, last, self.params[f"conv{i}.b"], self.params[f"bn{i}.gamma"],
                         self.params[f"bn{i}.beta"], mean, var, inv_std, relu_mask, out), train)
             if train:
-                self.running_mean[i] = (
-                    BN_MOMENTUM * self.running_mean[i] + (1 - BN_MOMENTUM) * mean
-                )
-                self.running_var[i] = (
-                    BN_MOMENTUM * self.running_var[i] + (1 - BN_MOMENTUM) * var
-                )
+                for running, batch in ((self.running_mean[i], mean), (self.running_var[i], var)):
+                    running[...] = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch
                 cache["layers"].append(
                     {"xp": xp, "inv_std": inv_std, "xhat": z, "relu_mask": relu_mask}
                 )
@@ -408,23 +419,18 @@ class NetworkB:
 
     # -- checkpointing ----------------------------------------------------
 
-    def _checkpoint_tensors(self) -> list[np.ndarray]:
-        """Every tensor a checkpoint stores, as views, in payload order."""
-        stats = [t for pair in zip(self.running_mean, self.running_var) for t in pair]
-        return [*self.params.values(), *stats]
-
     def save(self, path: str | Path, meta: dict | None = None) -> None:
         """Write a version-3 checkpoint: one JSON header line (``version``,
         the three dims, the ordered ``tensors`` list of ``[name, shape]`` and
         the ``meta`` object), then each listed tensor's little-endian float64
         bytes in C order of its shape, in list order."""
-        shapes = _checkpoint_shapes(self.feature_dim, self.anchor_count, self.hidden)
         header = {"version": CHECKPOINT_VERSION, "feature_dim": self.feature_dim,
                   "anchor_count": self.anchor_count, "hidden": self.hidden,
-                  "tensors": _tensor_list(shapes), "meta": {} if meta is None else meta}
+                  "tensors": [[name, list(t.shape)] for name, t in self.state.items()],
+                  "meta": {} if meta is None else meta}
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode() + b"\n")
-            for tensor in self._checkpoint_tensors():  # C order, though stored tap-major
+            for tensor in self.state.values():  # C order, though stored tap-major
                 fh.write(np.ascontiguousarray(tensor, dtype="<f8"))
 
     @classmethod
@@ -444,9 +450,10 @@ class NetworkB:
                 raise InputError(f"unsupported checkpoint version {version!r}")
             check_object(header, "checkpoint header", _HEADER_RULES, _HEADER_RULES.keys())
             dims = header["feature_dim"], header["anchor_count"], header["hidden"]
-            shapes = _checkpoint_shapes(*dims)
+            shapes = _tensor_shapes(*dims)
+            listed = [[name, list(shape)] for name, shape in shapes.items()]
             # compared as JSON text, so that 3.0 or true cannot stand for an integer
-            if json.dumps(header["tensors"]) != json.dumps(_tensor_list(shapes)):
+            if json.dumps(header["tensors"]) != json.dumps(listed):
                 raise InputError("checkpoint 'tensors' does not list the tensors of "
                                  "feature_dim {}, anchor_count {}, hidden {}".format(*dims))
             size = 8 * sum(math.prod(shape) for shape in shapes.values())
@@ -457,33 +464,18 @@ class NetworkB:
             net._allocate(*dims)
             net.meta = header["meta"]
             offset = 0
-            for (name, shape), tensor in zip(shapes.items(), net._checkpoint_tensors()):
-                chunk = values[offset : offset + math.prod(shape)]
+            for name, tensor in net.state.items():
+                chunk = values[offset : offset + tensor.size]
                 if not np.isfinite(chunk).all():
                     raise InputError(f"checkpoint tensor {name} holds a non-finite value")
                 if name.endswith("running_var") and (chunk < 0).any():
                     raise InputError(f"checkpoint tensor {name} holds a negative variance")
                 # each tensor in C order of its shape, assigned through its (tap-major) view
-                tensor[...] = chunk.reshape(shape)
+                tensor[...] = chunk.reshape(tensor.shape)
                 offset += chunk.size
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from None
         return net
-
-
-def _checkpoint_shapes(feature_dim: int, anchor_count: int, hidden: int) -> dict[str, tuple]:
-    """Every tensor a checkpoint stores, in payload order: the parameters,
-    then each hidden layer's batch-norm running mean and variance."""
-    shapes = _parameter_shapes(feature_dim, anchor_count, hidden)
-    for i in range(HIDDEN_LAYERS):
-        for stat in ("running_mean", "running_var"):
-            shapes[f"bn{i}.{stat}"] = (hidden,)
-    return shapes
-
-
-def _tensor_list(shapes: dict[str, tuple]) -> list:
-    """A version-3 header's ``tensors``: ``[name, shape]`` in payload order."""
-    return [[name, list(shape)] for name, shape in shapes.items()]
 
 
 def learning_rate(cfg: RunConfig, iteration: int) -> float:
@@ -501,19 +493,21 @@ def sgd_step(
     """In-place momentum SGD with weight decay and the step lr schedule on the
     flat parameter vector. ``grads`` is what :meth:`NetworkB.backward`
     returned for ``net``; ``velocity`` keeps the flat momentum buffer between
-    steps."""
+    steps. A step that leaves a parameter non-finite raises TrainingError,
+    naming the first non-finite gradient in backward order, else parameter."""
     if not (isinstance(grads, FlatTensors) and grads.flat.shape == net.params.flat.shape):
         raise UsageError("sgd_step needs the gradients NetworkB.backward returns for this net")
-    g = grads.flat
-    if not np.isfinite(g).all():
-        name = next(name for name, t in grads.items() if not np.isfinite(t).all())
-        raise TrainingError(f"non-finite gradient in {name} at iteration {iteration}")
-    p = net.params.flat
+    p, g = net.params.flat, grads.flat
     v = velocity.get("flat")
     if v is None:
         v = velocity["flat"] = np.zeros(p.size)
     _in_halves(_worker(p.size, POOL_MIN_PARAMS), _momentum_rows, (p, g, v),
                learning_rate(cfg, iteration), cfg.momentum, cfg.weight_decay)
+    if not np.isfinite(p).all():
+        for what, tensors in (("gradient", grads), ("parameter", net.params)):
+            name = next((name for name, t in tensors.items() if not np.isfinite(t).all()), None)
+            if name is not None:
+                raise TrainingError(f"non-finite {what} in {name} at iteration {iteration}")
 
 
 def _momentum_rows(p, g, v, lr: float, momentum: float, decay: float) -> None:

@@ -66,7 +66,7 @@ def build_candidates(reg_map: np.ndarray, anchors: AnchorConfig, alpha: float) -
         raise InputError(f"regression map must be {2 * M} x T, got {reg_map.shape}")
     T = reg_map.shape[1]
     if not np.isfinite(reg_map).all():
-        raise InputError("regression values must be finite")
+        raise TrainingError("regression values must be finite")
     w_a, t_w = np.asarray(anchors.scales), reg_map[1::2].T
     with np.errstate(over="ignore"):  # an inf length is refused below
         try:

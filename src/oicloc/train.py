@@ -95,8 +95,8 @@ def predict_video(
     reg_map = net.forward(feat, mode="infer")
     try:
         grid = build_candidates(reg_map, cfg.anchor_config(), cfg.alpha)
-    except (TrainingError, InputError) as err:
-        raise type(err)(f"video {video.video_id}: {err}") from err
+    except TrainingError as err:
+        raise TrainingError(f"video {video.video_id}: {err}") from err
     k, _, _, score, x1, x2 = select(video.cas, grid, range(1, video.cas.num_classes + 1),
                                     cfg.act_min, cfg.loss_max, cfg.nms_iou, loss=loss)
     return to_predictions(k, score, x1, x2, video.fps, video.video_id)

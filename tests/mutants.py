@@ -43,6 +43,7 @@ SGD = "tests/test_regressor.py::TestSgd"
 CAS_SPELLINGS = "tests/test_io.py::TestCasCsv::test_refuses_other_spellings_on_their_line"
 CHECKPOINT_VALUES = "tests/test_regressor.py::TestCheckpoint::test_rejects_values_that_cannot_be_right"
 GRID_ERRORS = "tests/test_train.py::TestPredictVideo::test_grid_errors_name_the_video"
+BLOW_UP = "tests/test_cli.py::TestBadInput::test_a_numeric_blow_up_in_training_is_one_error_line"
 # baselines' class refusal, the same text in two functions: told apart by the line after it
 CLASS_CHECK = ('if not 1 <= k <= cas.num_classes:\n'
                '        raise InputError(f"class {k} outside 1..{cas.num_classes}")\n    ')
@@ -91,6 +92,11 @@ MUTANTS = [
            "    except ValueError:\n        raise\n    theirs = job.result()\n",
            ("tests/test_regressor.py::TestWorkerPool::"
             "test_the_worker_is_joined_before_an_error_surfaces[pool]",)),
+    # a job on the worker run outside the caller's context (NumPy error state)
+    Mutant("regressor.py", "pool.submit(contextvars.copy_context().run, *there)",
+           "pool.submit(*there)",
+           ("tests/test_regressor.py::TestWorkerPool::"
+            "test_a_job_on_the_worker_runs_under_the_callers_error_state[pool]",)),
     # the worker handed to a job running on it
     Mutant("regressor.py", "or threading.current_thread().name.startswith(_WORKER_NAME)):",
            "or False):",
@@ -99,11 +105,15 @@ MUTANTS = [
     # an empty corpus refused with a bare ValueError
     Mutant("train.py", 'raise InputError("training requires', 'raise ValueError("training requires',
            ("tests/test_train.py::TestTrainNetwork::test_empty_corpus_is_an_input_error",)),
-    # prediction: a grid error without the video's id; an InputError not prefixed
-    Mutant("train.py", 'raise type(err)(f"video {video.video_id}: {err}")', "raise type(err)(str(err))",
-           (GRID_ERRORS,)),
-    Mutant("train.py", "except (TrainingError, InputError) as err:", "except TrainingError as err:",
-           (GRID_ERRORS,)),
+    # prediction: a grid error without the video's id
+    Mutant("train.py", 'raise TrainingError(f"video {video.video_id}: {err}")',
+           "raise TrainingError(str(err))", (GRID_ERRORS,)),
+    # a non-finite regression map refused as bad input, not as a numeric blow-up
+    Mutant("selection.py", 'raise TrainingError("regression values must be finite")',
+           'raise InputError("regression values must be finite")',
+           ("tests/test_selection.py::TestBuildCandidates::test_rejects_non_finite_regression",
+            "tests/test_train.py::TestTrainNetwork::"
+            "test_non_finite_map_names_the_iteration_and_video")),
     # training: the lift pending on the worker left running when a step raises
     Mutant("train.py", "pending.exception()", "pending.done()",
            ("tests/test_train.py::TestLiftAhead::"
@@ -136,9 +146,16 @@ MUTANTS = [
     Mutant("io.py", "if row[0] != str(t):", "if int(row[0]) != t:", (CAS_SPELLINGS,)),
     Mutant("io.py", "{i // K + 2}", "{i // K + 1}",
            ("tests/test_cli.py::TestBadInput::test_non_numeric_cas_cell",)),
-    # eval against a manifest without ground truth reaching map_report
-    Mutant("cli.py", "    if not gts:\n", "    if False:\n",
+    # eval against a manifest without ground truth reaching map_report;
+    # ablate checking its test manifest only after training; a NumPy
+    # overflow warning printed next to the error line
+    Mutant("cli.py", '    if not gts:\n        raise InputError(f"--manifest',
+           '    if False:\n        raise InputError(f"--manifest',
            ("tests/test_cli.py::TestBadInput::test_eval_against_a_manifest_without_ground_truth",)),
+    Mutant("cli.py", "    if not gts:  # refused before", "    if False:  # refused before",
+           ("tests/test_cli.py::TestBadInput::"
+            "test_ablate_refuses_a_test_manifest_without_ground_truth_before_training",)),
+    Mutant("cli.py", 'np.errstate(all="ignore")', "np.errstate()", (BLOW_UP,)),
     # an empty manifest let through to training; eval's activitynet profile
     # scored on the thumos grid
     Mutant("cli.py", "    if not videos:\n", "    if False:\n",
@@ -232,9 +249,13 @@ MUTANTS = [
     Mutant("evaluation.py", "if v > best_iou and j not in matched:",
            "if v >= best_iou and j not in matched:",
            ("tests/test_eval.py::TestAveragePrecision::test_equal_ious_match_the_first_listed_gt",)),
-    # sgd_step: no finite check, decay sign, momentum order, no lr, the
-    # velocity started at one instead of zero
-    Mutant("regressor.py", "    if not np.isfinite(g).all():\n", "    if False:\n", (SGD,)),
+    # sgd_step: no finite check of the updated parameters (in training, a
+    # blown-up checkpoint is written), a non-finite gradient not named as
+    # such, decay sign, momentum order, no lr, the velocity started at one
+    # instead of zero
+    Mutant("regressor.py", "    if not np.isfinite(p).all():\n", "    if False:\n", (SGD, BLOW_UP)),
+    Mutant("regressor.py", '(("gradient", grads), ("parameter", net.params))',
+           '(("parameter", net.params),)', (SGD,)),
     Mutant("regressor.py", "update = decay * p", "update = -decay * p", (SGD,)),
     Mutant("regressor.py", "    v *= momentum\n    v += update\n",
            "    v += update\n    v *= momentum\n", (SGD,)),
@@ -265,9 +286,13 @@ MUTANTS = [
 ]
 
 
-def _pytest(src: Path, tests: tuple[str, ...], timeout: float) -> int:
-    """pytest's exit code for ``tests`` run against the package in ``src``."""
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+def _pytest(src: Path, tests: tuple[str, ...], pycache: str, timeout: float) -> int:
+    """pytest's exit code for ``tests`` run against the package in ``src``.
+    Bytecode, pytest's rewritten test modules and plugins included, goes
+    under ``pycache``, so later runs skip recompiling what an earlier one
+    did; each mutant's copy of ``src/`` has its own path there."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env.update(PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=pycache)
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "--hypothesis-profile=mutants", *tests]
     return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
@@ -280,7 +305,7 @@ def _copy_src(tmp: str) -> Path:
     return src
 
 
-def _verdict(mutant: Mutant, deadline: float) -> str:
+def _verdict(mutant: Mutant, pycache: str, deadline: float) -> str:
     """How one mutant, applied to its own copy of ``src/``, fared."""
     with tempfile.TemporaryDirectory(prefix="oicloc-mutant-") as tmp:
         target = _copy_src(tmp) / "oicloc" / mutant.file
@@ -289,7 +314,8 @@ def _verdict(mutant: Mutant, deadline: float) -> str:
             return f"MISSING (the old text occurs {text.count(mutant.old)} times)"
         target.write_text(text.replace(mutant.old, mutant.new))
         try:
-            code = _pytest(target.parents[1], mutant.tests, max(deadline - time.monotonic(), 1.0))
+            code = _pytest(target.parents[1], mutant.tests, pycache,
+                           max(deadline - time.monotonic(), 1.0))
         except subprocess.TimeoutExpired:
             return "TIMEOUT"
     return {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit code {code})")
@@ -309,8 +335,10 @@ def main(argv: list[str] | None = None) -> int:
     if not Path(probe.stdout.strip()).resolve().is_relative_to(src.resolve()):
         print(f"ERROR: oicloc imports from {probe.stdout.strip() or probe.stderr.strip()}")
         return 1
-    with ThreadPoolExecutor(JOBS) as pool:
-        verdicts = pool.map(_verdict, MUTANTS, [start + args.budget] * len(MUTANTS))
+    with (tempfile.TemporaryDirectory(prefix="oicloc-pycache-") as pycache,
+          ThreadPoolExecutor(JOBS) as pool):
+        verdicts = pool.map(_verdict, MUTANTS, [pycache] * len(MUTANTS),
+                            [start + args.budget] * len(MUTANTS))
         failures = 0
         for mutant, verdict in zip(MUTANTS, verdicts):
             print(f"{mutant.file}: {mutant.old.strip().splitlines()[0]}: {verdict}")

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from oracles import checkpoint_tensors, checkpoint_v3
 
-from oicloc import io
+from oicloc import baselines, io
 from oicloc.cli import main
 from oicloc.config import load_config
 from oicloc.regressor import NetworkB
@@ -259,6 +260,35 @@ class TestBadInput:
         assert code == 2 and not (tmp_path / "e.json").exists()
         assert err == (f"error: --manifest {tmp_path / 'manifest.json'}: "
                        "no video has a ground truth segment\n")
+
+    def test_ablate_refuses_a_test_manifest_without_ground_truth_before_training(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(baselines, "compare", lambda *args, **kw: pytest.fail("trained"))
+        (tmp_path / "v.csv").write_text("snippet,class_1\n1,0.5\n")
+        (tmp_path / "manifest.json").write_text(json.dumps([self.ENTRY]))
+        (tmp_path / "test.json").write_text(json.dumps({"version": 1, "manifest": "manifest.json"}))
+        code = main(["ablate", "--config", str(workspace / "run.json"), "--test-config",
+                     str(tmp_path / "test.json"), "--out", str(tmp_path / "ablate")])
+        assert code == 2 and not (tmp_path / "ablate").exists()
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'manifest.json'}: "
+                                           "no video has a ground truth segment\n")
+
+    @pytest.mark.filterwarnings("error")  # a NumPy overflow warning fails the test
+    @pytest.mark.parametrize("videos, lr", [(1, 1e308), (6, 1.7e308)])
+    def test_a_numeric_blow_up_in_training_is_one_error_line(self, workspace, tmp_path, capsys,
+                                                               videos, lr):
+        corpus = workspace / "corpus"
+        entries = [{**entry, "cas_path": str(corpus / entry["cas_path"])}
+                   for entry in json.loads((corpus / "manifest.json").read_text())[:videos]]
+        (tmp_path / "manifest.json").write_text(json.dumps(entries))
+        config = {**json.loads((workspace / "run.json").read_text()),
+                  "manifest": "manifest.json", "lr": lr}
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        code = main(["train", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "m")])
+        assert code == 2 and not (tmp_path / "m" / "checkpoint.ckpt").exists()
+        assert re.fullmatch(r"error: non-finite parameter in \S+ at iteration \d+\n",
+                            capsys.readouterr().err)
 
     @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
     def test_non_finite_fps(self, tmp_path, capsys, fps):

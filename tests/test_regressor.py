@@ -140,6 +140,13 @@ class TestWorkerPool:
         assert executor is not None
         assert executor.submit(regressor._worker, 1 << 30).result(timeout=10) is None
 
+    @pytest.mark.parametrize("pool", ["pool"], indirect=True)
+    def test_a_job_on_the_worker_runs_under_the_callers_error_state(self, pool):
+        """A job moved to the worker meets an overflow as it would here."""
+        big = np.full(2, 1e308)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            regressor._alongside(regressor._worker(1 << 30), (np.multiply, big, big), float)
+
     def test_a_forked_child_starts_its_own_worker(self, rng, pool):
         """A child forked after the parent's worker started has no worker
         thread; its pooled convs must not wait on the parent's."""
@@ -269,6 +276,22 @@ class TestNetworkB:
         before = [m.copy() for m in net.running_mean]
         net.forward(rng.standard_normal((3, 20)), mode="train")
         assert any(not np.array_equal(a, b) for a, b in zip(before, net.running_mean))
+
+    def test_every_tensor_is_a_view_of_one_vector(self, rng):
+        """``params.flat`` heads the one state vector and the running
+        statistics view its tail, in checkpoint order; a train-mode forward
+        updates them in place."""
+        net = NetworkB(feature_dim=3, anchor_count=1, hidden=4, seed=1)
+        state, stats = net.state.flat, net.running_mean + net.running_var
+        assert list(net.state) == [name for name, _ in checkpoint_layout(3, 1, 4)]
+        assert net.params.flat.base is state and net.params.flat.ctypes.data == state.ctypes.data
+        assert all(np.shares_memory(t, state) for t in [*net.params.values(), *stats])
+        before = [(t, t.ctypes.data) for t in stats]
+        net.forward(rng.standard_normal((3, 20)), mode="train")
+        assert [(t, t.ctypes.data) for t in net.running_mean + net.running_var] == before
+        tail = np.concatenate([t for pair in zip(net.running_mean, net.running_var) for t in pair])
+        assert np.array_equal(state[net.params.flat.size :], tail)
+        assert not np.array_equal(tail, np.tile(np.repeat([0.0, 1.0], 4), 3))
 
     def test_infer_mode_is_pure(self, rng):
         net = NetworkB(feature_dim=3, anchor_count=1, hidden=4, seed=1)
@@ -595,6 +618,13 @@ class TestSgd:
         g["pred.b"][0] = np.nan
         with pytest.raises(TrainingError, match="non-finite gradient in pred.b at iteration 3"):
             sgd_step(net, g, RunConfig(), {}, 3)
+
+    def test_a_step_that_overflows_a_parameter_raises(self):
+        net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)
+        grads = gradients(net, **{"bn1.beta": 4.0})  # finite, but lr * 4 is not
+        with np.errstate(over="ignore"), pytest.raises(
+                TrainingError, match="^non-finite parameter in bn1.beta at iteration 5$"):
+            sgd_step(net, grads, RunConfig(lr=1e308), {}, 5)
 
     def test_names_the_first_non_finite_tensor_in_backward_order(self, rng):
         net = NetworkB(feature_dim=2, anchor_count=1, hidden=3)

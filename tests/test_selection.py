@@ -134,7 +134,7 @@ class TestBuildCandidates:
         for slot, bad in ((0, float("nan")), (1, float("inf"))):  # t_x, t_w of anchor 0
             reg_map = np.zeros((6, 8))
             reg_map[slot, 3] = bad
-            with pytest.raises(InputError, match="finite"):
+            with pytest.raises(TrainingError, match="^regression values must be finite$"):
                 build_candidates(reg_map, ANCHORS, 0.25)
 
     def test_min_offset_flag_uses_pre_round_width(self):

@@ -107,6 +107,14 @@ class TestTrainNetwork:
         with pytest.raises(TrainingError, match=r"iteration 7, .*anchor 0"):
             train_step(net, corpus[0], CFG, {}, 7)
 
+    def test_non_finite_map_names_the_iteration_and_video(self, corpus):
+        net = new_network(CFG, 0)
+        net.params["pred.b"][0] = np.nan  # t_x of anchor 0 at every position
+        with pytest.raises(TrainingError) as info:
+            train_step(net, corpus[0], CFG, {}, 7)
+        assert str(info.value) == (f"iteration 7, video {corpus[0].video_id}: "
+                                   "regression values must be finite")
+
     def test_collapsed_scale_names_the_iteration(self, corpus):
         net = new_network(CFG, 0)
         net.params["pred.b"][1] = -800.0  # t_w of anchor 0 underflows to zero width
@@ -129,7 +137,9 @@ class TestStepIsBitwise:
     def test_parameters_and_running_stats_match_reference(self, corpus, cfg):
         net = new_network(cfg, 4)
         params = {name: p.copy() for name, p in net.params.items()}
-        means, variances = list(net.running_mean), list(net.running_var)
+        # copies: the net's running statistics are views it updates in place
+        means = [m.copy() for m in net.running_mean]
+        variances = [v.copy() for v in net.running_var]
         velocity, ref_velocity = {}, {}
         for iteration, video in enumerate(corpus[:6]):
             loss = train_step(net, video, cfg, velocity, iteration)
@@ -314,7 +324,7 @@ class TestPredictVideo:
 
     @pytest.mark.parametrize("bias, error, message", [
         (800.0, TrainingError, "t_w = 800 overflows the length at position 1, anchor 0"),
-        (float("nan"), InputError, "regression values must be finite"),
+        (float("nan"), TrainingError, "regression values must be finite"),
     ])
     def test_grid_errors_name_the_video(self, corpus, bias, error, message):
         net = new_network(CFG, 0)
