@@ -21,6 +21,12 @@ bit is the same with or without it; README's worker account ("The worker
 thread changes no bit") gives the split. Batch norm centres and scales the
 conv output in place into ``x̂``: the same ufuncs on the same values as the
 plain form, so the bits are those of ``tests/oracles.py``.
+
+A training step frees each paper-width buffer after its last read. A conv
+backward adds each input-gradient product into ``dx`` in tap order as soon
+as it is made (the calling thread its own, the worker's after the join), so
+at most one product per thread is alive; the backward lets go of each
+layer's incoming gradient once its batch norm has read it.
 """
 from __future__ import annotations
 
@@ -130,18 +136,18 @@ def _alongside(pool, there: tuple, here, *args) -> tuple:
     return mine, theirs
 
 
-def _in_halves(pool, fn, arrays: tuple, *rest) -> None:
-    """``fn(*arrays, *rest)``; with the worker thread ``pool``, on the arrays'
-    top row halves there and on their bottom halves here, at once. The arrays'
-    first axes index the same rows and ``fn`` works row by row (elementwise or
-    along each row), so the bits are those of one call over all rows."""
+def _in_halves(pool, fn, arrays: tuple, *rest) -> tuple:
+    """``(fn(*arrays, *rest),)``; with the worker thread ``pool``, ``fn`` on
+    the arrays' top row halves there and on their bottom halves here, at once,
+    and the results ``(bottom's, top's)``. The arrays' first axes index the
+    same rows and ``fn`` works row by row (elementwise or along each row), so
+    the bits are those of one call over all rows."""
     if pool is None:
-        fn(*arrays, *rest)
-        return
+        return (fn(*arrays, *rest),)
     half = len(arrays[0]) // 2
     top = [a[:half] for a in arrays]
     bottom = [a[half:] for a in arrays]
-    _alongside(pool, (fn, *top, *rest), fn, *bottom, *rest)
+    return _alongside(pool, (fn, *top, *rest), fn, *bottom, *rest)
 
 
 def _taps(xp: np.ndarray, w: np.ndarray, T: int, n: int) -> np.ndarray:
@@ -163,14 +169,19 @@ def _conv_taps(xp: np.ndarray, w: np.ndarray, pool) -> tuple:
     return _alongside(pool, (np.matmul, w[:, :, -1], xp[:, ksz - 1 :]), _taps, xp, w, T, ksz - 1)
 
 
-def _tap_grads(xp, w, dy, dw, dw_taps, dx_taps) -> list:
+def _tap_grads(xp, w, dy, dw, dw_taps, dx_taps, dxp=None) -> list:
     """The weight gradients of the taps in ``dw_taps``, each written into
     ``dw[:, :, i]``, and the input-gradient products ``w[:, :, i].T @ dy`` of
-    the taps in ``dx_taps``, in order."""
+    the taps in ``dx_taps``, in order: each added into its columns of ``dxp``
+    as soon as it is made, or, without ``dxp``, returned."""
     T = dy.shape[1]
     for i in dw_taps:
         np.matmul(dy, xp[:, i : i + T].T, out=dw[:, :, i])
-    return [w[:, :, i].T @ dy for i in dx_taps]
+    if dxp is None:
+        return [w[:, :, i].T @ dy for i in dx_taps]
+    for i in dx_taps:
+        dxp[:, i : i + T] += w[:, :, i].T @ dy
+    return []
 
 
 def conv1d_backward(
@@ -183,17 +194,18 @@ def conv1d_backward(
     ``pool`` (see :func:`_alongside`) computes the weight gradients of taps
     k//2 onward and the input-gradient products of the taps after k//2, this
     thread the rest: 3:3 products for k = 3 with the input gradient. The
-    input-gradient products are added into ``dx`` in tap order, here."""
+    input-gradient products are added into ``dx`` in tap order: this thread's
+    as it makes them, the worker's after the join."""
     ksz = w.shape[2]
     pad = (ksz - 1) // 2
     T = dy.shape[1]
     dxp = np.zeros(xp.shape) if input_grad else None
     mid, taps = ksz // 2, range(ksz)
     dx_taps = taps if input_grad else range(0)
-    mine, theirs = _alongside(
+    _, theirs = _alongside(
         pool, (_tap_grads, xp, w, dy, dw, taps[mid:], dx_taps[mid + 1 :]),
-        _tap_grads, xp, w, dy, dw, taps[:mid], dx_taps[: mid + 1])
-    for i, product in enumerate(mine + theirs):
+        _tap_grads, xp, w, dy, dw, taps[:mid], dx_taps[: mid + 1], dxp)
+    for i, product in zip(dx_taps[mid + 1 :], theirs):
         dxp[:, i : i + T] += product
     np.add.reduce(dy, 1, out=db)
     if not input_grad:
@@ -337,6 +349,8 @@ class NetworkB:
                                   self._layout, names[: -len(stats)])
         self.running_mean = [self.state[name] for name in stats[0::2]]
         self.running_var = [self.state[name] for name in stats[1::2]]
+        # the same six vectors as the rows of one (6, hidden) view: bn0's mean, var, bn1's, ...
+        self._running = self.state.flat[self._layout[stats[0]][0].start :].reshape(-1, hidden)
         for var in self.running_var:
             var[...] = 1.0
         self.meta = {}  # the run metadata a version-3 checkpoint was saved with
@@ -359,6 +373,9 @@ class NetworkB:
         train = mode == "train"
         T = feat.shape[1]
         cache = {"layers": [], "T": T} if train else None
+        # train: each layer's batch mean and variance, in the order of the
+        # running statistics they update
+        batch = np.empty(self._running.shape) if train else None
         xp = _padded(feat)
         for i in range(HIDDEN_LAYERS):
             w = self.params[f"conv{i}.w"]
@@ -366,7 +383,7 @@ class NetworkB:
             z, last = _conv_taps(xp, w, pool)
             rows = z.shape[0]
             if train:
-                mean, var = np.empty(rows), np.empty(rows)
+                mean, var = batch[2 * i], batch[2 * i + 1]
             else:
                 mean, var = self.running_mean[i], self.running_var[i]
             inv_std, relu_mask = np.empty(rows), np.empty(z.shape, dtype=bool)
@@ -375,8 +392,6 @@ class NetworkB:
                        (z, last, self.params[f"conv{i}.b"], self.params[f"bn{i}.gamma"],
                         self.params[f"bn{i}.beta"], mean, var, inv_std, relu_mask, out), train)
             if train:
-                for running, batch in ((self.running_mean[i], mean), (self.running_var[i], var)):
-                    running[...] = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch
                 cache["layers"].append(
                     {"xp": xp, "inv_std": inv_std, "xhat": z, "relu_mask": relu_mask}
                 )
@@ -386,6 +401,7 @@ class NetworkB:
         reg += last
         reg += self.params["pred.b"][:, None]
         if train:
+            self._running[...] = BN_MOMENTUM * self._running + (1 - BN_MOMENTUM) * batch
             cache["pred_xp"] = xp
             return reg, cache
         return reg
@@ -413,6 +429,7 @@ class NetworkB:
             _in_halves(pool, _batch_norm_backward,
                        (dx, lay["relu_mask"], lay["xhat"], self.params[f"bn{i}.gamma"],
                         lay["inv_std"], grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"], dz))
+            del dx  # read: freed before the conv's backward makes the next one
             dx = conv1d_backward(lay["xp"], w, dz, pool, grads[f"conv{i}.w"],
                                  grads[f"conv{i}.b"], input_grad=i > 0)
         return grads
@@ -493,7 +510,8 @@ def sgd_step(
     """In-place momentum SGD with weight decay and the step lr schedule on the
     flat parameter vector. ``grads`` is what :meth:`NetworkB.backward`
     returned for ``net``; ``velocity`` keeps the flat momentum buffer between
-    steps. A step that leaves a parameter non-finite raises TrainingError,
+    steps. Each half of the update checks its own parameters (on its own
+    thread); a step that leaves a parameter non-finite raises TrainingError,
     naming the first non-finite gradient in backward order, else parameter."""
     if not (isinstance(grads, FlatTensors) and grads.flat.shape == net.params.flat.shape):
         raise UsageError("sgd_step needs the gradients NetworkB.backward returns for this net")
@@ -501,23 +519,24 @@ def sgd_step(
     v = velocity.get("flat")
     if v is None:
         v = velocity["flat"] = np.zeros(p.size)
-    _in_halves(_worker(p.size, POOL_MIN_PARAMS), _momentum_rows, (p, g, v),
-               learning_rate(cfg, iteration), cfg.momentum, cfg.weight_decay)
-    if not np.isfinite(p).all():
+    if not all(_in_halves(_worker(p.size, POOL_MIN_PARAMS), _momentum_rows, (p, g, v),
+                          learning_rate(cfg, iteration), cfg.momentum, cfg.weight_decay)):
         for what, tensors in (("gradient", grads), ("parameter", net.params)):
             name = next((name for name, t in tensors.items() if not np.isfinite(t).all()), None)
             if name is not None:
                 raise TrainingError(f"non-finite {what} in {name} at iteration {iteration}")
 
 
-def _momentum_rows(p, g, v, lr: float, momentum: float, decay: float) -> None:
+def _momentum_rows(p, g, v, lr: float, momentum: float, decay: float) -> bool:
     """Momentum SGD with weight decay, in place, on these elements of the
     parameters ``p``, gradient ``g`` and velocity ``v``: v = momentum·v +
-    (decay·p + g), then p -= lr·v. From a zero velocity, the first step's v
-    differs from decay·p + g only in a zero's sign, which moves no bit of p:
-    no parameter is -0.0 (``NetworkB`` makes none; p - x is -0.0 only if p is)."""
+    (decay·p + g), then p -= lr·v; whether every updated element of ``p`` is
+    finite. From a zero velocity, the first step's v differs from decay·p + g
+    only in a zero's sign, which moves no bit of p: no parameter is -0.0
+    (``NetworkB`` makes none; p - x is -0.0 only if p is)."""
     update = decay * p
     update += g
     v *= momentum
     v += update
     p -= np.multiply(v, lr, out=update)  # update is dead once folded into v
+    return np.isfinite(p).all()

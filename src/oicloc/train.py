@@ -36,7 +36,9 @@ def train_network(
     each next one, in epoch order, while the step before it runs. The lift
     is queued before that step's conv jobs, so it runs while this thread
     computes the first conv's first taps. The pending lift is joined before
-    this returns or raises.
+    this returns or raises. While the next step reads the same record (one
+    video over several epochs), its map is lifted once and kept; any other
+    map is handed to its step, which frees it before the SGD step.
     """
     if not corpus:
         raise InputError("training requires at least one video")
@@ -45,11 +47,20 @@ def train_network(
     try:
         result = TrainResult(new_network(cfg, seed))
         velocity: dict = {}
+        feat = None  # a map kept from the step before, which read the same video
         for iteration, (video, following) in enumerate(zip(order, order[1:] + [None])):
-            feat = None if pending is None else pending.result()
-            pending = None if following is None else _lift_ahead(following, cfg)
+            if pending is not None:
+                feat = pending.result()
+            keep = following is video
+            pending = None if following is None or keep else _lift_ahead(following, cfg)
+            if keep:
+                if feat is None:
+                    feat = cas_to_features(video.cas, cfg.feature_dim)
+                held = feat
+            else:
+                held, feat = [feat], None  # this frame lets go of the map
             result.losses.append(
-                train_step(result.net, video, cfg, velocity, iteration, loss, feat))
+                train_step(result.net, video, cfg, velocity, iteration, loss, held))
             epoch, i = divmod(iteration, len(corpus))
             if i == len(corpus) - 1:
                 log.info("epoch %d done, last loss %.4f", epoch, result.losses[-1])
@@ -70,7 +81,13 @@ def _lift_ahead(video, cfg):
 
 def train_step(net, video, cfg, velocity, iteration, loss="oic", feat=None) -> float:
     """One optimizer step on one video; returns the summed selection loss.
-    ``feat`` is the video's lifted feature map, lifted here when None."""
+    ``feat`` is the video's lifted feature map, lifted here when None. A
+    one-element list holding the map (or None) hands it over: the step
+    empties the list, so that the map, with the forward cache, is freed
+    before the SGD step (an argument stays referenced by the caller until
+    the call returns)."""
+    if isinstance(feat, list):
+        feat = feat.pop()
     if feat is None:
         feat = cas_to_features(video.cas, cfg.feature_dim)
     reg_map, cache = net.forward(feat, mode="train")
@@ -82,6 +99,7 @@ def train_step(net, video, cfg, velocity, iteration, loss="oic", feat=None) -> f
                        loss=loss)
     total, grad_out = training_loss(video.cas, grid, survivors, loss=loss)
     grads = net.backward(cache, grad_out)
+    del feat, cache  # the cache holds the map's buffer and every layer's input
     sgd_step(net, grads, cfg, velocity, iteration)
     return total
 

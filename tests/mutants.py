@@ -40,6 +40,9 @@ POOL_CONV = "tests/test_regressor.py::TestWorkerPool::test_conv_matches_the_per_
 POOL_NET = "tests/test_regressor.py::TestWorkerPool::test_every_split_gives_the_bits_of_one_cpu[pool]"
 POOL_SGD = "tests/test_regressor.py::TestSgd::test_halves_match_the_per_tensor_reference[pool]"
 SGD = "tests/test_regressor.py::TestSgd"
+SGD_HALVES = ("tests/test_regressor.py::TestSgd::"
+              "test_either_half_finds_its_non_finite_value_at_paper_width")
+FREED = "tests/test_train.py::TestEachMapIsFreedBeforeItsSgdStep"
 CAS_SPELLINGS = "tests/test_io.py::TestCasCsv::test_refuses_other_spellings_on_their_line"
 CHECKPOINT_VALUES = "tests/test_regressor.py::TestCheckpoint::test_rejects_values_that_cannot_be_right"
 GRID_ERRORS = "tests/test_train.py::TestPredictVideo::test_grid_errors_name_the_video"
@@ -72,18 +75,37 @@ MUTANTS = [
     Mutant("regressor.py", "len(os.sched_getaffinity(0)) < 2", "len(os.sched_getaffinity(0)) < 1",
            ("tests/test_regressor.py::TestWorkerPool::"
             "test_conv_matches_the_per_tap_oracle_bitwise[no-pool]",)),
-    # conv taps, one code path at both widths: the input-gradient products
-    # summed into dx last to first; the first tap computed apart and added
-    # last, (W1 x1 + W2 x2) + W0 x0; the worker's input-gradient products put
-    # before this thread's; tap 1's weight gradient computed by neither thread
-    Mutant("regressor.py", "    for i, product in enumerate(mine + theirs):\n",
-           "    for i, product in reversed(list(enumerate(mine + theirs))):\n", (DESK_CONV, POOL_CONV)),
+    # conv taps, one code path at both widths: the first tap computed apart
+    # and added last, (W1 x1 + W2 x2) + W0 x0; the worker's input-gradient
+    # product added out of tap order (the worker takes tap 0's, added after
+    # taps 1 and 2); tap 1's weight gradient computed by neither thread
     Mutant("regressor.py", "(np.matmul, w[:, :, -1], xp[:, ksz - 1 :]), _taps, xp, w, T, ksz - 1)",
            "(np.matmul, w[:, :, 0], xp[:, :T]), _taps, xp[:, 1:], w[:, :, 1:], T, ksz - 1)",
            (DESK_CONV, POOL_CONV)),
-    Mutant("regressor.py", "enumerate(mine + theirs)", "enumerate(theirs + mine)", (DESK_CONV, POOL_CONV)),
+    Mutant("regressor.py",
+           "dx_taps[mid + 1 :]),\n        _tap_grads, xp, w, dy, dw, taps[:mid], dx_taps[: mid + 1], dxp)"
+           "\n    for i, product in zip(dx_taps[mid + 1 :], theirs):",
+           "dx_taps[:1]),\n        _tap_grads, xp, w, dy, dw, taps[:mid], dx_taps[1:], dxp)"
+           "\n    for i, product in zip(dx_taps[:1], theirs):", (DESK_CONV, POOL_CONV)),
     Mutant("regressor.py", "(_tap_grads, xp, w, dy, dw, taps[mid:],",
            "(_tap_grads, xp, w, dy, dw, taps[mid + 1 :],", (DESK_CONV, POOL_CONV)),
+    # buffers held past their last read: this thread's input-gradient
+    # products all made before any is added; a layer's incoming gradient
+    # kept through its conv backward; the forward cache (which holds the
+    # map's buffer) kept until the SGD step; the map kept by train_network
+    # while the step that reads it runs
+    Mutant("regressor.py", "    for i in dx_taps:\n        dxp[:, i : i + T] += w[:, :, i].T @ dy\n",
+           "    for i, product in [(i, w[:, :, i].T @ dy) for i in dx_taps]:\n"
+           "        dxp[:, i : i + T] += product\n",
+           ("tests/test_regressor.py::TestConv1d::test_a_hidden_layer_backward_holds_dx_and_one_product",)),
+    Mutant("regressor.py", "            del dx  # read", "            pass  # read",
+           ("tests/test_regressor.py::TestNetworkB::"
+            "test_backward_lets_go_of_each_layers_incoming_gradient",)),
+    Mutant("train.py", "    del feat, cache  #", "    del feat  #", (FREED,)),
+    Mutant("train.py", "held, feat = [feat], None", "held = [feat]", (FREED,)),
+    # the batch statistics written into each other's running-statistic row
+    Mutant("regressor.py", "mean, var = batch[2 * i], batch[2 * i + 1]",
+           "var, mean = batch[2 * i], batch[2 * i + 1]", (STEP,)),
     # the prediction layer's bias added before its last tap
     Mutant("regressor.py", '        reg += last\n        reg += self.params["pred.b"][:, None]\n',
            '        reg += self.params["pred.b"][:, None]\n        reg += last\n', (STEP,)),
@@ -250,10 +272,12 @@ MUTANTS = [
            "if v >= best_iou and j not in matched:",
            ("tests/test_eval.py::TestAveragePrecision::test_equal_ious_match_the_first_listed_gt",)),
     # sgd_step: no finite check of the updated parameters (in training, a
-    # blown-up checkpoint is written), a non-finite gradient not named as
-    # such, decay sign, momentum order, no lr, the velocity started at one
-    # instead of zero
-    Mutant("regressor.py", "    if not np.isfinite(p).all():\n", "    if False:\n", (SGD, BLOW_UP)),
+    # blown-up checkpoint is written), a non-finite half let through when
+    # the other half is finite, a non-finite gradient not named as such,
+    # decay sign, momentum order, no lr, the velocity started at one instead
+    # of zero
+    Mutant("regressor.py", "    return np.isfinite(p).all()\n", "    return True\n", (SGD, BLOW_UP)),
+    Mutant("regressor.py", "if not all(_in_halves(", "if not any(_in_halves(", (SGD_HALVES + "[pool-top]",)),
     Mutant("regressor.py", '(("gradient", grads), ("parameter", net.params))',
            '(("parameter", net.params),)', (SGD,)),
     Mutant("regressor.py", "update = decay * p", "update = -decay * p", (SGD,)),

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from oracles import enumeration_oracle
 
-from oicloc import baselines
-from oicloc.cas import Cas
+from oicloc import baselines, train
+from oicloc.cas import Cas, VideoRecord
 from oicloc.config import RunConfig
 from oicloc.errors import InputError
 from oicloc.selection import snippet_to_time
 from oicloc.synth import SynthSpec, synth_corpus
-from oicloc.train import train_network
+from oicloc.train import new_network, predict_video, train_network, train_step
 
 CFG = RunConfig(anchors=(2, 4, 8), feature_dim=8, hidden=8, lr=3e-6, direct_opt_iters=5)
 
@@ -123,6 +123,23 @@ class TestDirectOptimize:
         a = baselines.direct_optimize(video, CFG, seed=0)
         b = baselines.direct_optimize(video, CFG, seed=0)
         assert a == b
+
+    def test_lifts_its_video_once_for_every_epoch(self, monkeypatch):
+        """Training lifts the one video once and reads that map in each of
+        its epochs (prediction lifts it again); the predictions are those of
+        a plain loop of steps, each lifting the video anew."""
+        spec = SynthSpec(num_classes=2, t_range=(30, 40), instances_range=(1, 1),
+                         base_activation=0.95, background=0.03)
+        video = synth_corpus(spec, 1, 1)[0]
+        relabelled = VideoRecord(video.video_id, video.cas, (1, 2), video.fps)
+        net, velocity = new_network(CFG, baselines._video_seed(video.video_id, 0)), {}
+        for i in range(CFG.direct_opt_iters):
+            train_step(net, relabelled, CFG, velocity, i)
+        want = predict_video(net, video, CFG)
+        lifts, lift = [], train.cas_to_features
+        monkeypatch.setattr(train, "cas_to_features", lambda *args: lifts.append(args) or lift(*args))
+        assert baselines.direct_optimize(video, CFG, seed=0) == want and want
+        assert len(lifts) == 2
 
     def test_different_videos_use_different_nets(self):
         # the per-video seed must depend on the video id

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from oracles import (checkpoint_layout, checkpoint_tensors, checkpoint_v2, check
 
 from oicloc import regressor
 from oicloc.cli import main
-from oicloc.config import RunConfig
+from oicloc.config import PROFILES, RunConfig
 from oicloc.errors import InputError, TrainingError, UsageError
 from oicloc.regressor import (NetworkB, _conv_taps, _padded, learning_rate, sgd_step,
                               zero_bordered)
@@ -108,6 +109,24 @@ class TestConv1d:
         x = rng.standard_normal((2, 9))
         out, _ = conv1d_forward(x, rng.standard_normal((4, 2, 3)), np.zeros(4))
         assert out.shape == (4, 9)
+
+    def test_a_hidden_layer_backward_holds_dx_and_one_product(self, rng):
+        """Without the worker, each input-gradient product is added into the
+        padded dx as soon as it is made: at 128 x 128, T 1000, the peak of
+        new memory is that dx and one 128 x T product."""
+        C, T = 128, 1000
+        xp = _padded(rng.standard_normal((C, T)))
+        w = rng.standard_normal((3, C, C)).transpose(1, 2, 0)  # tap-major, as the net stores it
+        dy = rng.standard_normal((C, T))
+        dw, db = np.empty((3, C, C)).transpose(1, 2, 0), np.empty(C)
+        tracemalloc.start()
+        try:
+            regressor.conv1d_backward(xp, w, dy, None, dw, db)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # and up to 256 kB of NumPy's own (an add into a strided view takes 128 kB)
+        assert peak <= xp.nbytes + C * T * 8 + (1 << 18)
 
 
 class TestWorkerPool:
@@ -347,6 +366,26 @@ class TestNetworkB:
             got, cache = run(other)
             assert not np.shares_memory(cache["layers"][0]["xp"], other)
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+    def test_backward_lets_go_of_each_layers_incoming_gradient(self, rng, monkeypatch):
+        """Without the worker, backward's new memory peaks at its gradient
+        vector and three hidden x (T + 2) maps: the incoming gradient, dz and
+        the masked gradient in batch norm, then dz, the next padded gradient
+        and one product in the conv backward, the incoming gradient gone."""
+        monkeypatch.setattr(regressor, "_worker", lambda *args: None)
+        H, T = 64, 2000
+        net = NetworkB(feature_dim=8, anchor_count=2, hidden=H, seed=1)
+        net.params["pred.w"] = rng.uniform(-0.1, 0.1, net.params["pred.w"].shape)
+        _, cache = net.forward(rng.standard_normal((8, T)), mode="train")
+        grad_out = rng.standard_normal((4, T))
+        tracemalloc.start()
+        try:
+            grads = net.backward(cache, grad_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.any(grads["conv0.w"] != 0)
+        assert peak <= grads.flat.nbytes + 3 * H * (T + 2) * 8 + (1 << 18)  # and NumPy ufunc buffers
 
     def test_backward_requires_train_cache(self):
         net = NetworkB(feature_dim=3, anchor_count=1, hidden=4)
@@ -635,6 +674,29 @@ class TestSgd:
             grads[name][...] = np.inf
         with pytest.raises(TrainingError, match="in bn1.beta at"):
             sgd_step(net, grads, RunConfig(), {}, 0)
+
+    @pytest.mark.parametrize("name, index", [("conv0.w", (0, 0, 0)), ("pred.b", -1)],
+                             ids=["top", "bottom"])
+    def test_either_half_finds_its_non_finite_value_at_paper_width(self, pool, name, index):
+        """At thumos width (0.89M parameters) each half of the update checks
+        its own parameters: a NaN gradient, or a step that overflows one
+        parameter, in the top half (conv0.w's first element) or in the
+        bottom half (pred.b's last) is named."""
+        cfg = PROFILES["thumos"]
+
+        def step(value, lr):
+            net = NetworkB(cfg.feature_dim, cfg.anchor_config().count, cfg.hidden)
+            grads = gradients(net)
+            grads[name][index] = value
+            at = np.flatnonzero(grads.flat)  # the flat halves split at size // 2
+            assert at.size == 1 and (at[0] < net.params.flat.size // 2) == (name == "conv0.w")
+            sgd_step(net, grads, replace(cfg, lr=lr), {}, 2)
+
+        with pytest.raises(TrainingError, match=f"^non-finite gradient in {name} at iteration 2$"):
+            step(np.nan, cfg.lr)
+        with np.errstate(over="ignore"), pytest.raises(
+                TrainingError, match=f"^non-finite parameter in {name} at iteration 2$"):
+            step(4.0, 1e308)  # finite, but lr * 4 is not
 
     def test_rejects_missing_or_misshapen_gradient(self):
         """Only backward's output for a net of the same shape is a gradient."""

@@ -1,5 +1,6 @@
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -304,6 +305,47 @@ class TestLiftAhead:
         with pytest.raises(TrainingError, match="iteration 1"):
             train_network(videos, self.CFG)
         assert len(started) == len(finished) == 3
+
+
+class TestEachMapIsFreedBeforeItsSgdStep:
+    """When sgd_step runs, nothing holds the step's feature map (nor the
+    forward cache, which holds its buffer), unless the next step reads the
+    same video: that map is lifted once and kept. Over the corpus (a, a, b)
+    and two epochs, steps 0 and 3 keep their map; the bits are those of a
+    plain loop of steps lifting inline."""
+
+    def test_at_desk_width(self, corpus, monkeypatch):
+        self.check(corpus[:2], CFG, monkeypatch)
+
+    def test_at_paper_width(self, pool, monkeypatch):
+        """The same with each lift on the worker thread, ahead of its step."""
+        self.check(synth_corpus(PAPER_WIDTH_VIDEOS, 7, 2), PROFILES["thumos"], monkeypatch)
+
+    @staticmethod
+    def check(videos, cfg, monkeypatch):
+        a, b = videos
+        order, cfg = [a, a, b] * 2, replace(cfg, epochs=2)
+        net, velocity = new_network(cfg, 0), {}
+        losses = [train_step(net, v, cfg, velocity, i) for i, v in enumerate(order)]
+        lifts, alive, lift, step = [], [], train.cas_to_features, train.sgd_step
+
+        def spy_lift(cas, feature_dim):
+            feat = lift(cas, feature_dim)
+            lifts.append((cas, weakref.ref(feat.base)))
+            return feat
+
+        def spy_step(net, grads, cfg, velocity, iteration):
+            cas = order[iteration].cas
+            alive.append([ref for c, ref in lifts if c is cas][-1]() is not None)
+            step(net, grads, cfg, velocity, iteration)
+
+        monkeypatch.setattr(train, "cas_to_features", spy_lift)
+        monkeypatch.setattr(train, "sgd_step", spy_step)
+        result = train_network([a, a, b], cfg, seed=0)
+        assert alive == [True, False, False, True, False, False]
+        assert [c for c, _ in lifts] == [v.cas for v in (a, b, a, b)]
+        assert result.losses == losses
+        assert result.net.params.flat.tobytes() == net.params.flat.tobytes()
 
 
 class TestPredictVideo:
