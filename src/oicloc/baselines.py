@@ -18,6 +18,8 @@ from .train import predict_video, train_network
 
 # enumeration scores (x1, x2) pairs in row blocks of about this many pairs
 ENUMERATE_CHUNK_PAIRS = 1 << 18
+# the detectors :func:`detect` runs
+MODES = ("full", "threshold", "oic_select", "direct_opt", "inner_only")
 
 
 def threshold_localize(cas: Cas, k: int, tau: float, fps: float = 30.0,
@@ -119,6 +121,8 @@ def detect(
     ``full`` and ``inner_only`` run the trained ``net``; ``threshold`` cuts the
     CAS at ``cfg.act_min``; ``direct_opt`` derives each video's net from ``seed``.
     """
+    if mode not in MODES:
+        raise InputError(f"unknown prediction mode {mode!r}")
     if mode in ("full", "inner_only"):
         if net is None:
             raise InputError(f"mode {mode} needs a trained network")
@@ -135,10 +139,8 @@ def detect(
                 nms_iou=cfg.nms_iou, fps=v.fps, video_id=v.video_id,
             )
         ]
-    elif mode == "direct_opt":
+    else:  # direct_opt
         per_video = lambda v: direct_optimize(v, cfg, seed=seed)
-    else:
-        raise InputError(f"unknown prediction mode {mode!r}")
     return [p for v in videos for p in per_video(v)]
 
 

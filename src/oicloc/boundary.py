@@ -6,6 +6,7 @@ rounding to the padded grid happens only when activations are fetched.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -27,8 +28,8 @@ class AnchorConfig:
         scales = tuple(float(s) for s in self.scales)
         if len(scales) < 1:
             raise InputError("need at least one anchor scale")
-        if any(s < 1 for s in scales):
-            raise InputError("anchor scales must be >= 1 snippet")
+        if not all(1 <= s < math.inf for s in scales):
+            raise InputError("anchor scales must be finite and >= 1 snippet")
         if any(b <= a for a, b in zip(scales, scales[1:])):
             raise InputError("anchor scales must be strictly increasing")
         object.__setattr__(self, "scales", scales)
@@ -53,8 +54,8 @@ def inflate(x1, x2, w, alpha: float, T: int):
     """Extend inner boundaries (scalars or arrays) by ratio alpha, >= 1 snippet
     per side, then clip. For x1 <= x2 and lengths w > 0, as both callers
     ensure, the outer boundaries satisfy X1 < X2 before clipping."""
-    if alpha <= 0:
-        raise InputError("inflation ratio must be positive")
+    if not 0 < alpha < math.inf:
+        raise InputError("inflation ratio must be positive and finite")
     X1 = np.minimum(x1 - w * alpha, x1 - 1.0)
     X2 = np.maximum(x2 + w * alpha, x2 + 1.0)
     return clip_zero_pad(X1, X2, T)

@@ -6,6 +6,7 @@ zero-padded snippets used by the boundary machinery.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,9 +56,9 @@ class GroundTruthSegment:
     video_id: str = ""  # stamped by ``evaluation.gt_instances``
 
     def __post_init__(self):
-        if not (0.0 <= self.start_s < self.end_s):
+        if not 0.0 <= self.start_s < self.end_s < math.inf:
             raise InputError(
-                f"ground truth needs 0 <= start < end, got [{self.start_s}, {self.end_s}]"
+                f"ground truth needs 0 <= start < end < inf, got [{self.start_s}, {self.end_s}]"
             )
 
 
@@ -74,8 +75,8 @@ class VideoRecord:
         # ablate's plot_data), so it must be one path component
         if self.video_id in ("", ".", "..") or "/" in self.video_id or "\0" in self.video_id:
             raise InputError(f"video id {self.video_id!r} is not a file name")
-        if self.fps <= 0:
-            raise InputError("fps must be positive")
+        if not 0 < self.fps < math.inf:
+            raise InputError("fps must be positive and finite")
         labels = tuple(sorted(set(int(k) for k in self.labels)))
         if labels and not (1 <= labels[0] and labels[-1] <= self.cas.num_classes):
             raise InputError(f"labels {labels} outside 1..{self.cas.num_classes}")

@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, evaluation, io, synth
-from .cas import SNIPPET_FRAMES
 from .config import RunConfig, load_config
-from .errors import InputError, TrainingError
+from .errors import InputError, TrainingError, naming
 from .gradcheck import run_all
 from .regressor import NetworkB
+from .selection import snippet_to_time
 from .train import train_network
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -41,10 +41,8 @@ def _load_run(config_path: str) -> tuple[RunConfig, list, Path]:
 
 
 def cmd_synth(args) -> int:
-    try:
+    with naming(args.spec):
         spec = synth.SynthSpec.from_dict(io.parse_json(Path(args.spec).read_bytes()))
-    except InputError as exc:
-        raise InputError(f"{args.spec}: {exc}") from None
     videos = synth.synth_corpus(spec, args.seed, args.count, prefix=args.prefix)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,10 +168,10 @@ def _write_plot_data(dirpath: Path, videos, preds) -> None:
         with open(dirpath / f"{v.video_id}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["kind", "class", "start_s", "end_s", "value"])
-            step = SNIPPET_FRAMES / v.fps
             for k in range(1, v.cas.num_classes + 1):
                 for t in range(1, v.cas.num_snippets + 1):
-                    writer.writerow(["cas", k, (t - 1) * step, t * step, v.cas.act[k - 1, t - 1]])
+                    writer.writerow(["cas", k, snippet_to_time(t, v.fps),
+                                     snippet_to_time(t + 1, v.fps), v.cas.act[k - 1, t - 1]])
             for g in v.gt or ():
                 writer.writerow(["gt", g.class_id, g.start_s, g.end_s, 1.0])
             for p in by_video.get(v.video_id, ()):
@@ -209,11 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="run a detector over a manifest")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint")
-    p.add_argument(
-        "--mode",
-        default="full",
-        choices=["full", "threshold", "oic_select", "direct_opt", "inner_only"],
-    )
+    p.add_argument("--mode", default="full", choices=baselines.MODES)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_predict)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .boundary import AnchorConfig
-from .errors import InputError
+from .errors import naming
 from .io import (POSITIVE_FINITE, POSITIVE_INTEGER, UNIT, _is_finite, _is_int, _is_number,
                  check_object, parse_json)
 
@@ -53,10 +53,8 @@ class RunConfig:
     def __post_init__(self):
         check_object(vars(self), "config", _RULES)
         object.__setattr__(self, "anchors", tuple(self.anchors))
-        try:
+        with naming("config: 'anchors'"):
             self.anchor_config()
-        except InputError as exc:
-            raise InputError(f"config: 'anchors': {exc}") from None
 
     def anchor_config(self) -> AnchorConfig:
         return AnchorConfig(self.anchors)
@@ -75,9 +73,7 @@ _RULES["profile"] = (lambda v: isinstance(v, str) and v in PROFILES, f"one of {s
 def load_config(path: str | Path) -> RunConfig:
     """Load a run config JSON; unknown keys, version mismatches and bad values are errors."""
     path = Path(path)
-    try:
+    with naming(path):
         data = check_object(parse_json(path.read_bytes()), "config", _RULES, {"version"})
         base = PROFILES[data["profile"]] if "profile" in data else RunConfig()
         return replace(base, **{k: v for k, v in data.items() if k not in ("version", "profile")})
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None

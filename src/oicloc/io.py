@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .cas import Cas, GroundTruthSegment, VideoRecord
-from .errors import InputError
+from .errors import InputError, naming
 from .selection import Prediction
 
 
@@ -107,10 +107,8 @@ def read_cas_csv(path: str | Path) -> Cas:
                 float(cell)
             except ValueError as exc:
                 raise InputError(f"{path}:{i // K + 2}: {exc}") from None
-    try:
+    with naming(path):  # a value outside [0, 1], no data rows
         return Cas(values.reshape(len(lines) - 1, K).T)
-    except InputError as exc:  # a value outside [0, 1], no data rows
-        raise InputError(f"{path}: {exc}") from None
 
 
 def write_manifest(path: str | Path, videos: list[VideoRecord], cas_dir: str = ".") -> None:
@@ -170,7 +168,7 @@ _SEGMENT_RULES = {"class": (_is_int, "an integer"), "start_s": FINITE, "end_s": 
 def read_manifest(path: str | Path) -> list[VideoRecord]:
     path = Path(path)
     videos, first_entry = [], {}  # video id -> index of the entry that holds it
-    try:
+    with naming(path):
         entries = parse_json(path.read_bytes())
         if not isinstance(entries, list):
             raise InputError("manifest must be a JSON array")
@@ -183,11 +181,9 @@ def read_manifest(path: str | Path) -> list[VideoRecord]:
             if j != i:
                 raise InputError(f"manifest entries {j} and {i} share video id "
                                  f"{entry['video_id']!r}")
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
     for i, entry in enumerate(entries):
         cas = read_cas_csv(path.parent / entry["cas_path"])
-        try:
+        with naming(f"{path}: manifest entry {i}"):  # labels outside 1..K, start >= end
             gt = None
             if "gt" in entry:
                 gt = tuple(
@@ -195,8 +191,6 @@ def read_manifest(path: str | Path) -> list[VideoRecord]:
                 )
             videos.append(VideoRecord(entry["video_id"], cas, tuple(entry["labels"]),
                                       entry["fps"], gt))
-        except InputError as exc:  # labels outside 1..K, ground truth with start >= end
-            raise InputError(f"{path}: manifest entry {i}: {exc}") from None
     return videos
 
 
@@ -225,6 +219,7 @@ _PREDICTION_RULES = {**_SEGMENT_RULES, "video_id": STRING, "score": FINITE}
 def read_predictions_jsonl(path: str | Path) -> list[Prediction]:
     preds = []
     with open(path, "rb") as fh:
+        # not errors.naming: lineno is bound in the loop, and a with per line costs ~1 us
         try:
             for lineno, raw in enumerate(fh, start=1):
                 if not raw.strip():

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import InputError, TrainingError, UsageError
+from .errors import InputError, TrainingError, UsageError, naming
 from .io import POSITIVE_INTEGER, _is_int, _is_number, check_object, parse_json
 
 BN_EPS = 1e-5
@@ -358,8 +358,10 @@ class NetworkB:
     def forward(self, feat: np.ndarray, mode: str = "infer"):
         """Run the net over a D x T feature map.
 
-        Returns the 2M x T regression map, plus cached intermediates when
-        mode == "train". A :func:`zero_bordered` map (as
+        Returns the 2M x T regression map, plus, when mode == "train", the
+        cache :meth:`backward` consumes: a list of one ``(xp, inv_std, xhat,
+        relu_mask)`` record per hidden layer, then the prediction conv's
+        padded input. A :func:`zero_bordered` map (as
         ``features.cas_to_features`` returns) is read in place, and the
         train cache then holds its buffer; any other map is copied once.
         """
@@ -372,7 +374,7 @@ class NetworkB:
             raise UsageError(f"unknown forward mode {mode!r}")
         train = mode == "train"
         T = feat.shape[1]
-        cache = {"layers": [], "T": T} if train else None
+        cache = [] if train else None
         # train: each layer's batch mean and variance, in the order of the
         # running statistics they update
         batch = np.empty(self._running.shape) if train else None
@@ -392,9 +394,7 @@ class NetworkB:
                        (z, last, self.params[f"conv{i}.b"], self.params[f"bn{i}.gamma"],
                         self.params[f"bn{i}.beta"], mean, var, inv_std, relu_mask, out), train)
             if train:
-                cache["layers"].append(
-                    {"xp": xp, "inv_std": inv_std, "xhat": z, "relu_mask": relu_mask}
-                )
+                cache.append((xp, inv_std, z, relu_mask))
             xp = out.base
         w = self.params["pred.w"]
         reg, last = _conv_taps(xp, w, _conv_worker(w, T))
@@ -402,7 +402,7 @@ class NetworkB:
         reg += self.params["pred.b"][:, None]
         if train:
             self._running[...] = BN_MOMENTUM * self._running + (1 - BN_MOMENTUM) * batch
-            cache["pred_xp"] = xp
+            cache.append(xp)
             return reg, cache
         return reg
 
@@ -410,27 +410,29 @@ class NetworkB:
         """Exact parameter gradients for a train-mode forward, as views of one
         flat vector laid out like ``params.flat`` (assigning copies into them).
         The feature map's gradient is not computed: nothing upstream of the
-        net is trained."""
-        if cache is None or "pred_xp" not in cache:
+        net is trained. Consumes ``cache``: each record is popped from it, and
+        each buffer let go after its last read, so a cache serves one call."""
+        if not isinstance(cache, list) or len(cache) != HIDDEN_LAYERS + 1:
             raise UsageError("backward needs the cache from a train-mode forward")
+        T = cache[-1].shape[1] - 2
         grad_out = np.asarray(grad_out, dtype=np.float64)
-        if grad_out.shape != (2 * self.anchor_count, cache["T"]):
+        if grad_out.shape != (2 * self.anchor_count, T):
             raise UsageError(
                 f"grad_out shape {grad_out.shape} does not match cached forward"
             )
         grads = FlatTensors(np.empty(self.params.flat.size), self._layout, _BACKWARD_ORDER)
-        T, w = cache["T"], self.params["pred.w"]
-        dx = conv1d_backward(cache["pred_xp"], w, grad_out, _conv_worker(w, T),
+        w = self.params["pred.w"]
+        dx = conv1d_backward(cache.pop(), w, grad_out, _conv_worker(w, T),
                              grads["pred.w"], grads["pred.b"])
         for i in reversed(range(HIDDEN_LAYERS)):
-            lay, w = cache["layers"][i], self.params[f"conv{i}.w"]
+            (xp, inv_std, xhat, relu_mask), w = cache.pop(), self.params[f"conv{i}.w"]
             pool = _conv_worker(w, T)
-            dz = np.empty(lay["xhat"].shape)
+            dz = np.empty(xhat.shape)
             _in_halves(pool, _batch_norm_backward,
-                       (dx, lay["relu_mask"], lay["xhat"], self.params[f"bn{i}.gamma"],
-                        lay["inv_std"], grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"], dz))
-            del dx  # read: freed before the conv's backward makes the next one
-            dx = conv1d_backward(lay["xp"], w, dz, pool, grads[f"conv{i}.w"],
+                       (dx, relu_mask, xhat, self.params[f"bn{i}.gamma"], inv_std,
+                        grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"], dz))
+            del dx, xhat, relu_mask  # read: freed before the conv's backward makes the next dx
+            dx = conv1d_backward(xp, w, dz, pool, grads[f"conv{i}.w"],
                                  grads[f"conv{i}.b"], input_grad=i > 0)
         return grads
 
@@ -457,7 +459,7 @@ class NetworkB:
         tensor as it is filled: finite values, running variances not negative.
         Any other file, a version-2 JSON document included, fails with one
         InputError naming the path."""
-        try:
+        with naming(path):
             data = Path(path).read_bytes()
             end = data.find(b"\n")
             end = len(data) if end < 0 else end
@@ -490,8 +492,6 @@ class NetworkB:
                 # each tensor in C order of its shape, assigned through its (tap-major) view
                 tensor[...] = chunk.reshape(tensor.shape)
                 offset += chunk.size
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from None
         return net
 
 

@@ -24,8 +24,8 @@ from .errors import InputError, TrainingError
 
 def snippet_to_time(x: float, fps: float) -> float:
     """Continuous snippet coordinate to seconds; snippet 1 starts at 0 s."""
-    if fps <= 0:
-        raise InputError("fps must be positive")
+    if not 0 < fps < math.inf:
+        raise InputError("fps must be positive and finite")
     return (x - 1.0) * SNIPPET_FRAMES / fps
 
 

@@ -93,6 +93,8 @@ def _place_instances(rng, spec: SynthSpec, T: int, count: int) -> list[tuple[int
 
 def synth_corpus(spec: SynthSpec, seed: int, count: int, prefix: str = "video") -> list[VideoRecord]:
     """Generate `count` videos; byte-identical for the same (spec, seed)."""
+    if not _is_int(count):
+        raise InputError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise InputError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)

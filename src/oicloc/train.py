@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .cas import VideoRecord
 from .config import RunConfig
-from .errors import InputError, TrainingError
+from .errors import InputError, TrainingError, naming
 from .features import cas_to_features, lift_worker
 from .regressor import NetworkB, sgd_step
 from .selection import Prediction, build_candidates, select, to_predictions, training_loss
@@ -83,23 +83,20 @@ def train_step(net, video, cfg, velocity, iteration, loss="oic", feat=None) -> f
     """One optimizer step on one video; returns the summed selection loss.
     ``feat`` is the video's lifted feature map, lifted here when None. A
     one-element list holding the map (or None) hands it over: the step
-    empties the list, so that the map, with the forward cache, is freed
-    before the SGD step (an argument stays referenced by the caller until
-    the call returns)."""
+    empties the list, so that the map is freed before the SGD step (an
+    argument stays referenced by the caller until the call returns)."""
     if isinstance(feat, list):
         feat = feat.pop()
     if feat is None:
         feat = cas_to_features(video.cas, cfg.feature_dim)
     reg_map, cache = net.forward(feat, mode="train")
-    try:
+    with naming(f"iteration {iteration}, video {video.video_id}", TrainingError):
         grid = build_candidates(reg_map, cfg.anchor_config(), cfg.alpha)
-    except TrainingError as err:
-        raise TrainingError(f"iteration {iteration}, video {video.video_id}: {err}") from err
     survivors = select(video.cas, grid, video.labels, cfg.act_min, cfg.loss_max, cfg.nms_iou,
                        loss=loss)
     total, grad_out = training_loss(video.cas, grid, survivors, loss=loss)
     grads = net.backward(cache, grad_out)
-    del feat, cache  # the cache holds the map's buffer and every layer's input
+    del feat  # backward consumed the cache, so this frees the map's buffer
     sgd_step(net, grads, cfg, velocity, iteration)
     return total
 
@@ -111,10 +108,8 @@ def predict_video(
     :func:`select` as predictions, best first."""
     feat = cas_to_features(video.cas, cfg.feature_dim)
     reg_map = net.forward(feat, mode="infer")
-    try:
+    with naming(f"video {video.video_id}", TrainingError):
         grid = build_candidates(reg_map, cfg.anchor_config(), cfg.alpha)
-    except TrainingError as err:
-        raise TrainingError(f"video {video.video_id}: {err}") from err
     k, _, _, score, x1, x2 = select(video.cas, grid, range(1, video.cas.num_classes + 1),
                                     cfg.act_min, cfg.loss_max, cfg.nms_iou, loss=loss)
     return to_predictions(k, score, x1, x2, video.fps, video.video_id)

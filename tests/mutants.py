@@ -98,10 +98,16 @@ MUTANTS = [
            "    for i, product in [(i, w[:, :, i].T @ dy) for i in dx_taps]:\n"
            "        dxp[:, i : i + T] += product\n",
            ("tests/test_regressor.py::TestConv1d::test_a_hidden_layer_backward_holds_dx_and_one_product",)),
-    Mutant("regressor.py", "            del dx  # read", "            pass  # read",
+    Mutant("regressor.py", "            del dx, xhat, relu_mask  # read",
+           "            del xhat, relu_mask  # read",
            ("tests/test_regressor.py::TestNetworkB::"
             "test_backward_lets_go_of_each_layers_incoming_gradient",)),
-    Mutant("train.py", "    del feat, cache  #", "    del feat  #", (FREED,)),
+    Mutant("train.py", "    del feat  #", "    pass  #", (FREED,)),
+    # backward reading each layer's record from the cache without popping it,
+    # so the cache keeps every layer's input until backward returns
+    Mutant("regressor.py", "relu_mask), w = cache.pop(),", "relu_mask), w = cache[i],",
+           ("tests/test_regressor.py::TestNetworkB::"
+            "test_a_layers_input_is_freed_once_its_conv_backward_has_read_it",)),
     Mutant("train.py", "held, feat = [feat], None", "held = [feat]", (FREED,)),
     # the batch statistics written into each other's running-statistic row
     Mutant("regressor.py", "mean, var = batch[2 * i], batch[2 * i + 1]",
@@ -128,8 +134,11 @@ MUTANTS = [
     Mutant("train.py", 'raise InputError("training requires', 'raise ValueError("training requires',
            ("tests/test_train.py::TestTrainNetwork::test_empty_corpus_is_an_input_error",)),
     # prediction: a grid error without the video's id
-    Mutant("train.py", 'raise TrainingError(f"video {video.video_id}: {err}")',
-           "raise TrainingError(str(err))", (GRID_ERRORS,)),
+    Mutant("train.py", 'with naming(f"video {video.video_id}", TrainingError):',
+           'with naming(f"video {video.video_id}", InputError):', (GRID_ERRORS,)),
+    # the one naming helper dropping its prefix: every file, entry, iteration
+    # and video left out of the error line
+    Mutant("errors.py", 'raise kind(f"{where}: {exc}") from None', "raise", (JSON_REFUSALS,)),
     # a non-finite regression map refused as bad input, not as a numeric blow-up
     Mutant("selection.py", 'raise TrainingError("regression values must be finite")',
            'raise InputError("regression values must be finite")',
@@ -244,9 +253,11 @@ MUTANTS = [
            "lo = hi = s + (e - s) // 2",
            ("tests/test_synth.py::TestSynthCorpus::"
             "test_central_dip_without_room_in_the_middle_third_fills_the_interior",)),
-    # inflate accepting a ratio of 0
-    Mutant("boundary.py", "if alpha <= 0:", "if alpha < 0:",
+    # inflate accepting a ratio of 0; a NaN ratio let through by the check of old
+    Mutant("boundary.py", "if not 0 < alpha < math.inf:", "if not 0 <= alpha < math.inf:",
            ("tests/test_boundary.py::TestClipInflate::test_rejects_a_ratio_that_is_not_positive",)),
+    Mutant("boundary.py", "if not 0 < alpha < math.inf:", "if alpha <= 0:",
+           ("tests/test_boundary.py::TestClipInflate::test_rejects_a_ratio_that_is_not_finite",)),
     # a video id that is not a file name, or one that two manifest entries share, accepted
     Mutant("cas.py",
            'if self.video_id in ("", ".", "..") or "/" in self.video_id or "\\0" in self.video_id:',

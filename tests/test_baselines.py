@@ -47,6 +47,12 @@ class TestThresholdLocalize:
         with pytest.raises(InputError, match=rf"^class {k} outside 1\.\.2$"):
             baselines.threshold_localize(cas, k, 0.5)
 
+    def test_rejects_an_fps_that_is_not_finite(self):
+        """Unchecked, the predictions' seconds are NaN."""
+        cas = Cas(np.full((1, 8), 0.9))
+        with pytest.raises(InputError, match="fps must be positive and finite"):
+            baselines.threshold_localize(cas, 1, 0.5, fps=float("nan"))
+
     @given(st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), min_size=1, max_size=30),
            st.sampled_from([0.3, 0.5, 0.7]))
     @settings(max_examples=100, deadline=None)
@@ -76,6 +82,12 @@ class TestEnumeration:
         cas = Cas(np.random.default_rng(0).uniform(size=(2, 12)))
         with pytest.raises(InputError, match=rf"^class {k} outside 1\.\.2$"):
             baselines.oic_selection_enumerate(cas, k)
+
+    def test_rejects_a_ratio_that_is_not_finite(self):
+        """Unchecked, alpha = NaN ends in an IndexError after a NaN-to-int64 cast."""
+        cas = Cas(np.random.default_rng(0).uniform(size=(2, 12)))
+        with pytest.raises(InputError, match="inflation ratio must be positive and finite"):
+            baselines.oic_selection_enumerate(cas, 1, alpha=float("nan"))
 
     def test_matches_oracle(self, rng):
         for _ in range(40):

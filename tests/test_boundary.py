@@ -39,6 +39,11 @@ class TestAnchorConfig:
         with pytest.raises(InputError):
             AnchorConfig(scales)
 
+    @pytest.mark.parametrize("scales", [(float("nan"), 2.0), (1.0, float("inf"))])
+    def test_rejects_a_scale_that_is_not_finite(self, scales):
+        with pytest.raises(InputError, match="anchor scales must be finite"):
+            AnchorConfig(scales)
+
 
 class TestClipInflate:
     def test_clip_into_padded_grid(self):
@@ -59,6 +64,11 @@ class TestClipInflate:
     @pytest.mark.parametrize("alpha", [0.0, -0.25])
     def test_rejects_a_ratio_that_is_not_positive(self, alpha):
         with pytest.raises(InputError, match="inflation ratio must be positive"):
+            inflate(10.0, 12.0, 2.0, alpha, 40)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_rejects_a_ratio_that_is_not_finite(self, alpha):
+        with pytest.raises(InputError, match="inflation ratio must be positive and finite"):
             inflate(10.0, 12.0, 2.0, alpha, 40)
 
     def test_inflation_clips_to_grid(self):

@@ -56,6 +56,11 @@ class TestVideoRecord:
         with pytest.raises(InputError):
             VideoRecord("v", Cas(np.zeros((2, 4))), (1,), 0.0)
 
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
+    def test_rejects_an_fps_that_is_not_finite(self, fps):
+        with pytest.raises(InputError, match="fps must be positive and finite"):
+            VideoRecord("v", Cas(np.zeros((2, 4))), (1,), fps)
+
     @pytest.mark.parametrize("video_id", ["", ".", "..", "../../escaped", "a/b", "v/", "a\0b"])
     def test_rejects_an_id_that_is_not_a_file_name(self, video_id):
         with pytest.raises(InputError, match="is not a file name"):
@@ -72,3 +77,7 @@ class TestGroundTruth:
             GroundTruthSegment(1, 5.0, 4.0)
         with pytest.raises(InputError):
             GroundTruthSegment(1, -1.0, 4.0)
+
+    def test_rejects_an_end_that_is_not_finite(self):
+        with pytest.raises(InputError, match="start < end < inf"):
+            GroundTruthSegment(1, 0.0, float("inf"))

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -337,9 +338,9 @@ class TestNetworkB:
         feat = zero_bordered(5, 11)
         feat[...] = rng.standard_normal(feat.shape)
         _, cache = net.forward(feat, mode="train")
-        assert cache["layers"][0]["xp"] is feat.base
-        for i in range(1, 3):  # each hidden layer wrote into the next conv's buffer
-            assert not cache["layers"][i]["xp"][:, [0, -1]].any()
+        assert cache[0][0] is feat.base
+        for xp in (cache[1][0], cache[2][0], cache[3]):  # each hidden layer's output
+            assert not xp[:, [0, -1]].any()  # was written into the next conv's buffer
 
     def test_any_other_map_is_copied_bit_identically(self, rng):
         """A plain, a strided or a dirty-bordered map gives the bits of the
@@ -352,7 +353,8 @@ class TestNetworkB:
             net.params["pred.w"] = pred_w
             infer = net.forward(feat)
             out, cache = net.forward(feat, mode="train")
-            return [infer, out, *net.backward(cache, grad_out).values()], cache
+            xp = cache[0][0]
+            return [infer, out, *net.backward(cache, grad_out).values()], xp
 
         feat = zero_bordered(5, 11)
         feat[...] = rng.standard_normal(feat.shape)
@@ -363,8 +365,8 @@ class TestNetworkB:
             dirty.append(buf[:, 1:-1])
         want, _ = run(feat)
         for other in (np.array(feat), np.asfortranarray(feat), *dirty):
-            got, cache = run(other)
-            assert not np.shares_memory(cache["layers"][0]["xp"], other)
+            got, xp = run(other)
+            assert not np.shares_memory(xp, other)
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
     def test_backward_lets_go_of_each_layers_incoming_gradient(self, rng, monkeypatch):
@@ -391,6 +393,31 @@ class TestNetworkB:
         net = NetworkB(feature_dim=3, anchor_count=1, hidden=4)
         with pytest.raises(UsageError):
             net.backward(None, np.zeros((2, 5)))
+
+    def test_backward_consumes_its_cache(self, rng):
+        net = NetworkB(feature_dim=3, anchor_count=1, hidden=4)
+        _, cache = net.forward(rng.standard_normal((3, 5)), mode="train")
+        net.backward(cache, np.zeros((2, 5)))
+        with pytest.raises(UsageError, match="cache from a train-mode forward"):
+            net.backward(cache, np.zeros((2, 5)))
+
+    def test_a_layers_input_is_freed_once_its_conv_backward_has_read_it(self, rng, monkeypatch):
+        """When layer 0's conv backward starts, layer 2's input (layer 1's
+        output) is gone: the cache no longer holds it, nor does backward."""
+        net = NetworkB(feature_dim=3, anchor_count=1, hidden=4)
+        _, cache = net.forward(rng.standard_normal((3, 7)), mode="train")
+        layer2_input = weakref.ref(cache[2][0])
+        seen = []
+        conv_backward = regressor.conv1d_backward
+
+        def spy(xp, w, dy, *args, input_grad=True):
+            if not input_grad:  # layer 0, the one conv whose input gradient is not wanted
+                seen.append(layer2_input() is None)
+            return conv_backward(xp, w, dy, *args, input_grad=input_grad)
+
+        monkeypatch.setattr(regressor, "conv1d_backward", spy)
+        net.backward(cache, rng.standard_normal((2, 7)))
+        assert seen == [True]
 
     def test_backward_shape_check(self, rng):
         net = NetworkB(feature_dim=3, anchor_count=1, hidden=4)

@@ -99,6 +99,11 @@ class TestSnippetToTime:
         with pytest.raises(InputError):
             snippet_to_time(1.0, 0.0)
 
+    @pytest.mark.parametrize("fps", [math.nan, math.inf])
+    def test_rejects_an_fps_that_is_not_finite(self, fps):
+        with pytest.raises(InputError, match="fps must be positive and finite"):
+            snippet_to_time(1.0, fps)
+
 
 class TestBuildCandidates:
     def test_grid_shape(self, rng):

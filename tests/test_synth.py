@@ -75,6 +75,10 @@ class TestSynthSpec:
 
 
 class TestSynthCorpus:
+    def test_rejects_a_count_that_is_not_an_integer(self):
+        with pytest.raises(InputError, match="count must be an integer, got 2.5"):
+            synth_corpus(SPEC, 0, 2.5)
+
     def test_deterministic_for_same_seed(self):
         a = synth_corpus(SPEC, 7, 10)
         b = synth_corpus(SPEC, 7, 10)

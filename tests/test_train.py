@@ -62,7 +62,7 @@ class TestFeatures:
         assert feat.__array_interface__ == buf[:, 1:-1].__array_interface__
         assert not buf[:, 0].any() and not buf[:, -1].any()
         _, cache = new_network(CFG, 0).forward(feat, mode="train")
-        assert np.shares_memory(cache["layers"][0]["xp"], feat)
+        assert np.shares_memory(cache[0][0], feat)
 
     def test_distinct_videos_get_distinct_features(self, corpus):
         f1 = cas_to_features(corpus[0].cas, 12)
