@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 
 from .cas import Cas, VideoRecord
-from .config import RunConfig
-from .errors import InputError
+from .config import _RULES, RunConfig
+from .errors import InputError, _is_int
+from .io import check_object
 from .oic import oic_areas
 from .boundary import inflate, round_boundary
 from .regressor import NetworkB
@@ -63,14 +64,15 @@ def oic_selection_enumerate(
     fps: float = 30.0,
     video_id: str = "",
 ) -> list[Prediction]:
-    """Score every integer segment up to max_len with the contrastive loss."""
+    """Score every integer segment up to max_len (an integer in 1..T) with the
+    contrastive loss; ``loss_max`` and ``nms_iou`` must pass RunConfig's rules."""
     if not 1 <= k <= cas.num_classes:
         raise InputError(f"class {k} outside 1..{cas.num_classes}")
     T = cas.num_snippets
-    if max_len is None:
-        max_len = T
-    if max_len > T:
-        raise InputError("max_len cannot exceed the snippet count")
+    max_len = T if max_len is None else max_len
+    if not (_is_int(max_len) and 1 <= max_len <= T):
+        raise InputError(f"max_len must be an integer in 1..{T}, got {max_len!r}")
+    check_object({"loss_max": loss_max, "nms_iou": nms_iou}, "oic_selection_enumerate", _RULES)
     padded = cas.padded[k - 1 : k]
     rows = max(1, ENUMERATE_CHUNK_PAIRS // T)
     parts = []

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _is_number
 
 if TYPE_CHECKING:
     from .oic import BoundaryGradients
@@ -25,11 +25,12 @@ class AnchorConfig:
     scales: tuple[float, ...]
 
     def __post_init__(self):
-        scales = tuple(float(s) for s in self.scales)
+        scales = tuple(self.scales)
         if len(scales) < 1:
             raise InputError("need at least one anchor scale")
-        if not all(1 <= s < math.inf for s in scales):
-            raise InputError("anchor scales must be finite and >= 1 snippet")
+        if not all(_is_number(s) and 1 <= s < math.inf for s in scales):
+            raise InputError("anchor scales must be finite numbers >= 1 snippet")
+        scales = tuple(map(float, scales))
         if any(b <= a for a, b in zip(scales, scales[1:])):
             raise InputError("anchor scales must be strictly increasing")
         object.__setattr__(self, "scales", scales)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _is_int, _is_number
 
 SNIPPET_FRAMES = 15
 
@@ -56,6 +56,11 @@ class GroundTruthSegment:
     video_id: str = ""  # stamped by ``evaluation.gt_instances``
 
     def __post_init__(self):
+        if not _is_int(self.class_id):
+            raise InputError(f"ground truth class_id must be an integer, got {self.class_id!r}")
+        if not (_is_number(self.start_s) and _is_number(self.end_s)):
+            raise InputError(f"ground truth start_s and end_s must be numbers, "
+                             f"got {self.start_s!r} and {self.end_s!r}")
         if not 0.0 <= self.start_s < self.end_s < math.inf:
             raise InputError(
                 f"ground truth needs 0 <= start < end < inf, got [{self.start_s}, {self.end_s}]"
@@ -73,11 +78,15 @@ class VideoRecord:
     def __post_init__(self):
         # the id names the video's files (``<id>.csv`` in a corpus and in
         # ablate's plot_data), so it must be one path component
+        if not isinstance(self.video_id, str):
+            raise InputError(f"video id must be a string, got {self.video_id!r}")
         if self.video_id in ("", ".", "..") or "/" in self.video_id or "\0" in self.video_id:
             raise InputError(f"video id {self.video_id!r} is not a file name")
-        if not 0 < self.fps < math.inf:
+        if not (_is_number(self.fps) and 0 < self.fps < math.inf):
             raise InputError("fps must be positive and finite")
-        labels = tuple(sorted(set(int(k) for k in self.labels)))
+        if not all(map(_is_int, self.labels)):
+            raise InputError(f"labels must be integers, got {self.labels!r}")
+        labels = tuple(sorted(set(self.labels)))
         if labels and not (1 <= labels[0] and labels[-1] <= self.cas.num_classes):
             raise InputError(f"labels {labels} outside 1..{self.cas.num_classes}")
         object.__setattr__(self, "labels", labels)

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and :func:`naming`, which
-prefixes an error with where it came from (a file, a manifest entry, an
-iteration, a video), so that the CLI's one error line names it."""
+"""Exception types shared across the package, the number type checks its
+refusals share, and :func:`naming`, which prefixes an error with where it
+came from (a file, a manifest entry, an iteration, a video), so that the
+CLI's one error line names it."""
 from contextlib import contextmanager
 
 
@@ -14,6 +15,14 @@ class UsageError(RuntimeError):
 
 class TrainingError(RuntimeError):
     """Training aborted, e.g. non-finite gradients."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 @contextmanager

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .cas import Cas, GroundTruthSegment, VideoRecord
-from .errors import InputError, naming
+from .errors import InputError, _is_int, _is_number, naming
 from .selection import Prediction
 
 
@@ -132,14 +132,6 @@ def write_manifest(path: str | Path, videos: list[VideoRecord], cas_dir: str = "
             ]
         entries.append(entry)
     path.write_text(json.dumps(entries, indent=1))
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _is_finite(v) -> bool:

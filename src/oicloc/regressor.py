@@ -4,6 +4,8 @@ Three hidden conv layers (kernel 3, stride 1, pad 1), each followed by batch
 normalization and ReLU, then a prediction conv layer emitting 2M regression
 values per snippet (rows 2m / 2m+1 hold t_x / t_w for anchor m, 0-based).
 Batch = one video, so normalization statistics are taken over the time axis.
+Every conv has three taps; the six running statistics are one (6, hidden)
+block, whose rows 2i and 2i + 1 are ``running_mean[i]`` and ``running_var[i]``.
 
 Each layer's input is held once, as the interior of a zeroed buffer with one
 border column per side (:func:`zero_bordered`): the feature lift and every
@@ -40,8 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import InputError, TrainingError, UsageError, naming
-from .io import POSITIVE_INTEGER, _is_int, _is_number, check_object, parse_json
+from .errors import InputError, TrainingError, UsageError, _is_int, _is_number, naming
+from .io import POSITIVE_INTEGER, check_object, parse_json
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -58,7 +60,6 @@ _HEADER_RULES = {
     "tensors": (lambda v: isinstance(v, list), "a list"),
     "meta": (lambda v: isinstance(v, dict), "a JSON object"),
 }
-PAD = (KERNEL - 1) // 2
 # Multiply-adds per tap (c_out * c_in * T) from which a conv layer shares its
 # work with the worker thread. A hand-off and join costs ~50 us; with one BLAS
 # thread on two cores, moving a forward conv's last tap broke even at ~1M
@@ -101,9 +102,9 @@ def _conv_worker(w: np.ndarray, T: int):
 
 
 def zero_bordered(rows: int, T: int) -> np.ndarray:
-    """The (rows, T) interior of a new zeroed (rows, T + 2*PAD) buffer. A conv
+    """The (rows, T) interior of a new zeroed (rows, T + 2) buffer. A conv
     given such a view reads its buffer in place instead of padding a copy."""
-    return np.zeros((rows, T + 2 * PAD))[:, PAD : PAD + T]
+    return np.zeros((rows, T + 2))[:, 1 : T + 1]
 
 
 def _padded(x: np.ndarray) -> np.ndarray:
@@ -111,10 +112,10 @@ def _padded(x: np.ndarray) -> np.ndarray:
     :func:`zero_bordered`), or else a new one holding a copy of ``x``."""
     buf = x.base
     rows, T = x.shape
-    if (isinstance(buf, np.ndarray) and buf.shape == (rows, T + 2 * PAD)
+    if (isinstance(buf, np.ndarray) and buf.shape == (rows, T + 2)
             and buf.dtype == x.dtype and buf.flags.c_contiguous and x.strides == buf.strides
-            and x.ctypes.data == buf.ctypes.data + PAD * buf.itemsize
-            and not buf[:, :: T + 1].any()):  # columns 0 and T + 1, the border as PAD is 1
+            and x.ctypes.data == buf.ctypes.data + buf.itemsize
+            and not buf[:, :: T + 1].any()):  # columns 0 and T + 1, the border
         return buf
     xp = zero_bordered(rows, T)
     xp[...] = x
@@ -150,23 +151,20 @@ def _in_halves(pool, fn, arrays: tuple, *rest) -> tuple:
     return _alongside(pool, (fn, *top, *rest), fn, *bottom, *rest)
 
 
-def _taps(xp: np.ndarray, w: np.ndarray, T: int, n: int) -> np.ndarray:
-    """sum_{i < n} w[:, :, i] @ xp[:, i:i+T], summed in tap order."""
+def _two_taps(xp: np.ndarray, w: np.ndarray, T: int) -> np.ndarray:
+    """W0 x0 + W1 x1: ``w[:, :, i] @ xp[:, i:i+T]`` for taps 0 and 1, in that order."""
     y = w[:, :, 0] @ xp[:, :T]
-    for i in range(1, n):
-        y += w[:, :, i] @ xp[:, i : i + T]
+    y += w[:, :, 1] @ xp[:, 1 : T + 1]
     return y
 
 
 def _conv_taps(xp: np.ndarray, w: np.ndarray, pool) -> tuple:
-    """The convolution of the padded input ``xp`` without its bias, one BLAS
-    matmul per kernel tap (at least two): ``(sum of all taps but the last, the
-    last tap's product)``, the last computed on the worker thread ``pool``
-    (see :func:`_alongside`). Adding the last product, then the bias,
-    completes it in tap order."""
-    ksz = w.shape[2]
-    T = xp.shape[1] - (ksz - 1)
-    return _alongside(pool, (np.matmul, w[:, :, -1], xp[:, ksz - 1 :]), _taps, xp, w, T, ksz - 1)
+    """The 3-tap convolution of the padded input ``xp`` without its bias, one
+    BLAS matmul per tap: ``(W0 x0 + W1 x1, W2 x2)``, tap 2 computed on the
+    worker thread ``pool`` (see :func:`_alongside`). Adding tap 2's product,
+    then the bias, completes it in tap order."""
+    T = xp.shape[1] - 2
+    return _alongside(pool, (np.matmul, w[:, :, 2], xp[:, 2:]), _two_taps, xp, w, T)
 
 
 def _tap_grads(xp, w, dy, dw, dw_taps, dx_taps, dxp=None) -> list:
@@ -188,29 +186,22 @@ def conv1d_backward(
     xp: np.ndarray, w: np.ndarray, dy: np.ndarray, pool, dw: np.ndarray, db: np.ndarray,
     input_grad: bool = True,
 ) -> np.ndarray | None:
-    """The input gradient ``dx`` of a same-padded temporal convolution, None
-    without ``input_grad``. Each tap's weight gradient is written in place
-    into ``dw[:, :, i]`` and the bias gradient into ``db``. The worker thread
-    ``pool`` (see :func:`_alongside`) computes the weight gradients of taps
-    k//2 onward and the input-gradient products of the taps after k//2, this
-    thread the rest: 3:3 products for k = 3 with the input gradient. The
-    input-gradient products are added into ``dx`` in tap order: this thread's
-    as it makes them, the worker's after the join."""
-    ksz = w.shape[2]
-    pad = (ksz - 1) // 2
-    T = dy.shape[1]
+    """The input gradient ``dx`` of a 3-tap, same-padded temporal convolution,
+    None without ``input_grad``; each tap's weight gradient is written into
+    ``dw[:, :, i]`` and the bias gradient into ``db``. This thread makes tap
+    0's weight gradient and taps 0 and 1's input-gradient products, adding
+    each into ``dx`` as it is made; the worker thread ``pool`` (see
+    :func:`_alongside`) makes taps 1 and 2's weight gradients and tap 2's
+    product, added after the join: the products are summed in tap order."""
     dxp = np.zeros(xp.shape) if input_grad else None
-    mid, taps = ksz // 2, range(ksz)
-    dx_taps = taps if input_grad else range(0)
-    _, theirs = _alongside(
-        pool, (_tap_grads, xp, w, dy, dw, taps[mid:], dx_taps[mid + 1 :]),
-        _tap_grads, xp, w, dy, dw, taps[:mid], dx_taps[: mid + 1], dxp)
-    for i, product in zip(dx_taps[mid + 1 :], theirs):
-        dxp[:, i : i + T] += product
+    dx_here, dx_there = ((0, 1), (2,)) if input_grad else ((), ())
+    _, theirs = _alongside(pool, (_tap_grads, xp, w, dy, dw, (1, 2), dx_there),
+                           _tap_grads, xp, w, dy, dw, (0,), dx_here, dxp)
     np.add.reduce(dy, 1, out=db)
     if not input_grad:
         return None
-    return dxp[:, pad : xp.shape[1] - pad]
+    dxp[:, 2:] += theirs[0]
+    return dxp[:, 1:-1]
 
 
 def _batch_norm_relu(z, last, b, gamma, beta, mean, var, inv_std, relu_mask, out,
@@ -312,7 +303,7 @@ class NetworkB:
     views all of them in checkpoint order (conv weights tap-major). The
     parameters come first, so ``params.flat`` is the vector's head and
     ``params[name]`` a view into it; ``running_mean[i]`` and
-    ``running_var[i]`` view its tail.
+    ``running_var[i]`` are the rows of its tail, one (6, hidden) block.
     """
 
     def __init__(
@@ -343,16 +334,13 @@ class NetworkB:
             self._layout[name] = (slice(offset, offset + size), taps)
             offset += size
         self.state = FlatTensors(np.zeros(offset), self._layout)
-        names = list(self._layout)
-        stats = names[-2 * HIDDEN_LAYERS :]  # bn{i}.running_mean, bn{i}.running_var
-        self.params = FlatTensors(self.state.flat[: self._layout[stats[0]][0].start],
-                                  self._layout, names[: -len(stats)])
-        self.running_mean = [self.state[name] for name in stats[0::2]]
-        self.running_var = [self.state[name] for name in stats[1::2]]
-        # the same six vectors as the rows of one (6, hidden) view: bn0's mean, var, bn1's, ...
-        self._running = self.state.flat[self._layout[stats[0]][0].start :].reshape(-1, hidden)
-        for var in self.running_var:
-            var[...] = 1.0
+        params = list(self._layout)[: -2 * HIDDEN_LAYERS]
+        head = self._layout[params[-1]][0].stop
+        self.params = FlatTensors(self.state.flat[:head], self._layout, params)
+        # the tail as one (6, hidden) block, in checkpoint order: bn0's mean, var, bn1's, ...
+        self._running = self.state.flat[head:].reshape(-1, hidden)
+        self._running[1::2] = 1.0
+        self.running_mean, self.running_var = list(self._running[::2]), list(self._running[1::2])
         self.meta = {}  # the run metadata a version-3 checkpoint was saved with
 
     def forward(self, feat: np.ndarray, mode: str = "infer"):
@@ -375,19 +363,16 @@ class NetworkB:
         train = mode == "train"
         T = feat.shape[1]
         cache = [] if train else None
-        # train: each layer's batch mean and variance, in the order of the
-        # running statistics they update
-        batch = np.empty(self._running.shape) if train else None
+        # layer i's mean and variance are rows 2i and 2i + 1: train, this
+        # batch's, folded into the running statistics at the end; infer, those
+        stats = np.empty(self._running.shape) if train else self._running
         xp = _padded(feat)
         for i in range(HIDDEN_LAYERS):
             w = self.params[f"conv{i}.w"]
             pool = _conv_worker(w, T)
             z, last = _conv_taps(xp, w, pool)
             rows = z.shape[0]
-            if train:
-                mean, var = batch[2 * i], batch[2 * i + 1]
-            else:
-                mean, var = self.running_mean[i], self.running_var[i]
+            mean, var = stats[2 * i], stats[2 * i + 1]
             inv_std, relu_mask = np.empty(rows), np.empty(z.shape, dtype=bool)
             out = zero_bordered(rows, T)  # the next conv's padded input
             _in_halves(pool, _batch_norm_relu,
@@ -401,7 +386,7 @@ class NetworkB:
         reg += last
         reg += self.params["pred.b"][:, None]
         if train:
-            self._running[...] = BN_MOMENTUM * self._running + (1 - BN_MOMENTUM) * batch
+            self._running[...] = BN_MOMENTUM * self._running + (1 - BN_MOMENTUM) * stats
             cache.append(xp)
             return reg, cache
         return reg

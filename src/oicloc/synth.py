@@ -13,8 +13,8 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .cas import Cas, GroundTruthSegment, VideoRecord
-from .errors import InputError
-from .io import POSITIVE_FINITE, POSITIVE_INTEGER, UNIT, _is_int, _is_number, check_object
+from .errors import InputError, _is_int, _is_number
+from .io import POSITIVE_FINITE, POSITIVE_INTEGER, UNIT, check_object
 from .selection import snippet_to_time
 
 

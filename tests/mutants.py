@@ -56,6 +56,20 @@ VALUE_REFUSALS = ("tests/test_cli.py::TestBadInput::"
                   "test_refuses_a_version_of_another_type_and_an_unknown_segment_key")
 SELECT_REFUSALS = ("tests/test_selection.py::TestSelect::"
                    "test_rejects_a_grid_of_another_length_a_class_outside_1_to_k_and_an_unknown_loss")
+NMS_TIE = "tests/test_selection.py::TestNmsOracle::test_iou_exactly_at_the_threshold_is_kept"
+ENUMERATE_REFUSALS = ("tests/test_baselines.py::TestEnumeration::"
+                      "test_rejects_arguments_outside_their_range")
+RECORD_TYPES = "tests/test_cas.py::TestVideoRecord::test_refuses_a_field_of_the_wrong_type"
+SEGMENT_TYPES = "tests/test_cas.py::TestGroundTruth::test_refuses_a_field_of_the_wrong_type"
+
+# conv1d_backward between its split of the input-gradient taps and tap 2's product
+BACKWARD_JOIN = """ else ((), ())
+    _, theirs = _alongside(pool, (_tap_grads, xp, w, dy, dw, (1, 2), dx_there),
+                           _tap_grads, xp, w, dy, dw, (0,), dx_here, dxp)
+    np.add.reduce(dy, 1, out=db)
+    if not input_grad:
+        return None
+    """
 
 MUTANTS = [
     # batch-norm backward: drop the 1/n, swap dβ and dγ
@@ -79,16 +93,14 @@ MUTANTS = [
     # and added last, (W1 x1 + W2 x2) + W0 x0; the worker's input-gradient
     # product added out of tap order (the worker takes tap 0's, added after
     # taps 1 and 2); tap 1's weight gradient computed by neither thread
-    Mutant("regressor.py", "(np.matmul, w[:, :, -1], xp[:, ksz - 1 :]), _taps, xp, w, T, ksz - 1)",
-           "(np.matmul, w[:, :, 0], xp[:, :T]), _taps, xp[:, 1:], w[:, :, 1:], T, ksz - 1)",
+    Mutant("regressor.py", "(np.matmul, w[:, :, 2], xp[:, 2:]), _two_taps, xp, w, T)",
+           "(np.matmul, w[:, :, 0], xp[:, :T]), _two_taps, xp[:, 1:], w[:, :, 1:], T)",
            (DESK_CONV, POOL_CONV)),
-    Mutant("regressor.py",
-           "dx_taps[mid + 1 :]),\n        _tap_grads, xp, w, dy, dw, taps[:mid], dx_taps[: mid + 1], dxp)"
-           "\n    for i, product in zip(dx_taps[mid + 1 :], theirs):",
-           "dx_taps[:1]),\n        _tap_grads, xp, w, dy, dw, taps[:mid], dx_taps[1:], dxp)"
-           "\n    for i, product in zip(dx_taps[:1], theirs):", (DESK_CONV, POOL_CONV)),
-    Mutant("regressor.py", "(_tap_grads, xp, w, dy, dw, taps[mid:],",
-           "(_tap_grads, xp, w, dy, dw, taps[mid + 1 :],", (DESK_CONV, POOL_CONV)),
+    Mutant("regressor.py", "((0, 1), (2,)) if input_grad" + BACKWARD_JOIN + "dxp[:, 2:] += theirs[0]",
+           "((1, 2), (0,)) if input_grad" + BACKWARD_JOIN + "dxp[:, :-2] += theirs[0]",
+           (DESK_CONV, POOL_CONV)),
+    Mutant("regressor.py", "(_tap_grads, xp, w, dy, dw, (1, 2), dx_there)",
+           "(_tap_grads, xp, w, dy, dw, (2,), dx_there)", (DESK_CONV, POOL_CONV)),
     # buffers held past their last read: this thread's input-gradient
     # products all made before any is added; a layer's incoming gradient
     # kept through its conv backward; the forward cache (which holds the
@@ -109,9 +121,9 @@ MUTANTS = [
            ("tests/test_regressor.py::TestNetworkB::"
             "test_a_layers_input_is_freed_once_its_conv_backward_has_read_it",)),
     Mutant("train.py", "held, feat = [feat], None", "held = [feat]", (FREED,)),
-    # the batch statistics written into each other's running-statistic row
-    Mutant("regressor.py", "mean, var = batch[2 * i], batch[2 * i + 1]",
-           "var, mean = batch[2 * i], batch[2 * i + 1]", (STEP,)),
+    # each layer's mean and variance read from each other's row of the statistics
+    Mutant("regressor.py", "mean, var = stats[2 * i], stats[2 * i + 1]",
+           "var, mean = stats[2 * i], stats[2 * i + 1]", (STEP,)),
     # the prediction layer's bias added before its last tap
     Mutant("regressor.py", '        reg += last\n        reg += self.params["pred.b"][:, None]\n',
            '        reg += self.params["pred.b"][:, None]\n        reg += last\n', (STEP,)),
@@ -197,6 +209,9 @@ MUTANTS = [
     # a negative --seed let through to NumPy
     Mutant("cli.py", "if value < 0:", "if value < -1:",
            ("tests/test_cli.py::TestBadInput::test_negative_seed_is_refused_by_the_parser",)),
+    # gradcheck exiting 0 when a check fails
+    Mutant("cli.py", "failed = failed or not r.passed", "failed = failed and not r.passed",
+           ("tests/test_cli.py::TestGradcheckCommand::test_exit_one_when_a_check_fails",)),
     # build_candidates' shape error with the wrong row count; select gating
     # out an activation equal to act_min, dropping a loss equal to loss_max
     Mutant("selection.py", "{2 * M} x T", "{2 / M} x T",
@@ -205,6 +220,15 @@ MUTANTS = [
            ("tests/test_selection.py::TestSelect::test_activation_exactly_at_the_floor_is_gated_in",)),
     Mutant("selection.py", "(best <= loss_max)", "(best < loss_max)",
            ("tests/test_selection.py::TestSelect::test_loss_exactly_at_the_ceiling_is_kept",)),
+    # a cell without an outer ring counted valid; NMS dropping an IoU equal
+    # to the threshold, on the pairwise matrix and on the sweep
+    Mutant("selection.py", "valid = (rX2 - rX1) - (rx2 - rx1) >= 1",
+           "valid = (rX2 - rX1) + (rx2 - rx1) >= 1",
+           ("tests/test_selection.py::TestSelect::test_a_grid_without_an_outer_ring_selects_nothing",)),
+    Mutant("selection.py", "iou(lo[:, None], hi[:, None], lo, hi) <= iou_thresh",
+           "iou(lo[:, None], hi[:, None], lo, hi) < iou_thresh", (NMS_TIE + "[0.5-2-64]",)),
+    Mutant("selection.py", "iou(lo[i], hi[i], lo, hi) <= iou_thresh",
+           "iou(lo[i], hi[i], lo, hi) < iou_thresh", (NMS_TIE + "[0.5-2-65]",)),
     # select: a grid of another length, a class outside 1..K, an unknown loss
     # variant let through; training_loss: a survivor without an outer ring
     Mutant("selection.py", "if grid.x1.shape[0] != T:", "if False:", (SELECT_REFUSALS,)),
@@ -243,6 +267,14 @@ MUTANTS = [
     # enumeration: every row block after the first scored as the first
     Mutant("baselines.py", "x1 + (r0 + 1)", "x1 + 1",
            ("tests/test_baselines.py::TestEnumeration::test_row_blocks_give_the_one_block_predictions",)),
+    # enumeration: a loss equal to loss_max dropped; a max_len below 1 or not
+    # an integer, and a NaN or out-of-range loss_max or nms_iou, let through
+    Mutant("baselines.py", "hit = loss <= loss_max", "hit = loss < loss_max",
+           ("tests/test_baselines.py::TestEnumeration::test_loss_exactly_at_the_ceiling_is_kept",)),
+    Mutant("baselines.py", "if not (_is_int(max_len) and 1 <= max_len <= T):", "if max_len > T:",
+           (ENUMERATE_REFUSALS,)),
+    Mutant("baselines.py", '    check_object({"loss_max": loss_max,', '    ({"loss_max": loss_max,',
+           (ENUMERATE_REFUSALS,)),
     # a zero count (a spec with no class) or a zero plateau accepted; the
     # central notch's fallback placed against the instance's end
     Mutant("io.py", "_is_int(v) and v >= 1,", "_is_int(v) and v >= 0,",
@@ -265,6 +297,16 @@ MUTANTS = [
            ("tests/test_cas.py::TestVideoRecord::test_rejects_an_id_that_is_not_a_file_name",)),
     Mutant("io.py", "if j != i:", "if False:",
            ("tests/test_io.py::TestManifest::test_repeated_video_id_names_both_entries",)),
+    # library records and anchors taking a value of the wrong type (a bool
+    # for a number, 1.5 for a class) or failing on it with a bare exception
+    Mutant("cas.py", "if not isinstance(self.video_id, str):", "if False:", (RECORD_TYPES,)),
+    Mutant("cas.py", "_is_number(self.fps) and 0 < self.fps", "0 < self.fps", (RECORD_TYPES,)),
+    Mutant("cas.py", "if not all(map(_is_int, self.labels)):", "if False:", (RECORD_TYPES,)),
+    Mutant("cas.py", "if not _is_int(self.class_id):", "if False:", (SEGMENT_TYPES,)),
+    Mutant("cas.py", "if not (_is_number(self.start_s) and _is_number(self.end_s)):", "if False:",
+           (SEGMENT_TYPES,)),
+    Mutant("boundary.py", "_is_number(s) and 1 <= s < math.inf", "1 <= s < math.inf",
+           ("tests/test_boundary.py::TestAnchorConfig::test_rejects_a_scale_that_is_not_a_number",)),
     # oic_areas: the inner box summed with rx1 and rx2 swapped
     Mutant("oic.py", "inner_sum = csum[k, rx2 + 1] - csum[k, rx1]",
            "inner_sum = csum[k, rx1 + 1] - csum[k, rx2]",

@@ -89,6 +89,35 @@ class TestEnumeration:
         with pytest.raises(InputError, match="inflation ratio must be positive and finite"):
             baselines.oic_selection_enumerate(cas, 1, alpha=float("nan"))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"loss_max": float("nan")}, "'loss_max' must be a number in \\[-1, 1\\]"),
+        ({"loss_max": -1.5}, "'loss_max' must be a number in \\[-1, 1\\]"),
+        ({"nms_iou": float("nan")}, "'nms_iou' must be a finite number in \\[0, 1\\]"),
+        ({"nms_iou": 1.5}, "'nms_iou' must be a finite number in \\[0, 1\\]"),
+        ({"max_len": 0}, "max_len must be an integer in 1..10, got 0"),
+        ({"max_len": -3}, "max_len must be an integer in 1..10, got -3"),
+        ({"max_len": 2.5}, "max_len must be an integer in 1..10, got 2.5"),
+        ({"max_len": True}, "max_len must be an integer in 1..10, got True"),
+        ({"max_len": 11}, "max_len must be an integer in 1..10, got 11"),
+    ], ids=["loss_max-nan", "loss_max-low", "nms_iou-nan", "nms_iou-high", "max_len-0",
+            "max_len-negative", "max_len-float", "max_len-bool", "max_len-above-T"])
+    def test_rejects_arguments_outside_their_range(self, kwargs, message):
+        """Unchecked, a NaN loss_max or a max_len below 1 gives no prediction,
+        a NaN nms_iou one, and max_len 2.5 is read as if it were 3."""
+        cas = Cas(np.random.default_rng(0).uniform(size=(1, 10)))
+        with pytest.raises(InputError, match=message):
+            baselines.oic_selection_enumerate(cas, 1, **kwargs)
+
+    def test_loss_exactly_at_the_ceiling_is_kept(self):
+        """[2, 3] (inner 0.75, ring {1, 4} at 0.25) and [1, 4] (inner 0.5, ring
+        the zero padding) both have loss exactly -0.5."""
+        cas = Cas(np.array([[0.25, 0.75, 0.75, 0.25]]))
+        preds = baselines.oic_selection_enumerate(cas, 1, loss_max=-0.5)
+        assert sorted((p.start_s, p.end_s, p.score) for p in preds) == [
+            (snippet_to_time(1, 30.0), snippet_to_time(4, 30.0), 1.5),
+            (snippet_to_time(2, 30.0), snippet_to_time(3, 30.0), 1.5)]
+        assert baselines.oic_selection_enumerate(cas, 1, loss_max=-0.5000001) == []
+
     def test_matches_oracle(self, rng):
         for _ in range(40):
             T = int(rng.integers(5, 31))

@@ -39,6 +39,12 @@ class TestAnchorConfig:
         with pytest.raises(InputError):
             AnchorConfig(scales)
 
+    @pytest.mark.parametrize("scales", [("a",), (1.0, "2"), (True, 2.0), (None,)])
+    def test_rejects_a_scale_that_is_not_a_number(self, scales):
+        """Unchecked, "a" is a bare ValueError and True is taken as 1."""
+        with pytest.raises(InputError, match="anchor scales must be finite numbers"):
+            AnchorConfig(scales)
+
     @pytest.mark.parametrize("scales", [(float("nan"), 2.0), (1.0, float("inf"))])
     def test_rejects_a_scale_that_is_not_finite(self, scales):
         with pytest.raises(InputError, match="anchor scales must be finite"):

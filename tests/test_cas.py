@@ -66,6 +66,21 @@ class TestVideoRecord:
         with pytest.raises(InputError, match="is not a file name"):
             VideoRecord(video_id, Cas(np.zeros((2, 4))), (1,), 30.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("video_id", 3, "video id must be a string, got 3"),
+        ("fps", "30", "fps must be positive and finite"),
+        ("fps", True, "fps must be positive and finite"),
+        ("labels", (1.5,), r"labels must be integers, got \(1\.5,\)"),
+        ("labels", ("x",), r"labels must be integers, got \('x',\)"),
+        ("labels", (True,), r"labels must be integers, got \(True,\)"),
+    ], ids=["id-int", "fps-str", "fps-bool", "label-float", "label-str", "label-bool"])
+    def test_refuses_a_field_of_the_wrong_type(self, field, value, message):
+        """Unchecked, fps "30" and id 3 are bare TypeErrors, label "x" a bare
+        ValueError, and fps True and label 1.5 are taken as 1."""
+        fields = {"video_id": "v", "cas": Cas(np.zeros((2, 4))), "labels": (1,), "fps": 30.0}
+        with pytest.raises(InputError, match=f"^{message}"):
+            VideoRecord(**{**fields, field: value})
+
     @pytest.mark.parametrize("video_id", ["...", "..v", "v.", "video 1", "a\\b"])
     def test_accepts_any_other_id(self, video_id):
         assert VideoRecord(video_id, Cas(np.zeros((2, 4))), (1,), 30.0).video_id == video_id
@@ -77,6 +92,17 @@ class TestGroundTruth:
             GroundTruthSegment(1, 5.0, 4.0)
         with pytest.raises(InputError):
             GroundTruthSegment(1, -1.0, 4.0)
+
+    @pytest.mark.parametrize("segment, message", [
+        ((1.5, 0.0, 1.0), r"class_id must be an integer, got 1\.5"),
+        ((True, 0.0, 1.0), "class_id must be an integer, got True"),
+        ((1, "0", 2.0), "start_s and end_s must be numbers, got '0' and 2.0"),
+        ((1, 0.0, None), "start_s and end_s must be numbers, got 0.0 and None"),
+    ], ids=["class-float", "class-bool", "start-str", "end-none"])
+    def test_refuses_a_field_of_the_wrong_type(self, segment, message):
+        """Unchecked, start "0" is a bare TypeError and class 1.5 is accepted."""
+        with pytest.raises(InputError, match=f"^ground truth {message}$"):
+            GroundTruthSegment(*segment)
 
     def test_rejects_an_end_that_is_not_finite(self):
         with pytest.raises(InputError, match="start < end < inf"):

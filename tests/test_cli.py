@@ -7,9 +7,10 @@ import pytest
 
 from oracles import checkpoint_tensors, checkpoint_v3
 
-from oicloc import baselines, io
+from oicloc import baselines, cli, io
 from oicloc.cli import main
 from oicloc.config import load_config
+from oicloc.gradcheck import CheckResult
 from oicloc.regressor import NetworkB
 
 SPEC = {
@@ -520,6 +521,15 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+    def test_exit_one_when_a_check_fails(self, capsys, monkeypatch):
+        """A failing check fails the command, which CI's gradcheck step reads,
+        even when a later check passes."""
+        monkeypatch.setattr(cli, "run_all", lambda seed: [CheckResult("broken", 2.0, 1.0),
+                                                          CheckResult("fine", 0.0, 1.0)])
+        assert main(["gradcheck"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL broken: max_err=2.000e+00 tol=1.0e+00", "PASS fine: max_err=0.000e+00 tol=1.0e+00"]
 
 
 class TestAblate:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -325,6 +326,17 @@ class TestSelect:
         cas, grid = self.plateau_at_position_6(1.0)
         _, t, _, score, *_ = select(cas, grid, [1], loss_max=-1.0)
         assert (t.tolist(), score.tolist()) == ([5], [2.0])
+
+    def test_a_grid_without_an_outer_ring_selects_nothing(self):
+        """Anchor 32 on a T = 3 video: every inner and outer box clips to the
+        whole padded grid [0, 4], so no cell has a ring to contrast with and
+        none reaches the loss (whose ring mean would be 0 / 0)."""
+        grid = build_candidates(np.zeros((2, 3)), AnchorConfig((32,)), 0.25)
+        assert grid.rounded[:, :, 0].T.tolist() == [[0, 4, 0, 4]] * 3 and not grid.valid.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            survivors = select(Cas(np.full((1, 3), 0.5)), grid, [1])
+        assert [a.size for a in survivors] == [0] * 6
 
     def test_loss_ceiling_filters_weak_hypotheses(self):
         # flat weak signal: no hypothesis can contrast by more than 0.2
