@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import train
 from .cas import Cas, VideoRecord
 from .config import _RULES, RunConfig
 from .errors import InputError, _is_int
@@ -98,11 +99,13 @@ def _video_seed(video_id: str, seed: int) -> int:
 
 def direct_optimize(video: VideoRecord, cfg: RunConfig, seed: int = 0) -> list[Prediction]:
     """Optimize a fresh regressor on one video alone for ``cfg.direct_opt_iters``
-    epochs, then predict on it."""
+    steps, each reading the one lift of the video, then predict on it."""
     all_classes = tuple(range(1, video.cas.num_classes + 1))  # test-mode class set
     relabelled = VideoRecord(video.video_id, video.cas, all_classes, video.fps)
-    net = train_network([relabelled], replace(cfg, epochs=cfg.direct_opt_iters),
-                        seed=_video_seed(video.video_id, seed)).net
+    net, velocity = train.new_network(cfg, _video_seed(video.video_id, seed)), {}
+    feat = train.cas_to_features(video.cas, cfg.feature_dim)
+    for iteration in range(cfg.direct_opt_iters):
+        train.train_step(net, relabelled, cfg, velocity, iteration, feat=[feat])
     return predict_video(net, video, cfg)
 
 

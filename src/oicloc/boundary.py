@@ -6,13 +6,12 @@ rounding to the padded grid happens only when activations are fetched.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError, _is_number
+from .errors import InputError, _is_finite
 
 if TYPE_CHECKING:
     from .oic import BoundaryGradients
@@ -28,7 +27,7 @@ class AnchorConfig:
         scales = tuple(self.scales)
         if len(scales) < 1:
             raise InputError("need at least one anchor scale")
-        if not all(_is_number(s) and 1 <= s < math.inf for s in scales):
+        if not all(_is_finite(s) and s >= 1 for s in scales):
             raise InputError("anchor scales must be finite numbers >= 1 snippet")
         scales = tuple(map(float, scales))
         if any(b <= a for a, b in zip(scales, scales[1:])):
@@ -55,7 +54,7 @@ def inflate(x1, x2, w, alpha: float, T: int):
     """Extend inner boundaries (scalars or arrays) by ratio alpha, >= 1 snippet
     per side, then clip. For x1 <= x2 and lengths w > 0, as both callers
     ensure, the outer boundaries satisfy X1 < X2 before clipping."""
-    if not 0 < alpha < math.inf:
+    if not (_is_finite(alpha) and alpha > 0):
         raise InputError("inflation ratio must be positive and finite")
     X1 = np.minimum(x1 - w * alpha, x1 - 1.0)
     X2 = np.maximum(x2 + w * alpha, x2 + 1.0)

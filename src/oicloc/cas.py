@@ -6,12 +6,11 @@ zero-padded snippets used by the boundary machinery.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, _is_int, _is_number
+from .errors import InputError, _is_finite, _is_int, _is_number
 
 SNIPPET_FRAMES = 15
 
@@ -61,7 +60,7 @@ class GroundTruthSegment:
         if not (_is_number(self.start_s) and _is_number(self.end_s)):
             raise InputError(f"ground truth start_s and end_s must be numbers, "
                              f"got {self.start_s!r} and {self.end_s!r}")
-        if not 0.0 <= self.start_s < self.end_s < math.inf:
+        if not (0.0 <= self.start_s < self.end_s and _is_finite(self.end_s)):
             raise InputError(
                 f"ground truth needs 0 <= start < end < inf, got [{self.start_s}, {self.end_s}]"
             )
@@ -82,13 +81,18 @@ class VideoRecord:
             raise InputError(f"video id must be a string, got {self.video_id!r}")
         if self.video_id in ("", ".", "..") or "/" in self.video_id or "\0" in self.video_id:
             raise InputError(f"video id {self.video_id!r} is not a file name")
-        if not (_is_number(self.fps) and 0 < self.fps < math.inf):
+        if not isinstance(self.cas, Cas):
+            raise InputError(f"cas must be a Cas, got {type(self.cas).__name__}")
+        if not (_is_finite(self.fps) and self.fps > 0):
             raise InputError("fps must be positive and finite")
-        if not all(map(_is_int, self.labels)):
+        if not (isinstance(self.labels, (list, tuple)) and all(map(_is_int, self.labels))):
             raise InputError(f"labels must be integers, got {self.labels!r}")
         labels = tuple(sorted(set(self.labels)))
         if labels and not (1 <= labels[0] and labels[-1] <= self.cas.num_classes):
             raise InputError(f"labels {labels} outside 1..{self.cas.num_classes}")
         object.__setattr__(self, "labels", labels)
         if self.gt is not None:
+            if not (isinstance(self.gt, (list, tuple))
+                    and all(isinstance(g, GroundTruthSegment) for g in self.gt)):
+                raise InputError(f"gt must be ground truth segments, got {self.gt!r}")
             object.__setattr__(self, "gt", tuple(self.gt))

@@ -2,6 +2,7 @@
 refusals share, and :func:`naming`, which prefixes an error with where it
 came from (a file, a manifest entry, an iteration, a video), so that the
 CLI's one error line names it."""
+import sys
 from contextlib import contextmanager
 
 
@@ -23,6 +24,11 @@ def _is_int(v) -> bool:
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """A number that converts to a finite float (NaN, inf and huge integers do not)."""
+    return _is_number(v) and abs(v) <= sys.float_info.max
 
 
 @contextmanager

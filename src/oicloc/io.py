@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 
 from .cas import Cas, GroundTruthSegment, VideoRecord
-from .errors import InputError, _is_int, _is_number, naming
+from .errors import InputError, _is_finite, _is_int, _is_number, naming
 from .selection import Prediction
 
 
@@ -132,11 +131,6 @@ def write_manifest(path: str | Path, videos: list[VideoRecord], cas_dir: str = "
             ]
         entries.append(entry)
     path.write_text(json.dumps(entries, indent=1))
-
-
-def _is_finite(v) -> bool:
-    """A JSON number that converts to a finite float (NaN, inf and huge integers do not)."""
-    return _is_number(v) and abs(v) <= sys.float_info.max
 
 
 # shared rules: (check of a JSON value, what the check asks for)

@@ -19,12 +19,12 @@ from .boundary import (
     AnchorConfig, clip_zero_pad, inflate, round_boundary, transform_backward,
 )
 from .cas import SNIPPET_FRAMES, Cas
-from .errors import InputError, TrainingError
+from .errors import InputError, TrainingError, _is_finite
 
 
 def snippet_to_time(x: float, fps: float) -> float:
     """Continuous snippet coordinate to seconds; snippet 1 starts at 0 s."""
-    if not 0 < fps < math.inf:
+    if not (_is_finite(fps) and fps > 0):
         raise InputError("fps must be positive and finite")
     return (x - 1.0) * SNIPPET_FRAMES / fps
 

@@ -1,12 +1,13 @@
 """Training loop (one video per optimizer step) and inference helpers."""
 from __future__ import annotations
 
+import contextvars
 import logging
 from dataclasses import dataclass, field
 
 from .cas import VideoRecord
 from .config import RunConfig
-from .errors import InputError, TrainingError, naming
+from .errors import InputError, TrainingError, UsageError, naming
 from .features import cas_to_features, lift_worker
 from .regressor import NetworkB, sgd_step
 from .selection import Prediction, build_candidates, select, to_predictions, training_loss
@@ -36,9 +37,8 @@ def train_network(
     each next one, in epoch order, while the step before it runs. The lift
     is queued before that step's conv jobs, so it runs while this thread
     computes the first conv's first taps. The pending lift is joined before
-    this returns or raises. While the next step reads the same record (one
-    video over several epochs), its map is lifted once and kept; any other
-    map is handed to its step, which frees it before the SGD step.
+    this returns or raises. Every map is handed to its step, which frees it
+    before the SGD step.
     """
     if not corpus:
         raise InputError("training requires at least one video")
@@ -47,18 +47,9 @@ def train_network(
     try:
         result = TrainResult(new_network(cfg, seed))
         velocity: dict = {}
-        feat = None  # a map kept from the step before, which read the same video
         for iteration, (video, following) in enumerate(zip(order, order[1:] + [None])):
-            if pending is not None:
-                feat = pending.result()
-            keep = following is video
-            pending = None if following is None or keep else _lift_ahead(following, cfg)
-            if keep:
-                if feat is None:
-                    feat = cas_to_features(video.cas, cfg.feature_dim)
-                held = feat
-            else:
-                held, feat = [feat], None  # this frame lets go of the map
+            held = [None if pending is None else pending.result()]
+            pending = None if following is None else _lift_ahead(following, cfg)
             result.losses.append(
                 train_step(result.net, video, cfg, velocity, iteration, loss, held))
             epoch, i = divmod(iteration, len(corpus))
@@ -71,22 +62,24 @@ def train_network(
 
 
 def _lift_ahead(video, cfg):
-    """The whole lift of ``video`` submitted to the worker thread, or None
-    where the worker would not take it (its step then lifts it inline)."""
+    """The whole lift of ``video`` submitted to the worker thread, in a copy of
+    this thread's context (so under its NumPy error state), or None where the
+    worker would not take it (its step then lifts it inline)."""
     pool = lift_worker(video.cas, cfg.feature_dim)
     if pool is None:
         return None
-    return pool.submit(cas_to_features, video.cas, cfg.feature_dim)
+    return pool.submit(contextvars.copy_context().run, cas_to_features, video.cas, cfg.feature_dim)
 
 
 def train_step(net, video, cfg, velocity, iteration, loss="oic", feat=None) -> float:
     """One optimizer step on one video; returns the summed selection loss.
-    ``feat`` is the video's lifted feature map, lifted here when None. A
-    one-element list holding the map (or None) hands it over: the step
-    empties the list, so that the map is freed before the SGD step (an
-    argument stays referenced by the caller until the call returns)."""
-    if isinstance(feat, list):
-        feat = feat.pop()
+    ``feat`` is None or a one-element list that hands over the video's lifted
+    feature map (or None); the video is lifted here when no map is handed
+    over. The step empties the list, so that the map is freed before the SGD
+    step (an argument stays referenced by the caller until the call returns)."""
+    if not (feat is None or isinstance(feat, list) and len(feat) == 1):
+        raise UsageError("feat must be None or a one-element list handing over the map")
+    feat = None if feat is None else feat.pop()
     if feat is None:
         feat = cas_to_features(video.cas, cfg.feature_dim)
     reg_map, cache = net.forward(feat, mode="train")

@@ -60,6 +60,8 @@ NMS_TIE = "tests/test_selection.py::TestNmsOracle::test_iou_exactly_at_the_thres
 ENUMERATE_REFUSALS = ("tests/test_baselines.py::TestEnumeration::"
                       "test_rejects_arguments_outside_their_range")
 RECORD_TYPES = "tests/test_cas.py::TestVideoRecord::test_refuses_a_field_of_the_wrong_type"
+RECORD_FIELDS = ("tests/test_cas.py::TestVideoRecord::"
+                 "test_refuses_a_cas_labels_or_gt_of_the_wrong_type")
 SEGMENT_TYPES = "tests/test_cas.py::TestGroundTruth::test_refuses_a_field_of_the_wrong_type"
 
 # conv1d_backward between its split of the input-gradient taps and tap 2's product
@@ -120,7 +122,9 @@ MUTANTS = [
     Mutant("regressor.py", "relu_mask), w = cache.pop(),", "relu_mask), w = cache[i],",
            ("tests/test_regressor.py::TestNetworkB::"
             "test_a_layers_input_is_freed_once_its_conv_backward_has_read_it",)),
-    Mutant("train.py", "held, feat = [feat], None", "held = [feat]", (FREED,)),
+    Mutant("train.py", "held = [None if pending is None else pending.result()]",
+           "feat = None if pending is None else pending.result()\n            held = [feat]",
+           (FREED,)),
     # each layer's mean and variance read from each other's row of the statistics
     Mutant("regressor.py", "mean, var = stats[2 * i], stats[2 * i + 1]",
            "var, mean = stats[2 * i], stats[2 * i + 1]", (STEP,)),
@@ -142,6 +146,20 @@ MUTANTS = [
            "or False):",
            ("tests/test_regressor.py::TestWorkerPool::"
             "test_a_job_on_the_worker_is_not_handed_the_worker[pool]",)),
+    # a lift ahead on the worker run outside the caller's context
+    Mutant("train.py", "pool.submit(contextvars.copy_context().run, cas_to_features,",
+           "pool.submit(cas_to_features,",
+           ("tests/test_train.py::TestLiftAhead::"
+            "test_a_lift_on_the_worker_runs_under_the_callers_error_state[pool]",)),
+    # direct optimization handing each step no map, so that every step lifts anew
+    Mutant("baselines.py", "iteration, feat=[feat])", "iteration, feat=None)",
+           ("tests/test_baselines.py::TestDirectOptimize::"
+            "test_lifts_its_video_once_for_every_epoch",)),
+    # a step taking a map that is not handed over in a one-element list
+    Mutant("train.py", "if not (feat is None or isinstance(feat, list) and len(feat) == 1):",
+           "if False:",
+           ("tests/test_train.py::TestTrainNetwork::"
+            "test_a_step_refuses_a_map_not_handed_over_in_a_one_element_list",)),
     # an empty corpus refused with a bare ValueError
     Mutant("train.py", 'raise InputError("training requires', 'raise ValueError("training requires',
            ("tests/test_train.py::TestTrainNetwork::test_empty_corpus_is_an_input_error",)),
@@ -286,9 +304,10 @@ MUTANTS = [
            ("tests/test_synth.py::TestSynthCorpus::"
             "test_central_dip_without_room_in_the_middle_third_fills_the_interior",)),
     # inflate accepting a ratio of 0; a NaN ratio let through by the check of old
-    Mutant("boundary.py", "if not 0 < alpha < math.inf:", "if not 0 <= alpha < math.inf:",
+    Mutant("boundary.py", "if not (_is_finite(alpha) and alpha > 0):",
+           "if not (_is_finite(alpha) and alpha >= 0):",
            ("tests/test_boundary.py::TestClipInflate::test_rejects_a_ratio_that_is_not_positive",)),
-    Mutant("boundary.py", "if not 0 < alpha < math.inf:", "if alpha <= 0:",
+    Mutant("boundary.py", "if not (_is_finite(alpha) and alpha > 0):", "if alpha <= 0:",
            ("tests/test_boundary.py::TestClipInflate::test_rejects_a_ratio_that_is_not_finite",)),
     # a video id that is not a file name, or one that two manifest entries share, accepted
     Mutant("cas.py",
@@ -298,14 +317,25 @@ MUTANTS = [
     Mutant("io.py", "if j != i:", "if False:",
            ("tests/test_io.py::TestManifest::test_repeated_video_id_names_both_entries",)),
     # library records and anchors taking a value of the wrong type (a bool
-    # for a number, 1.5 for a class) or failing on it with a bare exception
+    # for a number, 1.5 for a class, an array for a Cas, 1 for labels, an
+    # integer for a segment) or failing on it with a bare exception
     Mutant("cas.py", "if not isinstance(self.video_id, str):", "if False:", (RECORD_TYPES,)),
-    Mutant("cas.py", "_is_number(self.fps) and 0 < self.fps", "0 < self.fps", (RECORD_TYPES,)),
-    Mutant("cas.py", "if not all(map(_is_int, self.labels)):", "if False:", (RECORD_TYPES,)),
+    Mutant("cas.py", "_is_finite(self.fps) and self.fps > 0", '0 < self.fps < float("inf")',
+           (RECORD_TYPES,)),
+    Mutant("cas.py", "if not (isinstance(self.labels, (list, tuple)) and all(map(_is_int,",
+           "if not (True and all(map(_is_int,", (RECORD_FIELDS,)),
+    Mutant("cas.py", "if not (isinstance(self.labels, (list, tuple)) and all(map(_is_int,",
+           "if not (isinstance(self.labels, (list, tuple)) and all(map(bool,", (RECORD_TYPES,)),
+    Mutant("cas.py", "if not isinstance(self.cas, Cas):", "if False:", (RECORD_FIELDS,)),
+    Mutant("cas.py", "and all(isinstance(g, GroundTruthSegment) for g in self.gt)",
+           "and all(True for g in self.gt)", (RECORD_FIELDS,)),
     Mutant("cas.py", "if not _is_int(self.class_id):", "if False:", (SEGMENT_TYPES,)),
     Mutant("cas.py", "if not (_is_number(self.start_s) and _is_number(self.end_s)):", "if False:",
            (SEGMENT_TYPES,)),
-    Mutant("boundary.py", "_is_number(s) and 1 <= s < math.inf", "1 <= s < math.inf",
+    # a ground truth end too large for a float taken as finite
+    Mutant("cas.py", "and _is_finite(self.end_s)):", "and _is_number(self.end_s)):",
+           ("tests/test_cas.py::TestGroundTruth::test_rejects_an_end_too_large_for_a_float",)),
+    Mutant("boundary.py", "_is_finite(s) and s >= 1", '1 <= s < float("inf")',
            ("tests/test_boundary.py::TestAnchorConfig::test_rejects_a_scale_that_is_not_a_number",)),
     # oic_areas: the inner box summed with rx1 and rx2 swapped
     Mutant("oic.py", "inner_sum = csum[k, rx2 + 1] - csum[k, rx1]",

@@ -53,6 +53,13 @@ class TestThresholdLocalize:
         with pytest.raises(InputError, match="fps must be positive and finite"):
             baselines.threshold_localize(cas, 1, 0.5, fps=float("nan"))
 
+    @pytest.mark.parametrize("huge", [2**1024, 10**400], ids=["2**1024", "10**400"])
+    def test_rejects_an_fps_too_large_for_a_float(self, huge):
+        """Unchecked, the seconds' division raises a bare OverflowError."""
+        cas = Cas(np.full((1, 8), 0.9))
+        with pytest.raises(InputError, match="fps must be positive and finite"):
+            baselines.threshold_localize(cas, 1, 0.5, fps=huge)
+
     @given(st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), min_size=1, max_size=30),
            st.sampled_from([0.3, 0.5, 0.7]))
     @settings(max_examples=100, deadline=None)
@@ -88,6 +95,13 @@ class TestEnumeration:
         cas = Cas(np.random.default_rng(0).uniform(size=(2, 12)))
         with pytest.raises(InputError, match="inflation ratio must be positive and finite"):
             baselines.oic_selection_enumerate(cas, 1, alpha=float("nan"))
+
+    @pytest.mark.parametrize("huge", [2**1024, 10**400], ids=["2**1024", "10**400"])
+    def test_rejects_a_ratio_too_large_for_a_float(self, huge):
+        """Unchecked, inflating by it raises a bare OverflowError."""
+        cas = Cas(np.random.default_rng(0).uniform(size=(2, 12)))
+        with pytest.raises(InputError, match="inflation ratio must be positive and finite"):
+            baselines.oic_selection_enumerate(cas, 1, alpha=huge)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"loss_max": float("nan")}, "'loss_max' must be a number in \\[-1, 1\\]"),

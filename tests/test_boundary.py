@@ -45,8 +45,10 @@ class TestAnchorConfig:
         with pytest.raises(InputError, match="anchor scales must be finite numbers"):
             AnchorConfig(scales)
 
-    @pytest.mark.parametrize("scales", [(float("nan"), 2.0), (1.0, float("inf"))])
+    @pytest.mark.parametrize("scales", [(float("nan"), 2.0), (1.0, float("inf")),
+                                        (1.0, 2**1024), (1.0, 10**400)])
     def test_rejects_a_scale_that_is_not_finite(self, scales):
+        """Unchecked, an integer too large for a float is a bare OverflowError."""
         with pytest.raises(InputError, match="anchor scales must be finite"):
             AnchorConfig(scales)
 

@@ -56,8 +56,11 @@ class TestVideoRecord:
         with pytest.raises(InputError):
             VideoRecord("v", Cas(np.zeros((2, 4))), (1,), 0.0)
 
-    @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), 2**1024, 10**400],
+                             ids=["nan", "inf", "2**1024", "10**400"])
     def test_rejects_an_fps_that_is_not_finite(self, fps):
+        """Unchecked, an integer too large for a float is accepted, and
+        map_report raises a bare OverflowError."""
         with pytest.raises(InputError, match="fps must be positive and finite"):
             VideoRecord("v", Cas(np.zeros((2, 4))), (1,), fps)
 
@@ -79,6 +82,19 @@ class TestVideoRecord:
         ValueError, and fps True and label 1.5 are taken as 1."""
         fields = {"video_id": "v", "cas": Cas(np.zeros((2, 4))), "labels": (1,), "fps": 30.0}
         with pytest.raises(InputError, match=f"^{message}"):
+            VideoRecord(**{**fields, field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("cas", np.zeros((2, 4)), "cas must be a Cas, got ndarray"),
+        ("labels", 1, "labels must be integers, got 1"),
+        ("gt", 5, "gt must be ground truth segments, got 5"),
+        ("gt", (3,), r"gt must be ground truth segments, got \(3,\)"),
+    ], ids=["cas-array", "labels-int", "gt-int", "gt-of-ints"])
+    def test_refuses_a_cas_labels_or_gt_of_the_wrong_type(self, field, value, message):
+        """Unchecked, a cas array is a bare AttributeError, labels 1 and gt 5
+        bare TypeErrors, and gt (3,) is accepted, to fail in evaluation."""
+        fields = {"video_id": "v", "cas": Cas(np.zeros((2, 4))), "labels": (1,), "fps": 30.0}
+        with pytest.raises(InputError, match=f"^{message}$"):
             VideoRecord(**{**fields, field: value})
 
     @pytest.mark.parametrize("video_id", ["...", "..v", "v.", "video 1", "a\\b"])
@@ -107,3 +123,9 @@ class TestGroundTruth:
     def test_rejects_an_end_that_is_not_finite(self):
         with pytest.raises(InputError, match="start < end < inf"):
             GroundTruthSegment(1, 0.0, float("inf"))
+
+    @pytest.mark.parametrize("huge", [2**1024, 10**400], ids=["2**1024", "10**400"])
+    def test_rejects_an_end_too_large_for_a_float(self, huge):
+        """Unchecked, it is accepted, and map_report raises a bare OverflowError."""
+        with pytest.raises(InputError, match="start < end < inf"):
+            GroundTruthSegment(1, 0.0, huge)

@@ -13,7 +13,7 @@ from oracles import (
 
 from oicloc import features, regressor, train
 from oicloc.config import PROFILES, RunConfig
-from oicloc.errors import InputError, TrainingError
+from oicloc.errors import InputError, TrainingError, UsageError
 from oicloc.features import cas_to_features
 from oicloc.regressor import learning_rate
 from oicloc.selection import build_candidates, select, training_loss
@@ -121,6 +121,12 @@ class TestTrainNetwork:
         net.params["pred.b"][1] = -800.0  # t_w of anchor 0 underflows to zero width
         with pytest.raises(TrainingError, match=r"iteration 7, .*collapses.*anchor 0"):
             train_step(net, corpus[0], CFG, {}, 7)
+
+    @pytest.mark.parametrize("feat", [np.zeros((12, 40)), [], (None,)],
+                             ids=["bare-map", "empty-list", "tuple"])
+    def test_a_step_refuses_a_map_not_handed_over_in_a_one_element_list(self, corpus, feat):
+        with pytest.raises(UsageError, match="^feat must be None or a one-element list"):
+            train_step(new_network(CFG, 0), corpus[0], CFG, {}, 0, feat=feat)
 
 
 STEP_CONFIGS = [
@@ -306,13 +312,27 @@ class TestLiftAhead:
             train_network(videos, self.CFG)
         assert len(started) == len(finished) == 3
 
+    @pytest.mark.parametrize("pool", ["pool"], indirect=True)
+    def test_a_lift_on_the_worker_runs_under_the_callers_error_state(self, pool, monkeypatch):
+        """Each lift ahead meets an overflow as it would in the caller's thread."""
+        seen, lift = [], train.cas_to_features
+
+        def spy(*args, **kwargs):
+            seen.append((threading.current_thread() is not threading.main_thread(), np.geterr()))
+            return lift(*args, **kwargs)
+
+        monkeypatch.setattr(train, "cas_to_features", spy)
+        with np.errstate(over="raise"):
+            train_network(synth_corpus(PAPER_WIDTH_VIDEOS, 7, 2), self.CFG)
+            assert seen == [(True, np.geterr())] * 4
+
 
 class TestEachMapIsFreedBeforeItsSgdStep:
     """When sgd_step runs, nothing holds the step's feature map (nor the
-    forward cache, which holds its buffer), unless the next step reads the
-    same video: that map is lifted once and kept. Over the corpus (a, a, b)
-    and two epochs, steps 0 and 3 keep their map; the bits are those of a
-    plain loop of steps lifting inline."""
+    forward cache, which holds its buffer), even where the next step reads
+    the same video: every step is handed its own lift. Over the corpus
+    (a, a, b) and two epochs, each of the six steps lifts its video; the bits
+    are those of a plain loop of steps lifting inline."""
 
     def test_at_desk_width(self, corpus, monkeypatch):
         self.check(corpus[:2], CFG, monkeypatch)
@@ -335,15 +355,16 @@ class TestEachMapIsFreedBeforeItsSgdStep:
             return feat
 
         def spy_step(net, grads, cfg, velocity, iteration):
-            cas = order[iteration].cas
-            alive.append([ref for c, ref in lifts if c is cas][-1]() is not None)
+            # lifts run one at a time in step order, so lifts[i] is step i's
+            # map even while the next step's lift, ahead on the worker, is alive
+            alive.append(lifts[iteration][1]() is not None)
             step(net, grads, cfg, velocity, iteration)
 
         monkeypatch.setattr(train, "cas_to_features", spy_lift)
         monkeypatch.setattr(train, "sgd_step", spy_step)
         result = train_network([a, a, b], cfg, seed=0)
-        assert alive == [True, False, False, True, False, False]
-        assert [c for c, _ in lifts] == [v.cas for v in (a, b, a, b)]
+        assert alive == [False] * 6
+        assert [c for c, _ in lifts] == [v.cas for v in order]
         assert result.losses == losses
         assert result.net.params.flat.tobytes() == net.params.flat.tobytes()
 
