@@ -9,7 +9,6 @@ scores prefer the earlier start.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,13 +68,7 @@ def build_candidates(reg_map: np.ndarray, anchors: AnchorConfig, alpha: float) -
         raise TrainingError("regression values must be finite")
     w_a, t_w = np.asarray(anchors.scales), reg_map[1::2].T
     with np.errstate(over="ignore"):  # an inf length is refused below
-        try:
-            # math.exp, not np.exp: the two differ in the last ulp on some
-            # inputs, and the straight-line oracles use math.exp
-            growth = np.fromiter(map(math.exp, t_w.ravel().tolist()), np.float64, t_w.size)
-        except OverflowError:  # np.exp only locates the cell: its overflow is inf
-            growth = np.exp(t_w.ravel())
-        w = w_a * growth.reshape(t_w.shape)
+        w = w_a * np.exp(t_w)
     if np.isinf(w).any():
         t, m = divmod(int(np.argmax(np.isinf(w).ravel())), M)
         raise TrainingError(

@@ -276,6 +276,10 @@ MUTANTS = [
     Mutant("selection.py", "if np.isinf(w).any():", "if False:",
            ("tests/test_selection.py::TestBuildCandidates::"
             "test_overflowing_length_raises_training_error",)),
+    # build_candidates: exp's overflow warns instead of reaching the inf check
+    Mutant("selection.py", 'np.errstate(over="ignore")', "np.errstate()",
+           ("tests/test_selection.py::TestBuildCandidates::"
+            "test_overflowing_scale_raises_training_error",)),
     # nms_order ranks by hi before lo
     Mutant("selection.py", "np.lexsort((hi, lo, -score))", "np.lexsort((lo, hi, -score))",
            ("tests/test_selection.py::TestNmsOracle",)),

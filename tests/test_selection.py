@@ -136,6 +136,16 @@ class TestBuildCandidates:
         assert grid.w[5, 1] == pytest.approx(8.0)
         assert grid.x2[5, 1] - grid.x1[5, 1] == pytest.approx(8.0)
 
+    def test_each_length_is_the_anchor_times_np_exp_bitwise(self):
+        """Every cell's w is w_a * np.exp(t_w) to the last bit, including
+        t_w = 0.01239779380417308, where np.exp and math.exp can differ."""
+        reg_map = 0.3 * np.random.default_rng(0).standard_normal((2 * ANCHORS.count, 96))
+        reg_map[3, 40] = 0.01239779380417308  # t_w of the length-4 anchor at position 41
+        grid = build_candidates(reg_map, ANCHORS, 0.25)
+        for t in range(96):
+            for m, w_a in enumerate(ANCHORS.scales):
+                assert grid.w[t, m] == w_a * np.exp(reg_map[2 * m + 1, t])
+
     def test_rejects_non_finite_regression(self):
         for slot, bad in ((0, float("nan")), (1, float("inf"))):  # t_x, t_w of anchor 0
             reg_map = np.zeros((6, 8))
@@ -199,7 +209,7 @@ class TestBuildCandidates:
         M = len(scales)
         pairs = data.draw(st.lists(self.cells, min_size=T * M, max_size=T * M))
         reg_map = np.reshape(pairs, (T, 2 * M)).T  # rows t_x, t_w of each anchor
-        if any(w_a * math.exp(t_w) == math.inf for w_a, (_, t_w) in zip(scales * T, pairs)):
+        if any(w_a * float(np.exp(t_w)) == math.inf for w_a, (_, t_w) in zip(scales * T, pairs)):
             with pytest.raises(TrainingError, match="overflows the length"):
                 build_candidates(reg_map, AnchorConfig(scales), alpha)
             return
