@@ -10,8 +10,7 @@ import numpy as np
 from . import train
 from .cas import Cas, VideoRecord
 from .config import _RULES, RunConfig
-from .errors import InputError, _is_int
-from .io import check_object
+from .errors import InputError, _is_int, _is_number, check_object
 from .oic import oic_areas
 from .boundary import inflate, round_boundary
 from .regressor import NetworkB
@@ -28,9 +27,9 @@ def threshold_localize(cas: Cas, k: int, tau: float, fps: float = 30.0,
                        video_id: str = "") -> list[Prediction]:
     """Maximal runs of two or more snippets of activation >= tau become
     segments scored by mean activation, best first."""
-    if not 1 <= k <= cas.num_classes:
+    if not (_is_int(k) and 1 <= k <= cas.num_classes):
         raise InputError(f"class {k} outside 1..{cas.num_classes}")
-    if not (0.0 < tau < 1.0):
+    if not (_is_number(tau) and 0.0 < tau < 1.0):
         raise InputError("tau must lie in (0, 1)")
     row = cas.act[k - 1]
     # rising and falling edges: each run covers snippets start+1 .. end (1-based)
@@ -67,7 +66,7 @@ def oic_selection_enumerate(
 ) -> list[Prediction]:
     """Score every integer segment up to max_len (an integer in 1..T) with the
     contrastive loss; ``loss_max`` and ``nms_iou`` must pass RunConfig's rules."""
-    if not 1 <= k <= cas.num_classes:
+    if not (_is_int(k) and 1 <= k <= cas.num_classes):
         raise InputError(f"class {k} outside 1..{cas.num_classes}")
     T = cas.num_snippets
     max_len = T if max_len is None else max_len

@@ -11,10 +11,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError, _is_finite
+from .errors import InputError, _is_finite, check_object
 
 if TYPE_CHECKING:
     from .oic import BoundaryGradients
+
+
+_ANCHOR_RULES = {"scales": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+                             and all(_is_finite(s) and s >= 1 for s in v),
+                             "a non-empty list or tuple of finite numbers >= 1")}
 
 
 @dataclass(frozen=True)
@@ -24,12 +29,8 @@ class AnchorConfig:
     scales: tuple[float, ...]
 
     def __post_init__(self):
-        scales = tuple(self.scales)
-        if len(scales) < 1:
-            raise InputError("need at least one anchor scale")
-        if not all(_is_finite(s) and s >= 1 for s in scales):
-            raise InputError("anchor scales must be finite numbers >= 1 snippet")
-        scales = tuple(map(float, scales))
+        check_object(vars(self), "anchor config", _ANCHOR_RULES)
+        scales = tuple(map(float, self.scales))
         if any(b <= a for a, b in zip(scales, scales[1:])):
             raise InputError("anchor scales must be strictly increasing")
         object.__setattr__(self, "scales", scales)

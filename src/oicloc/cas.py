@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, _is_finite, _is_int, _is_number
+from .errors import FINITE, POSITIVE_FINITE, STRING, InputError, _is_int, check_object
 
 SNIPPET_FRAMES = 15
 
@@ -25,7 +25,10 @@ class Cas:
     padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.act, dtype=np.float64)
+        try:
+            arr = np.asarray(self.act, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:  # "abc", ragged rows, 10**400
+            raise InputError(f"expected a K x T matrix of numbers: {exc}") from None
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InputError(f"expected a K x T matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -47,6 +50,10 @@ class Cas:
         return self.act.shape[1]
 
 
+_GROUND_TRUTH_RULES = {"class_id": (_is_int, "an integer"), "start_s": FINITE, "end_s": FINITE,
+                       "video_id": STRING}
+
+
 @dataclass(frozen=True)
 class GroundTruthSegment:
     class_id: int
@@ -55,15 +62,22 @@ class GroundTruthSegment:
     video_id: str = ""  # stamped by ``evaluation.gt_instances``
 
     def __post_init__(self):
-        if not _is_int(self.class_id):
-            raise InputError(f"ground truth class_id must be an integer, got {self.class_id!r}")
-        if not (_is_number(self.start_s) and _is_number(self.end_s)):
-            raise InputError(f"ground truth start_s and end_s must be numbers, "
-                             f"got {self.start_s!r} and {self.end_s!r}")
-        if not (0.0 <= self.start_s < self.end_s and _is_finite(self.end_s)):
-            raise InputError(
-                f"ground truth needs 0 <= start < end < inf, got [{self.start_s}, {self.end_s}]"
-            )
+        check_object(vars(self), "ground truth", _GROUND_TRUTH_RULES)
+        if not 0.0 <= self.start_s < self.end_s:
+            raise InputError(f"ground truth needs 0 <= start < end, "
+                             f"got [{self.start_s}, {self.end_s}]")
+
+
+_VIDEO_RULES = {
+    "video_id": STRING,
+    "cas": (lambda v: isinstance(v, Cas), "a Cas"),
+    "labels": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+               "a list or tuple of integers"),
+    "fps": POSITIVE_FINITE,
+    "gt": (lambda v: v is None or isinstance(v, (list, tuple))
+           and all(isinstance(g, GroundTruthSegment) for g in v),
+           "None or a list or tuple of GroundTruthSegments"),
+}
 
 
 @dataclass(frozen=True)
@@ -75,24 +89,13 @@ class VideoRecord:
     gt: tuple[GroundTruthSegment, ...] | None = None
 
     def __post_init__(self):
+        check_object(vars(self), "video record", _VIDEO_RULES)
         # the id names the video's files (``<id>.csv`` in a corpus and in
         # ablate's plot_data), so it must be one path component
-        if not isinstance(self.video_id, str):
-            raise InputError(f"video id must be a string, got {self.video_id!r}")
         if self.video_id in ("", ".", "..") or "/" in self.video_id or "\0" in self.video_id:
             raise InputError(f"video id {self.video_id!r} is not a file name")
-        if not isinstance(self.cas, Cas):
-            raise InputError(f"cas must be a Cas, got {type(self.cas).__name__}")
-        if not (_is_finite(self.fps) and self.fps > 0):
-            raise InputError("fps must be positive and finite")
-        if not (isinstance(self.labels, (list, tuple)) and all(map(_is_int, self.labels))):
-            raise InputError(f"labels must be integers, got {self.labels!r}")
         labels = tuple(sorted(set(self.labels)))
         if labels and not (1 <= labels[0] and labels[-1] <= self.cas.num_classes):
             raise InputError(f"labels {labels} outside 1..{self.cas.num_classes}")
         object.__setattr__(self, "labels", labels)
-        if self.gt is not None:
-            if not (isinstance(self.gt, (list, tuple))
-                    and all(isinstance(g, GroundTruthSegment) for g in self.gt)):
-                raise InputError(f"gt must be ground truth segments, got {self.gt!r}")
-            object.__setattr__(self, "gt", tuple(self.gt))
+        object.__setattr__(self, "gt", None if self.gt is None else tuple(self.gt))

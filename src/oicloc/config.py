@@ -5,8 +5,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .boundary import AnchorConfig
-from .errors import _is_finite, _is_int, _is_number, naming
-from .io import POSITIVE_FINITE, POSITIVE_INTEGER, UNIT, check_object, parse_json
+from .errors import (POSITIVE_FINITE, POSITIVE_INTEGER, UNIT, _is_finite, _is_int, _is_number,
+                     check_object, naming)
+from .io import parse_json
 
 CONFIG_VERSION = 1
 

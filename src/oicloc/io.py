@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .cas import Cas, GroundTruthSegment, VideoRecord
-from .errors import InputError, _is_finite, _is_int, _is_number, naming
+from .errors import FINITE, POSITIVE_FINITE, STRING, InputError, _is_int, check_object, naming
 from .selection import Prediction
 
 
@@ -29,23 +29,6 @@ def parse_json(data: bytes) -> object:
         return _DECODER.decode(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # a huge integer literal is a ValueError too
         raise InputError(str(exc)) from None
-
-
-def check_object(obj, what: str, rules: dict, required=frozenset()) -> dict:
-    """``obj`` if it is a JSON object whose keys all have a rule in ``rules`` (key ->
-    (check of its value, what the check asks for)), include the set ``required`` and
-    hold values that pass their checks; else an InputError naming ``what`` and the key."""
-    if not isinstance(obj, dict):
-        raise InputError(f"{what} must be a JSON object")
-    if not obj.keys() <= rules.keys():
-        raise InputError(f"{what}: unknown keys {sorted(obj.keys() - rules.keys())}")
-    if not obj.keys() >= required:
-        raise InputError(f"{what}: lacks keys {sorted(required - obj.keys())}")
-    for key, value in obj.items():
-        check, kind = rules[key]
-        if not check(value):
-            raise InputError(f"{what}: {key!r} must be {kind}")
-    return obj
 
 
 def _cas_header(K: int) -> str:
@@ -133,13 +116,6 @@ def write_manifest(path: str | Path, videos: list[VideoRecord], cas_dir: str = "
     path.write_text(json.dumps(entries, indent=1))
 
 
-# shared rules: (check of a JSON value, what the check asks for)
-STRING = (lambda v: isinstance(v, str), "a string")
-FINITE = (_is_finite, "a finite number")
-POSITIVE_FINITE = (lambda v: _is_finite(v) and v > 0, "a positive finite number")
-POSITIVE_INTEGER = (lambda v: _is_int(v) and v >= 1, "a positive integer")
-UNIT = (lambda v: _is_number(v) and 0 <= v <= 1, "a finite number in [0, 1]")  # not NaN
-
 _ENTRY_RULES = {
     "video_id": STRING,
     "cas_path": STRING,
@@ -170,11 +146,9 @@ def read_manifest(path: str | Path) -> list[VideoRecord]:
     for i, entry in enumerate(entries):
         cas = read_cas_csv(path.parent / entry["cas_path"])
         with naming(f"{path}: manifest entry {i}"):  # labels outside 1..K, start >= end
-            gt = None
-            if "gt" in entry:
-                gt = tuple(
-                    GroundTruthSegment(g["class"], g["start_s"], g["end_s"]) for g in entry["gt"]
-                )
+            gt = entry.get("gt")
+            if gt is not None:
+                gt = [GroundTruthSegment(g["class"], g["start_s"], g["end_s"]) for g in gt]
             videos.append(VideoRecord(entry["video_id"], cas, tuple(entry["labels"]),
                                       entry["fps"], gt))
     return videos

@@ -42,8 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import InputError, TrainingError, UsageError, _is_int, _is_number, naming
-from .io import POSITIVE_INTEGER, check_object, parse_json
+from .errors import (POSITIVE_INTEGER, InputError, TrainingError, UsageError, _is_int,
+                     _is_number, check_object, naming)
+from .io import parse_json
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9

@@ -13,8 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .cas import Cas, GroundTruthSegment, VideoRecord
-from .errors import InputError, _is_int, _is_number
-from .io import POSITIVE_FINITE, POSITIVE_INTEGER, UNIT, check_object
+from .errors import POSITIVE_FINITE, POSITIVE_INTEGER, UNIT, _is_int, _is_number, check_object
 from .selection import snippet_to_time
 
 
@@ -93,10 +92,7 @@ def _place_instances(rng, spec: SynthSpec, T: int, count: int) -> list[tuple[int
 
 def synth_corpus(spec: SynthSpec, seed: int, count: int, prefix: str = "video") -> list[VideoRecord]:
     """Generate `count` videos; byte-identical for the same (spec, seed)."""
-    if not _is_int(count):
-        raise InputError(f"count must be an integer, got {count!r}")
-    if count < 1:
-        raise InputError(f"count must be at least 1, got {count}")
+    check_object({"count": count}, "synth_corpus", {"count": POSITIVE_INTEGER})
     rng = np.random.default_rng(seed)
     videos = []
     for i in range(count):

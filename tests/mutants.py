@@ -48,9 +48,10 @@ CHECKPOINT_VALUES = "tests/test_regressor.py::TestCheckpoint::test_rejects_value
 GRID_ERRORS = "tests/test_train.py::TestPredictVideo::test_grid_errors_name_the_video"
 BLOW_UP = "tests/test_cli.py::TestBadInput::test_a_numeric_blow_up_in_training_is_one_error_line"
 # baselines' class refusal, the same text in two functions: told apart by the line after it
-CLASS_CHECK = ('if not 1 <= k <= cas.num_classes:\n'
+CLASS_CHECK = ('if not (_is_int(k) and 1 <= k <= cas.num_classes):\n'
                '        raise InputError(f"class {k} outside 1..{cas.num_classes}")\n    ')
-NO_CLASS_CHECK = CLASS_CHECK.replace("not 1 <= k <= cas.num_classes", "False")
+NO_CLASS_CHECK = CLASS_CHECK.replace("not (_is_int(k) and 1 <= k <= cas.num_classes)", "False")
+NO_INT_CHECK = CLASS_CHECK.replace("_is_int(k) and ", "")
 JSON_REFUSALS = "tests/test_cli.py::TestBadInput::test_every_json_reader_refuses_bad_input"
 VALUE_REFUSALS = ("tests/test_cli.py::TestBadInput::"
                   "test_refuses_a_version_of_another_type_and_an_unknown_segment_key")
@@ -63,6 +64,7 @@ RECORD_TYPES = "tests/test_cas.py::TestVideoRecord::test_refuses_a_field_of_the_
 RECORD_FIELDS = ("tests/test_cas.py::TestVideoRecord::"
                  "test_refuses_a_cas_labels_or_gt_of_the_wrong_type")
 SEGMENT_TYPES = "tests/test_cas.py::TestGroundTruth::test_refuses_a_field_of_the_wrong_type"
+ANYTHING = '(lambda v: True, "anything")'
 
 # conv1d_backward between its split of the input-gradient taps and tap 2's product
 BACKWARD_JOIN = """ else ((), ())
@@ -299,8 +301,11 @@ MUTANTS = [
            (ENUMERATE_REFUSALS,)),
     # a zero count (a spec with no class) or a zero plateau accepted; the
     # central notch's fallback placed against the instance's end
-    Mutant("io.py", "_is_int(v) and v >= 1,", "_is_int(v) and v >= 0,",
+    Mutant("errors.py", "_is_int(v) and 1 <= v <= sys.maxsize,", "_is_int(v) and 0 <= v <= sys.maxsize,",
            ("tests/test_synth.py::TestSynthSpec::test_rejects_no_classes",)),
+    # a count no list can hold accepted, so synth_corpus never returns
+    Mutant("errors.py", "1 <= v <= sys.maxsize,", "1 <= v,",
+           ("tests/test_io.py::TestOneWayIn::test_a_positive_integer_is_at_most_sys_maxsize",)),
     Mutant("synth.py", "_is_number(v) and 0 < v <= 1,", "_is_number(v) and 0 <= v <= 1,",
            ("tests/test_synth.py::TestSynthSpec::test_rejects_mistyped_or_bad_field",)),
     Mutant("synth.py", "lo = hi = max(s + 1, min(e - width, s + (e - s) // 2))",
@@ -320,25 +325,34 @@ MUTANTS = [
            ("tests/test_cas.py::TestVideoRecord::test_rejects_an_id_that_is_not_a_file_name",)),
     Mutant("io.py", "if j != i:", "if False:",
            ("tests/test_io.py::TestManifest::test_repeated_video_id_names_both_entries",)),
-    # library records and anchors taking a value of the wrong type (a bool
-    # for a number, 1.5 for a class, an array for a Cas, 1 for labels, an
-    # integer for a segment) or failing on it with a bare exception
-    Mutant("cas.py", "if not isinstance(self.video_id, str):", "if False:", (RECORD_TYPES,)),
-    Mutant("cas.py", "_is_finite(self.fps) and self.fps > 0", '0 < self.fps < float("inf")',
+    # the records' rule tables taking a value of the wrong type (a bool for
+    # a number, 1.5 for a class, an array for a Cas, 1 for labels, an integer
+    # for a segment or an id, 5 for anchor scales) or failing on it with a
+    # bare exception
+    Mutant("cas.py", '"video_id": STRING,\n', f'"video_id": {ANYTHING},\n', (RECORD_TYPES,)),
+    Mutant("cas.py", '"fps": POSITIVE_FINITE,', '"fps": (lambda v: 0 < v < float("inf"), "positive"),',
            (RECORD_TYPES,)),
-    Mutant("cas.py", "if not (isinstance(self.labels, (list, tuple)) and all(map(_is_int,",
-           "if not (True and all(map(_is_int,", (RECORD_FIELDS,)),
-    Mutant("cas.py", "if not (isinstance(self.labels, (list, tuple)) and all(map(_is_int,",
-           "if not (isinstance(self.labels, (list, tuple)) and all(map(bool,", (RECORD_TYPES,)),
-    Mutant("cas.py", "if not isinstance(self.cas, Cas):", "if False:", (RECORD_FIELDS,)),
-    Mutant("cas.py", "and all(isinstance(g, GroundTruthSegment) for g in self.gt)",
-           "and all(True for g in self.gt)", (RECORD_FIELDS,)),
-    Mutant("cas.py", "if not _is_int(self.class_id):", "if False:", (SEGMENT_TYPES,)),
-    Mutant("cas.py", "if not (_is_number(self.start_s) and _is_number(self.end_s)):", "if False:",
+    Mutant("cas.py", "lambda v: isinstance(v, (list, tuple)) and all(map(_is_int,",
+           "lambda v: True and all(map(_is_int,", (RECORD_FIELDS,)),
+    Mutant("cas.py", "lambda v: isinstance(v, (list, tuple)) and all(map(_is_int,",
+           "lambda v: isinstance(v, (list, tuple)) and all(map(bool,", (RECORD_TYPES,)),
+    Mutant("cas.py", '"cas": (lambda v: isinstance(v, Cas), "a Cas"),', f'"cas": {ANYTHING},',
+           (RECORD_FIELDS,)),
+    Mutant("cas.py", "and all(isinstance(g, GroundTruthSegment) for g in v)",
+           "and all(True for g in v)", (RECORD_FIELDS,)),
+    Mutant("cas.py", '"class_id": (_is_int, "an integer")', f'"class_id": {ANYTHING}',
            (SEGMENT_TYPES,)),
-    # a ground truth end too large for a float taken as finite
-    Mutant("cas.py", "and _is_finite(self.end_s)):", "and _is_number(self.end_s)):",
+    Mutant("cas.py", '"start_s": FINITE,', f'"start_s": {ANYTHING},', (SEGMENT_TYPES,)),
+    Mutant("cas.py", '"video_id": STRING}', f'"video_id": {ANYTHING}}}',
+           ("tests/test_cas.py::TestGroundTruth::test_refuses_a_video_id_that_is_not_a_string",)),
+    # a ground truth end that is infinite or too large for a float taken as finite
+    Mutant("cas.py", '"end_s": FINITE,', '"end_s": (lambda v: isinstance(v, (int, float)), "a number"),',
            ("tests/test_cas.py::TestGroundTruth::test_rejects_an_end_too_large_for_a_float",)),
+    Mutant("cas.py", "except (TypeError, ValueError, OverflowError) as exc:", "except OverflowError as exc:",
+           ("tests/test_cas.py::TestCas::test_refuses_what_numpy_cannot_convert",)),
+    Mutant("boundary.py", "lambda v: isinstance(v, (list, tuple)) and len(v) > 0",
+           "lambda v: len(v) > 0",
+           ("tests/test_boundary.py::TestAnchorConfig::test_refuses_scales_that_are_not_a_list_or_tuple",)),
     Mutant("boundary.py", "_is_finite(s) and s >= 1", '1 <= s < float("inf")',
            ("tests/test_boundary.py::TestAnchorConfig::test_rejects_a_scale_that_is_not_a_number",)),
     # oic_areas: the inner box summed with rx1 and rx2 swapped
@@ -377,20 +391,29 @@ MUTANTS = [
     # that fails its rule let through; a manifest's ground truth segments
     # not checked; a config or checkpoint version of another type than int
     # equal to the supported version accepted
-    Mutant("io.py", "if not obj.keys() <= rules.keys():", "if False:", (JSON_REFUSALS,)),
-    Mutant("io.py", "        if not check(value):\n", "        if False:\n", (JSON_REFUSALS,)),
+    Mutant("errors.py", "if not obj.keys() <= rules.keys():", "if False:", (JSON_REFUSALS,)),
+    Mutant("errors.py", "        if not check(value):\n", "        if False:\n", (JSON_REFUSALS,)),
     Mutant("io.py", 'enumerate(entry.get("gt", ()))', "enumerate(())", (VALUE_REFUSALS,)),
     Mutant("config.py", "_is_int(v) and v == CONFIG_VERSION", "v == CONFIG_VERSION",
            (VALUE_REFUSALS,)),
     Mutant("regressor.py", "_is_int(v) and v == CHECKPOINT_VERSION", "v == CHECKPOINT_VERSION",
            (VALUE_REFUSALS,)),
-    Mutant("io.py", "if not obj.keys() >= required:", "if False:", (JSON_REFUSALS,)),
+    Mutant("errors.py", "if not obj.keys() >= required:", "if False:", (JSON_REFUSALS,)),
     Mutant("io.py", "if len(obj) < len(pairs):", "if False:", (JSON_REFUSALS,)),
-    # thresholding and enumeration reading a class outside 1..K
-    Mutant("baselines.py", CLASS_CHECK + "if not (0.0 < tau", NO_CLASS_CHECK + "if not (0.0 < tau",
+    # thresholding and enumeration reading a class outside 1..K, or one or a
+    # threshold that is not an integer or a number
+    Mutant("baselines.py", CLASS_CHECK + "if not (_is_number(tau)", NO_CLASS_CHECK + "if not (_is_number(tau)",
            ("tests/test_baselines.py::TestThresholdLocalize::test_rejects_a_class_outside_1_to_k",)),
     Mutant("baselines.py", CLASS_CHECK + "T = cas.num_snippets", NO_CLASS_CHECK + "T = cas.num_snippets",
            ("tests/test_baselines.py::TestEnumeration::test_rejects_a_class_outside_1_to_k",)),
+    Mutant("baselines.py", CLASS_CHECK + "if not (_is_number(tau)", NO_INT_CHECK + "if not (_is_number(tau)",
+           ("tests/test_baselines.py::TestThresholdLocalize::"
+            "test_refuses_a_class_or_threshold_of_the_wrong_type",)),
+    Mutant("baselines.py", CLASS_CHECK + "T = cas.num_snippets", NO_INT_CHECK + "T = cas.num_snippets",
+           ("tests/test_baselines.py::TestEnumeration::test_refuses_a_class_that_is_not_an_integer",)),
+    Mutant("baselines.py", "if not (_is_number(tau) and 0.0 < tau < 1.0):", "if not (0.0 < tau < 1.0):",
+           ("tests/test_baselines.py::TestThresholdLocalize::"
+            "test_refuses_a_class_or_threshold_of_the_wrong_type",)),
     # gt_instances: the segments left unstamped with their video's id
     Mutant("evaluation.py", "replace(g, video_id=v.video_id)", "g",
            ("tests/test_eval.py::TestReport::test_gt_instances_flattens_videos",)),

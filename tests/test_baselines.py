@@ -47,6 +47,19 @@ class TestThresholdLocalize:
         with pytest.raises(InputError, match=rf"^class {k} outside 1\.\.2$"):
             baselines.threshold_localize(cas, k, 0.5)
 
+    @pytest.mark.parametrize("k, tau, message", [
+        (1.5, 0.5, r"^class 1\.5 outside 1\.\.2$"),
+        ("1", 0.5, r"^class 1 outside 1\.\.2$"),
+        (True, 0.5, r"^class True outside 1\.\.2$"),
+        (1, "0.5", r"^tau must lie in \(0, 1\)$"),
+    ], ids=["k-float", "k-str", "k-bool", "tau-str"])
+    def test_refuses_a_class_or_threshold_of_the_wrong_type(self, k, tau, message):
+        """Unchecked, k = 1.5 is an IndexError, "1" and tau "0.5" are bare
+        TypeErrors, and True is taken as class 1."""
+        cas = Cas(np.random.default_rng(0).uniform(size=(2, 12)))
+        with pytest.raises(InputError, match=message):
+            baselines.threshold_localize(cas, k, tau)
+
     def test_rejects_an_fps_that_is_not_finite(self):
         """Unchecked, the predictions' seconds are NaN."""
         cas = Cas(np.full((1, 8), 0.9))
@@ -86,6 +99,13 @@ class TestEnumeration:
     @pytest.mark.parametrize("k", [-1, 0, 3])
     def test_rejects_a_class_outside_1_to_k(self, k):
         """Unchecked, k = -1 labels class 1's segments -1; k = 0 and 3 are IndexErrors."""
+        cas = Cas(np.random.default_rng(0).uniform(size=(2, 12)))
+        with pytest.raises(InputError, match=rf"^class {k} outside 1\.\.2$"):
+            baselines.oic_selection_enumerate(cas, k)
+
+    @pytest.mark.parametrize("k", [1.0, "1", True], ids=["float", "str", "bool"])
+    def test_refuses_a_class_that_is_not_an_integer(self, k):
+        """Unchecked, 1.0 and "1" are bare TypeErrors and True is taken as class 1."""
         cas = Cas(np.random.default_rng(0).uniform(size=(2, 12)))
         with pytest.raises(InputError, match=rf"^class {k} outside 1\.\.2$"):
             baselines.oic_selection_enumerate(cas, k)

@@ -28,6 +28,10 @@ class TestRoundBoundary:
         assert round_boundary(float(n)) == n
 
 
+SCALES_REFUSED = ("^anchor config: 'scales' must be a non-empty list or tuple of finite numbers"
+                  " >= 1$")
+
+
 class TestAnchorConfig:
     def test_accepts_increasing_scales(self):
         cfg = AnchorConfig((1, 2, 4))
@@ -42,14 +46,22 @@ class TestAnchorConfig:
     @pytest.mark.parametrize("scales", [("a",), (1.0, "2"), (True, 2.0), (None,)])
     def test_rejects_a_scale_that_is_not_a_number(self, scales):
         """Unchecked, "a" is a bare ValueError and True is taken as 1."""
-        with pytest.raises(InputError, match="anchor scales must be finite numbers"):
+        with pytest.raises(InputError, match=SCALES_REFUSED):
+            AnchorConfig(scales)
+
+    @pytest.mark.parametrize("scales", [5, None, {1: 2}, "1", np.array([1.0, 2.0])],
+                             ids=["int", "none", "dict", "str", "array"])
+    def test_refuses_scales_that_are_not_a_list_or_tuple(self, scales):
+        """Unchecked, 5 and None are bare TypeErrors, and {1: 2} and the
+        array are taken as their elements, (1.0,) and (1.0, 2.0)."""
+        with pytest.raises(InputError, match=SCALES_REFUSED):
             AnchorConfig(scales)
 
     @pytest.mark.parametrize("scales", [(float("nan"), 2.0), (1.0, float("inf")),
                                         (1.0, 2**1024), (1.0, 10**400)])
     def test_rejects_a_scale_that_is_not_finite(self, scales):
         """Unchecked, an integer too large for a float is a bare OverflowError."""
-        with pytest.raises(InputError, match="anchor scales must be finite"):
+        with pytest.raises(InputError, match=SCALES_REFUSED):
             AnchorConfig(scales)
 
 

@@ -44,6 +44,13 @@ class TestLoadConfig:
         with pytest.raises(InputError):
             load_config(write(tmp_path, {"version": 1, "anchors": [4, 2]}))
 
+    def test_a_bad_anchor_is_one_line_that_names_the_key_once(self, tmp_path):
+        path = write(tmp_path, {"version": 1, "anchors": [0.5]})
+        with pytest.raises(InputError) as refused:
+            load_config(path)
+        assert str(refused.value) == (f"{path}: config: 'anchors': anchor config: 'scales' must be "
+                                      "a non-empty list or tuple of finite numbers >= 1")
+
     @pytest.mark.parametrize("key, value", [
         ("alpha", "0.25"), ("alpha", 0.0), ("hidden", "8"), ("hidden", 8.0), ("hidden", 0),
         ("epochs", -3), ("epochs", True), ("nms_iou", 7), ("act_min", float("nan")),

@@ -1,21 +1,25 @@
-"""Fuzz tests for the readers: any input gives a valid object or an InputError
-(which ``oicloc`` reports on one line before exiting 2)."""
+"""Fuzz tests for the readers and the library's entry points: any input gives
+a valid object or an InputError (which ``oicloc`` reports on one line before
+exiting 2)."""
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import cas_csv_reference, checkpoint_v2, checkpoint_v3
 
-from oicloc import io
-from oicloc.cas import VideoRecord
+from oicloc import baselines, io
+from oicloc.boundary import AnchorConfig
+from oicloc.cas import Cas, GroundTruthSegment, VideoRecord
 from oicloc.config import RunConfig, load_config
 from oicloc.errors import InputError
 from oicloc.regressor import NetworkB
 from oicloc.selection import Prediction
-from oicloc.synth import SynthSpec
+from oicloc.synth import SynthSpec, synth_corpus
 
 FUZZ = settings(max_examples=80, deadline=None)
 
@@ -221,3 +225,33 @@ def test_checkpoint_v3_load(workdir, data):
     net = read(NetworkB.load, workdir / "ckpt.ckpt", data)
     if net is not None:
         assert isinstance(net, NetworkB) and isinstance(net.meta, dict)
+
+
+CAS = Cas(np.full((2, 6), 0.5))
+# each entry point, valid arguments for it, and the ones replaced (None: all)
+ENTRY_POINTS = [
+    (GroundTruthSegment, {"class_id": 1, "start_s": 0.0, "end_s": 1.0, "video_id": "v"}, None),
+    (VideoRecord, {"video_id": "v", "cas": CAS, "labels": (1,), "fps": 30.0,
+                   "gt": (GroundTruthSegment(1, 0.0, 1.0),)}, None),
+    (AnchorConfig, {"scales": (1, 2)}, None),
+    (Cas, {"act": np.full((2, 6), 0.5)}, None),
+    (baselines.threshold_localize, {"cas": CAS, "k": 1, "tau": 0.5}, ("k", "tau")),
+    (baselines.oic_selection_enumerate, {"cas": CAS, "k": 1}, ("k",)),
+    (synth_corpus, {"spec": SynthSpec(**SPEC), "seed": 0, "count": 1}, ("count",)),
+]
+ODD_VALUES = [None, "1", True, 1.5, math.nan, math.inf, 10**400, [], {}, np.zeros(2)]
+
+
+def test_library_entry_points():
+    """Each argument of each entry point replaced by each odd value, the
+    others valid: every call returns or raises an InputError."""
+    escaped = []
+    for call, kwargs, keys in ENTRY_POINTS:
+        for key, value in itertools.product(keys or kwargs, ODD_VALUES):
+            try:
+                call(**{**kwargs, key: value})
+            except InputError:
+                pass
+            except Exception as exc:
+                escaped.append(f"{call.__name__}({key}={value!r}): {exc!r}")
+    assert not escaped

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -231,12 +232,21 @@ class TestOneWayIn:
         assert str(refused.value).startswith(message)
 
     def test_check_object_names_what_it_checked(self):
-        rules, required = dict.fromkeys("abc", io.POSITIVE_INTEGER), frozenset("ab")
-        assert io.check_object({"a": 1, "b": 2}, "thing", rules, required) == {"a": 1, "b": 2}
+        rules, required = dict.fromkeys("abc", errors.POSITIVE_INTEGER), frozenset("ab")
+        assert errors.check_object({"a": 1, "b": 2}, "thing", rules, required) == {"a": 1, "b": 2}
         for obj, message in [([], "thing must be a JSON object"),
                              ({"a": 1, "b": 2, "z": 0, "y": 0}, "thing: unknown keys ['y', 'z']"),
                              ({"c": 1}, "thing: lacks keys ['a', 'b']"),
                              ({"a": 1, "b": 0, "c": "x"}, "thing: 'b' must be a positive integer")]:
             with pytest.raises(InputError) as refused:
-                io.check_object(obj, "thing", rules, required)
+                errors.check_object(obj, "thing", rules, required)
             assert str(refused.value) == message
+
+    def test_a_positive_integer_is_at_most_sys_maxsize(self):
+        """No list or array is longer, so a count, a width or an epoch count
+        above it can never be honoured; unchecked, synth_corpus(spec, 0,
+        10**400) starts a corpus that no list can hold."""
+        check = errors.POSITIVE_INTEGER[0]
+        assert check(sys.maxsize) and not check(sys.maxsize + 1) and not check(10**400)
+        with pytest.raises(InputError, match="^synth_corpus: 'count' must be a positive integer$"):
+            synth_corpus(SynthSpec(2, (30, 45), (1, 2)), 0, 10**400)

@@ -76,7 +76,7 @@ class TestSynthSpec:
 
 class TestSynthCorpus:
     def test_rejects_a_count_that_is_not_an_integer(self):
-        with pytest.raises(InputError, match="count must be an integer, got 2.5"):
+        with pytest.raises(InputError, match="^synth_corpus: 'count' must be a positive integer$"):
             synth_corpus(SPEC, 0, 2.5)
 
     def test_deterministic_for_same_seed(self):
