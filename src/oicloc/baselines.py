@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import train
-from .cas import Cas, VideoRecord
+from .cas import _VIDEO_RULES, Cas, VideoRecord
 from .config import _RULES, RunConfig
 from .errors import InputError, _is_int, _is_number, check_object
 from .oic import oic_areas
@@ -23,12 +23,18 @@ ENUMERATE_CHUNK_PAIRS = 1 << 18
 MODES = ("full", "threshold", "oic_select", "direct_opt", "inner_only")
 
 
+def _check_class(cas, k, what: str) -> None:
+    """Refuse a ``cas`` that is not a Cas (VideoRecord's rule) and a class ``k`` outside 1..K."""
+    check_object({"cas": cas}, what, _VIDEO_RULES)
+    if not (_is_int(k) and 1 <= k <= cas.num_classes):
+        raise InputError(f"class {k} outside 1..{cas.num_classes}")
+
+
 def threshold_localize(cas: Cas, k: int, tau: float, fps: float = 30.0,
                        video_id: str = "") -> list[Prediction]:
     """Maximal runs of two or more snippets of activation >= tau become
     segments scored by mean activation, best first."""
-    if not (_is_int(k) and 1 <= k <= cas.num_classes):
-        raise InputError(f"class {k} outside 1..{cas.num_classes}")
+    _check_class(cas, k, "threshold_localize")
     if not (_is_number(tau) and 0.0 < tau < 1.0):
         raise InputError("tau must lie in (0, 1)")
     row = cas.act[k - 1]
@@ -66,8 +72,7 @@ def oic_selection_enumerate(
 ) -> list[Prediction]:
     """Score every integer segment up to max_len (an integer in 1..T) with the
     contrastive loss; ``loss_max`` and ``nms_iou`` must pass RunConfig's rules."""
-    if not (_is_int(k) and 1 <= k <= cas.num_classes):
-        raise InputError(f"class {k} outside 1..{cas.num_classes}")
+    _check_class(cas, k, "oic_selection_enumerate")
     T = cas.num_snippets
     max_len = T if max_len is None else max_len
     if not (_is_int(max_len) and 1 <= max_len <= T):

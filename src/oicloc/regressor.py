@@ -25,10 +25,10 @@ conv output in place into ``x̂``: the same ufuncs on the same values as the
 plain form, so the bits are those of ``tests/oracles.py``.
 
 A training step frees each paper-width buffer after its last read. A conv
-backward adds each input-gradient product into ``dx`` in tap order as soon
-as it is made (the calling thread its own, the worker's after the join), so
-at most one product per thread is alive; the backward lets go of each
-layer's incoming gradient once its batch norm has read it.
+backward's calling thread adds each input-gradient product into ``dx`` in
+tap order as soon as it is made, so at most one is alive, while the worker
+writes the weight gradients; the backward lets go of each layer's incoming
+gradient once its batch norm has read it.
 """
 from __future__ import annotations
 
@@ -168,19 +168,22 @@ def _conv_taps(xp: np.ndarray, w: np.ndarray, pool) -> tuple:
     return _alongside(pool, (np.matmul, w[:, :, 2], xp[:, 2:]), _two_taps, xp, w, T)
 
 
-def _tap_grads(xp, w, dy, dw, dw_taps, dx_taps, dxp=None) -> list:
-    """The weight gradients of the taps in ``dw_taps``, each written into
-    ``dw[:, :, i]``, and the input-gradient products ``w[:, :, i].T @ dy`` of
-    the taps in ``dx_taps``, in order: each added into its columns of ``dxp``
-    as soon as it is made, or, without ``dxp``, returned."""
+def _weight_grads(xp, dy, dw, taps) -> None:
+    """The weight gradients ``dy @ xp[:, i:i+T].T`` of the taps in ``taps``,
+    each written into ``dw[:, :, i]``."""
     T = dy.shape[1]
-    for i in dw_taps:
+    for i in taps:
         np.matmul(dy, xp[:, i : i + T].T, out=dw[:, :, i])
-    if dxp is None:
-        return [w[:, :, i].T @ dy for i in dx_taps]
-    for i in dx_taps:
+
+
+def _input_grad(w, dy) -> np.ndarray:
+    """The input gradient ``dx``: each product ``w[:, :, i].T @ dy``, taps 0 to 2
+    in order, added into its columns of a zeroed padded buffer once it is made."""
+    T = dy.shape[1]
+    dxp = np.zeros((w.shape[1], T + 2))
+    for i in (0, 1, 2):
         dxp[:, i : i + T] += w[:, :, i].T @ dy
-    return []
+    return dxp[:, 1:-1]
 
 
 def conv1d_backward(
@@ -189,20 +192,14 @@ def conv1d_backward(
 ) -> np.ndarray | None:
     """The input gradient ``dx`` of a 3-tap, same-padded temporal convolution,
     None without ``input_grad``; each tap's weight gradient is written into
-    ``dw[:, :, i]`` and the bias gradient into ``db``. This thread makes tap
-    0's weight gradient and taps 0 and 1's input-gradient products, adding
-    each into ``dx`` as it is made; the worker thread ``pool`` (see
-    :func:`_alongside`) makes taps 1 and 2's weight gradients and tap 2's
-    product, added after the join: the products are summed in tap order."""
-    dxp = np.zeros(xp.shape) if input_grad else None
-    dx_here, dx_there = ((0, 1), (2,)) if input_grad else ((), ())
-    _, theirs = _alongside(pool, (_tap_grads, xp, w, dy, dw, (1, 2), dx_there),
-                           _tap_grads, xp, w, dy, dw, (0,), dx_here, dxp)
+    ``dw[:, :, i]`` and the bias gradient into ``db``. The worker thread ``pool``
+    (see :func:`_alongside`) writes all three weight gradients while this thread
+    builds ``dx``; without ``input_grad``, it writes taps 1 and 2's, this thread tap 0's."""
+    there = (_weight_grads, xp, dy, dw, (0, 1, 2) if input_grad else (1, 2))
+    here = (_input_grad, w, dy) if input_grad else (_weight_grads, xp, dy, dw, (0,))
+    dx, _ = _alongside(pool, there, *here)
     np.add.reduce(dy, 1, out=db)
-    if not input_grad:
-        return None
-    dxp[:, 2:] += theirs[0]
-    return dxp[:, 1:-1]
+    return dx
 
 
 def _batch_norm_relu(z, last, b, gamma, beta, mean, var, inv_std, relu_mask, out,

@@ -18,7 +18,7 @@ from .boundary import (
     AnchorConfig, clip_zero_pad, inflate, round_boundary, transform_backward,
 )
 from .cas import SNIPPET_FRAMES, Cas
-from .errors import InputError, TrainingError, _is_finite
+from .errors import STRING, InputError, TrainingError, _is_finite, check_object
 
 
 def snippet_to_time(x: float, fps: float) -> float:
@@ -187,6 +187,7 @@ def to_predictions(k, score, x1, x2, fps: float = 30.0, video_id: str = "") -> l
     """Segments of class ``k`` (one per segment, or one for all) with scores
     and snippet bounds ``x1``, ``x2`` as predictions, sorted by descending
     score, then start, then class (a stable sort: full ties keep their order)."""
+    check_object({"video_id": video_id}, "prediction", {"video_id": STRING})
     start_s, end_s = snippet_to_time(x1, fps), snippet_to_time(x2, fps)
     k = np.broadcast_to(k, score.shape)
     order = np.lexsort((k, start_s, -score))

@@ -8,7 +8,7 @@ single global threshold separates action from context in every video.
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -72,9 +72,6 @@ class SynthSpec:
     def from_dict(cls, data: dict) -> "SynthSpec":
         required = {f.name for f in fields(cls) if f.default is MISSING}
         return cls(**check_object(data, "synth spec", _RULES, required))
-
-    def to_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 def _place_instances(rng, spec: SynthSpec, T: int, count: int) -> list[tuple[int, int]]:

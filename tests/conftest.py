@@ -40,9 +40,10 @@ def pool(request, monkeypatch):
 def split_calls(monkeypatch):
     """Records ``(name, ran on the worker thread, args)`` for every call of
     the regressor's functions that the worker thread can share: both batch
-    norms, the momentum update and the conv backward's taps."""
+    norms, the momentum update and the conv backward's two kinds of product."""
     calls = []
-    for name in ("_batch_norm_relu", "_batch_norm_backward", "_momentum_rows", "_tap_grads"):
+    for name in ("_batch_norm_relu", "_batch_norm_backward", "_momentum_rows", "_weight_grads",
+                 "_input_grad"):
         def spy(*args, _fn=getattr(regressor, name), _name=name):
             calls.append((_name, threading.current_thread() is not threading.main_thread(), args))
             return _fn(*args)

@@ -47,11 +47,7 @@ CAS_SPELLINGS = "tests/test_io.py::TestCasCsv::test_refuses_other_spellings_on_t
 CHECKPOINT_VALUES = "tests/test_regressor.py::TestCheckpoint::test_rejects_values_that_cannot_be_right"
 GRID_ERRORS = "tests/test_train.py::TestPredictVideo::test_grid_errors_name_the_video"
 BLOW_UP = "tests/test_cli.py::TestBadInput::test_a_numeric_blow_up_in_training_is_one_error_line"
-# baselines' class refusal, the same text in two functions: told apart by the line after it
-CLASS_CHECK = ('if not (_is_int(k) and 1 <= k <= cas.num_classes):\n'
-               '        raise InputError(f"class {k} outside 1..{cas.num_classes}")\n    ')
-NO_CLASS_CHECK = CLASS_CHECK.replace("not (_is_int(k) and 1 <= k <= cas.num_classes)", "False")
-NO_INT_CHECK = CLASS_CHECK.replace("_is_int(k) and ", "")
+CLASS_CHECK = "if not (_is_int(k) and 1 <= k <= cas.num_classes):"
 JSON_REFUSALS = "tests/test_cli.py::TestBadInput::test_every_json_reader_refuses_bad_input"
 VALUE_REFUSALS = ("tests/test_cli.py::TestBadInput::"
                   "test_refuses_a_version_of_another_type_and_an_unknown_segment_key")
@@ -65,15 +61,6 @@ RECORD_FIELDS = ("tests/test_cas.py::TestVideoRecord::"
                  "test_refuses_a_cas_labels_or_gt_of_the_wrong_type")
 SEGMENT_TYPES = "tests/test_cas.py::TestGroundTruth::test_refuses_a_field_of_the_wrong_type"
 ANYTHING = '(lambda v: True, "anything")'
-
-# conv1d_backward between its split of the input-gradient taps and tap 2's product
-BACKWARD_JOIN = """ else ((), ())
-    _, theirs = _alongside(pool, (_tap_grads, xp, w, dy, dw, (1, 2), dx_there),
-                           _tap_grads, xp, w, dy, dw, (0,), dx_here, dxp)
-    np.add.reduce(dy, 1, out=db)
-    if not input_grad:
-        return None
-    """
 
 MUTANTS = [
     # batch-norm backward: drop the 1/n, swap dβ and dγ
@@ -94,24 +81,25 @@ MUTANTS = [
            ("tests/test_regressor.py::TestWorkerPool::"
             "test_conv_matches_the_per_tap_oracle_bitwise[no-pool]",)),
     # conv taps, one code path at both widths: the first tap computed apart
-    # and added last, (W1 x1 + W2 x2) + W0 x0; the worker's input-gradient
-    # product added out of tap order (the worker takes tap 0's, added after
-    # taps 1 and 2); tap 1's weight gradient computed by neither thread
+    # and added last, (W1 x1 + W2 x2) + W0 x0; the input-gradient products
+    # added into dx out of tap order; tap 1's weight gradient computed by
+    # neither thread, in a layer that builds dx and in conv0, which does not
     Mutant("regressor.py", "(np.matmul, w[:, :, 2], xp[:, 2:]), _two_taps, xp, w, T)",
            "(np.matmul, w[:, :, 0], xp[:, :T]), _two_taps, xp[:, 1:], w[:, :, 1:], T)",
            (DESK_CONV, POOL_CONV)),
-    Mutant("regressor.py", "((0, 1), (2,)) if input_grad" + BACKWARD_JOIN + "dxp[:, 2:] += theirs[0]",
-           "((1, 2), (0,)) if input_grad" + BACKWARD_JOIN + "dxp[:, :-2] += theirs[0]",
+    Mutant("regressor.py", "for i in (0, 1, 2):", "for i in (2, 1, 0):", (DESK_CONV, POOL_CONV)),
+    Mutant("regressor.py", "(0, 1, 2) if input_grad", "(0, 2) if input_grad",
            (DESK_CONV, POOL_CONV)),
-    Mutant("regressor.py", "(_tap_grads, xp, w, dy, dw, (1, 2), dx_there)",
-           "(_tap_grads, xp, w, dy, dw, (2,), dx_there)", (DESK_CONV, POOL_CONV)),
-    # buffers held past their last read: this thread's input-gradient
-    # products all made before any is added; a layer's incoming gradient
-    # kept through its conv backward; the forward cache (which holds the
+    Mutant("regressor.py", "if input_grad else (1, 2))", "if input_grad else (2,))",
+           ("tests/test_regressor.py::TestConv1d::test_backward_without_input_gradient",
+            STEP, FIRST_WRITTEN)),
+    # buffers held past their last read: the input-gradient products all
+    # made before any is added; a layer's incoming gradient kept through
+    # its conv backward; the forward cache (which holds the
     # map's buffer) kept until the SGD step; the map kept by train_network
     # while the step that reads it runs
-    Mutant("regressor.py", "    for i in dx_taps:\n        dxp[:, i : i + T] += w[:, :, i].T @ dy\n",
-           "    for i, product in [(i, w[:, :, i].T @ dy) for i in dx_taps]:\n"
+    Mutant("regressor.py", "    for i in (0, 1, 2):\n        dxp[:, i : i + T] += w[:, :, i].T @ dy\n",
+           "    for i, product in [(i, w[:, :, i].T @ dy) for i in (0, 1, 2)]:\n"
            "        dxp[:, i : i + T] += product\n",
            ("tests/test_regressor.py::TestConv1d::test_a_hidden_layer_backward_holds_dx_and_one_product",)),
     Mutant("regressor.py", "            del dx, xhat, relu_mask  # read",
@@ -400,20 +388,26 @@ MUTANTS = [
            (VALUE_REFUSALS,)),
     Mutant("errors.py", "if not obj.keys() >= required:", "if False:", (JSON_REFUSALS,)),
     Mutant("io.py", "if len(obj) < len(pairs):", "if False:", (JSON_REFUSALS,)),
-    # thresholding and enumeration reading a class outside 1..K, or one or a
-    # threshold that is not an integer or a number
-    Mutant("baselines.py", CLASS_CHECK + "if not (_is_number(tau)", NO_CLASS_CHECK + "if not (_is_number(tau)",
-           ("tests/test_baselines.py::TestThresholdLocalize::test_rejects_a_class_outside_1_to_k",)),
-    Mutant("baselines.py", CLASS_CHECK + "T = cas.num_snippets", NO_CLASS_CHECK + "T = cas.num_snippets",
-           ("tests/test_baselines.py::TestEnumeration::test_rejects_a_class_outside_1_to_k",)),
-    Mutant("baselines.py", CLASS_CHECK + "if not (_is_number(tau)", NO_INT_CHECK + "if not (_is_number(tau)",
+    # thresholding and enumeration (one check) reading a cas that is not a
+    # Cas, a class outside 1..K, or one or a threshold that is not an integer
+    # or a number; a detector's prediction taking an id that is not a string
+    Mutant("baselines.py", '    check_object({"cas": cas}, what, _VIDEO_RULES)\n', "",
+           ("tests/test_baselines.py::TestThresholdLocalize::test_refuses_a_cas_that_is_not_a_cas",
+            "tests/test_baselines.py::TestEnumeration::test_refuses_a_cas_that_is_not_a_cas")),
+    Mutant("baselines.py", CLASS_CHECK, "if False:",
+           ("tests/test_baselines.py::TestThresholdLocalize::test_rejects_a_class_outside_1_to_k",
+            "tests/test_baselines.py::TestEnumeration::test_rejects_a_class_outside_1_to_k")),
+    Mutant("baselines.py", CLASS_CHECK, CLASS_CHECK.replace("_is_int(k) and ", ""),
            ("tests/test_baselines.py::TestThresholdLocalize::"
-            "test_refuses_a_class_or_threshold_of_the_wrong_type",)),
-    Mutant("baselines.py", CLASS_CHECK + "T = cas.num_snippets", NO_INT_CHECK + "T = cas.num_snippets",
-           ("tests/test_baselines.py::TestEnumeration::test_refuses_a_class_that_is_not_an_integer",)),
+            "test_refuses_a_class_or_threshold_of_the_wrong_type",
+            "tests/test_baselines.py::TestEnumeration::test_refuses_a_class_that_is_not_an_integer")),
     Mutant("baselines.py", "if not (_is_number(tau) and 0.0 < tau < 1.0):", "if not (0.0 < tau < 1.0):",
            ("tests/test_baselines.py::TestThresholdLocalize::"
             "test_refuses_a_class_or_threshold_of_the_wrong_type",)),
+    Mutant("selection.py", '    check_object({"video_id": video_id}, "prediction", {"video_id": STRING})\n', "",
+           ("tests/test_baselines.py::TestThresholdLocalize::"
+            "test_refuses_a_video_id_that_is_not_a_string",
+            "tests/test_baselines.py::TestEnumeration::test_refuses_a_video_id_that_is_not_a_string")),
     # gt_instances: the segments left unstamped with their video's id
     Mutant("evaluation.py", "replace(g, video_id=v.video_id)", "g",
            ("tests/test_eval.py::TestReport::test_gt_instances_flattens_videos",)),

@@ -13,7 +13,7 @@ records the BLAS build and the thread variables in the checkpoint's ``meta``.
 import filecmp
 import json
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -228,7 +228,7 @@ def test_criterion_8_evaluation_correctness(capsys):
 
 def test_criterion_9_training_determinism(capsys, tmp_path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(replace(BENCH_SPEC, t_range=(40, 60)).to_dict()))
+    spec_path.write_text(json.dumps(asdict(replace(BENCH_SPEC, t_range=(40, 60)))))
     assert cli_main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "corpus"),
                      "--seed", "5", "--count", "8"]) == 0
     config = {"version": 1, "profile": "synthetic", "manifest": "corpus/manifest.json",

@@ -60,6 +60,18 @@ class TestThresholdLocalize:
         with pytest.raises(InputError, match=message):
             baselines.threshold_localize(cas, k, tau)
 
+    @pytest.mark.parametrize("cas", [np.zeros((2, 5)), [[0.5] * 5]], ids=["array", "list"])
+    def test_refuses_a_cas_that_is_not_a_cas(self, cas):
+        """Unchecked, both end in a bare AttributeError (no ``num_classes``)."""
+        with pytest.raises(InputError, match="^threshold_localize: 'cas' must be a Cas$"):
+            baselines.threshold_localize(cas, 1, 0.5)
+
+    def test_refuses_a_video_id_that_is_not_a_string(self):
+        """Unchecked, the prediction's id 5 is written to a file that
+        ``io.read_predictions_jsonl`` refuses, with this message."""
+        with pytest.raises(InputError, match="^prediction: 'video_id' must be a string$"):
+            baselines.threshold_localize(Cas(np.full((1, 5), 0.9)), 1, 0.5, video_id=5)
+
     def test_rejects_an_fps_that_is_not_finite(self):
         """Unchecked, the predictions' seconds are NaN."""
         cas = Cas(np.full((1, 8), 0.9))
@@ -109,6 +121,19 @@ class TestEnumeration:
         cas = Cas(np.random.default_rng(0).uniform(size=(2, 12)))
         with pytest.raises(InputError, match=rf"^class {k} outside 1\.\.2$"):
             baselines.oic_selection_enumerate(cas, k)
+
+    @pytest.mark.parametrize("cas", [np.zeros((2, 5)), [[0.5] * 5]], ids=["array", "list"])
+    def test_refuses_a_cas_that_is_not_a_cas(self, cas):
+        """Unchecked, both end in a bare AttributeError (no ``num_classes``)."""
+        with pytest.raises(InputError, match="^oic_selection_enumerate: 'cas' must be a Cas$"):
+            baselines.oic_selection_enumerate(cas, 1)
+
+    def test_refuses_a_video_id_that_is_not_a_string(self):
+        """Unchecked, the predictions' id 5 is written to a file that
+        ``io.read_predictions_jsonl`` refuses, with this message."""
+        cas = Cas(np.array([[0.0, 0.9, 1.0, 0.9, 0.0]]))
+        with pytest.raises(InputError, match="^prediction: 'video_id' must be a string$"):
+            baselines.oic_selection_enumerate(cas, 1, video_id=5)
 
     def test_rejects_a_ratio_that_is_not_finite(self):
         """Unchecked, alpha = NaN ends in an IndexError after a NaN-to-int64 cast."""

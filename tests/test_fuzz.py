@@ -235,8 +235,8 @@ ENTRY_POINTS = [
                    "gt": (GroundTruthSegment(1, 0.0, 1.0),)}, None),
     (AnchorConfig, {"scales": (1, 2)}, None),
     (Cas, {"act": np.full((2, 6), 0.5)}, None),
-    (baselines.threshold_localize, {"cas": CAS, "k": 1, "tau": 0.5}, ("k", "tau")),
-    (baselines.oic_selection_enumerate, {"cas": CAS, "k": 1}, ("k",)),
+    (baselines.threshold_localize, {"cas": CAS, "k": 1, "tau": 0.5}, ("cas", "k", "tau")),
+    (baselines.oic_selection_enumerate, {"cas": CAS, "k": 1}, ("cas", "k")),
     (synth_corpus, {"spec": SynthSpec(**SPEC), "seed": 0, "count": 1}, ("count",)),
 ]
 ODD_VALUES = [None, "1", True, 1.5, math.nan, math.inf, 10**400, [], {}, np.zeros(2)]

@@ -194,21 +194,25 @@ class TestWorkerPool:
             child.join()
 
     def test_the_worker_is_joined_before_an_error_surfaces(self, rng, pool, monkeypatch):
-        """No job outlives the call: when this thread's first tap fails, the
-        error surfaces once the worker's (slowed) taps have finished, and
-        the worker's own error reaches the caller."""
+        """No job outlives the call: when this thread's input gradient fails,
+        the error surfaces once the worker's (slowed) weight gradients have
+        finished, and the worker's own error reaches the caller."""
         xp = _padded(rng.standard_normal((self.C_IN, self.T)))
         w = rng.standard_normal((self.C_OUT, self.C_IN, 3))
         dy = rng.standard_normal((self.C_OUT, self.T))
-        done, tap_grads = [], regressor._tap_grads
+        done, weight_grads, input_grad = [], regressor._weight_grads, regressor._input_grad
 
         def slow_on_the_worker(*args):
             if threading.current_thread() is not threading.main_thread():
                 time.sleep(0.05)
                 done.append(True)
-            return tap_grads(*args)
+            return weight_grads(*args)
 
-        monkeypatch.setattr(regressor, "_tap_grads", slow_on_the_worker)
+        def fails(*args):
+            raise ValueError("this thread's input gradient failed")
+
+        monkeypatch.setattr(regressor, "_weight_grads", slow_on_the_worker)
+        monkeypatch.setattr(regressor, "_input_grad", fails)
 
         class Taps(list):
             """A weight gradient whose taps are separate arrays."""
@@ -221,9 +225,10 @@ class TestWorkerPool:
             blocks[read_only].flags.writeable = False
             return Taps(blocks)
 
-        with pytest.raises(ValueError, match="read-only"):
-            conv1d_backward(xp, w, dy, dw=taps(read_only=0))
+        with pytest.raises(ValueError, match="input gradient failed"):
+            conv1d_backward(xp, w, dy)
         assert done == ([] if pool[-1] is None else [True])  # without the worker, never started
+        monkeypatch.setattr(regressor, "_input_grad", input_grad)
         with pytest.raises(ValueError, match="read-only"):
             conv1d_backward(xp, w, dy, dw=taps(read_only=2))
 
@@ -262,12 +267,13 @@ class TestWorkerPool:
         there = [(name, args) for name, on_worker, args in split_calls[:calls] if on_worker]
         size = with_pool[0].size
         # the top halves: 2 layers x 4 forwards, 2 layers x 3 backwards, 3 steps
-        assert sorted((name, len(args[0])) for name, args in there if name != "_tap_grads") == (
+        assert sorted((name, len(args[0])) for name, args in there if name != "_weight_grads") == (
             [("_batch_norm_backward", 74)] * 6 + [("_batch_norm_relu", 74)] * 8
             + [("_momentum_rows", size // 2)] * 3)
-        # conv2 and conv1 backward: tap 1's weight gradient and all of tap 2's
-        taps = [(list(args[4]), list(args[5])) for name, args in there if name == "_tap_grads"]
-        assert taps == [([1, 2], [2])] * 6
+        # conv2 and conv1 backward: every weight gradient (an input gradient made
+        # on the worker would show in the list above)
+        taps = [list(args[3]) for name, args in there if name == "_weight_grads"]
+        assert taps == [[0, 1, 2]] * 6
 
 
 class TestNetworkB:

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -34,11 +34,11 @@ class TestSynthSpec:
     ])
     def test_rejects_mistyped_or_bad_field(self, field, value):
         with pytest.raises(InputError, match=field):
-            SynthSpec.from_dict({**SPEC.to_dict(), field: value})
+            SynthSpec.from_dict({**asdict(SPEC), field: value})
 
     def test_rejects_no_classes(self):
         with pytest.raises(InputError, match="'num_classes' must be a positive integer"):
-            SynthSpec.from_dict({**SPEC.to_dict(), "num_classes": 0})
+            SynthSpec.from_dict({**asdict(SPEC), "num_classes": 0})
 
     @pytest.mark.parametrize("field", [
         "background", "noise_amp", "dip_prob", "bridge_prob", "level_jitter", "dip_level",
@@ -47,16 +47,16 @@ class TestSynthSpec:
     @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), float("inf")])
     def test_rejects_level_or_probability_outside_unit_interval(self, field, value):
         with pytest.raises(InputError, match=f"'{field}' must be a finite number in \\[0, 1\\]"):
-            SynthSpec.from_dict({**SPEC.to_dict(), field: value})
+            SynthSpec.from_dict({**asdict(SPEC), field: value})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_fps(self, value):
         with pytest.raises(InputError, match="'fps' must be a positive finite number"):
-            SynthSpec.from_dict({**SPEC.to_dict(), "fps": value})
+            SynthSpec.from_dict({**asdict(SPEC), "fps": value})
 
     def test_accepts_unit_interval_ends(self):
         ends = {"background": 0.0, "noise_amp": 1.0, "dip_prob": 1.0, "bridge_level": 0.0}
-        assert SynthSpec.from_dict({**SPEC.to_dict(), **ends}).noise_amp == 1.0
+        assert SynthSpec.from_dict({**asdict(SPEC), **ends}).noise_amp == 1.0
 
     def test_every_field_has_one_rule(self):
         """A field added without a rule fails here, not on the first bad spec."""
@@ -64,14 +64,14 @@ class TestSynthSpec:
 
     def test_a_constructed_spec_holds_tuples(self):
         spec = SynthSpec(num_classes=1, t_range=[40, 50], instances_range=(1, 1))
-        assert spec.t_range == (40, 50) and spec == SynthSpec.from_dict(spec.to_dict())
+        assert spec.t_range == (40, 50) and spec == SynthSpec.from_dict(asdict(spec))
 
     def test_dict_roundtrip(self):
-        assert SynthSpec.from_dict(SPEC.to_dict()) == SPEC
+        assert SynthSpec.from_dict(asdict(SPEC)) == SPEC
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(InputError, match="plateau"):
-            SynthSpec.from_dict({**SPEC.to_dict(), "plateau": 1})
+            SynthSpec.from_dict({**asdict(SPEC), "plateau": 1})
 
 
 class TestSynthCorpus:

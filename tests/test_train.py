@@ -245,7 +245,7 @@ class TestWorkerPoolKeepsBits:
         assert not any(there for _, there, _ in split_calls[splits:])
         # per video: 3 + 3 batch norms (train), 3 (predict), 3 conv backwards, 1 step
         assert sorted(on_worker) == sorted(len(videos) * (
-            ["_batch_norm_relu"] * 6 + ["_batch_norm_backward"] * 3 + ["_tap_grads"] * 3
+            ["_batch_norm_relu"] * 6 + ["_batch_norm_backward"] * 3 + ["_weight_grads"] * 3
             + ["_momentum_rows"]))
 
 
